@@ -68,16 +68,19 @@ class MaxFilterBank:
 def max_filter(group: FiniteGroup, x, y, allow_fft: bool = True) -> FilterValue:
     """max over g in G of <g.x, y>.
 
-    Groups built by the circular_shifts constructor take the FFT route
-    unless allow_fft=False; nothing is ever inferred from the matrices.
+    The value comes from the family-keyed backend: a chamber projection,
+    the FFT or one GEMM, chosen by ``group.family`` only and never
+    inferred from the matrices.  ``allow_fft=False`` skips every backend
+    route and scores the dense element stack, all g.x against y; that
+    evaluation is the independent reference the routes are tested against.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (group.dim,) or y.shape != (group.dim,):
         raise ValueError("x and y must be vectors of the group dimension")
-    if allow_fft and group.family == "circular_shifts":
-        return max_filter_circular_fft(x, y)
-    return FilterValue(float((group.apply_all(x) @ y).max()))
+    if not allow_fft:
+        return FilterValue(float((group.apply_all(x) @ y).max()))
+    return FilterValue(float(_filter_values(group, x[None, :], y[None, :], paired=True)[0]))
 
 
 def quotient_distance(group: FiniteGroup, x, y, tol: TolerancePolicy = DEFAULT_TOL) -> float:
@@ -92,11 +95,7 @@ def quotient_distance(group: FiniteGroup, x, y, tol: TolerancePolicy = DEFAULT_T
 
 
 def apply_bank(bank: MaxFilterBank, x) -> np.ndarray:
-    """Bank image (max_filter(z_i, x))_i as an (n,) array.
-
-    One pass: the group acts on x, every template is scored against the
-    whole orbit at once.
-    """
+    """Bank image (max_filter(z_i, x))_i as an (n,) array."""
     return apply_bank_batch(bank, np.asarray(x, dtype=float)[None, :])[0]
 
 
@@ -105,25 +104,88 @@ def apply_bank_batch(bank: MaxFilterBank, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != bank.dim:
         raise ValueError(f"expected batch shape (b, {bank.dim}), got {X.shape}")
-    if bank.group.family == "circular_shifts":
-        # cross-correlate every template with every point in one rfft block
-        d = bank.dim
-        F = np.fft.rfft(X, axis=1)                 # (b, d//2+1)
-        Zf = np.fft.rfft(bank.templates, axis=1)   # (n, d//2+1)
-        corr = np.fft.irfft(Zf[None, :, :] * np.conj(F)[:, None, :], n=d, axis=2)
-        return corr.max(axis=2)
-    images = np.einsum("gde,be->bgd", bank.group.stack, X)
-    return np.einsum("bgd,nd->bgn", images, bank.templates).max(axis=1)
+    return _filter_values(bank.group, X, bank.templates, paired=False)
 
 
 def max_filter_pairs(group: FiniteGroup, X, Y) -> np.ndarray:
     """Row-wise filter values max_g <g.x_b, y_b> for paired batches."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape or X.ndim != 2:
-        raise ValueError("X and Y must be equal-shape (b, d) batches")
-    images = np.einsum("gde,be->bgd", group.stack, X)
-    return np.einsum("bgd,bd->bg", images, Y).max(axis=1)
+    if X.shape != Y.shape or X.ndim != 2 or X.shape[1] != group.dim:
+        raise ValueError(
+            f"X and Y must be equal-shape (b, {group.dim}) batches, got {X.shape} and {Y.shape}")
+    return _filter_values(group, X, Y, paired=True)
+
+
+# ---------------------------------------------------------------------------
+# the backend: one dispatch on group.family
+#
+# Every route returns max_g <g.x, z> for the rows x of X and z of Z: row by
+# row when paired, shape (b,), and every x against every z otherwise, shape
+# (b, n).  Scalar, pairs, bank and Gram matrix are all calls of this one
+# function.
+
+
+def _fold_angles(group: FiniteGroup, X: np.ndarray) -> np.ndarray:
+    """Fold each polar angle into [0, pi/m], between the mirrors at 0 and pi/m."""
+    wedge = 2.0 * np.pi / (group.order // 2)
+    theta = np.mod(np.arctan2(X[:, 1], X[:, 0]), wedge)
+    phi = np.minimum(theta, wedge - theta)
+    r = np.hypot(X[:, 0], X[:, 1])
+    return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
+
+
+# Projections onto the closed fundamental chamber of each reflection family.
+# Every orbit meets that chamber exactly once, and max_g <g.x, z> equals
+# <pi(x), pi(z)>: the filter is a linear inner product after a feature map.
+_CHAMBERS = {
+    "permutations": lambda group, X: np.sort(X, axis=1),
+    "sign_flips": lambda group, X: np.abs(X),
+    "dihedral_2d": _fold_angles,
+}
+
+# float64 entries one block of a route's intermediates may hold (8 MiB)
+_BLOCK = 1 << 20
+
+
+def _filter_values(group: FiniteGroup, X: np.ndarray, Z: np.ndarray, paired: bool) -> np.ndarray:
+    project = _CHAMBERS.get(group.family)
+    if project is not None:
+        PX, PZ = project(group, X), project(group, Z)
+        return np.einsum("bd,bd->b", PX, PZ) if paired else PX @ PZ.T
+    if group.family == "circular_shifts":
+        # one length-d correlation per (x, z)
+        route, per_row = _circular_values, group.dim * (1 if paired else len(Z))
+    else:
+        # one inner product per (g, x, z), plus the d*d outer product when paired
+        route = _gemm_values
+        per_row = group.order + group.dim ** 2 if paired else group.order * len(Z)
+    step = max(1, _BLOCK // per_row)
+    if len(X) <= step:
+        return route(group, X, Z, paired)
+    return np.concatenate([route(group, X[lo:lo + step], Z[lo:lo + step] if paired else Z, paired)
+                           for lo in range(0, len(X), step)])
+
+
+def _circular_values(group: FiniteGroup, X: np.ndarray, Z: np.ndarray, paired: bool) -> np.ndarray:
+    """Cross-correlations by a length-d real FFT; the max over shifts."""
+    d = group.dim
+    F, G = np.fft.rfft(X, axis=1), np.conj(np.fft.rfft(Z, axis=1))
+    if paired:
+        return np.fft.irfft(F * G, n=d, axis=1).max(axis=1)
+    return np.fft.irfft(F[:, None, :] * G[None, :, :], n=d, axis=2).max(axis=2)
+
+
+def _gemm_values(group: FiniteGroup, X: np.ndarray, Z: np.ndarray, paired: bool) -> np.ndarray:
+    """Inner products against the element stack in one matrix product."""
+    m, d = group.order, group.dim
+    if paired:
+        # <g.x, z> = sum_ij g_ij z_i x_j: the outer products z x^T against the flat elements
+        outer = (Z[:, :, None] * X[:, None, :]).reshape(len(X), d * d)
+        return (outer @ group.stack.reshape(m, d * d).T).max(axis=1)
+    # <g.x, z> = <x, g^T z>: every x against the orbit rows g^T z, then the max per |G| block
+    rows = (Z @ group.stack).reshape(m * len(Z), d)
+    return (X @ rows.T).reshape(len(X), m, len(Z)).max(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,9 @@ class FiniteGroup:
 
     ``stack`` holds all matrices as one (order, dim, dim) array for
     vectorized orbit computations.  ``family`` records the constructor
-    used, which is the only mechanism by which structure-specific fast
-    paths (the circular-shift FFT route) are enabled.
+    used, which is the only mechanism by which structure-specific filter
+    routes are enabled: the chamber projections of the reflection
+    families and the circular-shift FFT.
     """
 
     dim: int
@@ -297,7 +298,7 @@ def plus_minus_id(d: int, max_order: int = 100_000) -> FiniteGroup:
 
 
 def circular_shifts(d: int, max_order: int = 100_000) -> FiniteGroup:
-    """Cyclic shifts of coordinates; the only family with an FFT fast path."""
+    """Cyclic shifts of coordinates; max filtering runs as an FFT cross-correlation."""
     if d < 1:
         raise ValueError("d must be >= 1")
     _family_cap(d, max_order, "circular_shifts")
@@ -361,19 +362,51 @@ def stabilizer_order(group: FiniteGroup, x, tol: TolerancePolicy = DEFAULT_TOL) 
 
 
 # ---------------------------------------------------------------------------
-# file format: {"dim": d, "generators": [[row-major d*d reals], ...]}
+# file format: {"dim": d, "generators": [[row-major d*d reals], ...],
+#               "family": name or null, "param": int or null}
+
+# the constructor parameter of each family: m for the rotation families,
+# d for the coordinate families
+_FAMILY_PARAM = {
+    "cyclic_rotation_2d": lambda g: g.order,
+    "axis_rotation_3d": lambda g: g.order,
+    "dihedral_2d": lambda g: g.order // 2,
+    "sign_flips": lambda g: g.dim,
+    "permutations": lambda g: g.dim,
+    "plus_minus_id": lambda g: g.dim,
+    "circular_shifts": lambda g: g.dim,
+}
 
 
 def save_group(group: FiniteGroup, path) -> None:
+    """Write every element, plus the family tag and its parameter; a
+    group outside the named families is written untagged."""
+    tagged = group.family in _FAMILY_PARAM
     payload = {
         "dim": group.dim,
         "generators": [e.matrix.reshape(-1).tolist() for e in group.elements],
+        "family": group.family if tagged else None,
+        "param": _FAMILY_PARAM[group.family](group) if tagged else None,
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def load_group(path, max_order: int = 100_000, tol: TolerancePolicy = DEFAULT_TOL) -> FiniteGroup:
+    """Read a group file.
+
+    A tagged file is rebuilt by its family constructor, which keeps the
+    family's filter routes, and its stored elements must equal the
+    constructor's within eq_tol.  An untagged file is closed again from
+    its stored elements.
+    """
     payload = json.loads(Path(path).read_text())
     dim = int(payload["dim"])
-    gens = [np.array(g, dtype=float).reshape(dim, dim) for g in payload["generators"]]
-    return generate_group(gens, max_order=max_order, tol=tol)
+    gens = np.array(payload["generators"], dtype=float).reshape(-1, dim, dim)
+    family = payload.get("family")
+    if family is None:
+        return generate_group(gens, max_order=max_order, tol=tol)
+    group = build_family(family, int(payload["param"]), max_order=max_order)
+    if gens.shape != group.stack.shape or np.abs(gens - group.stack).max() > tol.eq_tol:
+        raise ValueError(
+            f"stored elements differ from {family}({payload['param']}) beyond eq_tol")
+    return group

@@ -6,6 +6,14 @@ checks them for negative eigenvalues, and searches for certificates that
 the kernel fails to be positive semidefinite.  For reflection groups
 (chi == 1) no such certificate exists; for every other group a random
 search finds one quickly at small dimension.
+
+The Gram matrix comes from the family-keyed filter backend in
+``filtering``.  For a reflection family it is pi(P) pi(P)^T, with pi the
+projection onto the closed fundamental chamber (sort, absolute value or
+angle fold), so it is a plain Gram matrix of feature vectors and
+positive semidefinite by construction; only float noise can give it a
+negative eigenvalue.  ``direct_quadratic_form`` re-evaluates entries on
+the dense element stack instead, independent of that backend.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CaseMismatch
-from .filtering import max_filter
+from .filtering import _filter_values, max_filter
 from .groups import FiniteGroup
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 from .voronoi import voronoi_characteristic
@@ -61,8 +69,7 @@ def gram_matrix(group: FiniteGroup, points: np.ndarray) -> np.ndarray:
     if X.shape[1] != group.dim:
         raise ValueError(
             f"points have dim {X.shape[1]}, group acts on dim {group.dim}")
-    moved = np.einsum("gde,ke->kgd", group.stack, X)
-    gram = np.einsum("kgd,ld->kgl", moved, X).max(axis=1)
+    gram = _filter_values(group, X, X, paired=False)
     return 0.5 * (gram + gram.T)
 
 

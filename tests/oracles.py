@@ -149,3 +149,26 @@ def distortion_bound_mpmath(m: int, chi: int, d: int, n: int,
         c = 2 + (mpmath.sqrt(lam0) + 2) / (lam0 - 1)
         base = C * chi_ ** mpmath.mpf("1.5") * m_ * mpmath.sqrt(mpmath.log(mpmath.e * m_))
         return float(base ** (1 + c / mpmath.sqrt(lam)))
+
+
+# every family in FAMILIES, with dihedral_2d at m = 1, 2 and 3
+BACKEND_CASES = [("cyclic_rotation_2d", 5), ("axis_rotation_3d", 4),
+                 ("dihedral_2d", 1), ("dihedral_2d", 2), ("dihedral_2d", 3),
+                 ("sign_flips", 3), ("permutations", 4), ("plus_minus_id", 3),
+                 ("circular_shifts", 6)]
+
+
+def degenerate_points(group, rng) -> np.ndarray:
+    """Rows where a backend route could slip: the zero vector, repeated
+    coordinates, points exactly on every mirror at angle k*pi/m of a
+    planar dihedral group, and a few Gaussian rows."""
+    d = group.dim
+    rows = [np.zeros(d), np.ones(d), -2.0 * np.ones(d),
+            np.repeat([0.5, -1.5], [d - d // 2, d // 2]),
+            np.where(np.arange(d) % 2 == 0, 0.0, -0.75)]
+    if group.family == "dihedral_2d":
+        m = group.order // 2
+        rows += [r * np.array([math.cos(k * math.pi / m), math.sin(k * math.pi / m)])
+                 for k in range(2 * m) for r in (1.0, 2.5)]
+    rows += list(rng.standard_normal((4, d)))
+    return np.stack(rows)

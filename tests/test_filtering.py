@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maxfilter_lab import (FilterValue, FiniteGroup, LengthMismatch,
+from maxfilter_lab import (FAMILIES, FilterValue, FiniteGroup, LengthMismatch,
                            MaxFilterBank, NegativeRadicand, apply_bank,
                            apply_bank_batch, build_family, load_templates,
                            max_filter, max_filter_circular_brute,
                            max_filter_circular_fft, max_filter_pairs,
                            quotient_distance, save_templates)
-from oracles import brute_circular_max, brute_max_filter, brute_orbit_min_distance
+from oracles import (BACKEND_CASES, brute_circular_max, brute_max_filter,
+                     brute_orbit_min_distance, degenerate_points)
 
 GROUPS = [("cyclic_rotation_2d", 5), ("dihedral_2d", 3), ("sign_flips", 3),
           ("permutations", 3), ("plus_minus_id", 2), ("circular_shifts", 6)]
@@ -184,3 +185,93 @@ def test_fft_brute_agreement_property(d, seed):
     f, g = r.standard_normal((2, d))
     assert abs(max_filter_circular_fft(f, g)
                - max_filter_circular_brute(f, g)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the family-keyed backend against the dense stack and the loop oracle
+
+
+def _dense(g, x, y):
+    return max_filter(g, x, y, allow_fft=False)
+
+
+def test_backend_cases_cover_every_family():
+    assert {name for name, _ in BACKEND_CASES} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("name,param", BACKEND_CASES)
+def test_backend_scalar_matches_dense_and_brute(name, param, rng):
+    g = build_family(name, param)
+    P = degenerate_points(g, rng)
+    for x in P:
+        for y in P:
+            val = max_filter(g, x, y)
+            assert isinstance(val, FilterValue)
+            assert abs(val - _dense(g, x, y)) < 1e-10
+            assert abs(val - brute_max_filter(g.stack, x, y)) < 1e-10
+
+
+@pytest.mark.parametrize("name,param", BACKEND_CASES)
+def test_backend_pairs_match_dense_and_brute(name, param, rng):
+    g = build_family(name, param)
+    P = degenerate_points(g, rng)
+    X, Y = np.repeat(P, len(P), axis=0), np.tile(P, (len(P), 1))
+    vals = max_filter_pairs(g, X, Y)
+    assert vals.shape == (len(X),)
+    for k in range(len(X)):
+        assert abs(vals[k] - _dense(g, X[k], Y[k])) < 1e-10
+        assert abs(vals[k] - brute_max_filter(g.stack, X[k], Y[k])) < 1e-10
+
+
+@pytest.mark.parametrize("name,param", BACKEND_CASES)
+def test_backend_bank_matches_dense_and_brute(name, param, rng):
+    g = build_family(name, param)
+    P = degenerate_points(g, rng)
+    bank = MaxFilterBank(g, P)
+    X = np.concatenate([P, rng.standard_normal((3, g.dim))])
+    img = apply_bank_batch(bank, X)
+    assert img.shape == (len(X), len(P))
+    for b in range(len(X)):
+        for i in range(len(P)):
+            assert abs(img[b, i] - _dense(g, P[i], X[b])) < 1e-10
+            assert abs(img[b, i] - brute_max_filter(g.stack, P[i], X[b])) < 1e-10
+
+
+@pytest.mark.parametrize("name,param", BACKEND_CASES)
+def test_pairs_reject_batches_off_the_group_dimension(name, param):
+    g = build_family(name, param)
+    for width in (g.dim - 1, g.dim + 1):
+        with pytest.raises(ValueError):
+            max_filter_pairs(g, np.ones((4, width)), np.ones((4, width)))
+    with pytest.raises(ValueError):
+        max_filter_pairs(g, np.ones((4, g.dim)), np.ones((3, g.dim)))
+
+
+def test_backend_blocks_long_batches(rng):
+    # batches longer than one block of intermediates are split by rows
+    for g in (build_family("circular_shifts", 8), build_family("cyclic_rotation_2d", 7)):
+        Z = rng.standard_normal((300, g.dim))
+        X = rng.standard_normal((600, g.dim))
+        img = apply_bank_batch(MaxFilterBank(g, Z), X)
+        for b in (0, 299, 599):
+            for i in (0, 150, 299):
+                assert abs(img[b, i] - _dense(g, Z[i], X[b])) < 1e-10
+    g = build_family("plus_minus_id", 300)
+    X, Y = rng.standard_normal((2, 30, 300))
+    vals = max_filter_pairs(g, X, Y)
+    assert np.allclose(vals, np.abs((X * Y).sum(axis=1)), rtol=1e-12, atol=1e-10)
+
+
+@given(st.sampled_from(BACKEND_CASES), st.integers(0, 2 ** 32 - 1))
+def test_backend_matches_dense_property(spec, seed):
+    g = build_family(*spec)
+    r = np.random.default_rng(seed)
+    X, Y = r.standard_normal((2, 5, g.dim))
+    Z = r.standard_normal((3, g.dim))
+    pairs = max_filter_pairs(g, X, Y)
+    img = apply_bank_batch(MaxFilterBank(g, Z), X)
+    for b in range(5):
+        assert abs(pairs[b] - _dense(g, X[b], Y[b])) < 1e-10
+        assert abs(max_filter(g, X[b], Y[b]) - pairs[b]) < 1e-10
+        for i in range(3):
+            assert abs(img[b, i] - _dense(g, Z[i], X[b])) < 1e-10

@@ -140,9 +140,49 @@ def test_group_json_round_trip(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["dim"] == 2
     assert len(payload["generators"]) == 6
+    assert (payload["family"], payload["param"]) == ("dihedral_2d", 3)
     g2 = load_group(path)
     assert g2.order == g.order
     assert np.abs(g2.stack - g.stack).max() < 1e-12
+
+
+@pytest.mark.parametrize("name,param,order,dim", FAMILY_CASES)
+def test_round_trip_keeps_family_and_stack(tmp_path, name, param, order, dim):
+    g = build_family(name, param)
+    path = tmp_path / f"{name}.json"
+    save_group(g, path)
+    g2 = load_group(path)
+    assert g2.family == name
+    assert np.array_equal(g2.stack, g.stack)
+
+
+@pytest.mark.parametrize("field,tamper", [
+    ("generators", lambda gens: [gens[0], [v + 1e-6 for v in gens[1]], *gens[2:]]),
+    ("param", lambda param: param + 1),
+])
+def test_tampered_tagged_file_raises(tmp_path, field, tamper):
+    path = tmp_path / "perm3.json"
+    save_group(build_family("permutations", 3), path)
+    payload = json.loads(path.read_text())
+    payload[field] = tamper(payload[field])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError):
+        load_group(path)
+
+
+def test_untagged_and_legacy_files_are_closed_again(tmp_path):
+    g = generate_group([np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    path = tmp_path / "untagged.json"
+    save_group(g, path)
+    assert json.loads(path.read_text())["family"] is None
+    assert load_group(path).order == 8
+    # a file written before the family tag existed: dim and elements only
+    legacy = {"dim": 2, "generators": [M.reshape(-1).tolist()
+                                       for M in build_family("sign_flips", 2).stack]}
+    path.write_text(json.dumps(legacy))
+    g2 = load_group(path)
+    assert g2.family is None
+    assert np.abs(g2.stack - build_family("sign_flips", 2).stack).max() < 1e-12
 
 
 def test_circular_shift_convention():

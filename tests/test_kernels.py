@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from maxfilter_lab import (CaseMismatch, build_family, direct_quadratic_form,
                            gram_audit, gram_matrix, is_reflection_group,
                            max_filter, search_psd_violation)
-from oracles import brute_max_filter
+from oracles import BACKEND_CASES, brute_max_filter, degenerate_points
 
 
 def test_gram_matrix_entries_and_symmetry(c5, rng):
@@ -122,3 +123,36 @@ def test_max_filter_consistency_with_gram(dih4, rng):
     for i in range(3):
         for j in range(3):
             assert abs(G[i, j] - max_filter(dih4, X[i], X[j])) < 1e-12
+
+
+@pytest.mark.parametrize("name,param", BACKEND_CASES)
+def test_backend_gram_matches_dense_and_brute(name, param, rng):
+    g = build_family(name, param)
+    P = degenerate_points(g, rng)
+    G = gram_matrix(g, P)
+    assert G.shape == (len(P), len(P))
+    assert np.abs(G - G.T).max() == 0.0
+    for i in range(len(P)):
+        for j in range(len(P)):
+            assert abs(G[i, j] - max_filter(g, P[i], P[j], allow_fft=False)) < 1e-10
+            assert abs(G[i, j] - brute_max_filter(g.stack, P[i], P[j])) < 1e-10
+
+
+@pytest.mark.parametrize("name,param", [c for c in BACKEND_CASES
+                                        if c[0] in ("permutations", "sign_flips", "dihedral_2d")])
+def test_reflection_gram_is_psd_by_construction(name, param, rng):
+    # a chamber-projected Gram matrix is pi(P) pi(P)^T: no eigenvalue below float noise
+    g = build_family(name, param)
+    P = np.concatenate([degenerate_points(g, rng), rng.standard_normal((20, g.dim))])
+    G = gram_matrix(g, P)
+    assert np.linalg.eigvalsh(G)[0] >= -1e-12 * (1.0 + np.diag(G).max())
+
+
+@given(st.sampled_from(BACKEND_CASES), st.integers(0, 2 ** 32 - 1))
+def test_backend_gram_property(spec, seed):
+    g = build_family(*spec)
+    P = np.random.default_rng(seed).standard_normal((6, g.dim))
+    G = gram_matrix(g, P)
+    for i in range(6):
+        for j in range(6):
+            assert abs(G[i, j] - max_filter(g, P[i], P[j], allow_fft=False)) < 1e-10
