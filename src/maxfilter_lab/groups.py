@@ -96,7 +96,9 @@ class FiniteGroup:
     vectorized orbit computations.  ``family`` records the constructor
     used, which is the only mechanism by which structure-specific filter
     routes are enabled: the chamber projections of the reflection
-    families and the circular-shift FFT.
+    families and the circular-shift FFT.  So a tag must name a family in
+    FAMILIES whose constructor gives these elements within eq_tol, in
+    any order; ValueError otherwise.
     """
 
     dim: int
@@ -108,6 +110,7 @@ class FiniteGroup:
         stack = np.stack([e.matrix for e in self.elements])
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
+        _check_family(self, DEFAULT_TOL)
 
     @property
     def order(self) -> int:
@@ -154,6 +157,14 @@ class FiniteGroup:
         elems = tuple(GroupElement(dim, stack[i].copy()) for i in order)
         return cls(dim=dim, elements=elems, family=family)
 
+    @classmethod
+    def _from_stack(cls, mats: np.ndarray, family: str | None) -> "FiniteGroup":
+        """from_matrices with the tag set unchecked, for the family
+        constructors: checking it would call them again."""
+        group = cls.from_matrices(mats)
+        object.__setattr__(group, "family", family)
+        return group
+
 
 @dataclass(frozen=True)
 class Orbit:
@@ -184,7 +195,9 @@ def generate_group(
 
     Every element of a finite matrix group is a positive power of the
     generators, so right-multiplication BFS without explicit inverses
-    reaches the full group.
+    reaches the full group.  A ``family`` tag must name a family whose
+    constructor gives the closed group within eq_tol; ValueError
+    otherwise.
     """
     gens = [_as_matrix(g) for g in generators]
     if not gens:
@@ -216,7 +229,9 @@ def generate_group(
         frontier = new
     if len(elements) > max_order:
         raise ClosureOverflow(f"closure exceeded max_order={max_order}")
-    return FiniteGroup.from_matrices(np.stack(elements), family=family)
+    group = FiniteGroup._from_stack(np.stack(elements), family)
+    _check_family(group, tol)
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +254,7 @@ def cyclic_rotation_2d(m: int, max_order: int = 100_000) -> FiniteGroup:
         raise ValueError("m must be >= 1")
     _family_cap(m, max_order, "cyclic_rotation_2d")
     mats = np.stack([_rotation_2d(2 * math.pi * k / m) for k in range(m)])
-    return FiniteGroup.from_matrices(mats, family="cyclic_rotation_2d")
+    return FiniteGroup._from_stack(mats, "cyclic_rotation_2d")
 
 
 def axis_rotation_3d(m: int, max_order: int = 100_000) -> FiniteGroup:
@@ -252,7 +267,7 @@ def axis_rotation_3d(m: int, max_order: int = 100_000) -> FiniteGroup:
         M = np.eye(3)
         M[:2, :2] = _rotation_2d(2 * math.pi * k / m)
         mats.append(M)
-    return FiniteGroup.from_matrices(np.stack(mats), family="axis_rotation_3d")
+    return FiniteGroup._from_stack(np.stack(mats), "axis_rotation_3d")
 
 
 def dihedral_2d(m: int, max_order: int = 100_000) -> FiniteGroup:
@@ -263,7 +278,7 @@ def dihedral_2d(m: int, max_order: int = 100_000) -> FiniteGroup:
     flip = np.diag([1.0, -1.0])
     rots = [_rotation_2d(2 * math.pi * k / m) for k in range(m)]
     mats = np.stack(rots + [R @ flip for R in rots])
-    return FiniteGroup.from_matrices(mats, family="dihedral_2d")
+    return FiniteGroup._from_stack(mats, "dihedral_2d")
 
 
 def sign_flips(d: int, max_order: int = 100_000) -> FiniteGroup:
@@ -273,7 +288,7 @@ def sign_flips(d: int, max_order: int = 100_000) -> FiniteGroup:
     _family_cap(2 ** d, max_order, "sign_flips")
     mats = np.stack([np.diag(np.array(s, dtype=float))
                      for s in itertools.product((1.0, -1.0), repeat=d)])
-    return FiniteGroup.from_matrices(mats, family="sign_flips")
+    return FiniteGroup._from_stack(mats, "sign_flips")
 
 
 def permutations(d: int, max_order: int = 100_000) -> FiniteGroup:
@@ -286,7 +301,7 @@ def permutations(d: int, max_order: int = 100_000) -> FiniteGroup:
         M = np.zeros((d, d))
         M[np.arange(d), p] = 1.0
         mats.append(M)
-    return FiniteGroup.from_matrices(np.stack(mats), family="permutations")
+    return FiniteGroup._from_stack(np.stack(mats), "permutations")
 
 
 def plus_minus_id(d: int, max_order: int = 100_000) -> FiniteGroup:
@@ -294,7 +309,7 @@ def plus_minus_id(d: int, max_order: int = 100_000) -> FiniteGroup:
     if d < 1:
         raise ValueError("d must be >= 1")
     _family_cap(2, max_order, "plus_minus_id")
-    return FiniteGroup.from_matrices(np.stack([np.eye(d), -np.eye(d)]), family="plus_minus_id")
+    return FiniteGroup._from_stack(np.stack([np.eye(d), -np.eye(d)]), "plus_minus_id")
 
 
 def circular_shifts(d: int, max_order: int = 100_000) -> FiniteGroup:
@@ -307,7 +322,7 @@ def circular_shifts(d: int, max_order: int = 100_000) -> FiniteGroup:
     mats = [np.eye(d)]
     for _ in range(d - 1):
         mats.append(shift @ mats[-1])
-    return FiniteGroup.from_matrices(np.stack(mats), family="circular_shifts")
+    return FiniteGroup._from_stack(np.stack(mats), "circular_shifts")
 
 
 FAMILIES = {
@@ -376,6 +391,41 @@ _FAMILY_PARAM = {
     "plus_minus_id": lambda g: g.dim,
     "circular_shifts": lambda g: g.dim,
 }
+
+
+def _check_family(group: FiniteGroup, tol: TolerancePolicy) -> None:
+    """Raise ValueError unless ``group`` is untagged or its elements equal
+    those of its family constructor within eq_tol, in any order."""
+    if group.family is None:
+        return
+    if group.family not in _FAMILY_PARAM:
+        raise ValueError(f"unknown family {group.family!r}; known: {sorted(FAMILIES)}")
+    param = _FAMILY_PARAM[group.family](group)
+    try:
+        ref = build_family(group.family, param, max_order=group.order).stack
+    except (SizeOverflow, ValueError):
+        ref = None
+    if ref is None or ref.shape != group.stack.shape or not _same_elements(group.stack, ref, tol):
+        raise ValueError(f"elements differ from {group.family}({param}) beyond eq_tol")
+
+
+def _same_elements(stack: np.ndarray, ref: np.ndarray, tol: TolerancePolicy) -> bool:
+    """Whether two stacks of one shape hold the same matrices within
+    eq_tol.  Canonical order usually lines them up; otherwise each
+    element of ``stack`` must match one of the distinct ``ref`` elements
+    and every ``ref`` element must be matched, comparing blocks of at
+    most 2^20 entries."""
+    if np.abs(stack - ref).max() <= tol.eq_tol:
+        return True
+    m = ref.shape[0]
+    step = max(1, (1 << 20) // ref.size)
+    hit = np.zeros(m, dtype=bool)
+    for lo in range(0, m, step):
+        dist = np.abs(stack[lo:lo + step, None] - ref[None]).max(axis=(2, 3))
+        if dist.min(axis=1).max() > tol.eq_tol:
+            return False
+        hit[dist.argmin(axis=1)] = True
+    return bool(hit.all())
 
 
 def save_group(group: FiniteGroup, path) -> None:

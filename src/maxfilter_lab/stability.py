@@ -10,6 +10,7 @@ optimality witness constructions round out the module.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,9 +22,9 @@ from .groups import orbit_of
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 from .voronoi import (
     VoronoiCellSpec,
+    _margin_lps,
     choice_assignments,
     sample_nice,
-    strict_cones_feasible,
     voronoi_characteristic,
 )
 
@@ -51,11 +52,6 @@ __all__ = [
 _ALPHA_STREAM = 311
 _EMP_STREAM = 977
 _WITNESS_STREAM = 541
-
-
-def _sigma_max(cols: np.ndarray) -> float:
-    """Largest singular value of a d x n matrix given as columns."""
-    return float(np.linalg.svd(cols, compute_uv=False)[0])
 
 
 def _lam_min(M: np.ndarray) -> float:
@@ -93,12 +89,23 @@ def upper_bound_exact(
 ) -> UpperBound:
     """Max of |{g_i z_i}|_2->2 over tuples whose open cells intersect.
 
-    Depth-first search over per-template orbit points; a partial tuple is
-    extended only while its cells are jointly feasible, which is safe
-    because adding a cell only shrinks the intersection.  One template is
-    pinned to a single orbit point: left-multiplying a whole tuple by any
-    group element maps feasible tuples to feasible tuples and preserves
-    the spectral norm.
+    Level-synchronous search over per-template orbit points.  Level k
+    extends every jointly feasible k-tuple by each orbit point of the
+    next template, in lexicographic order; the children of a level are
+    decided together by block-diagonal margin LPs, and only the feasible
+    ones form the next level.  Pruning is safe because adding a cell only
+    shrinks the intersection.  Every child's verdict depends on its own
+    tuple alone, so the LPs solved, the feasible tuples and the leaf
+    order are exactly those of a depth-first search with the same child
+    order; ties in beta go to the first leaf in that order.  One template
+    is pinned to a single orbit point: left-multiplying a whole tuple by
+    any group element maps feasible tuples to feasible tuples and
+    preserves the spectral norm.
+
+    Raises BudgetExceeded exactly when the search needs more than
+    ``max_lp_solves`` LPs, after solving that many and no more.  Its
+    ``partial`` is the best leaf scored so far, so it is None unless the
+    budget runs out on the last level.
     """
     group = bank.group
     n = bank.n_templates
@@ -107,40 +114,42 @@ def upper_bound_exact(
     pin = int(np.argmax([orb.size for orb in orbits]))
     visit = [pin] + [i for i in range(n) if i != pin]
 
-    best = -math.inf
-    best_choice: dict[int, int] | None = None
+    # feasible partial tuples of one level, in lexicographic order:
+    # (orbit-point indices in visit order, their cells)
+    frontier: list[tuple[tuple[int, ...], list[VoronoiCellSpec]]] = [((), [])]
     solves = 0
-    leaves = 0
-
-    def extend(pos: int, cur_cells: list, choice: dict[int, int]) -> None:
-        nonlocal best, best_choice, solves, leaves
-        if pos == n:
-            leaves += 1
-            cols = np.stack([orbits[t].points[c] for t, c in choice.items()], axis=1)
-            sigma = _sigma_max(cols)
-            if sigma > best:
-                best = sigma
-                best_choice = dict(choice)
-            return
-        t = visit[pos]
-        candidates = range(1) if pos == 0 else range(orbits[t].size)
-        for c in candidates:
-            if solves >= max_lp_solves:
-                raise BudgetExceeded("upper_bound_exact LP budget exhausted",
-                                     partial=None if best == -math.inf else best)
-            solves += 1
-            trial = cur_cells + [cells[t][c]]
-            if strict_cones_feasible(trial, tol).feasible:
-                choice[t] = c
-                extend(pos + 1, trial, choice)
-                del choice[t]
-
-    extend(0, [], {})
-    if best_choice is None:
+    for pos, t in enumerate(visit):
+        n_cand = 1 if pos == 0 else orbits[t].size
+        needed = len(frontier) * n_cand
+        take = min(needed, max(max_lp_solves - solves, 0))
+        kids = itertools.islice(((key + (c,), chosen + [cells[t][c]])
+                                 for key, chosen in frontier for c in range(n_cand)), take)
+        mine, theirs = itertools.tee(kids)
+        verdicts = _margin_lps((chosen for _, chosen in theirs), tol)
+        frontier = [kid for kid, v in zip(mine, verdicts) if v.feasible]
+        solves += take
+        if take < needed:
+            partial = _best_leaf(orbits, visit, frontier)[0] if pos == n - 1 else None
+            raise BudgetExceeded("upper_bound_exact LP budget exhausted", partial=partial)
+    if not frontier:
         raise RuntimeError("no feasible tuple found; tolerances are inconsistent")
-    elems = tuple(int(orbits[i].rep_elements[best_choice[i]]) for i in range(n))
-    return UpperBound(beta=float(best), argmax_tuple=elems,
-                      lp_solves=solves, feasible_tuples=leaves)
+    beta, key = _best_leaf(orbits, visit, frontier)
+    choice = dict(zip(visit, key))
+    elems = tuple(int(orbits[i].rep_elements[choice[i]]) for i in range(n))
+    return UpperBound(beta=beta, argmax_tuple=elems,
+                      lp_solves=solves, feasible_tuples=len(frontier))
+
+
+def _best_leaf(orbits, visit, leaves) -> tuple[float | None, tuple[int, ...] | None]:
+    """Largest spectral norm over full tuples, columns in visit order, and
+    the first tuple attaining it; (None, None) without leaves."""
+    if not leaves:
+        return None, None
+    cols = np.stack([np.stack([orbits[t].points[c] for t, c in zip(visit, key)], axis=1)
+                     for key, _ in leaves])
+    sigma = np.linalg.svd(cols, compute_uv=False)[:, 0]
+    i = int(np.argmax(sigma))
+    return float(sigma[i]), leaves[i][0]
 
 
 def upper_bound_relaxed(

@@ -3,17 +3,25 @@ characteristic chi.
 
 The open cell V_x collects the points whose best orbit representative is
 x itself and nobody else; joint nonemptiness of several open cells is
-decided by a small margin LP rather than sampling.
+decided by a small margin LP rather than sampling.  Independent margin
+LPs are solved together as one block-diagonal LP: every block keeps its
+own variables and rows, so each block's optimum, and its verdict, is
+the one the block would have alone.  ``strict_cones_feasible`` is the
+one-problem case, ``s_set`` sends all |[y]| two-cell problems in one
+batch, and ``stability.upper_bound_exact`` one batch per search level.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from .errors import LpNumericalFailure, NotNicePoint
 from .filtering import MaxFilterBank
@@ -57,12 +65,14 @@ class VoronoiCellSpec:
             raise ValueError("cell center does not lie on the supplied orbit")
         object.__setattr__(self, "_center_index", idx)
 
-    @property
+    @cached_property
     def rows(self) -> np.ndarray:
-        """Constraint normals center - p, one per non-center orbit point."""
-        mask = np.ones(self.orbit.size, dtype=bool)
-        mask[self._center_index] = False
-        return self.center[None, :] - self.orbit.points[mask]
+        """Constraint normals center - p, one per non-center orbit point;
+        built once per cell and read-only."""
+        others = np.delete(self.orbit.points, self._center_index, axis=0)
+        rows = self.center[None, :] - others
+        rows.setflags(write=False)
+        return rows
 
     def contains(self, y, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
         """Strict membership with margin lp_tol * |y|."""
@@ -92,6 +102,79 @@ class ConeFeasibility:
     margin: float
 
 
+# Nonzeros of A_ub in one HiGHS call.  A batch of margin LPs is split at
+# problem boundaries so that no call exceeds it, unless one problem does
+# alone.  The solve time per problem grows with the batch past a few
+# thousand problems, and the bound also caps the memory of one call.
+_LP_NNZ = 1 << 16
+
+
+def _margin_lps(
+    problems: Iterable[Sequence[VoronoiCellSpec]],
+    tol: TolerancePolicy = DEFAULT_TOL,
+) -> Iterator[ConeFeasibility]:
+    """One ConeFeasibility per list of cells, in input order.
+
+    Problem k has its own unknowns (y_k, t_k), rows -R_k y_k + t_k <= 0
+    and box |y_k|_inf <= 1; the batch maximizes sum_k t_k.  The blocks
+    share no variable, so an optimum of the sum is optimal in every
+    block.  A problem whose cells have no rows gets margin inf without
+    an LP.  Problems are read lazily and solved in groups of at most
+    _LP_NNZ nonzeros, so a long iterable is never held at once.
+    """
+    pending: list[tuple[int, np.ndarray]] = []
+    results: list[ConeFeasibility | None] = []
+    nnz = 0
+    for cells in problems:
+        rows = [c.rows for c in cells if c.rows.shape[0] > 0]
+        if rows:
+            R = np.concatenate(rows)
+            size = R.shape[0] * (R.shape[1] + 1)
+            if pending and nnz + size > _LP_NNZ:
+                _solve_blocks(pending, results, tol)
+                yield from results
+                pending, results, nnz = [], [], 0
+            pending.append((len(results), R))
+            results.append(None)
+            nnz += size
+        else:
+            d = cells[0].center.shape[0] if cells else 0
+            results.append(ConeFeasibility(feasible=True, witness=np.zeros(d), margin=np.inf))
+    _solve_blocks(pending, results, tol)
+    yield from results
+
+
+def _solve_blocks(pending: list, results: list, tol: TolerancePolicy) -> None:
+    """Solve the (slot, rows) problems of ``pending`` as one block-diagonal
+    LP and store each verdict at its slot of ``results``."""
+    if not pending:
+        return
+    R = np.concatenate([rows for _, rows in pending])
+    d = R.shape[1]
+    w = d + 1                     # unknowns per block: y_k then t_k
+    counts = [rows.shape[0] for _, rows in pending]
+    k = len(pending)
+    block = np.repeat(np.arange(k), counts)
+    # row r of block b: -R[r] in columns b*w .. b*w+d-1, +1 in column b*w+d
+    data = np.hstack([-R, np.ones((R.shape[0], 1))])
+    indices = (block * w)[:, None] + np.arange(w)
+    A = csr_array((data.ravel(), indices.ravel(), np.arange(0, data.size + 1, w)),
+                  shape=(R.shape[0], k * w))
+    cost = np.zeros(k * w)
+    cost[d::w] = -1.0
+    bounds = np.tile([-1.0, 1.0], (k * w, 1))
+    bounds[d::w] = (-np.inf, np.inf)
+    res = linprog(cost, A_ub=A, b_ub=np.zeros(R.shape[0]), bounds=bounds, method="highs")
+    if res.status != 0 or res.x is None:
+        raise LpNumericalFailure(f"margin LP failed with status {res.status}: {res.message}")
+    x = res.x.reshape(k, w)
+    for (slot, _), xk in zip(pending, x):
+        margin = float(xk[d])
+        feasible = margin > tol.lp_tol
+        witness = xk[:d].copy() if feasible else None
+        results[slot] = ConeFeasibility(feasible=feasible, witness=witness, margin=margin)
+
+
 def strict_cones_feasible(
     cells: list[VoronoiCellSpec] | tuple[VoronoiCellSpec, ...],
     tol: TolerancePolicy = DEFAULT_TOL,
@@ -101,26 +184,12 @@ def strict_cones_feasible(
     Solves  max t  s.t.  <c_k - p, y> >= t  for every cell k and every
     non-center orbit point p of that cell, with |y|_inf <= 1.  The zero
     point is always feasible at t = 0, so the LP is bounded and feasible;
-    the intersection is nonempty iff the optimum exceeds lp_tol.
+    the intersection is nonempty iff the optimum exceeds lp_tol.  This is
+    the one-problem case of the block-diagonal margin LP that ``s_set``
+    and ``upper_bound_exact`` solve in batches; every path shares its
+    assembly.
     """
-    rows_list = [c.rows for c in cells if c.rows.shape[0] > 0]
-    if not rows_list:
-        d = cells[0].center.shape[0] if cells else 0
-        return ConeFeasibility(feasible=True, witness=np.zeros(d), margin=np.inf)
-    rows = np.vstack(rows_list)
-    d = rows.shape[1]
-    # minimize -t subject to [-rows | 1] [y, t] <= 0 and the unit box on y
-    A = np.hstack([-rows, np.ones((rows.shape[0], 1))])
-    cost = np.zeros(d + 1)
-    cost[-1] = -1.0
-    res = linprog(cost, A_ub=A, b_ub=np.zeros(rows.shape[0]),
-                  bounds=[(-1.0, 1.0)] * d + [(None, None)], method="highs")
-    if res.status != 0 or res.x is None:
-        raise LpNumericalFailure(f"margin LP failed with status {res.status}: {res.message}")
-    margin = float(res.x[-1])
-    feasible = margin > tol.lp_tol
-    witness = res.x[:d].copy() if feasible else None
-    return ConeFeasibility(feasible=feasible, witness=witness, margin=margin)
+    return next(_margin_lps([cells], tol))
 
 
 def in_Q(orbit: Orbit, y, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -185,7 +254,12 @@ class SSet:
 
 
 def s_set(group: FiniteGroup, x, y, tol: TolerancePolicy = DEFAULT_TOL) -> SSet:
-    """S(x, y) = {q in [y] : V_q meets V_x}, in canonical orbit order."""
+    """S(x, y) = {q in [y] : V_q meets V_x}, in canonical orbit order.
+
+    The |[y]| two-cell questions "does V_q meet V_x" are independent and
+    are solved as one block-diagonal margin LP (split only past the
+    per-call nonzero bound), with the same verdicts as one LP each.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     for name, pt in (("x", x), ("y", y)):
@@ -195,10 +269,9 @@ def s_set(group: FiniteGroup, x, y, tol: TolerancePolicy = DEFAULT_TOL) -> SSet:
     orbit_x = orbit_of(group, x, tol)
     orbit_y = orbit_of(group, y, tol)
     cell_x = VoronoiCellSpec(center=x, orbit=orbit_x)
+    problems = [[VoronoiCellSpec(center=q, orbit=orbit_y), cell_x] for q in orbit_y.points]
     members, witnesses = [], []
-    for q in orbit_y.points:
-        cell_q = VoronoiCellSpec(center=q, orbit=orbit_y)
-        result = strict_cones_feasible([cell_q, cell_x], tol)
+    for q, result in zip(orbit_y.points, _margin_lps(problems, tol)):
         if result.feasible:
             members.append(q)
             witnesses.append(result.witness)

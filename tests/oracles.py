@@ -13,7 +13,11 @@ import math
 import mpmath
 import numpy as np
 
+from maxfilter_lab.errors import BudgetExceeded
 from maxfilter_lab.groups import orbit_of
+from maxfilter_lab.stability import UpperBound
+from maxfilter_lab.tolerances import DEFAULT_TOL
+from maxfilter_lab.voronoi import VoronoiCellSpec, strict_cones_feasible
 
 
 def brute_max_filter(stack: np.ndarray, x, y) -> float:
@@ -82,6 +86,50 @@ def brute_beta_exact_sampled(bank, n_samples: int, rng) -> float:
         cols = np.stack([orbits[i].points[k] for i, k in enumerate(key)], axis=1)
         best = max(best, float(np.linalg.norm(cols, 2)))
     return best
+
+
+def dfs_upper_bound_exact(bank, tol=DEFAULT_TOL, max_lp_solves: int = 500_000) -> UpperBound:
+    """Referee for upper_bound_exact: recursive depth-first search with
+    one strict_cones_feasible LP per child, same pinning, visit order
+    and child order.  Ties go to the first leaf reached."""
+    group = bank.group
+    n = bank.n_templates
+    orbits = [orbit_of(group, z, tol) for z in bank.templates]
+    cells = [[VoronoiCellSpec(center=p, orbit=orb) for p in orb.points] for orb in orbits]
+    pin = int(np.argmax([orb.size for orb in orbits]))
+    visit = [pin] + [i for i in range(n) if i != pin]
+
+    best = -math.inf
+    best_choice = None
+    solves = 0
+    leaves = 0
+
+    def extend(pos: int, cur_cells: list, choice: dict) -> None:
+        nonlocal best, best_choice, solves, leaves
+        if pos == n:
+            leaves += 1
+            cols = np.stack([orbits[t].points[c] for t, c in choice.items()], axis=1)
+            sigma = float(np.linalg.svd(cols, compute_uv=False)[0])
+            if sigma > best:
+                best = sigma
+                best_choice = dict(choice)
+            return
+        t = visit[pos]
+        for c in range(1 if pos == 0 else orbits[t].size):
+            if solves >= max_lp_solves:
+                raise BudgetExceeded("referee LP budget exhausted",
+                                     partial=None if best == -math.inf else best)
+            solves += 1
+            trial = cur_cells + [cells[t][c]]
+            if strict_cones_feasible(trial, tol).feasible:
+                choice[t] = c
+                extend(pos + 1, trial, choice)
+                del choice[t]
+
+    extend(0, [], {})
+    elems = tuple(int(orbits[i].rep_elements[best_choice[i]]) for i in range(n))
+    return UpperBound(beta=float(best), argmax_tuple=elems,
+                      lp_solves=solves, feasible_tuples=leaves)
 
 
 def brute_alpha_tilde(bank, chi: int) -> float:

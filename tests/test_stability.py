@@ -12,9 +12,11 @@ from maxfilter_lab import (BudgetExceeded, CaseMismatch, DistortionBoundParams,
                            quotient_distance, theoretical_distortion_bound,
                            theoretical_sigma, upper_bound_exact,
                            upper_bound_relaxed)
+from maxfilter_lab import stability
 from maxfilter_lab.stability import pair_lower_value
 from oracles import (brute_alpha_tilde, brute_beta_exact_sampled,
-                     brute_beta_relaxed, distortion_bound_mpmath, sigma_mpmath)
+                     brute_beta_relaxed, dfs_upper_bound_exact,
+                     distortion_bound_mpmath, sigma_mpmath)
 
 GOLDEN_Z = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 
@@ -38,6 +40,60 @@ def test_golden_beta_exact(golden_bank):
     cols = np.stack([golden_bank.group.stack[g] @ z
                      for g, z in zip(ub.argmax_tuple, golden_bank.templates)], axis=1)
     assert abs(np.linalg.norm(cols, 2) - ub.beta) < 1e-12
+
+
+# (family, param, n templates, seed): the banks the level search is
+# refereed on against the one-LP-per-child depth-first search
+REFEREE_BANKS = [("cyclic_rotation_2d", 3, 16, 1), ("cyclic_rotation_2d", 3, 5, 2),
+                 ("cyclic_rotation_2d", 5, 4, 3), ("sign_flips", 3, 6, 4),
+                 ("permutations", 3, 6, 5), ("dihedral_2d", 3, 5, 6)]
+
+
+def referee_bank(name, param, n, seed):
+    g = build_family(name, param)
+    return MaxFilterBank(g, np.random.default_rng(seed).standard_normal((n, g.dim)))
+
+
+@pytest.mark.parametrize("spec", REFEREE_BANKS)
+def test_exact_bound_matches_depth_first_referee(spec):
+    bank = referee_bank(*spec)
+    got = upper_bound_exact(bank)
+    want = dfs_upper_bound_exact(bank)
+    assert got.beta == want.beta
+    assert got.argmax_tuple == want.argmax_tuple
+    assert got.lp_solves == want.lp_solves
+    assert got.feasible_tuples == want.feasible_tuples
+
+
+def test_golden_exact_bound_matches_referee(golden_bank):
+    assert upper_bound_exact(golden_bank) == dfs_upper_bound_exact(golden_bank)
+
+
+@pytest.mark.parametrize("spec", REFEREE_BANKS[1:])
+def test_lp_budget_edge(spec, monkeypatch):
+    bank = referee_bank(*spec)
+    need = upper_bound_exact(bank).lp_solves
+    assert upper_bound_exact(bank, max_lp_solves=need) == upper_bound_exact(bank)
+
+    solved = []
+    real = stability._margin_lps
+
+    def counting(problems, tol):
+        for r in real(problems, tol):
+            solved.append(r)
+            yield r
+
+    monkeypatch.setattr(stability, "_margin_lps", counting)
+    for budget in (need - 1, need // 2, 1, 0):
+        solved.clear()
+        with pytest.raises(BudgetExceeded) as e:
+            upper_bound_exact(bank, max_lp_solves=budget)
+        assert len(solved) == budget
+        with pytest.raises(BudgetExceeded) as want:
+            dfs_upper_bound_exact(bank, max_lp_solves=budget)
+        if e.value.partial is not None:
+            assert want.value.partial is not None
+            assert e.value.partial <= want.value.partial
 
 
 def test_golden_beta_relaxed_is_sqrt_two(golden_bank):

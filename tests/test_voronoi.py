@@ -3,15 +3,47 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from maxfilter_lab import (MaxFilterBank, NotNicePoint, VoronoiCellSpec,
                            build_family, cell_of, choice_assignments,
                            generate_group, in_Q, is_principal, orbit_of,
                            s_set, sample_nice, sample_principal,
-                           strict_cones_feasible, voronoi_characteristic)
+                           strict_cones_feasible, upper_bound_exact,
+                           voronoi_characteristic)
+from maxfilter_lab import voronoi
 from oracles import brute_s_members
 
 GOLDEN_Z = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+# the groups of the acceptance chi table
+CHI_GROUPS = [("permutations", 3), ("permutations", 4), ("sign_flips", 3),
+              ("dihedral_2d", 4), ("plus_minus_id", 2), ("plus_minus_id", 3),
+              ("cyclic_rotation_2d", 3), ("cyclic_rotation_2d", 5),
+              ("cyclic_rotation_2d", 7)]
+
+
+def assert_batch_matches_single(problems):
+    """Margins of one block-diagonal batch against one LP per problem."""
+    batched = list(voronoi._margin_lps(problems))
+    assert len(batched) == len(problems)
+    for cells, got in zip(problems, batched):
+        want = strict_cones_feasible(cells)
+        assert got.feasible == want.feasible
+        if math.isinf(want.margin):
+            assert got.margin == want.margin
+        else:
+            assert abs(got.margin - want.margin) <= 1e-12
+        if got.feasible:
+            assert all(c.closure_contains(got.witness) for c in cells)
+
+
+def s_set_problems(group, rng):
+    """The |G| two-cell problems s_set solves for a principal pair."""
+    x = sample_principal(group, rng)
+    y = sample_principal(group, rng)
+    orb_y = orbit_of(group, y)
+    cell_x = cell_of(group, x)
+    return [[VoronoiCellSpec(center=q, orbit=orb_y), cell_x] for q in orb_y.points]
 
 
 def test_cell_center_must_lie_on_orbit(c5, rng):
@@ -57,6 +89,71 @@ def test_golden_instance_has_six_feasible_pairs(c3):
                 assert c2.contains(res.witness)
                 assert res.margin > 0
     assert feasible == 6
+
+
+def test_golden_batch_matches_one_problem_solves(c3):
+    orb1 = orbit_of(c3, GOLDEN_Z[0])
+    orb2 = orbit_of(c3, GOLDEN_Z[1])
+    cells1 = [VoronoiCellSpec(center=p, orbit=orb1) for p in orb1.points]
+    cells2 = [VoronoiCellSpec(center=q, orbit=orb2) for q in orb2.points]
+    problems = [[a, b] for a in cells1 for b in cells2] + [[a] for a in cells1]
+    assert_batch_matches_single(problems)
+    assert sum(r.feasible for r in voronoi._margin_lps(problems)) == 6 + 3
+
+
+@pytest.mark.parametrize("name,param", CHI_GROUPS)
+def test_s_set_batch_matches_one_problem_solves(name, param, rng):
+    assert_batch_matches_single(s_set_problems(build_family(name, param), rng))
+
+
+@given(st.sampled_from(CHI_GROUPS + [("axis_rotation_3d", 4)]),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_batch_matches_one_problem_solves_property(spec, seed, n_cells):
+    g = build_family(*spec)
+    rng = np.random.default_rng(seed)
+    orbits = [orbit_of(g, rng.standard_normal(g.dim)) for _ in range(n_cells)]
+    problems = [[VoronoiCellSpec(center=o.points[int(rng.integers(o.size))], orbit=o)
+                 for o in orbits] for _ in range(8)]
+    assert_batch_matches_single(problems)
+
+
+def test_batch_with_empty_and_rowless_problems(trivial2, c5, rng):
+    free = cell_of(trivial2, np.array([1.0, 2.0]))
+    cell = cell_of(c5, rng.standard_normal(2))
+    out = list(voronoi._margin_lps([[free], [cell], [], [free, free]]))
+    assert [r.margin for r in (out[0], out[2], out[3])] == [np.inf] * 3
+    assert out[1].feasible and out[2].witness.shape == (0,)
+
+
+@pytest.mark.parametrize("bound", [1, 200, 1000])
+def test_chunk_split_keeps_verdicts(bound, monkeypatch, rng):
+    g = build_family("permutations", 4)
+    x = sample_principal(g, rng)
+    y = sample_principal(g, rng)
+    bank = MaxFilterBank(build_family("sign_flips", 2), rng.standard_normal((4, 2)))
+    whole_s = s_set(g, x, y)
+    whole_ub = upper_bound_exact(bank)
+    whole = list(voronoi._margin_lps(s_set_problems(g, np.random.default_rng(1))))
+
+    calls = []
+    real = voronoi.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["A_ub"].nnz)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(voronoi, "_LP_NNZ", bound)
+    monkeypatch.setattr(voronoi, "linprog", counting)
+    split = list(voronoi._margin_lps(s_set_problems(g, np.random.default_rng(1))))
+    assert len(calls) > 1
+    # a call exceeds the bound only when one problem does alone
+    one_problem = 2 * (g.order - 1) * (g.dim + 1)
+    assert max(calls) <= max(bound, one_problem)
+    assert [r.feasible for r in split] == [r.feasible for r in whole]
+    assert max(abs(a.margin - b.margin) for a, b in zip(split, whole)) <= 1e-12
+    again = s_set(g, x, y)
+    assert np.array_equal(again.members, whole_s.members)
+    assert upper_bound_exact(bank) == whole_ub
 
 
 def test_distinct_cells_of_one_orbit_never_intersect(c5, rng):
