@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Run every shipped experiment config through the CLI.
-# Usage: scripts/run_all.sh [out_dir]
+# Run every shipped experiment config through the CLI of this source
+# checkout; no install needed.  Each config writes its report and CSV to
+# its own directory, out_dir/<config name>, so no report overwrites another.
+# Usage, from the repository root: scripts/run_all.sh [out_dir]
 set -u
 out="${1:-reports}"
 fail=0
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 run() {
-    echo "== maxfilter-lab $1 --config $2"
-    maxfilter-lab "$1" --config "$2" --out "$out" || fail=1
+    echo "== maxfilter_lab.cli $1 --config $2"
+    python3 -m maxfilter_lab.cli "$1" --config "$2" --out "$out/$(basename "$2" .json)" || fail=1
     echo
 }
 

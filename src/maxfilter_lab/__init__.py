@@ -17,7 +17,7 @@ from .filtering import (FilterValue, MaxFilterBank, apply_bank,
                         apply_bank_batch, load_templates, max_filter,
                         max_filter_circular_brute, max_filter_circular_fft,
                         max_filter_pairs, quotient_distance, save_templates)
-from .groups import (FAMILIES, FiniteGroup, GroupElement, Orbit, build_family,
+from .groups import (FAMILIES, FiniteGroup, Orbit, build_family,
                      generate_group, load_group, orbit_of, save_group,
                      stabilizer_order)
 from .kernels import (GramAudit, PsdSearchResult, direct_quadratic_form,
@@ -41,8 +41,8 @@ __all__ = [
     "AlphaSharp", "BudgetExceeded", "CaseMismatch", "ChiEstimate",
     "ChoiceEnumeration", "ClosureOverflow", "ConfigError", "DEFAULT_TOL",
     "DistortionBoundParams", "DomainError", "EmpiricalLipschitz", "FAMILIES",
-    "FilterValue", "FiniteGroup", "GramAudit", "GroupElement",
-    "LengthMismatch", "LpNumericalFailure", "MaxFilterBank", "MaxFilterError",
+    "FilterValue", "FiniteGroup", "GramAudit", "LengthMismatch",
+    "LpNumericalFailure", "MaxFilterBank", "MaxFilterError",
     "NegativeRadicand", "NotNicePoint", "NotOrthogonal", "Orbit",
     "PsdSearchResult", "SSet", "SizeOverflow", "StabilityReport",
     "TolerancePolicy", "UpperBound", "VoronoiCellSpec", "WitnessPair",

@@ -32,9 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, DomainError, MaxFilterError
-from .filtering import (MaxFilterBank, apply_bank_batch, load_templates,
-                        max_filter_circular_brute, max_filter_circular_fft,
-                        max_filter_pairs)
+from .filtering import (MaxFilterBank, _pair_distances, apply_bank_batch,
+                        load_templates, max_filter_circular_brute,
+                        max_filter_circular_fft)
 from .groups import FAMILIES, FiniteGroup, build_family, load_group
 from .kernels import direct_quadratic_form, search_psd_violation
 from .reporting import all_passed, assertion, sanitize, write_csv, write_json
@@ -42,29 +42,9 @@ from .stability import (DistortionBoundParams, alpha_tilde,
                         compute_stability_report, empirical_lipschitz,
                         ordering_audit, theoretical_distortion_bound,
                         upper_bound_exact)
+from .streams import STREAMS
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 from .voronoi import voronoi_characteristic
-
-# stage tags for CLI-level rng streams; library stages use their own tags,
-# so no two stages ever share a Gaussian draw for the same run seed
-_TEMPLATE_STREAM = 401
-_TRIAL_STREAM = 499
-_INJ_TEMPLATE_STREAM = 733
-_INJ_PAIR_STREAM = 811
-_MF_STREAM = 877
-
-STREAM_TAGS = {
-    "chi_sampling": 211,
-    "alpha_sharp": 311,
-    "template_sampler": _TEMPLATE_STREAM,
-    "distortion_trials": _TRIAL_STREAM,
-    "witness": 541,
-    "psd_search": 613,
-    "injectivity_templates": _INJ_TEMPLATE_STREAM,
-    "injectivity_pairs": _INJ_PAIR_STREAM,
-    "maxfilter_pairs": _MF_STREAM,
-    "empirical_pairs": 977,
-}
 
 _DEFAULT_BUDGETS = {
     "lp_solves": 500_000,
@@ -208,7 +188,7 @@ def resolve_templates(config: ExperimentConfig, group: FiniteGroup,
                 f"templates have dim {Z.shape[1]}, group acts on {group.dim}")
         return Z
     sampler_seed = config.templates.get("seed")
-    entropy = (sampler_seed,) if sampler_seed is not None else (seed, _TEMPLATE_STREAM)
+    entropy = (sampler_seed,) if sampler_seed is not None else (seed, STREAMS["template_sampler"])
     rng = np.random.default_rng(entropy)
     return rng.standard_normal((config.templates["n"], group.dim))
 
@@ -246,27 +226,15 @@ def _resolve_chi(config: ExperimentConfig, group: FiniteGroup, seed: int,
     return est.chi_lower, info
 
 
-def _base_report(subcommand: str, raw_config: dict, seed: int,
-                 seed_source: str) -> dict:
-    return {
-        "subcommand": subcommand,
-        "config": raw_config,
-        "seed_provenance": {
-            "seed": seed,
-            "source": seed_source,
-            "streams": dict(STREAM_TAGS),
-        },
-    }
-
-
 # ---------------------------------------------------------------------------
-# subcommands; each returns (report_dict, csv_files, exit_code) where
-# csv_files is a list of (filename, header, rows)
+# subcommands; each takes (config, seed, tol, timer) and returns
+# (results, assertions, csv_files, certified), where csv_files is a list of
+# (filename, header, rows) and certified is False when a budget ran out
 
 
-def cmd_bounds(config: ExperimentConfig, raw: dict, seed: int,
-               seed_source: str, tol: TolerancePolicy):
-    timer = StageTimer()
+def cmd_bounds(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
+               timer: StageTimer):
+    """exact/relaxed upper and certified/sampled lower Lipschitz bounds"""
     group = build_group_from_spec(config.group_spec)
     Z = resolve_templates(config, group, seed)
     bank = MaxFilterBank(group, Z)
@@ -320,33 +288,24 @@ def cmd_bounds(config: ExperimentConfig, raw: dict, seed: int,
             {"empirical": stab.kappa_empirical, "certified": stab.kappa_certified},
             1e-6))
 
-    report = _base_report("bounds", raw, seed, seed_source)
-    report.update({
-        "results": {
-            "stability": stab.to_dict(),
-            "chi": chi_info,
-            "theoretical_bound": bound_info,
-            "n_templates": bank.n_templates,
-            "dim": group.dim,
-            "group_order": group.order,
-        },
-        "assertions": asserts,
-        "passed": all_passed(asserts),
-        "timings": timer.timings,
-    })
+    results = {
+        "stability": stab,
+        "chi": chi_info,
+        "theoretical_bound": bound_info,
+        "n_templates": bank.n_templates,
+        "dim": group.dim,
+        "group_order": group.order,
+    }
     rows = [(k, float(emp.distances[k]), float(emp.image_distances[k]),
              float(emp.ratios[k])) for k in range(len(emp.ratios))]
     csvs = [("bounds_pairs.csv",
              ["pair", "quotient_distance", "image_distance", "ratio"], rows)]
-    code = 0 if report["passed"] else 1
-    if not certified:
-        code = 3
-    return report, csvs, code
+    return results, asserts, csvs, certified
 
 
-def cmd_distortion(config: ExperimentConfig, raw: dict, seed: int,
-                   seed_source: str, tol: TolerancePolicy):
-    timer = StageTimer()
+def cmd_distortion(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
+                   timer: StageTimer):
+    """random-template distortion vs the closed-form bound"""
     group = build_group_from_spec(config.group_spec)
     if config.templates is None or "sampler" not in config.templates:
         raise ConfigError("distortion requires templates drawn by a sampler")
@@ -360,19 +319,32 @@ def cmd_distortion(config: ExperimentConfig, raw: dict, seed: int,
     rows = []
     ok_flags = []
     emp_ok_flags = []
+    uncertified = []
     with timer.stage("trials"):
         for t in range(config.n_trials):
-            rng = np.random.default_rng((seed, _TRIAL_STREAM, t))
+            rng = np.random.default_rng((seed, STREAMS["distortion_trials"], t))
             bank = MaxFilterBank(group, rng.standard_normal((n, group.dim)))
-            beta = upper_bound_exact(bank, tol,
-                                     max_lp_solves=config.budget("lp_solves")).beta
-            at = alpha_tilde(bank, chi, budget=config.budget("alpha_tilde_evals"),
-                             tol=tol)
+            # a budget miss leaves the partial value, or NaN, uncertified
+            certified = True
+            try:
+                beta = upper_bound_exact(bank, tol,
+                                         max_lp_solves=config.budget("lp_solves")).beta
+            except BudgetExceeded as e:
+                beta = e.partial if e.partial is not None else math.nan
+                certified = False
+            try:
+                at = alpha_tilde(bank, chi, budget=config.budget("alpha_tilde_evals"),
+                                 tol=tol)
+            except BudgetExceeded as e:
+                at = e.partial if e.partial is not None else math.nan
+                certified = False
+            if not certified:
+                uncertified.append(t)
             emp = empirical_lipschitz(bank, config.n_pairs, seed=seed, stream=t)
             kappa_cert = math.inf if at == 0 else beta / at
             kappa_emp = (math.inf if emp.alpha_emp == 0
                          else emp.beta_emp / emp.alpha_emp)
-            ok = kappa_cert <= bound
+            ok = certified and kappa_cert <= bound
             emp_ok = kappa_emp <= kappa_cert + 1e-6
             ok_flags.append(ok)
             emp_ok_flags.append(emp_ok)
@@ -391,26 +363,21 @@ def cmd_distortion(config: ExperimentConfig, raw: dict, seed: int,
                   "empirical distortion never exceeds certified distortion",
                   all(emp_ok_flags), int(sum(emp_ok_flags)), 1e-6),
     ]
-    report = _base_report("distortion", raw, seed, seed_source)
-    report.update({
-        "results": {
-            "chi": chi_info,
-            "bound": bound,
-            "lam": params.lam,
-            "success_probability": params.success_probability,
-            "fraction_within_bound": fraction,
-            "n_trials": config.n_trials,
-            "n_templates": n,
-        },
-        "assertions": asserts,
-        "passed": all_passed(asserts),
-        "timings": timer.timings,
-    })
+    results = {
+        "chi": chi_info,
+        "bound": bound,
+        "lam": params.lam,
+        "success_probability": params.success_probability,
+        "fraction_within_bound": fraction,
+        "n_trials": config.n_trials,
+        "n_templates": n,
+        "uncertified_trials": uncertified,
+    }
     csvs = [("distortion_trials.csv",
              ["trial", "beta_exact", "alpha_tilde", "kappa_certified",
               "kappa_empirical", "within_bound", "empirical_le_certified"],
              rows)]
-    return report, csvs, 0 if report["passed"] else 1
+    return results, asserts, csvs, not uncertified
 
 
 def _collision_scan(bank: MaxFilterBank, n_pairs: int, seed: int, n_tag: int,
@@ -418,7 +385,7 @@ def _collision_scan(bank: MaxFilterBank, n_pairs: int, seed: int, n_tag: int,
     """Draw n_pairs Gaussian pairs; among those separated in the quotient,
     count image collisions and track the worst contraction ratio."""
     group, d = bank.group, bank.dim
-    rng = np.random.default_rng((seed, _INJ_PAIR_STREAM, n_tag))
+    rng = np.random.default_rng((seed, STREAMS["injectivity_pairs"], n_tag))
     batch = 4096
     done = 0
     kept = 0
@@ -430,9 +397,7 @@ def _collision_scan(bank: MaxFilterBank, n_pairs: int, seed: int, n_tag: int,
         b = min(batch, n_pairs - done)
         X = rng.standard_normal((b, d))
         Y = rng.standard_normal((b, d))
-        rad = ((X * X).sum(axis=1) + (Y * Y).sum(axis=1)
-               - 2.0 * max_filter_pairs(group, X, Y))
-        dist = np.sqrt(np.maximum(rad, 0.0))
+        dist = _pair_distances(group, X, Y)
         dphi = np.linalg.norm(apply_bank_batch(bank, X) - apply_bank_batch(bank, Y),
                               axis=1)
         mask = dist > min_dist
@@ -453,9 +418,9 @@ def _collision_scan(bank: MaxFilterBank, n_pairs: int, seed: int, n_tag: int,
             "min_ratio": min_ratio}, rows
 
 
-def cmd_injectivity(config: ExperimentConfig, raw: dict, seed: int,
-                    seed_source: str, tol: TolerancePolicy):
-    timer = StageTimer()
+def cmd_injectivity(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
+                    timer: StageTimer):
+    """collision search at the injectivity template counts"""
     group = build_group_from_spec(config.group_spec)
     d = group.dim
     with timer.stage("chi"):
@@ -468,7 +433,7 @@ def cmd_injectivity(config: ExperimentConfig, raw: dict, seed: int,
     all_rows = []
     for n in run_ns:
         with timer.stage(f"scan_n{n}"):
-            rng = np.random.default_rng((seed, _INJ_TEMPLATE_STREAM, n))
+            rng = np.random.default_rng((seed, STREAMS["injectivity_templates"], n))
             bank = MaxFilterBank(group, rng.standard_normal((n, d)))
             try:
                 at = alpha_tilde(bank, chi,
@@ -491,24 +456,18 @@ def cmd_injectivity(config: ExperimentConfig, raw: dict, seed: int,
                 "bilipschitz template count",
                 at > 0, at, 0.0))
 
-    report = _base_report("injectivity", raw, seed, seed_source)
-    report.update({
-        "results": {"chi": chi_info, "runs": runs,
-                    "min_quotient_distance": config.min_quotient_distance,
-                    "dim": d, "group_order": group.order},
-        "assertions": asserts,
-        "passed": all_passed(asserts),
-        "timings": timer.timings,
-    })
+    results = {"chi": chi_info, "runs": runs,
+               "min_quotient_distance": config.min_quotient_distance,
+               "dim": d, "group_order": group.order}
     csvs = [("injectivity_pairs.csv",
              ["n_templates", "pair", "quotient_distance", "image_distance",
               "ratio"], all_rows)]
-    return report, csvs, 0 if report["passed"] else 1
+    return results, asserts, csvs, True
 
 
-def cmd_kernel(config: ExperimentConfig, raw: dict, seed: int,
-               seed_source: str, tol: TolerancePolicy):
-    timer = StageTimer()
+def cmd_kernel(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
+               timer: StageTimer):
+    """kernel positive-semidefiniteness audit"""
     group = build_group_from_spec(config.group_spec)
     with timer.stage("chi"):
         est = voronoi_characteristic(group, config.chi_samples, seed, tol)
@@ -534,33 +493,27 @@ def cmd_kernel(config: ExperimentConfig, raw: dict, seed: int,
             "certificate quadratic form re-evaluates negative entry by entry",
             recheck < -1e-6, recheck, 1e-6))
 
-    report = _base_report("kernel", raw, seed, seed_source)
-    report.update({
-        "results": {
-            "chi": {"chi": est.chi_lower, "saturated": est.saturated,
-                    "n_samples": est.n_samples, "source": "sampled"},
-            "is_reflection_group": reflection,
-            "search": search.to_dict(),
-            "certificate_recheck": recheck,
-        },
-        "assertions": asserts,
-        "passed": all_passed(asserts),
-        "timings": timer.timings,
-    })
+    results = {
+        "chi": {"chi": est.chi_lower, "saturated": est.saturated,
+                "n_samples": est.n_samples, "source": "sampled"},
+        "is_reflection_group": reflection,
+        "search": search,
+        "certificate_recheck": recheck,
+    }
     sizes = est.sizes
     csvs = [("kernel_chi_samples.csv", ["sample", "s_set_size"],
              [(k, int(sizes[k])) for k in range(len(sizes))])]
-    return report, csvs, 0 if report["passed"] else 1
+    return results, asserts, csvs, True
 
 
-def cmd_maxfilter(config: ExperimentConfig, raw: dict, seed: int,
-                  seed_source: str, tol: TolerancePolicy):
-    timer = StageTimer()
+def cmd_maxfilter(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
+                  timer: StageTimer):
+    """FFT vs brute-force circular max filtering"""
     results = {}
     asserts = []
     rows = []
     for d in config.dims:
-        rng = np.random.default_rng((seed, _MF_STREAM, d))
+        rng = np.random.default_rng((seed, STREAMS["maxfilter_pairs"], d))
         F = rng.standard_normal((config.n_pairs, d))
         G = rng.standard_normal((config.n_pairs, d))
         with timer.stage(f"fft_d{d}"):
@@ -583,22 +536,15 @@ def cmd_maxfilter(config: ExperimentConfig, raw: dict, seed: int,
             disc <= tol.sample_tol, disc, tol.sample_tol))
 
     # fft-vs-brute timing comparison is informational; it lives in timings only
-    report = _base_report("maxfilter", raw, seed, seed_source)
-    report.update({
-        "results": {"per_dim": results},
-        "assertions": asserts,
-        "passed": all_passed(asserts),
-        "timings": timer.timings,
-    })
     csvs = [("maxfilter_pairs.csv",
              ["dim", "pair", "fft_value", "brute_value", "abs_discrepancy"],
              rows)]
-    return report, csvs, 0 if report["passed"] else 1
+    return {"per_dim": results}, asserts, csvs, True
 
 
-def cmd_chi(config: ExperimentConfig, raw: dict, seed: int,
-            seed_source: str, tol: TolerancePolicy):
-    timer = StageTimer()
+def cmd_chi(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
+            timer: StageTimer):
+    """sampled cell-crossing count of the group"""
     group = build_group_from_spec(config.group_spec)
     with timer.stage("chi"):
         est = voronoi_characteristic(group, config.chi_samples, seed, tol)
@@ -615,26 +561,19 @@ def cmd_chi(config: ExperimentConfig, raw: dict, seed: int,
             f"saturation flag equals {config.expected_saturated}",
             est.saturated == config.expected_saturated, est.saturated, None))
 
-    report = _base_report("chi", raw, seed, seed_source)
-    report.update({
-        "results": {
-            "chi_lower": est.chi_lower,
-            "saturated": est.saturated,
-            "group_order": group.order,
-            "n_samples": est.n_samples,
-            "witness_x": est.witness_x,
-            "witness_y": est.witness_y,
-            "size_histogram": {str(s): int(counts[s])
-                               for s in range(len(counts)) if counts[s] > 0},
-        },
-        "assertions": asserts,
-        "passed": all_passed(asserts),
-        "timings": timer.timings,
-    })
+    results = {
+        "chi_lower": est.chi_lower,
+        "saturated": est.saturated,
+        "group_order": group.order,
+        "n_samples": est.n_samples,
+        "witness_x": est.witness_x,
+        "witness_y": est.witness_y,
+        "size_histogram": {str(s): int(counts[s])
+                           for s in range(len(counts)) if counts[s] > 0},
+    }
     csvs = [("chi_samples.csv", ["sample", "s_set_size"],
              [(k, int(est.sizes[k])) for k in range(len(est.sizes))])]
-    return report, csvs, 0 if report["passed"] else 1
-
+    return results, asserts, csvs, True
 
 _DISPATCH = {
     "bounds": cmd_bounds,
@@ -651,16 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="maxfilter-lab",
         description="Seeded max-filter experiments over finite orthogonal groups")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    helps = {
-        "bounds": "exact/relaxed upper and certified/sampled lower Lipschitz bounds",
-        "distortion": "random-template distortion vs the closed-form bound",
-        "injectivity": "collision search at the injectivity template counts",
-        "kernel": "kernel positive-semidefiniteness audit",
-        "maxfilter": "FFT vs brute-force circular max filtering",
-        "chi": "sampled cell-crossing count of the group",
-    }
-    for name, help_text in helps.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, cmd in _DISPATCH.items():
+        p = sub.add_parser(name, help=cmd.__doc__)
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--seed", type=int, default=None,
                        help="run seed; overrides the config seed")
@@ -682,13 +613,26 @@ def run(subcommand: str, config_path: str, seed: int | None = None,
     tol = resolve_tol(config)
     out_dir = Path(out or config.out or "reports")
 
-    report, csvs, code = _DISPATCH[subcommand](config, raw, run_seed,
-                                               seed_source, tol)
+    timer = StageTimer()
+    results, asserts, csvs, certified = _DISPATCH[subcommand](
+        config, run_seed, tol, timer)
+    passed = all_passed(asserts)
+    report = {
+        "subcommand": subcommand,
+        "config": raw,
+        "seed_provenance": {"seed": run_seed, "source": seed_source,
+                            "streams": STREAMS},
+        "results": results,
+        "assertions": asserts,
+        "passed": passed,
+        "timings": timer.timings,
+    }
+    code = 3 if not certified else 0 if passed else 1
     json_path = write_json(report, out_dir / f"{subcommand}_report.json")
     for filename, header, rows in csvs:
         write_csv(out_dir / filename, header, rows)
 
-    for a in report["assertions"]:
+    for a in asserts:
         status = "PASS" if a["passed"] else "FAIL"
         print(f"[{status}] {a['name']}: {a['claim']} "
               f"(value={json.dumps(sanitize(a['value']))}, "
@@ -704,9 +648,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args.subcommand, args.config, args.seed, args.out)
-    except (ConfigError, DomainError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3

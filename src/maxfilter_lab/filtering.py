@@ -117,6 +117,12 @@ def max_filter_pairs(group: FiniteGroup, X, Y) -> np.ndarray:
     return _filter_values(group, X, Y, paired=True)
 
 
+def _pair_distances(group: FiniteGroup, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise quotient distances by polarization, radicands clamped at 0."""
+    rad = (X * X).sum(axis=1) + (Y * Y).sum(axis=1) - 2.0 * max_filter_pairs(group, X, Y)
+    return np.sqrt(np.maximum(rad, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # the backend: one dispatch on group.family
 #

@@ -1,8 +1,8 @@
 """Finite subgroups of O(d): construction, closure, orbits, stabilizers.
 
-Groups are stored as explicit element lists in a canonical order
-(lexicographic on flattened matrix entries) so that every enumeration
-downstream is deterministic.
+Groups are stored as one read-only stack of their element matrices in a
+canonical order (lexicographic on flattened matrix entries) so that every
+enumeration downstream is deterministic.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import ClosureOverflow, NotOrthogonal, SizeOverflow
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 __all__ = [
-    "GroupElement",
     "FiniteGroup",
     "Orbit",
     "generate_group",
@@ -54,25 +53,6 @@ def _check_orthogonal(M: np.ndarray, tol: TolerancePolicy) -> None:
         raise NotOrthogonal(f"matrix is not orthogonal: |Q^T Q - I|_max = {defect:.3e}")
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """One orthogonal matrix, entries frozen after construction."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        M = _as_matrix(self.matrix, self.dim)
-        M.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
-
-    def validate(self, tol: TolerancePolicy = DEFAULT_TOL) -> None:
-        _check_orthogonal(self.matrix, tol)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float)
-
-
 def _canonical_order(stack: np.ndarray) -> np.ndarray:
     """Indices sorting matrices lexicographically on flattened entries."""
     flat = stack.reshape(stack.shape[0], -1)
@@ -92,38 +72,34 @@ def _dedup_stack(stack: np.ndarray, eq_tol: float) -> np.ndarray:
 class FiniteGroup:
     """Finite subgroup of O(dim) with explicit elements.
 
-    ``stack`` holds all matrices as one (order, dim, dim) array for
-    vectorized orbit computations.  ``family`` records the constructor
-    used, which is the only mechanism by which structure-specific filter
+    ``stack`` holds all matrices as one read-only (order, dim, dim)
+    array, copied in the order given; ``from_matrices`` sorts them into
+    canonical order first.  ``family`` records the constructor used,
+    which is the only mechanism by which structure-specific filter
     routes are enabled: the chamber projections of the reflection
     families and the circular-shift FFT.  So a tag must name a family in
     FAMILIES whose constructor gives these elements within eq_tol, in
     any order; ValueError otherwise.
     """
 
-    dim: int
-    elements: tuple[GroupElement, ...]
+    stack: np.ndarray = field(repr=False)
     family: str | None = None
-    stack: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        stack = np.stack([e.matrix for e in self.elements])
+        stack = np.array(self.stack, dtype=float)
+        if stack.ndim != 3 or stack.shape[0] == 0 or stack.shape[1] != stack.shape[2]:
+            raise ValueError(f"expected a nonempty (order, dim, dim) stack, got shape {stack.shape}")
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         _check_family(self, DEFAULT_TOL)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.stack.shape[0]
 
     @property
-    def identity_index(self) -> int:
-        eye = np.eye(self.dim)
-        dists = np.abs(self.stack - eye).max(axis=(1, 2))
-        idx = int(np.argmin(dists))
-        if dists[idx] > DEFAULT_TOL.eq_tol:
-            raise ValueError("group does not contain the identity")
-        return idx
+    def dim(self) -> int:
+        return self.stack.shape[1]
 
     def apply_all(self, x: np.ndarray) -> np.ndarray:
         """All images g.x, shape (order, dim), in canonical element order."""
@@ -152,10 +128,7 @@ class FiniteGroup:
     @classmethod
     def from_matrices(cls, mats: np.ndarray, family: str | None = None) -> "FiniteGroup":
         stack = np.asarray(mats, dtype=float)
-        order = _canonical_order(stack)
-        dim = stack.shape[1]
-        elems = tuple(GroupElement(dim, stack[i].copy()) for i in order)
-        return cls(dim=dim, elements=elems, family=family)
+        return cls(stack[_canonical_order(stack)], family=family)
 
     @classmethod
     def _from_stack(cls, mats: np.ndarray, family: str | None) -> "FiniteGroup":
@@ -434,7 +407,7 @@ def save_group(group: FiniteGroup, path) -> None:
     tagged = group.family in _FAMILY_PARAM
     payload = {
         "dim": group.dim,
-        "generators": [e.matrix.reshape(-1).tolist() for e in group.elements],
+        "generators": group.stack.reshape(group.order, -1).tolist(),
         "family": group.family if tagged else None,
         "param": _FAMILY_PARAM[group.family](group) if tagged else None,
     }

@@ -25,11 +25,9 @@ import numpy as np
 from .errors import CaseMismatch
 from .filtering import _filter_values, max_filter
 from .groups import FiniteGroup
+from .streams import STREAMS
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 from .voronoi import voronoi_characteristic
-
-# stage tag separating the psd search stream from other seeded stages
-_PSD_STREAM = 613
 
 
 @dataclass(frozen=True)
@@ -45,15 +43,6 @@ class GramAudit:
     min_eig: float
     verdict: str
     coeffs: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "points": self.points.tolist(),
-            "gram": self.gram.tolist(),
-            "min_eig": self.min_eig,
-            "verdict": self.verdict,
-            "coeffs": self.coeffs.tolist(),
-        }
 
 
 def gram_matrix(group: FiniteGroup, points: np.ndarray) -> np.ndarray:
@@ -127,15 +116,6 @@ class PsdSearchResult:
     trials_run: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "certificate": None if self.certificate is None
-            else self.certificate.to_dict(),
-            "trials_run": self.trials_run,
-            "seed": self.seed,
-        }
-
 
 def search_psd_violation(
     group: FiniteGroup,
@@ -156,7 +136,7 @@ def search_psd_violation(
     if n_trials < 1 or points_per_trial < 1:
         raise ValueError("n_trials and points_per_trial must be >= 1")
     for trial in range(n_trials):
-        rng = np.random.default_rng((seed, _PSD_STREAM, trial))
+        rng = np.random.default_rng((seed, STREAMS["psd_search"], trial))
         X = rng.standard_normal((points_per_trial, dim))
         audit = gram_audit(group, X, tol)
         if audit.verdict == "not_psd":

@@ -8,6 +8,7 @@ expected to exclude.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -17,7 +18,8 @@ import numpy as np
 
 
 def sanitize(obj: Any) -> Any:
-    """Convert numpy scalars/arrays to builtins and make floats JSON-safe.
+    """Convert dataclasses to dicts of their fields, numpy scalars/arrays to
+    builtins, and make floats JSON-safe.
 
     Non-finite floats are encoded as the strings "inf", "-inf", "nan" so
     the output stays valid strict JSON.
@@ -40,6 +42,8 @@ def sanitize(obj: Any) -> Any:
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return sanitize(dataclasses.asdict(obj))
     return obj
 
 

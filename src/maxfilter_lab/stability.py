@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, CaseMismatch, DomainError, NotNicePoint
-from .filtering import MaxFilterBank, apply_bank, apply_bank_batch, max_filter_pairs, quotient_distance
+from .filtering import MaxFilterBank, _pair_distances, apply_bank, apply_bank_batch, quotient_distance
 from .groups import orbit_of
+from .streams import STREAMS
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 from .voronoi import (
     VoronoiCellSpec,
@@ -47,11 +48,6 @@ __all__ = [
     "compute_stability_report",
     "ordering_audit",
 ]
-
-# fixed stage tags keep the seeded streams of different estimators disjoint
-_ALPHA_STREAM = 311
-_EMP_STREAM = 977
-_WITNESS_STREAM = 541
 
 
 def _lam_min(M: np.ndarray) -> float:
@@ -233,7 +229,7 @@ def lower_bound_sharp(
     for k in range(n_pairs):
         val = None
         for attempt in range(max_attempts):
-            rng = np.random.default_rng((seed, _ALPHA_STREAM, k, attempt))
+            rng = np.random.default_rng((seed, STREAMS["alpha_sharp"], k, attempt))
             try:
                 x = sample_nice(bank, rng, tol)
                 y = sample_nice(bank, rng, tol)
@@ -337,15 +333,14 @@ def empirical_lipschitz(
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     group, d = bank.group, bank.dim
-    rng = np.random.default_rng((seed, _EMP_STREAM, stream))
+    rng = np.random.default_rng((seed, STREAMS["empirical_pairs"], stream))
     Xs, Ys, dist_all, dphi_all = [], [], [], []
     collected = 0
     while collected < n_pairs:
         b = max(batch, 2 * (n_pairs - collected))
         X = rng.standard_normal((b, d))
         Y = rng.standard_normal((b, d))
-        rad = (X * X).sum(axis=1) + (Y * Y).sum(axis=1) - 2.0 * max_filter_pairs(group, X, Y)
-        dist = np.sqrt(np.maximum(rad, 0.0))
+        dist = _pair_distances(group, X, Y)
         keep = dist > min_separation
         X, Y, dist = X[keep], Y[keep], dist[keep]
         dphi = np.linalg.norm(apply_bank_batch(bank, X) - apply_bank_batch(bank, Y), axis=1)
@@ -472,7 +467,7 @@ def _reflection_witness(bank: MaxFilterBank, tol: TolerancePolicy, seed: int) ->
     """x in an open chamber aligned with every template, y = x + t v for a
     bottom eigenvector v of sum v_i v_i^T and t small enough to stay in V_x."""
     group = bank.group
-    rng = np.random.default_rng((seed, _WITNESS_STREAM))
+    rng = np.random.default_rng((seed, STREAMS["witness"]))
     x = sample_nice(bank, rng, tol)
     aligned = []
     for z in bank.templates:
@@ -543,20 +538,6 @@ class StabilityReport:
     kappa_empirical: float
     witnesses: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "beta_exact": self.beta_exact,
-            "beta_relaxed": self.beta_relaxed,
-            "alpha_sharp": self.alpha_sharp,
-            "alpha_tilde": self.alpha_tilde,
-            "alpha_empirical": self.alpha_empirical,
-            "beta_empirical": self.beta_empirical,
-            "kappa_certified": self.kappa_certified,
-            "kappa_empirical": self.kappa_empirical,
-            "witnesses": self.witnesses,
-            "provenance": self.provenance,
-        }
 
 
 def ordering_audit(report: StabilityReport, slack: float = 1e-7) -> list[tuple[str, bool, float, float]]:

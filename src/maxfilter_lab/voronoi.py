@@ -26,6 +26,7 @@ from scipy.sparse import csr_array
 from .errors import LpNumericalFailure, NotNicePoint
 from .filtering import MaxFilterBank
 from .groups import FiniteGroup, Orbit, orbit_of, stabilizer_order
+from .streams import STREAMS
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 __all__ = [
@@ -349,10 +350,6 @@ def choice_assignments(
                              assignments=tuple(assignments), truncated=truncated)
 
 
-# stage tag separating the chi sampling stream from other seeded stages
-_CHI_STREAM = 211
-
-
 @dataclass(frozen=True)
 class ChiEstimate:
     """Sampled lower bound for chi(G) = max |S(x, y)| over principal pairs."""
@@ -382,7 +379,7 @@ def voronoi_characteristic(
     wx = wy = None
     sizes = np.zeros(n_samples, dtype=int)
     for k in range(n_samples):
-        rng = np.random.default_rng((seed, _CHI_STREAM, k))
+        rng = np.random.default_rng((seed, STREAMS["chi_sampling"], k))
         x = sample_principal(group, rng, tol)
         y = sample_principal(group, rng, tol)
         sizes[k] = s_set(group, x, y, tol).size

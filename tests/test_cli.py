@@ -7,6 +7,7 @@ import pytest
 from maxfilter_lab.cli import (ExperimentConfig, build_parser, load_config,
                                main, run)
 from maxfilter_lab.errors import ConfigError
+from maxfilter_lab.streams import STREAMS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -24,6 +25,16 @@ SF2_BOUNDS = {
     "n_pairs": 50,
     "seed": 7,
 }
+
+C3_DISTORTION = {
+    "group_spec": {"family": "cyclic_rotation_2d", "param": 3},
+    "templates": {"sampler": "gaussian", "n": 16},
+    "chi": 2, "lambda0": 4.0, "n_trials": 2, "n_pairs": 50, "seed": 3,
+}
+
+# the top-level keys every report carries, whatever the subcommand
+ENVELOPE = {"subcommand", "config", "seed_provenance", "results",
+            "assertions", "passed", "timings"}
 
 
 def strip_timings(report: dict) -> dict:
@@ -83,23 +94,31 @@ def test_subcommands_small_runs(tmp_path, sub, payload, csvname):
     cfg = write_config(tmp_path, payload)
     assert run(sub, cfg, out=str(tmp_path / "out")) == 0
     report = json.loads((tmp_path / "out" / f"{sub}_report.json").read_text())
+    assert set(report) == ENVELOPE
     assert report["passed"] is True
     assert (tmp_path / "out" / csvname).exists()
 
 
 def test_distortion_small_run(tmp_path):
-    payload = {
-        "group_spec": {"family": "cyclic_rotation_2d", "param": 3},
-        "templates": {"sampler": "gaussian", "n": 16},
-        "chi": 2, "lambda0": 4.0, "n_trials": 2, "n_pairs": 50, "seed": 3,
-    }
-    cfg = write_config(tmp_path, payload)
+    cfg = write_config(tmp_path, C3_DISTORTION)
     assert run("distortion", cfg, out=str(tmp_path / "out")) == 0
     report = json.loads(
         (tmp_path / "out" / "distortion_report.json").read_text())
+    assert set(report) == ENVELOPE
     assert report["passed"] is True
     assert report["results"]["n_trials"] == 2
     assert report["results"]["fraction_within_bound"] == 1.0
+    assert report["results"]["uncertified_trials"] == []
+
+
+def test_stream_tags_are_unique_and_recorded(tmp_path):
+    assert len(set(STREAMS.values())) == len(STREAMS)
+    payload = {"group_spec": {"family": "circular_shifts", "param": 4},
+               "dims": [4], "n_pairs": 5, "seed": 3}
+    cfg = write_config(tmp_path, payload)
+    assert run("maxfilter", cfg, out=str(tmp_path / "out")) == 0
+    report = json.loads((tmp_path / "out" / "maxfilter_report.json").read_text())
+    assert report["seed_provenance"]["streams"] == STREAMS
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -183,6 +202,26 @@ def test_exit_three_tiny_lp_budget(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "bounds_report.json").read_text())
     prov = report["results"]["stability"]["provenance"]
     assert prov["beta_exact_certified"] is False
+
+
+def test_exit_three_distortion_budget_keeps_the_report(tmp_path, capsys):
+    # each trial's exact search needs more than 5 LPs, so both trials
+    # stop with a partial (here absent) beta and count as not within
+    payload = dict(C3_DISTORTION, budgets={"lp_solves": 5})
+    cfg = write_config(tmp_path, payload)
+    assert run("distortion", cfg, out=str(tmp_path / "run")) == 3
+    assert main(["distortion", "--config", cfg,
+                 "--out", str(tmp_path / "main")]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+    for d in ("run", "main"):
+        report = json.loads(
+            (tmp_path / d / "distortion_report.json").read_text())
+        assert set(report) == ENVELOPE
+        assert report["results"]["uncertified_trials"] == [0, 1]
+        assert report["results"]["fraction_within_bound"] == 0.0
+        rows = (tmp_path / d / "distortion_trials.csv").read_text().splitlines()
+        assert len(rows) == 3
+        assert all(r.split(",")[5] == "0" for r in rows[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maxfilter_lab import (FAMILIES, ClosureOverflow, FiniteGroup,
-                           NotOrthogonal, SizeOverflow, build_family,
-                           generate_group, load_group, max_filter, orbit_of,
-                           save_group, stabilizer_order)
+from maxfilter_lab import (DEFAULT_TOL, FAMILIES, ClosureOverflow,
+                           FiniteGroup, NotOrthogonal, SizeOverflow,
+                           build_family, generate_group, load_group,
+                           max_filter, orbit_of, save_group, stabilizer_order)
+from maxfilter_lab.groups import _check_orthogonal
 
 FAMILY_CASES = [
     ("cyclic_rotation_2d", 5, 5, 2),
@@ -28,14 +29,13 @@ def test_family_orders_and_dims(name, param, order, dim):
     assert g.dim == dim
     assert g.family == name
     assert g.contains(np.eye(dim))
-    assert np.allclose(g.stack[g.identity_index], np.eye(dim))
 
 
 @pytest.mark.parametrize("name,param,order,dim", FAMILY_CASES)
 def test_families_are_closed_orthogonal_groups(name, param, order, dim):
     g = build_family(name, param)
-    for e in g.elements:
-        e.validate()
+    for M in g.stack:
+        _check_orthogonal(M, DEFAULT_TOL)
     assert g.closure_defect() < 1e-12
 
 
@@ -103,7 +103,7 @@ def test_from_matrices_rejects_a_wrong_family_tag():
     with pytest.raises(ValueError):
         FiniteGroup.from_matrices(c4.stack, family="permutations")
     with pytest.raises(ValueError):
-        FiniteGroup(dim=2, elements=c4.elements, family="permutations")
+        FiniteGroup(c4.stack, family="permutations")
     with pytest.raises(ValueError):
         FiniteGroup.from_matrices(c4.stack, family="frieze")
     with pytest.raises(ValueError):   # right order, repeated elements
@@ -157,8 +157,18 @@ def test_orbit_rep_elements_reproduce_points(c5, rng):
 def test_apply_all_matches_elementwise(perm3, rng):
     x = rng.standard_normal(3)
     images = perm3.apply_all(x)
-    for k, e in enumerate(perm3.elements):
-        assert np.allclose(images[k], e.apply(x))
+    for k in range(perm3.order):
+        assert np.allclose(images[k], perm3.stack[k] @ x)
+
+
+def test_constructor_keeps_a_copy_of_a_square_stack():
+    mats = build_family("cyclic_rotation_2d", 4).stack.copy()
+    g = FiniteGroup(mats)
+    mats[:] = 0.0
+    assert (g.order, g.dim) == (4, 2) and g.contains(np.eye(2))
+    for bad in (mats[:, :, :1], mats[0], mats[:0]):
+        with pytest.raises(ValueError):
+            FiniteGroup(bad)
 
 
 def test_stack_and_orbit_arrays_are_frozen(c3, rng):

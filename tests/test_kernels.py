@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 from maxfilter_lab import (CaseMismatch, build_family, direct_quadratic_form,
                            gram_audit, gram_matrix, is_reflection_group,
                            max_filter, search_psd_violation)
+from maxfilter_lab.reporting import sanitize
 from oracles import BACKEND_CASES, brute_max_filter, degenerate_points
 
 
@@ -110,11 +113,14 @@ def test_trivial_group_is_reflection_case(trivial2, rng):
     assert gram_audit(trivial2, X).verdict == "psd"
 
 
-def test_audit_to_dict_round_trip(c5, rng):
+def test_audit_sanitize_round_trip(c5, rng):
     X = rng.standard_normal((4, 2))
-    d = gram_audit(c5, X).to_dict()
-    assert set(d) >= {"min_eig", "verdict", "points", "gram"}
+    audit = gram_audit(c5, X)
+    d = json.loads(json.dumps(sanitize(audit)))
+    assert set(d) == {"points", "gram", "min_eig", "verdict", "coeffs"}
     assert isinstance(d["min_eig"], float)
+    for name in ("points", "gram", "coeffs"):
+        assert np.array_equal(np.array(d[name]), getattr(audit, name))
 
 
 def test_max_filter_consistency_with_gram(dih4, rng):
