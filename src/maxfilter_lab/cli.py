@@ -347,7 +347,8 @@ def cmd_distortion(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
             ok = certified and kappa_cert <= bound
             emp_ok = kappa_emp <= kappa_cert + 1e-6
             ok_flags.append(ok)
-            emp_ok_flags.append(emp_ok)
+            if certified:          # a partial or NaN kappa certifies nothing
+                emp_ok_flags.append(emp_ok)
             rows.append((t, beta, at, kappa_cert, kappa_emp, int(ok), int(emp_ok)))
 
     fraction = float(np.mean(ok_flags))

@@ -6,13 +6,13 @@ follows by polarization:  d([x],[y])^2 = |x|^2 + |y|^2 - 2 max_g <g.x, y>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import LengthMismatch, NegativeRadicand
-from .groups import FiniteGroup
+from .groups import _BLOCK, FiniteGroup, Orbit, orbit_of
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 __all__ = [
@@ -43,6 +43,7 @@ class MaxFilterBank:
 
     group: FiniteGroup
     templates: np.ndarray
+    _orbits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Z = np.asarray(self.templates, dtype=float)
@@ -63,6 +64,12 @@ class MaxFilterBank:
     @property
     def dim(self) -> int:
         return self.group.dim
+
+    def orbits(self, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[Orbit, ...]:
+        """Template orbits ``orbit_of(group, z, tol)``, built once per tolerance policy."""
+        if tol not in self._orbits:
+            self._orbits[tol] = tuple(orbit_of(self.group, z, tol) for z in self.templates)
+        return self._orbits[tol]
 
 
 def max_filter(group: FiniteGroup, x, y, allow_fft: bool = True) -> FilterValue:
@@ -150,10 +157,6 @@ _CHAMBERS = {
     "dihedral_2d": _fold_angles,
 }
 
-# float64 entries one block of a route's intermediates may hold (8 MiB)
-_BLOCK = 1 << 20
-
-
 def _filter_values(group: FiniteGroup, X: np.ndarray, Z: np.ndarray, paired: bool) -> np.ndarray:
     project = _CHAMBERS.get(group.family)
     if project is not None:
@@ -173,9 +176,10 @@ def _filter_values(group: FiniteGroup, X: np.ndarray, Z: np.ndarray, paired: boo
                            for lo in range(0, len(X), step)])
 
 
-def _circular_values(group: FiniteGroup, X: np.ndarray, Z: np.ndarray, paired: bool) -> np.ndarray:
+def _circular_values(group: FiniteGroup | None, X: np.ndarray, Z: np.ndarray,
+                     paired: bool) -> np.ndarray:
     """Cross-correlations by a length-d real FFT; the max over shifts."""
-    d = group.dim
+    d = X.shape[1]
     F, G = np.fft.rfft(X, axis=1), np.conj(np.fft.rfft(Z, axis=1))
     if paired:
         return np.fft.irfft(F * G, n=d, axis=1).max(axis=1)
@@ -211,9 +215,7 @@ def _check_signals(f, g) -> tuple[np.ndarray, np.ndarray]:
 def max_filter_circular_fft(f, g) -> FilterValue:
     """max over shifts a of sum_x f(x) g(x - a), length-d DFT, no padding."""
     f, g = _check_signals(f, g)
-    d = f.shape[0]
-    corr = np.fft.irfft(np.fft.rfft(f) * np.conj(np.fft.rfft(g)), n=d)
-    return FilterValue(float(corr.max()))
+    return FilterValue(float(_circular_values(None, f[None, :], g[None, :], paired=True)[0]))
 
 
 def max_filter_circular_brute(f, g) -> FilterValue:

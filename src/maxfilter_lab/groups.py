@@ -59,13 +59,57 @@ def _canonical_order(stack: np.ndarray) -> np.ndarray:
     return np.lexsort(flat.T[::-1])
 
 
-def _dedup_stack(stack: np.ndarray, eq_tol: float) -> np.ndarray:
-    """Keep the first representative of each eq_tol-cluster, in given order."""
-    kept: list[np.ndarray] = []
-    for M in stack:
-        if not any(np.abs(M - K).max() <= eq_tol for K in kept):
-            kept.append(M)
-    return np.stack(kept) if kept else stack[:0]
+# float64 entries one block of an intermediate may hold (8 MiB)
+_BLOCK = 1 << 20
+
+
+def _projection(k: int) -> np.ndarray:
+    """(sin 1, ..., sin k): no small integer relation ties these together."""
+    return np.sin(np.arange(1.0, k + 1))
+
+
+def _first_seen(rows: np.ndarray, thresh, ord=2) -> np.ndarray:
+    """Indices of the rows kept by the tolerant first-seen rule, in input order.
+
+    Row i is kept unless an earlier kept row lies within ``thresh`` (a
+    scalar, or one value per row i) of it in the norm ``ord``.  The rule
+    is greedy, so the kept rows depend on the input order, which feeds
+    the S-sets, argmax tuples and reports.  ``orbit_of`` passes the images
+    g.x, Euclidean, at eq_tol*(1+|x|); ``generate_group`` and
+    ``_same_elements`` flattened matrices, max-abs (ord=inf), at eq_tol;
+    ``stability.alpha_tilde`` [p0, -p0, p1, -p1, ...] over an orbit,
+    Euclidean, at eq_tol*(1+|p|), keeping the even rows.
+
+    As |<u, a - b>| <= |u|_2 |a - b|_2 and <= |u|_1 |a - b|_inf for the
+    fixed u = _projection(k), a pair the exact test accepts lies in one run
+    of sorted projections with gaps within that window, padded for
+    rounding.  A run's first row is kept and drops the rows within their
+    threshold of it; the others are tested one by one against their run's kept rows.
+    """
+    n, k = rows.shape
+    u = _projection(k)
+    proj = rows @ u
+    # a projection's rounding error is below (k+1)*eps*|u|_1*max|entry|;
+    # the factor 1.001 covers the rounding of the norms and of the gaps
+    rounding = 2 * (k + 2) * np.finfo(float).eps * np.abs(u).sum() * np.abs(rows).max()
+    width = 1.001 * (np.linalg.norm(u, 1 if ord == np.inf else 2) * np.max(thresh) + rounding)
+    order = np.argsort(proj, kind="stable")
+    starts = np.concatenate(([True], np.diff(proj[order]) > width))
+    if starts.all():              # every row alone in its run
+        return np.arange(n)
+    thresh = np.broadcast_to(thresh, (n,))
+    run = np.empty(n, dtype=int)
+    run[order] = np.cumsum(starts) - 1
+    lead = np.minimum.reduceat(order, np.flatnonzero(starts))[run]
+    keep = lead == np.arange(n)
+    rest = np.flatnonzero(~keep)
+    kept = {}                     # run -> its kept rows so far
+    for i in rest[np.linalg.norm(rows[lead[rest]] - rows[rest], ord=ord, axis=1) > thresh[rest]]:
+        near = kept.setdefault(run[i], [lead[i]])
+        if np.linalg.norm(rows[near] - rows[i], ord=ord, axis=1).min() > thresh[i]:
+            keep[i] = True
+            near.append(i)
+    return np.flatnonzero(keep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,20 +153,21 @@ class FiniteGroup:
         M = _as_matrix(matrix, self.dim)
         return bool(np.abs(self.stack - M).max(axis=(1, 2)).min() <= tol.eq_tol)
 
-    def closure_defect(self, chunk: int = 512) -> float:
+    def closure_defect(self) -> float:
         """Max distance from any pairwise product to its nearest element.
 
         Zero (up to float noise) iff the element list is closed under
-        multiplication.  Quadratic in the order; meant for audits.
+        multiplication.  Cubic in the order, in blocks of _BLOCK entries.
         """
-        m = self.order
-        prods = np.einsum("aij,bjk->abik", self.stack, self.stack).reshape(m * m, self.dim, self.dim)
+        stack, m, d = self.stack, self.order, self.dim
+        step = max(1, _BLOCK // (m * d * d))
         worst = 0.0
-        for lo in range(0, m * m, chunk):
-            block = prods[lo:lo + chunk]
-            # (chunk, m) distance matrix in the entrywise max norm
-            d = np.abs(block[:, None, :, :] - self.stack[None, :, :, :]).max(axis=(2, 3))
-            worst = max(worst, float(d.min(axis=1).max()))
+        for lo in range(0, m, step):
+            prods = np.einsum("aij,bjk->abik", stack[lo:lo + step], stack).reshape(-1, d, d)
+            for p in range(0, len(prods), step):
+                # (step, m) distance matrix in the entrywise max norm
+                dist = np.abs(prods[p:p + step, None, :, :] - stack[None, :, :, :]).max(axis=(2, 3))
+                worst = max(worst, float(dist.min(axis=1).max()))
         return worst
 
     @classmethod
@@ -168,9 +213,10 @@ def generate_group(
 
     Every element of a finite matrix group is a positive power of the
     generators, so right-multiplication BFS without explicit inverses
-    reaches the full group.  A ``family`` tag must name a family whose
-    constructor gives the closed group within eq_tol; ValueError
-    otherwise.
+    reaches the full group.  ``_first_seen`` deduplicates the generators,
+    then each level's products f @ g (frontier-major) behind the elements
+    found so far.  A ``family`` tag must name a family whose constructor
+    gives the closed group within eq_tol; ValueError otherwise.
     """
     gens = [_as_matrix(g) for g in generators]
     if not gens:
@@ -180,29 +226,16 @@ def generate_group(
         _as_matrix(g, dim)
         _check_orthogonal(g, tol)
 
-    gen_stack = _dedup_stack(np.stack(gens), tol.eq_tol)
-    elements = [np.eye(dim)]
-
-    def _known(M: np.ndarray) -> bool:
-        arr = np.stack(elements)
-        return bool(np.abs(arr - M).max(axis=(1, 2)).min() <= tol.eq_tol)
-
-    frontier = [g for g in gen_stack if not _known(g)]
-    elements.extend(frontier)
-    while frontier:
+    gen_stack = np.stack(gens)[_first_seen(np.reshape(gens, (len(gens), -1)), tol.eq_tol, np.inf)]
+    elements, cands = np.eye(dim)[None], gen_stack
+    while len(cands):
+        both = np.concatenate([elements, cands])
+        kept = _first_seen(both.reshape(len(both), -1), tol.eq_tol, np.inf)
+        elements, frontier = both[kept], both[kept[kept >= len(elements)]]
         if len(elements) > max_order:
             raise ClosureOverflow(f"closure exceeded max_order={max_order}")
-        new: list[np.ndarray] = []
-        for f in frontier:
-            for g in gen_stack:
-                cand = f @ g
-                if not _known(cand) and not any(np.abs(cand - M).max() <= tol.eq_tol for M in new):
-                    new.append(cand)
-        elements.extend(new)
-        frontier = new
-    if len(elements) > max_order:
-        raise ClosureOverflow(f"closure exceeded max_order={max_order}")
-    group = FiniteGroup._from_stack(np.stack(elements), family)
+        cands = np.matmul(frontier[:, None], gen_stack[None]).reshape(-1, dim, dim)
+    group = FiniteGroup._from_stack(elements, family)
     _check_family(group, tol)
     return group
 
@@ -322,23 +355,11 @@ def build_family(name: str, param: int, max_order: int = 100_000) -> FiniteGroup
 
 
 def orbit_of(group: FiniteGroup, x, tol: TolerancePolicy = DEFAULT_TOL) -> Orbit:
-    """Deduplicated orbit of x, first-seen order over canonical elements."""
+    """Deduplicated orbit of x: ``_first_seen`` over the images g.x of the canonical elements."""
     x = np.asarray(x, dtype=float)
     images = group.apply_all(x)
-    thresh = tol.eq_tol * (1.0 + float(np.linalg.norm(x)))
-    points: list[np.ndarray] = []
-    reps: list[int] = []
-    for gi, p in enumerate(images):
-        if not points:
-            points.append(p)
-            reps.append(gi)
-            continue
-        dists = np.linalg.norm(np.stack(points) - p, axis=1)
-        if dists.min() > thresh:
-            points.append(p)
-            reps.append(gi)
-    return Orbit(base=x.copy(), points=np.stack(points),
-                 rep_elements=np.array(reps, dtype=int))
+    reps = _first_seen(images, tol.eq_tol * (1.0 + float(np.linalg.norm(x))))
+    return Orbit(base=x.copy(), points=images[reps], rep_elements=reps)
 
 
 def stabilizer_order(group: FiniteGroup, x, tol: TolerancePolicy = DEFAULT_TOL) -> int:
@@ -383,22 +404,12 @@ def _check_family(group: FiniteGroup, tol: TolerancePolicy) -> None:
 
 
 def _same_elements(stack: np.ndarray, ref: np.ndarray, tol: TolerancePolicy) -> bool:
-    """Whether two stacks of one shape hold the same matrices within
-    eq_tol.  Canonical order usually lines them up; otherwise each
-    element of ``stack`` must match one of the distinct ``ref`` elements
-    and every ``ref`` element must be matched, comparing blocks of at
-    most 2^20 entries."""
-    if np.abs(stack - ref).max() <= tol.eq_tol:
-        return True
-    m = ref.shape[0]
-    step = max(1, (1 << 20) // ref.size)
-    hit = np.zeros(m, dtype=bool)
-    for lo in range(0, m, step):
-        dist = np.abs(stack[lo:lo + step, None] - ref[None]).max(axis=(2, 3))
-        if dist.min(axis=1).max() > tol.eq_tol:
-            return False
-        hit[dist.argmin(axis=1)] = True
-    return bool(hit.all())
+    """Whether two stacks of one shape hold the same matrices within eq_tol,
+    in any order: ``_first_seen`` keeps every row of ``stack`` and none of
+    ``ref``, a one-to-one match when ``ref`` rows are 3*eq_tol apart."""
+    both = np.concatenate([stack, ref])
+    kept = _first_seen(both.reshape(len(both), -1), tol.eq_tol, np.inf)
+    return np.array_equal(kept, np.arange(len(stack)))
 
 
 def save_group(group: FiniteGroup, path) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, CaseMismatch, DomainError, NotNicePoint
 from .filtering import MaxFilterBank, _pair_distances, apply_bank, apply_bank_batch, quotient_distance
-from .groups import orbit_of
+from .groups import _first_seen, orbit_of
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 from .voronoi import (
@@ -103,9 +103,8 @@ def upper_bound_exact(
     ``partial`` is the best leaf scored so far, so it is None unless the
     budget runs out on the last level.
     """
-    group = bank.group
     n = bank.n_templates
-    orbits = [orbit_of(group, z, tol) for z in bank.templates]
+    orbits = bank.orbits(tol)
     cells = [[VoronoiCellSpec(center=p, orbit=orb) for p in orb.points] for orb in orbits]
     pin = int(np.argmax([orb.size for orb in orbits]))
     visit = [pin] + [i for i in range(n) if i != pin]
@@ -159,7 +158,7 @@ def upper_bound_relaxed(
     Same pinning symmetry as the exact search; enumeration is vectorized
     over chunks of the remaining index product.
     """
-    orbits = [orbit_of(bank.group, z, tol) for z in bank.templates]
+    orbits = bank.orbits(tol)
     pin = int(np.argmax([orb.size for orb in orbits]))
     sizes = [1 if i == pin else orbits[i].size for i in range(len(orbits))]
     total = int(np.prod(sizes))
@@ -257,10 +256,10 @@ def alpha_tilde(
     lambda_min is superadditive over PSD sums.
 
     Assignments are deduplicated by the rank-1 summand they induce
-    (p and -p agree), and the subset search shares partial-sum tensors
-    along combination prefixes, pruning branches whose partial
-    lambda_min already meets the incumbent (adding PSD terms never
-    lowers lambda_min).
+    (p and -p agree; see ``groups._first_seen``), and the subset search
+    shares partial-sum tensors along combination prefixes, pruning
+    branches whose partial lambda_min already meets the incumbent
+    (adding PSD terms never lowers lambda_min).
     """
     if chi < 1:
         raise ValueError("chi must be >= 1")
@@ -270,14 +269,10 @@ def alpha_tilde(
         return 0.0
 
     outers: list[np.ndarray] = []
-    for z in bank.templates:
-        orb = orbit_of(bank.group, z, tol)
-        reps: list[np.ndarray] = []
-        for p in orb.points:
-            thresh = tol.eq_tol * (1.0 + float(np.linalg.norm(p)))
-            if not any(np.linalg.norm(p + q) <= thresh for q in reps):
-                reps.append(p)
-        R = np.stack(reps)
+    for orb in bank.orbits(tol):
+        signed = np.stack([orb.points, -orb.points], axis=1).reshape(-1, d)
+        kept = _first_seen(signed, tol.eq_tol * (1.0 + np.linalg.norm(signed, axis=1)))
+        R = signed[kept[kept % 2 == 0]]
         outers.append(np.einsum("rd,re->rde", R, R))
 
     best = math.inf
@@ -469,11 +464,7 @@ def _reflection_witness(bank: MaxFilterBank, tol: TolerancePolicy, seed: int) ->
     group = bank.group
     rng = np.random.default_rng((seed, STREAMS["witness"]))
     x = sample_nice(bank, rng, tol)
-    aligned = []
-    for z in bank.templates:
-        orb = orbit_of(group, z, tol)
-        aligned.append(orb.points[int(np.argmax(orb.points @ x))])
-    V = np.stack(aligned)
+    V = np.stack([orb.points[int(np.argmax(orb.points @ x))] for orb in bank.orbits(tol)])
     M = V.T @ V
     lam, vecs = np.linalg.eigh(M)
     bottom = vecs[:, 0]

@@ -232,10 +232,9 @@ def sample_nice(
 ) -> np.ndarray:
     """Principal point that also has a unique best representative in every
     template orbit."""
-    orbits = [orbit_of(bank.group, z, tol) for z in bank.templates]
     for _ in range(max_tries):
         x = rng.standard_normal(bank.dim)
-        if is_principal(bank.group, x, tol) and all(in_Q(o, x, tol) for o in orbits):
+        if is_principal(bank.group, x, tol) and all(in_Q(o, x, tol) for o in bank.orbits(tol)):
             return x
     raise NotNicePoint(f"no nice point found in {max_tries} Gaussian draws")
 
@@ -320,13 +319,9 @@ def choice_assignments(
     group = bank.group
     if not is_principal(group, x, tol):
         raise NotNicePoint("x is not principal")
-    aligned = []
-    for z in bank.templates:
-        orb = orbit_of(group, z, tol)
-        if not in_Q(orb, x, tol):
-            raise NotNicePoint("x has a tied best representative for a template orbit")
-        aligned.append(orb.points[int(np.argmax(orb.points @ x))])
-    aligned = np.stack(aligned)
+    if not all(in_Q(orb, x, tol) for orb in bank.orbits(tol)):
+        raise NotNicePoint("x has a tied best representative for a template orbit")
+    aligned = np.stack([orb.points[int(np.argmax(orb.points @ x))] for orb in bank.orbits(tol)])
 
     s = s_set(group, x, y, tol)
     orbit_y = orbit_of(group, y, tol)

@@ -220,3 +220,76 @@ def degenerate_points(group, rng) -> np.ndarray:
                  for k in range(2 * m) for r in (1.0, 2.5)]
     rows += list(rng.standard_normal((4, d)))
     return np.stack(rows)
+
+
+# ---------------------------------------------------------------------------
+# the one-candidate-at-a-time dedup loops that groups._first_seen replaced;
+# each keeps a row unless an earlier kept row lies within the threshold
+
+
+def loop_orbit_of(group, x, tol=DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(points, rep_elements) of the orbit of x, one image at a time
+    against the stacked points kept so far, Euclidean, eq_tol*(1+|x|)."""
+    x = np.asarray(x, dtype=float)
+    images = group.apply_all(x)
+    thresh = tol.eq_tol * (1.0 + float(np.linalg.norm(x)))
+    points, reps = [], []
+    for gi, p in enumerate(images):
+        if not points or np.linalg.norm(np.stack(points) - p, axis=1).min() > thresh:
+            points.append(p)
+            reps.append(gi)
+    return np.stack(points), np.array(reps, dtype=int)
+
+
+def loop_dedup_stack(stack: np.ndarray, eq_tol: float) -> np.ndarray:
+    """First matrix of each eq_tol cluster in max-abs norm, in given order."""
+    kept: list[np.ndarray] = []
+    for M in stack:
+        if not any(np.abs(M - K).max() <= eq_tol for K in kept):
+            kept.append(M)
+    return np.stack(kept) if kept else stack[:0]
+
+
+def loop_closure(generators, tol=DEFAULT_TOL) -> np.ndarray:
+    """Right-multiplication BFS closure, in discovery order (not the
+    canonical order): each product f @ g, frontier-major and
+    generator-minor, is tested alone against every element and every
+    new product so far."""
+    gen_stack = loop_dedup_stack(np.stack([np.asarray(g, float) for g in generators]), tol.eq_tol)
+    elements = [np.eye(gen_stack.shape[1])]
+
+    def known(M) -> bool:
+        return bool(np.abs(np.stack(elements) - M).max(axis=(1, 2)).min() <= tol.eq_tol)
+
+    frontier = [g for g in gen_stack if not known(g)]
+    elements.extend(frontier)
+    while frontier:
+        new: list[np.ndarray] = []
+        for f in frontier:
+            for g in gen_stack:
+                cand = f @ g
+                if not known(cand) and not any(np.abs(cand - M).max() <= tol.eq_tol for M in new):
+                    new.append(cand)
+        elements.extend(new)
+        frontier = new
+    return np.stack(elements)
+
+
+def loop_pm_representatives(points: np.ndarray, tol=DEFAULT_TOL) -> np.ndarray:
+    """alpha_tilde's representatives of the orbit points up to sign: p is
+    kept unless a kept q has |p + q| <= eq_tol*(1+|p|)."""
+    reps: list[np.ndarray] = []
+    for p in points:
+        thresh = tol.eq_tol * (1.0 + float(np.linalg.norm(p)))
+        if not any(np.linalg.norm(p + q) <= thresh for q in reps):
+            reps.append(p)
+    return np.stack(reps)
+
+
+def dense_closure_defect(stack: np.ndarray) -> float:
+    """Max over all |G|^2 products, built at once, of the max-abs distance
+    to the nearest element."""
+    m, d = stack.shape[0], stack.shape[1]
+    prods = np.einsum("aij,bjk->abik", stack, stack).reshape(m * m, d, d)
+    dist = np.abs(prods[:, None, :, :] - stack[None, :, :, :]).max(axis=(2, 3))
+    return float(dist.min(axis=1).max())

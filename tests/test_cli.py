@@ -219,6 +219,11 @@ def test_exit_three_distortion_budget_keeps_the_report(tmp_path, capsys):
         assert set(report) == ENVELOPE
         assert report["results"]["uncertified_trials"] == [0, 1]
         assert report["results"]["fraction_within_bound"] == 0.0
+        checks = {a["name"]: a for a in report["assertions"]}
+        assert checks["certified_fraction"]["passed"] is False
+        # no trial is certified, so none is checked against its partial kappa
+        assert checks["empirical_le_certified"]["passed"] is True
+        assert checks["empirical_le_certified"]["value"] == 0
         rows = (tmp_path / d / "distortion_trials.csv").read_text().splitlines()
         assert len(rows) == 3
         assert all(r.split(",")[5] == "0" for r in rows[1:])

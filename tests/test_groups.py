@@ -9,7 +9,11 @@ from maxfilter_lab import (DEFAULT_TOL, FAMILIES, ClosureOverflow,
                            FiniteGroup, NotOrthogonal, SizeOverflow,
                            build_family, generate_group, load_group,
                            max_filter, orbit_of, save_group, stabilizer_order)
-from maxfilter_lab.groups import _check_orthogonal
+from maxfilter_lab import groups
+from maxfilter_lab.groups import _check_orthogonal, _first_seen
+from oracles import (BACKEND_CASES, degenerate_points, dense_closure_defect,
+                     loop_closure, loop_dedup_stack, loop_orbit_of,
+                     loop_pm_representatives)
 
 FAMILY_CASES = [
     ("cyclic_rotation_2d", 5, 5, 2),
@@ -263,3 +267,134 @@ def test_orbit_points_are_distinct(spec, seed):
         dist = np.linalg.norm(diffs, axis=2)
         dist[np.diag_indices(orb.size)] = np.inf
         assert dist.min() > 1e-9 * (1 + np.linalg.norm(x))
+
+
+# ---------------------------------------------------------------------------
+# the first-seen dedup against the loops it replaced (tests/oracles.py)
+
+
+def _pm_representatives(points: np.ndarray) -> np.ndarray:
+    """alpha_tilde's call: even rows kept from [p0, -p0, p1, -p1, ...]."""
+    signed = np.stack([points, -points], axis=1).reshape(-1, points.shape[1])
+    kept = _first_seen(signed, DEFAULT_TOL.eq_tol * (1.0 + np.linalg.norm(signed, axis=1)))
+    return signed[kept[kept % 2 == 0]]
+
+
+def _assert_orbit_matches_loop(g, x):
+    orb = orbit_of(g, x)
+    points, reps = loop_orbit_of(g, x)
+    assert np.array_equal(orb.points, points)
+    assert np.array_equal(orb.rep_elements, reps)
+    assert np.array_equal(_pm_representatives(orb.points), loop_pm_representatives(orb.points))
+
+
+@pytest.mark.parametrize("name,param", BACKEND_CASES + [("permutations", 5), ("sign_flips", 5)])
+def test_orbits_match_the_loop_on_every_family(name, param):
+    g = build_family(name, param)
+    rng = np.random.default_rng(param)
+    points = list(degenerate_points(g, rng))     # zero, all-ones, ties, mirrors
+    if name == "axis_rotation_3d":
+        points += [np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, -1.0])]   # the e3 axis
+    points += list(rng.standard_normal((6, g.dim)) * rng.choice([1e-8, 1.0, 1e4], (6, 1)))
+    for x in points:
+        _assert_orbit_matches_loop(g, x)
+
+
+def _window_direction(k: int, ord) -> np.ndarray:
+    """A unit step along which the projection gap is largest for its
+    length in the norm ``ord``: the far edge of the candidate window."""
+    u = groups._projection(k)
+    return u / np.linalg.norm(u) if ord == 2 else np.sign(u)
+
+
+# steps, in units of the threshold, just inside and just outside it, at the
+# window's edge and past it; 0.6 then 1.2 is a chain the greedy rule splits
+EDGE_STEPS = [0.999, 1.001, 0.5, 2.0, 0.6, 1.2, 1.0 - 1e-6, 1.0 + 1e-6, 0.0, -0.999, -1.001]
+
+
+def test_matrix_dedup_across_the_window_edge():
+    t = DEFAULT_TOL.eq_tol
+    v = _window_direction(4, np.inf)
+    a = np.array([0.3, -1.2, 2.0, 0.7])
+    rows = np.stack([a] + [a + s * t * v for s in EDGE_STEPS]
+                    + [a + s * t * np.roll(v, 1) for s in EDGE_STEPS])
+    pairs = [np.stack([a, a + s * t * v]) for s in EDGE_STEPS]
+    for stack in pairs + [rows, rows[np.random.default_rng(1).permutation(len(rows))]]:
+        kept = _first_seen(stack, t, np.inf)
+        assert np.array_equal(stack[kept].reshape(-1, 2, 2),
+                              loop_dedup_stack(stack.reshape(-1, 2, 2), t))
+
+
+def test_orbits_across_the_window_edge():
+    # an untagged "group" whose images of x sit just inside and just
+    # outside eq_tol*(1+|x|) of x and of each other, along the window edge
+    x = np.array([1.0, -0.5, 0.25])
+    t = DEFAULT_TOL.eq_tol * (1.0 + np.linalg.norm(x))
+    v = _window_direction(3, 2)
+    mats = np.stack([np.eye(3)] + [np.eye(3) + np.outer(s * t * w, x) / (x @ x)
+                                   for w in (v, np.roll(v, 1)) for s in EDGE_STEPS])
+    pairs = [mats[[0, k]] for k in range(1, len(mats))]
+    for stack in pairs + [mats, mats[np.random.default_rng(2).permutation(len(mats))]]:
+        g = FiniteGroup(stack)
+        _assert_orbit_matches_loop(g, x)
+        _assert_orbit_matches_loop(g, -x)
+
+
+def test_pm_representatives_across_the_sign_threshold():
+    v = _window_direction(3, 2)
+    p = np.array([0.4, 1.1, -0.8])
+    t = DEFAULT_TOL.eq_tol * (1.0 + np.linalg.norm(p))
+    for s in (0.999, 1.001, 0.5, 2.0):
+        points = np.stack([p, -p + s * t * v, 2.0 * p, -p - 3 * t * v])
+        assert np.array_equal(_pm_representatives(points), loop_pm_representatives(points))
+
+
+def _two_generators(n: int):
+    swap = np.eye(n)[[1, 0] + list(range(2, n))]
+    cycle = np.zeros((n, n))
+    cycle[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    return [swap, cycle]
+
+
+@pytest.mark.parametrize("gens", [
+    _two_generators(4), _two_generators(5), _two_generators(6),
+    # repeated, identity and exactly duplicated generators
+    [_two_generators(4)[1], np.eye(4), _two_generators(4)[1], _two_generators(4)[0]],
+    list(build_family("dihedral_2d", 5).stack),
+    list(build_family("sign_flips", 3).stack[::-1]),
+    list(build_family("axis_rotation_3d", 6).stack[1:3]),
+])
+def test_closure_matches_the_loop(gens):
+    new = generate_group(gens)
+    old = FiniteGroup.from_matrices(loop_closure(gens))
+    assert np.array_equal(new.stack, old.stack)
+
+
+def test_generator_dedup_matches_the_loop(rng):
+    base = build_family("dihedral_2d", 4).stack
+    stack = np.concatenate([base, base[::-1] + 1e-10, base + 2e-9, base[:3]])
+    stack = stack[rng.permutation(len(stack))]
+    kept = _first_seen(stack.reshape(len(stack), -1), DEFAULT_TOL.eq_tol, np.inf)
+    assert np.array_equal(stack[kept], loop_dedup_stack(stack, DEFAULT_TOL.eq_tol))
+
+
+def test_permutations_7_orbits_and_closure():
+    # 5040 elements: the parent's loops took about 50 s here
+    g = build_family("permutations", 7)
+    x = np.array([1.0, 1.0, 2.0, 3.5, -4.0, 5.0, 0.5])
+    assert orbit_of(g, x).size * stabilizer_order(g, x) == 5040
+    assert orbit_of(g, np.random.default_rng(7).standard_normal(7)).size == 5040
+    closed = generate_group(_two_generators(7))
+    assert closed.order == 5040
+    assert np.array_equal(closed.stack, g.stack)
+
+
+@pytest.mark.parametrize("name,param", BACKEND_CASES + [("permutations", 5)])
+def test_closure_defect_is_the_dense_value(monkeypatch, name, param):
+    g = build_family(name, param)
+    expected = dense_closure_defect(g.stack)
+    assert g.closure_defect() == expected
+    monkeypatch.setattr(groups, "_BLOCK", 3 * g.dim * g.dim * g.order)  # three-row blocks
+    assert g.closure_defect() == expected
+    monkeypatch.setattr(groups, "_BLOCK", 1)
+    assert g.closure_defect() == expected

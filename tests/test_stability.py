@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from maxfilter_lab import (BudgetExceeded, CaseMismatch, DistortionBoundParams,
                            quotient_distance, theoretical_distortion_bound,
                            theoretical_sigma, upper_bound_exact,
                            upper_bound_relaxed)
-from maxfilter_lab import stability
+from maxfilter_lab import filtering, groups, stability, voronoi
+from maxfilter_lab.tolerances import DEFAULT_TOL, TolerancePolicy
 from maxfilter_lab.stability import pair_lower_value
 from oracles import (brute_alpha_tilde, brute_beta_exact_sampled,
                      brute_beta_relaxed, dfs_upper_bound_exact,
@@ -455,3 +457,45 @@ def test_stability_report_budget_flags(rng):
 @given(st.integers(2, 200), st.floats(1.2, 50.0), st.floats(1.0, 20.0))
 def test_sigma_positive_property(ell, lam, t):
     assert theoretical_sigma(ell, lam, t) > 0
+
+
+# ---------------------------------------------------------------------------
+# the template-orbit cache of a bank
+
+
+def test_each_template_orbit_is_built_once(monkeypatch):
+    bank = MaxFilterBank(build_family("sign_flips", 3),
+                         np.random.default_rng(4).standard_normal((4, 3)))
+    built = []
+    real = groups.orbit_of
+
+    def counting(group, x, tol=DEFAULT_TOL):
+        built.append((np.array(x, dtype=float), tol))
+        return real(group, x, tol)
+
+    for module in (groups, filtering, voronoi, stability):
+        monkeypatch.setattr(module, "orbit_of", counting)
+
+    def builds(z, tol=DEFAULT_TOL):
+        return sum(np.array_equal(x, z) and t == tol for x, t in built)
+
+    lower_bound_sharp(bank, n_pairs=3, seed=0)
+    assert [builds(z) for z in bank.templates] == [1, 1, 1, 1]
+    upper_bound_exact(bank)
+    upper_bound_relaxed(bank)
+    alpha_tilde(bank, chi=1)
+    optimality_witness(bank, "reflection", chi_samples=5)
+    assert [builds(z) for z in bank.templates] == [1, 1, 1, 1]
+    assert bank.orbits() is bank.orbits(DEFAULT_TOL)
+    loose = TolerancePolicy(eq_tol=1e-8, sample_tol=1e-8)
+    assert [o.size for o in bank.orbits(loose)] == [o.size for o in bank.orbits()]
+    assert [builds(z, loose) for z in bank.templates] == [1, 1, 1, 1]
+
+
+def test_orbit_cache_stays_out_of_repr_and_equality():
+    g = build_family("cyclic_rotation_2d", 3)
+    bank = MaxFilterBank(g, GOLDEN_Z)
+    before = repr(bank)
+    bank.orbits()
+    assert repr(bank) == before and "_orbits" not in before
+    assert [f.name for f in dataclasses.fields(bank) if f.compare] == ["group", "templates"]
