@@ -38,7 +38,7 @@ from .filtering import (MaxFilterBank, _pair_distances, apply_bank_batch,
 from .groups import FAMILIES, FiniteGroup, build_family, load_group
 from .kernels import direct_quadratic_form, search_psd_violation
 from .reporting import all_passed, assertion, sanitize, write_csv, write_json
-from .stability import (DistortionBoundParams, alpha_tilde,
+from .stability import (_AUDIT_SLACK, DistortionBoundParams, alpha_tilde,
                         compute_stability_report, empirical_lipschitz,
                         ordering_audit, theoretical_distortion_bound,
                         upper_bound_exact)
@@ -269,17 +269,17 @@ def cmd_bounds(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
     for name, passed, lhs, rhs in ordering_audit(stab):
         asserts.append(assertion(
             name, f"{name.replace('_', ' ')} (within slack)", passed,
-            {"lhs": lhs, "rhs": rhs}, 1e-7))
+            {"lhs": lhs, "rhs": rhs}, _AUDIT_SLACK))
     if prov["alpha_tilde_certified"]:
         low_margin = float((emp.image_distances - stab.alpha_tilde * emp.distances).min())
         asserts.append(assertion(
             "sandwich_lower", "alpha_tilde * d <= image distance on every sampled pair",
-            low_margin >= -1e-7, low_margin, 1e-7))
+            low_margin >= -_AUDIT_SLACK, low_margin, _AUDIT_SLACK))
     if prov["beta_exact_certified"]:
         high_margin = float((stab.beta_exact * emp.distances - emp.image_distances).min())
         asserts.append(assertion(
             "sandwich_upper", "image distance <= beta_exact * d on every sampled pair",
-            high_margin >= -1e-7, high_margin, 1e-7))
+            high_margin >= -_AUDIT_SLACK, high_margin, _AUDIT_SLACK))
     if math.isfinite(stab.kappa_certified) and math.isfinite(stab.kappa_empirical):
         asserts.append(assertion(
             "kappa_empirical_le_certified",
@@ -432,6 +432,7 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
     runs = {}
     asserts = []
     all_rows = []
+    certified = True
     for n in run_ns:
         with timer.stage(f"scan_n{n}"):
             rng = np.random.default_rng((seed, STREAMS["injectivity_templates"], n))
@@ -439,8 +440,9 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
             try:
                 at = alpha_tilde(bank, chi,
                                  budget=config.budget("alpha_tilde_evals"), tol=tol)
-            except BudgetExceeded:
+            except BudgetExceeded:     # a partial alpha_tilde certifies nothing
                 at = None
+                certified = False
             summary, rows = _collision_scan(bank, config.n_pairs, seed, n,
                                             config.min_quotient_distance, tol)
         summary["alpha_tilde"] = at
@@ -463,7 +465,7 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
     csvs = [("injectivity_pairs.csv",
              ["n_templates", "pair", "quotient_distance", "image_distance",
               "ratio"], all_rows)]
-    return results, asserts, csvs, True
+    return results, asserts, csvs, certified
 
 
 def cmd_kernel(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
@@ -474,7 +476,7 @@ def cmd_kernel(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
         est = voronoi_characteristic(group, config.chi_samples, seed, tol)
     reflection = est.chi_lower == 1
     with timer.stage("psd_search"):
-        search = search_psd_violation(group, group.dim, config.n_trials,
+        search = search_psd_violation(group, config.n_trials,
                                       config.points_per_trial, seed, tol)
 
     consistent = (reflection and not search.found) or \

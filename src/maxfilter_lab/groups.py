@@ -75,10 +75,10 @@ def _first_seen(rows: np.ndarray, thresh, ord=2) -> np.ndarray:
     scalar, or one value per row i) of it in the norm ``ord``.  The rule
     is greedy, so the kept rows depend on the input order, which feeds
     the S-sets, argmax tuples and reports.  ``orbit_of`` passes the images
-    g.x, Euclidean, at eq_tol*(1+|x|); ``generate_group`` and
-    ``_same_elements`` flattened matrices, max-abs (ord=inf), at eq_tol;
-    ``stability.alpha_tilde`` [p0, -p0, p1, -p1, ...] over an orbit,
-    Euclidean, at eq_tol*(1+|p|), keeping the even rows.
+    g.x, Euclidean, at eq_tol*(1+|x|); ``generate_group`` flattened
+    matrices, max-abs (ord=inf), at eq_tol; ``stability.alpha_tilde``
+    [p0, -p0, p1, -p1, ...] over an orbit, Euclidean, at eq_tol*(1+|p|),
+    keeping the even rows.
 
     As |<u, a - b>| <= |u|_2 |a - b|_2 and <= |u|_1 |a - b|_inf for the
     fixed u = _projection(k), a pair the exact test accepts lies in one run
@@ -118,16 +118,16 @@ class FiniteGroup:
 
     ``stack`` holds all matrices as one read-only (order, dim, dim)
     array, copied in the order given; ``from_matrices`` sorts them into
-    canonical order first.  ``family`` records the constructor used,
-    which is the only mechanism by which structure-specific filter
-    routes are enabled: the chamber projections of the reflection
-    families and the circular-shift FFT.  So a tag must name a family in
-    FAMILIES whose constructor gives these elements within eq_tol, in
-    any order; ValueError otherwise.
+    canonical order first.  ``family`` names the constructor in FAMILIES
+    that built the group, and it alone enables the structure-specific
+    filter routes: the chamber projections of the reflection families
+    and the circular-shift FFT.  Only those constructors set it, through
+    ``_from_stack``; every other group is untagged and takes the dense
+    route.
     """
 
     stack: np.ndarray = field(repr=False)
-    family: str | None = None
+    family: str | None = field(default=None, init=False)
 
     def __post_init__(self):
         stack = np.array(self.stack, dtype=float)
@@ -135,7 +135,6 @@ class FiniteGroup:
             raise ValueError(f"expected a nonempty (order, dim, dim) stack, got shape {stack.shape}")
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
-        _check_family(self, DEFAULT_TOL)
 
     @property
     def order(self) -> int:
@@ -171,14 +170,14 @@ class FiniteGroup:
         return worst
 
     @classmethod
-    def from_matrices(cls, mats: np.ndarray, family: str | None = None) -> "FiniteGroup":
+    def from_matrices(cls, mats: np.ndarray) -> "FiniteGroup":
         stack = np.asarray(mats, dtype=float)
-        return cls(stack[_canonical_order(stack)], family=family)
+        return cls(stack[_canonical_order(stack)])
 
     @classmethod
-    def _from_stack(cls, mats: np.ndarray, family: str | None) -> "FiniteGroup":
-        """from_matrices with the tag set unchecked, for the family
-        constructors: checking it would call them again."""
+    def _from_stack(cls, mats: np.ndarray, family: str) -> "FiniteGroup":
+        """from_matrices plus the family tag; the family constructors are
+        its only callers."""
         group = cls.from_matrices(mats)
         object.__setattr__(group, "family", family)
         return group
@@ -207,7 +206,6 @@ def generate_group(
     generators,
     max_order: int = 100_000,
     tol: TolerancePolicy = DEFAULT_TOL,
-    family: str | None = None,
 ) -> FiniteGroup:
     """Close a generator list under multiplication.
 
@@ -215,8 +213,9 @@ def generate_group(
     generators, so right-multiplication BFS without explicit inverses
     reaches the full group.  ``_first_seen`` deduplicates the generators,
     then each level's products f @ g (frontier-major) behind the elements
-    found so far.  A ``family`` tag must name a family whose constructor
-    gives the closed group within eq_tol; ValueError otherwise.
+    found so far.  The group is untagged, so its filter takes the dense
+    route even when it equals a named family; build a family with its
+    constructor to get that family's route.
     """
     gens = [_as_matrix(g) for g in generators]
     if not gens:
@@ -235,9 +234,7 @@ def generate_group(
         if len(elements) > max_order:
             raise ClosureOverflow(f"closure exceeded max_order={max_order}")
         cands = np.matmul(frontier[:, None], gen_stack[None]).reshape(-1, dim, dim)
-    group = FiniteGroup._from_stack(elements, family)
-    _check_family(group, tol)
-    return group
+    return FiniteGroup.from_matrices(elements)
 
 
 # ---------------------------------------------------------------------------
@@ -387,40 +384,15 @@ _FAMILY_PARAM = {
 }
 
 
-def _check_family(group: FiniteGroup, tol: TolerancePolicy) -> None:
-    """Raise ValueError unless ``group`` is untagged or its elements equal
-    those of its family constructor within eq_tol, in any order."""
-    if group.family is None:
-        return
-    if group.family not in _FAMILY_PARAM:
-        raise ValueError(f"unknown family {group.family!r}; known: {sorted(FAMILIES)}")
-    param = _FAMILY_PARAM[group.family](group)
-    try:
-        ref = build_family(group.family, param, max_order=group.order).stack
-    except (SizeOverflow, ValueError):
-        ref = None
-    if ref is None or ref.shape != group.stack.shape or not _same_elements(group.stack, ref, tol):
-        raise ValueError(f"elements differ from {group.family}({param}) beyond eq_tol")
-
-
-def _same_elements(stack: np.ndarray, ref: np.ndarray, tol: TolerancePolicy) -> bool:
-    """Whether two stacks of one shape hold the same matrices within eq_tol,
-    in any order: ``_first_seen`` keeps every row of ``stack`` and none of
-    ``ref``, a one-to-one match when ``ref`` rows are 3*eq_tol apart."""
-    both = np.concatenate([stack, ref])
-    kept = _first_seen(both.reshape(len(both), -1), tol.eq_tol, np.inf)
-    return np.array_equal(kept, np.arange(len(stack)))
-
-
 def save_group(group: FiniteGroup, path) -> None:
-    """Write every element, plus the family tag and its parameter; a
-    group outside the named families is written untagged."""
-    tagged = group.family in _FAMILY_PARAM
+    """Write every element, plus the family tag and its parameter, both
+    null for an untagged group."""
+    family = group.family
     payload = {
         "dim": group.dim,
         "generators": group.stack.reshape(group.order, -1).tolist(),
-        "family": group.family if tagged else None,
-        "param": _FAMILY_PARAM[group.family](group) if tagged else None,
+        "family": family,
+        "param": _FAMILY_PARAM[family](group) if family else None,
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseMismatch
 from .filtering import _filter_values, max_filter
 from .groups import FiniteGroup
 from .streams import STREAMS
@@ -119,7 +118,6 @@ class PsdSearchResult:
 
 def search_psd_violation(
     group: FiniteGroup,
-    dim: int,
     n_trials: int,
     points_per_trial: int,
     seed: int,
@@ -131,13 +129,11 @@ def search_psd_violation(
     reproducible and prefix-stable in n_trials.  Stops at the first
     certificate.
     """
-    if dim != group.dim:
-        raise CaseMismatch(f"group acts on dim {group.dim}, requested {dim}")
     if n_trials < 1 or points_per_trial < 1:
         raise ValueError("n_trials and points_per_trial must be >= 1")
     for trial in range(n_trials):
         rng = np.random.default_rng((seed, STREAMS["psd_search"], trial))
-        X = rng.standard_normal((points_per_trial, dim))
+        X = rng.standard_normal((points_per_trial, group.dim))
         audit = gram_audit(group, X, tol)
         if audit.verdict == "not_psd":
             return PsdSearchResult(found=True, certificate=audit,

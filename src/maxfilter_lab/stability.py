@@ -49,6 +49,12 @@ __all__ = [
     "ordering_audit",
 ]
 
+_RELAXED_CHUNK = 4096    # tuples per vectorized step of upper_bound_relaxed
+_NICE_ATTEMPTS = 10      # draws per nice pair in lower_bound_sharp
+_MIN_SEPARATION = 1e-6   # quotient distance below which empirical_lipschitz drops a pair
+_PAIR_BATCH = 1024       # smallest Gaussian batch of empirical_lipschitz
+_AUDIT_SLACK = 1e-7      # slack of each ordering_audit step and of the CLI's sandwich checks
+
 
 def _lam_min(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(M)[0])
@@ -151,7 +157,6 @@ def upper_bound_relaxed(
     bank: MaxFilterBank,
     max_leaves: int = 2_000_000,
     tol: TolerancePolicy = DEFAULT_TOL,
-    chunk: int = 4096,
 ) -> float:
     """Max spectral norm over ALL tuples, no cell-feasibility filter.
 
@@ -163,8 +168,8 @@ def upper_bound_relaxed(
     sizes = [1 if i == pin else orbits[i].size for i in range(len(orbits))]
     total = int(np.prod(sizes))
     best = -math.inf
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
+    for lo in range(0, total, _RELAXED_CHUNK):
+        hi = min(lo + _RELAXED_CHUNK, total)
         if hi > max_leaves:
             raise BudgetExceeded("upper_bound_relaxed tuple budget exhausted",
                                  partial=None if best == -math.inf else best)
@@ -215,7 +220,6 @@ def lower_bound_sharp(
     seed: int,
     tol: TolerancePolicy = DEFAULT_TOL,
     cap: int = 100_000,
-    max_attempts: int = 10,
 ) -> AlphaSharp:
     """Sampled estimate of the sharp lower constant: min of pair_lower_value
     over seeded Gaussian nice pairs.  An upper estimate of the true inf;
@@ -227,7 +231,7 @@ def lower_bound_sharp(
     wx = wy = None
     for k in range(n_pairs):
         val = None
-        for attempt in range(max_attempts):
+        for attempt in range(_NICE_ATTEMPTS):
             rng = np.random.default_rng((seed, STREAMS["alpha_sharp"], k, attempt))
             try:
                 x = sample_nice(bank, rng, tol)
@@ -237,7 +241,7 @@ def lower_bound_sharp(
             except NotNicePoint:
                 continue
         if val is None:
-            raise NotNicePoint(f"pair {k}: no nice pair found in {max_attempts} attempts")
+            raise NotNicePoint(f"pair {k}: no nice pair found in {_NICE_ATTEMPTS} attempts")
         if val < best:
             best, wx, wy = val, x, y
     return AlphaSharp(alpha=float(best), witness_x=wx, witness_y=wy,
@@ -317,12 +321,10 @@ def empirical_lipschitz(
     bank: MaxFilterBank,
     n_pairs: int,
     seed: int,
-    min_separation: float = 1e-6,
-    batch: int = 1024,
     stream: int = 0,
 ) -> EmpiricalLipschitz:
     """Min and max of |Phi x - Phi y| / d([x],[y]) over seeded Gaussian
-    pairs; pairs closer than min_separation in the quotient are rejected
+    pairs; pairs closer than _MIN_SEPARATION in the quotient are rejected
     to avoid ratio instability near the diagonal.
     """
     if n_pairs < 1:
@@ -332,11 +334,11 @@ def empirical_lipschitz(
     Xs, Ys, dist_all, dphi_all = [], [], [], []
     collected = 0
     while collected < n_pairs:
-        b = max(batch, 2 * (n_pairs - collected))
+        b = max(_PAIR_BATCH, 2 * (n_pairs - collected))
         X = rng.standard_normal((b, d))
         Y = rng.standard_normal((b, d))
         dist = _pair_distances(group, X, Y)
-        keep = dist > min_separation
+        keep = dist > _MIN_SEPARATION
         X, Y, dist = X[keep], Y[keep], dist[keep]
         dphi = np.linalg.norm(apply_bank_batch(bank, X) - apply_bank_batch(bank, Y), axis=1)
         Xs.append(X); Ys.append(Y); dist_all.append(dist); dphi_all.append(dphi)
@@ -531,9 +533,9 @@ class StabilityReport:
     provenance: dict = field(default_factory=dict)
 
 
-def ordering_audit(report: StabilityReport, slack: float = 1e-7) -> list[tuple[str, bool, float, float]]:
+def ordering_audit(report: StabilityReport) -> list[tuple[str, bool, float, float]]:
     """The chain alpha_tilde <= alpha_sharp <= alpha_empirical <=
-    beta_empirical <= beta_exact <= beta_relaxed, each step with slack."""
+    beta_empirical <= beta_exact <= beta_relaxed, each step with _AUDIT_SLACK."""
     chain = [
         ("alpha_tilde_le_alpha_sharp", report.alpha_tilde, report.alpha_sharp),
         ("alpha_sharp_le_alpha_empirical", report.alpha_sharp, report.alpha_empirical),
@@ -541,7 +543,7 @@ def ordering_audit(report: StabilityReport, slack: float = 1e-7) -> list[tuple[s
         ("beta_empirical_le_beta_exact", report.beta_empirical, report.beta_exact),
         ("beta_exact_le_beta_relaxed", report.beta_exact, report.beta_relaxed),
     ]
-    out = [(name, bool(lhs <= rhs + slack), float(lhs), float(rhs)) for name, lhs, rhs in chain]
+    out = [(name, bool(lhs <= rhs + _AUDIT_SLACK), float(lhs), float(rhs)) for name, lhs, rhs in chain]
     nonneg = all(v >= 0 for v in (report.beta_exact, report.beta_relaxed, report.alpha_sharp,
                                   report.alpha_tilde, report.alpha_empirical, report.beta_empirical))
     out.append(("all_fields_nonnegative", nonneg, 0.0, 0.0))
@@ -558,12 +560,11 @@ def compute_stability_report(
     tuple_budget: int = 2_000_000,
     subset_budget: int = 30_000_000,
     assignment_cap: int = 100_000,
-    alpha_pairs: int | None = None,
 ) -> tuple[StabilityReport, EmpiricalLipschitz]:
     """All bounds for one bank, plus the raw empirical sample so callers
-    can dump per-pair ratios without recomputation.  Budget misses do not
-    raise here; they are recorded as certified=False flags with the
-    partial values."""
+    can dump per-pair ratios without recomputation; alpha_sharp samples
+    min(n_pairs, 200) nice pairs.  Budget misses do not raise here; they
+    are recorded as certified=False flags with the partial values."""
     flags = {"beta_exact_certified": True, "beta_relaxed_certified": True,
              "alpha_tilde_certified": True}
     argmax_tuple: tuple[int, ...] | None = None
@@ -584,7 +585,7 @@ def compute_stability_report(
         a_tilde = e.partial if e.partial is not None else math.nan
         flags["alpha_tilde_certified"] = False
 
-    a_pairs = alpha_pairs if alpha_pairs is not None else min(n_pairs, 200)
+    a_pairs = min(n_pairs, 200)
     sharp = lower_bound_sharp(bank, a_pairs, seed=seed, tol=tol, cap=assignment_cap)
     emp = empirical_lipschitz(bank, n_pairs, seed=seed)
 

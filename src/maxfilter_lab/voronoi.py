@@ -76,19 +76,13 @@ class VoronoiCellSpec:
         return rows
 
     def contains(self, y, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-        """Strict membership with margin lp_tol * |y|."""
+        """Strict membership as the margin LP decides it: once y is scaled
+        into the LP's box |y|_inf <= 1, every row margin exceeds lp_tol."""
         y = np.asarray(y, dtype=float)
         rows = self.rows
         if rows.shape[0] == 0:
             return True
-        return bool((rows @ y > tol.lp_tol * np.linalg.norm(y)).all())
-
-    def closure_contains(self, y, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-        y = np.asarray(y, dtype=float)
-        rows = self.rows
-        if rows.shape[0] == 0:
-            return True
-        return bool((rows @ y >= -tol.lp_tol * np.linalg.norm(y)).all())
+        return bool((rows @ y).min() > tol.lp_tol * np.abs(y).max())
 
 
 def cell_of(group: FiniteGroup, x, tol: TolerancePolicy = DEFAULT_TOL) -> VoronoiCellSpec:

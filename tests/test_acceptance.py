@@ -184,16 +184,14 @@ def test_acceptance_optimality_witnesses(pm2, sf2):
 def test_acceptance_kernel_dichotomy(c5, pm2, perm3, sf3, dih4):
     ok = True
     for g in (c5, pm2):
-        res = search_psd_violation(g, g.dim, n_trials=200,
-                                   points_per_trial=6, seed=5)
+        res = search_psd_violation(g, n_trials=200, points_per_trial=6, seed=5)
         ok = ok and res.found
         if res.found:
             q = direct_quadratic_form(g, res.certificate.points,
                                       res.certificate.coeffs)
             ok = ok and q < -1e-6
     for g in (perm3, sf3, dih4):
-        res = search_psd_violation(g, g.dim, n_trials=500,
-                                   points_per_trial=6, seed=5)
+        res = search_psd_violation(g, n_trials=500, points_per_trial=6, seed=5)
         ok = ok and not res.found
     assert _emit("kernel_dichotomy", ok)
 
@@ -226,9 +224,8 @@ def test_acceptance_injectivity_search(c5):
     rng = np.random.default_rng((12, 1))
     X = rng.standard_normal((100_000, 2))
     Y = rng.standard_normal((100_000, 2))
-    # quotient distances by polarization, batched
-    moved = np.einsum("gde,ke->kgd", c5.stack, X)
-    mf = np.einsum("kgd,kd->kg", moved, Y).max(axis=1)
+    # quotient distances by polarization on the dense element stack
+    mf = np.array([max_filter(c5, x, y, allow_fft=False) for x, y in zip(X, Y)])
     d2 = (X ** 2).sum(1) + (Y ** 2).sum(1) - 2 * mf
     dq = np.sqrt(np.maximum(d2, 0.0))
     dphi = np.linalg.norm(apply_bank_batch(bank, X) - apply_bank_batch(bank, Y),

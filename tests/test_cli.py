@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,12 @@ def test_reports_are_deterministic(tmp_path):
     assert c1 == c2
 
 
+def test_run_all_runs_every_shipped_config():
+    script = (CONFIGS.parent / "scripts" / "run_all.sh").read_text()
+    listed = set(re.findall(r"configs/(\w+\.json)", script))
+    assert listed == {p.name for p in CONFIGS.glob("*.json")}
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -227,6 +234,24 @@ def test_exit_three_distortion_budget_keeps_the_report(tmp_path, capsys):
         rows = (tmp_path / d / "distortion_trials.csv").read_text().splitlines()
         assert len(rows) == 3
         assert all(r.split(",")[5] == "0" for r in rows[1:])
+
+
+def test_exit_three_injectivity_budget_keeps_the_report(tmp_path):
+    # one subset evaluation cannot finish alpha_tilde at n = 3 or n = 4
+    payload = {"group_spec": {"family": "cyclic_rotation_2d", "param": 5},
+               "chi": 2, "n_pairs": 200, "seed": 1,
+               "budgets": {"alpha_tilde_evals": 1}}
+    cfg = write_config(tmp_path, payload)
+    assert run("injectivity", cfg, out=str(tmp_path / "out")) == 3
+    report = json.loads((tmp_path / "out" / "injectivity_report.json").read_text())
+    assert set(report) == ENVELOPE
+    runs = report["results"]["runs"]
+    assert list(runs) == ["n=3", "n=4"]
+    assert all(r["alpha_tilde"] is None for r in runs.values())
+    # the collision scans still ran; only the alpha_tilde check is absent
+    assert [a["name"] for a in report["assertions"]] == ["no_collisions_n3", "no_collisions_n4"]
+    rows = (tmp_path / "out" / "injectivity_pairs.csv").read_text().splitlines()
+    assert len(rows) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -89,40 +89,27 @@ def test_unknown_family_rejected():
         build_family("frieze", 3)
 
 
-def test_generate_group_rejects_a_wrong_family_tag():
-    # reflection across the line at 0.3 rad is not dihedral_2d(1)'s flip;
-    # with the tag its filter would take the angle-fold route
+def test_family_tags_come_only_from_constructors(rng):
+    c4 = build_family("cyclic_rotation_2d", 4)
+    for make in (FiniteGroup, FiniteGroup.from_matrices, generate_group):
+        with pytest.raises(TypeError):
+            make(c4.stack, family="cyclic_rotation_2d")
+    # the reflection across the line at 0.3 rad, which is not dihedral_2d(1)'s
+    # flip, and dihedral generators: both close untagged, so the filter
+    # takes the dense route and never the angle fold
     th = 0.3
     mirror = np.array([[math.cos(2 * th), math.sin(2 * th)],
                        [math.sin(2 * th), -math.cos(2 * th)]])
-    with pytest.raises(ValueError):
-        generate_group([mirror], family="dihedral_2d")
-    g = generate_group([mirror])
-    x, y = np.array([1.0, 0.2]), np.array([0.3, -1.0])
-    assert abs(max_filter(g, x, y) - max_filter(g, x, y, allow_fft=False)) < 1e-12
-
-
-def test_from_matrices_rejects_a_wrong_family_tag():
-    c4 = build_family("cyclic_rotation_2d", 4)
-    with pytest.raises(ValueError):
-        FiniteGroup.from_matrices(c4.stack, family="permutations")
-    with pytest.raises(ValueError):
-        FiniteGroup(c4.stack, family="permutations")
-    with pytest.raises(ValueError):
-        FiniteGroup.from_matrices(c4.stack, family="frieze")
-    with pytest.raises(ValueError):   # right order, repeated elements
-        FiniteGroup.from_matrices(np.stack([np.eye(2)] * 2), family="dihedral_2d")
-
-
-@pytest.mark.parametrize("m", [3, 5, 7])
-def test_matching_family_tags_are_kept(m):
-    rot = np.array([[math.cos(2 * math.pi / m), -math.sin(2 * math.pi / m)],
-                    [math.sin(2 * math.pi / m), math.cos(2 * math.pi / m)]])
-    g = generate_group([rot, np.diag([1.0, -1.0])], family="dihedral_2d")
-    assert g.family == "dihedral_2d" and g.order == 2 * m
-    ref = build_family("dihedral_2d", m)
-    shuffled = ref.stack[np.random.default_rng(m).permutation(ref.order)]
-    assert FiniteGroup.from_matrices(shuffled, family="dihedral_2d").family == "dihedral_2d"
+    cases = [(1, [mirror])]
+    for m in (3, 5, 7):
+        c, s = math.cos(2 * math.pi / m), math.sin(2 * math.pi / m)
+        cases.append((m, [np.array([[c, -s], [s, c]]), np.diag([1.0, -1.0])]))
+    for m, gens in cases:
+        g = generate_group(gens)
+        assert g.family is None and g.order == 2 * m
+        for x, y in [(np.array([1.0, 0.2]), np.array([0.3, -1.0])),
+                     tuple(rng.standard_normal((2, 2)))]:
+            assert abs(max_filter(g, x, y) - max_filter(g, x, y, allow_fft=False)) < 1e-12
 
 
 @pytest.mark.parametrize("name,param", [(n, p) for n, p, _, _ in FAMILY_CASES])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maxfilter_lab import (CaseMismatch, build_family, direct_quadratic_form,
-                           gram_audit, gram_matrix, is_reflection_group,
-                           max_filter, search_psd_violation)
+from maxfilter_lab import (build_family, direct_quadratic_form, gram_audit,
+                           gram_matrix, is_reflection_group, max_filter,
+                           search_psd_violation)
 from maxfilter_lab.reporting import sanitize
 from oracles import BACKEND_CASES, brute_max_filter, degenerate_points
 
@@ -44,7 +44,7 @@ def test_gram_audit_verdicts(sf2, c5, rng):
     assert audit.verdict == "psd"
     assert audit.min_eig >= -1e-10
     # a rotation group admits certificates for suitable point sets
-    found = search_psd_violation(c5, 2, n_trials=50, points_per_trial=6, seed=0)
+    found = search_psd_violation(c5, n_trials=50, points_per_trial=6, seed=0)
     assert found.found
     cert = found.certificate
     assert cert.verdict == "not_psd"
@@ -72,26 +72,21 @@ def test_gram_dim_mismatch(c5):
 
 
 def test_search_determinism_and_prefix(c5):
-    a = search_psd_violation(c5, 2, n_trials=40, points_per_trial=6, seed=7)
-    b = search_psd_violation(c5, 2, n_trials=40, points_per_trial=6, seed=7)
+    a = search_psd_violation(c5, n_trials=40, points_per_trial=6, seed=7)
+    b = search_psd_violation(c5, n_trials=40, points_per_trial=6, seed=7)
     assert a.trials_run == b.trials_run
     assert np.array_equal(a.certificate.points, b.certificate.points)
     # per-trial seeding: a longer budget replays the same early trials
-    c = search_psd_violation(c5, 2, n_trials=80, points_per_trial=6, seed=7)
+    c = search_psd_violation(c5, n_trials=80, points_per_trial=6, seed=7)
     assert c.trials_run == a.trials_run
     assert np.array_equal(c.certificate.points, a.certificate.points)
 
 
 def test_search_no_violation_for_reflections(sf2):
-    res = search_psd_violation(sf2, 2, n_trials=60, points_per_trial=6, seed=3)
+    res = search_psd_violation(sf2, n_trials=60, points_per_trial=6, seed=3)
     assert not res.found
     assert res.certificate is None
     assert res.trials_run == 60
-
-
-def test_search_dim_mismatch(c5):
-    with pytest.raises(CaseMismatch):
-        search_psd_violation(c5, 3, n_trials=5, points_per_trial=4, seed=0)
 
 
 @pytest.mark.parametrize("name,param,expect", [

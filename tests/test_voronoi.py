@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maxfilter_lab import (MaxFilterBank, NotNicePoint, VoronoiCellSpec,
-                           build_family, cell_of, choice_assignments,
-                           generate_group, in_Q, is_principal, orbit_of,
-                           s_set, sample_nice, sample_principal,
-                           strict_cones_feasible, upper_bound_exact,
-                           voronoi_characteristic)
+from maxfilter_lab import (DEFAULT_TOL, MaxFilterBank, NotNicePoint,
+                           VoronoiCellSpec, build_family, cell_of,
+                           choice_assignments, generate_group, in_Q,
+                           is_principal, orbit_of, s_set, sample_nice,
+                           sample_principal, strict_cones_feasible,
+                           upper_bound_exact, voronoi_characteristic)
 from maxfilter_lab import voronoi
 from oracles import brute_s_members
 
@@ -34,7 +34,7 @@ def assert_batch_matches_single(problems):
         else:
             assert abs(got.margin - want.margin) <= 1e-12
         if got.feasible:
-            assert all(c.closure_contains(got.witness) for c in cells)
+            assert all(c.contains(got.witness) for c in cells)
 
 
 def s_set_problems(group, rng):
@@ -57,7 +57,6 @@ def test_cell_contains_center_and_excludes_other_cells(c5, rng):
     x = rng.standard_normal(2)
     cell = cell_of(c5, x)
     assert cell.contains(x)
-    assert cell.closure_contains(x)
     orb = orbit_of(c5, x)
     for k, q in enumerate(orb.points):
         other = VoronoiCellSpec(center=q, orbit=orb)
@@ -69,7 +68,7 @@ def test_trivial_group_cell_is_everything(trivial2, rng):
     cell = cell_of(trivial2, rng.standard_normal(2))
     assert cell.rows.shape[0] == 0
     assert cell.contains(rng.standard_normal(2))
-    assert cell.closure_contains(-rng.standard_normal(2))
+    assert cell.contains(-rng.standard_normal(2))
 
 
 def test_golden_instance_has_six_feasible_pairs(c3):
@@ -215,7 +214,9 @@ def test_s_set_generic_and_aligned_sizes(c5, rng):
         assert VoronoiCellSpec(center=q, orbit=orb_y).contains(w)
         for q2 in s.members:
             if np.linalg.norm(q2 - q) > 1e-9:
-                assert not VoronoiCellSpec(center=q2, orbit=orb_y).closure_contains(w)
+                # w lies outside the closed cell of every other member
+                rows = VoronoiCellSpec(center=q2, orbit=orb_y).rows
+                assert not (rows @ w >= -DEFAULT_TOL.lp_tol * np.linalg.norm(w)).all()
     # aligned pair: cells of y coincide with cells of x, one cover suffices
     aligned = s_set(c5, x, 2.5 * c5.stack[1] @ x)
     assert aligned.size == 1
