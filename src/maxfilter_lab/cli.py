@@ -31,27 +31,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConfigError, DomainError, MaxFilterError
+from .errors import BUDGETS, BudgetExceeded, ConfigError, DomainError, MaxFilterError
 from .filtering import (MaxFilterBank, _pair_distances, apply_bank_batch,
                         load_templates, max_filter_circular_brute,
                         max_filter_circular_fft)
 from .groups import FAMILIES, FiniteGroup, build_family, load_group
 from .kernels import direct_quadratic_form, search_psd_violation
 from .reporting import all_passed, assertion, sanitize, write_csv, write_json
-from .stability import (_AUDIT_SLACK, DistortionBoundParams, alpha_tilde,
-                        compute_stability_report, empirical_lipschitz,
-                        ordering_audit, theoretical_distortion_bound,
-                        upper_bound_exact)
+from .stability import (_AUDIT_SLACK, DistortionBoundParams, _within_budget,
+                        alpha_tilde, compute_stability_report,
+                        empirical_lipschitz, ordering_audit,
+                        theoretical_distortion_bound, upper_bound_exact)
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 from .voronoi import voronoi_characteristic
 
-_DEFAULT_BUDGETS = {
-    "lp_solves": 500_000,
-    "tuple_leaves": 2_000_000,
-    "alpha_tilde_evals": 30_000_000,
-    "choice_cap": 100_000,
-}
+_FRACTION_SLACK = 0.05          # distortion: allowed shortfall below the success probability
+_MIN_QUOTIENT_DISTANCE = 1e-3   # injectivity: pairs closer in the quotient are not scanned
 
 
 @dataclass(frozen=True)
@@ -73,8 +69,6 @@ class ExperimentConfig:
     chi_samples: int = 300
     dims: tuple[int, ...] = (4, 16, 64, 256)
     points_per_trial: int = 6
-    fraction_slack: float = 0.05
-    min_quotient_distance: float = 1e-3
     expected_chi: int | None = None
     expected_saturated: bool | None = None
     budgets: dict = field(default_factory=dict)
@@ -91,10 +85,6 @@ class ExperimentConfig:
             raise ConfigError(f"chi must be a positive integer, got {self.chi!r}")
         if not self.dims or any((not isinstance(d, int)) or d < 1 for d in self.dims):
             raise ConfigError("dims must be a nonempty list of positive integers")
-        if self.fraction_slack < 0:
-            raise ConfigError("fraction_slack must be nonnegative")
-        if self.min_quotient_distance <= 0:
-            raise ConfigError("min_quotient_distance must be positive")
         if not isinstance(self.group_spec, dict):
             raise ConfigError("group_spec must be an object")
         has_family = "family" in self.group_spec
@@ -118,7 +108,7 @@ class ExperimentConfig:
                 n = self.templates.get("n")
                 if not isinstance(n, int) or n < 1:
                     raise ConfigError("sampler requires a positive integer 'n'")
-        unknown = set(self.budgets) - set(_DEFAULT_BUDGETS)
+        unknown = set(self.budgets) - set(BUDGETS)
         if unknown:
             raise ConfigError(f"unknown budget keys: {sorted(unknown)}")
 
@@ -139,7 +129,7 @@ class ExperimentConfig:
             raise ConfigError(str(e)) from e
 
     def budget(self, key: str) -> int:
-        return int(self.budgets.get(key, _DEFAULT_BUDGETS[key]))
+        return int(self.budgets.get(key, BUDGETS[key]))
 
 
 def load_config(path: str | Path) -> tuple[ExperimentConfig, dict]:
@@ -243,12 +233,8 @@ def cmd_bounds(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
     with timer.stage("bounds"):
         stab, emp = compute_stability_report(
             bank, chi, n_pairs=config.n_pairs, seed=seed, tol=tol,
-            lp_budget=config.budget("lp_solves"),
-            tuple_budget=config.budget("tuple_leaves"),
-            subset_budget=config.budget("alpha_tilde_evals"),
-            assignment_cap=config.budget("choice_cap"))
+            budgets=config.budgets)
 
-    bound_info: dict = {"value": None, "reason": None}
     try:
         params = DistortionBoundParams(
             m=group.order, chi=chi, d=group.dim, n=bank.n_templates,
@@ -261,9 +247,7 @@ def cmd_bounds(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
         bound_info = {"value": None, "reason": str(e)}
 
     prov = stab.provenance
-    certified = all(prov[k] for k in
-                    ("beta_exact_certified", "beta_relaxed_certified",
-                     "alpha_tilde_certified"))
+    certified = all(v for k, v in prov.items() if k.endswith("_certified"))
 
     asserts = []
     for name, passed, lhs, rhs in ordering_audit(stab):
@@ -325,19 +309,12 @@ def cmd_distortion(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
             rng = np.random.default_rng((seed, STREAMS["distortion_trials"], t))
             bank = MaxFilterBank(group, rng.standard_normal((n, group.dim)))
             # a budget miss leaves the partial value, or NaN, uncertified
-            certified = True
-            try:
-                beta = upper_bound_exact(bank, tol,
-                                         max_lp_solves=config.budget("lp_solves")).beta
-            except BudgetExceeded as e:
-                beta = e.partial if e.partial is not None else math.nan
-                certified = False
-            try:
-                at = alpha_tilde(bank, chi, budget=config.budget("alpha_tilde_evals"),
-                                 tol=tol)
-            except BudgetExceeded as e:
-                at = e.partial if e.partial is not None else math.nan
-                certified = False
+            ub, beta_ok = _within_budget(upper_bound_exact, bank, tol,
+                                         max_lp_solves=config.budget("lp_solves"))
+            beta = ub.beta if beta_ok else ub
+            at, at_ok = _within_budget(alpha_tilde, bank, chi,
+                                       budget=config.budget("alpha_tilde_evals"), tol=tol)
+            certified = beta_ok and at_ok
             if not certified:
                 uncertified.append(t)
             emp = empirical_lipschitz(bank, config.n_pairs, seed=seed, stream=t)
@@ -352,14 +329,14 @@ def cmd_distortion(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
             rows.append((t, beta, at, kappa_cert, kappa_emp, int(ok), int(emp_ok)))
 
     fraction = float(np.mean(ok_flags))
-    threshold = max(0.0, params.success_probability - config.fraction_slack)
+    threshold = max(0.0, params.success_probability - _FRACTION_SLACK)
     asserts = [
         assertion("certified_fraction",
                   "fraction of trials with certified distortion below the "
                   "closed-form bound meets the guaranteed probability minus slack",
                   fraction >= threshold,
                   {"fraction": fraction, "threshold": threshold,
-                   "bound": bound}, config.fraction_slack),
+                   "bound": bound}, _FRACTION_SLACK),
         assertion("empirical_le_certified",
                   "empirical distortion never exceeds certified distortion",
                   all(emp_ok_flags), int(sum(emp_ok_flags)), 1e-6),
@@ -382,7 +359,7 @@ def cmd_distortion(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
 
 
 def _collision_scan(bank: MaxFilterBank, n_pairs: int, seed: int, n_tag: int,
-                    min_dist: float, tol: TolerancePolicy):
+                    tol: TolerancePolicy):
     """Draw n_pairs Gaussian pairs; among those separated in the quotient,
     count image collisions and track the worst contraction ratio."""
     group, d = bank.group, bank.dim
@@ -398,21 +375,18 @@ def _collision_scan(bank: MaxFilterBank, n_pairs: int, seed: int, n_tag: int,
         b = min(batch, n_pairs - done)
         X = rng.standard_normal((b, d))
         Y = rng.standard_normal((b, d))
-        dist = _pair_distances(group, X, Y)
+        dist = _pair_distances(group, X, Y, tol)
         dphi = np.linalg.norm(apply_bank_batch(bank, X) - apply_bank_batch(bank, Y),
                               axis=1)
-        mask = dist > min_dist
+        mask = dist > _MIN_QUOTIENT_DISTANCE
         kept += int(mask.sum())
         if mask.any():
             dm, pm = dist[mask], dphi[mask]
             collisions += int((pm < tol.sample_tol).sum())
             min_dphi = min(min_dphi, float(pm.min()))
-            ratio = pm / dm
-            min_ratio = min(min_ratio, float(ratio.min()))
-            base = done
-            idx = np.nonzero(mask)[0]
-            rows.extend((base + int(i), float(dist[i]), float(dphi[i]),
-                         float(dphi[i] / dist[i])) for i in idx)
+            min_ratio = min(min_ratio, float((pm / dm).min()))
+            rows.extend((done + int(i), float(dist[i]), float(dphi[i]),
+                         float(dphi[i] / dist[i])) for i in np.flatnonzero(mask))
         done += b
     return {"n_pairs": n_pairs, "separated_pairs": kept,
             "collisions": collisions, "min_image_distance": min_dphi,
@@ -437,22 +411,18 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
         with timer.stage(f"scan_n{n}"):
             rng = np.random.default_rng((seed, STREAMS["injectivity_templates"], n))
             bank = MaxFilterBank(group, rng.standard_normal((n, d)))
-            try:
-                at = alpha_tilde(bank, chi,
-                                 budget=config.budget("alpha_tilde_evals"), tol=tol)
-            except BudgetExceeded:     # a partial alpha_tilde certifies nothing
-                at = None
-                certified = False
-            summary, rows = _collision_scan(bank, config.n_pairs, seed, n,
-                                            config.min_quotient_distance, tol)
-        summary["alpha_tilde"] = at
+            at, at_ok = _within_budget(alpha_tilde, bank, chi,
+                                       budget=config.budget("alpha_tilde_evals"), tol=tol)
+            certified &= at_ok
+            summary, rows = _collision_scan(bank, config.n_pairs, seed, n, tol)
+        summary["alpha_tilde"] = at if at_ok else None   # a partial alpha_tilde certifies nothing
         runs[f"n={n}"] = summary
         all_rows.extend((n, *r) for r in rows)
         asserts.append(assertion(
             f"no_collisions_n{n}",
             f"with {n} templates, no separated pair maps to the same bank image",
             summary["collisions"] == 0, summary["collisions"], tol.sample_tol))
-        if n == threshold_n and at is not None:
+        if n == threshold_n and at_ok:
             asserts.append(assertion(
                 f"alpha_tilde_positive_n{n}",
                 "certified lower constant is positive at the generic "
@@ -460,7 +430,7 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
                 at > 0, at, 0.0))
 
     results = {"chi": chi_info, "runs": runs,
-               "min_quotient_distance": config.min_quotient_distance,
+               "min_quotient_distance": _MIN_QUOTIENT_DISTANCE,
                "dim": d, "group_order": group.order}
     csvs = [("injectivity_pairs.csv",
              ["n_templates", "pair", "quotient_distance", "image_distance",

@@ -16,7 +16,7 @@ class ClosureOverflow(MaxFilterError):
 
 
 class SizeOverflow(MaxFilterError):
-    """A requested family would exceed the configured order cap."""
+    """A requested family would exceed the order cap, groups.MAX_ORDER."""
 
 
 class LengthMismatch(MaxFilterError):
@@ -45,6 +45,16 @@ class DomainError(MaxFilterError):
 
 class ConfigError(MaxFilterError):
     """Experiment configuration is missing, malformed, or inconsistent."""
+
+
+# Cap of each exact search, keyed as in a config's "budgets": LPs of upper_bound_exact,
+# tuples of upper_bound_relaxed, alpha_tilde subset sums, assignments per choice_assignments.
+BUDGETS = {
+    "lp_solves": 500_000,
+    "tuple_leaves": 2_000_000,
+    "alpha_tilde_evals": 30_000_000,
+    "choice_cap": 100_000,
+}
 
 
 class BudgetExceeded(MaxFilterError):

@@ -91,14 +91,10 @@ def max_filter(group: FiniteGroup, x, y, allow_fft: bool = True) -> FilterValue:
 
 
 def quotient_distance(group: FiniteGroup, x, y, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """min over g of |x - g.y|, computed by polarization."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    radicand = float(x @ x) + float(y @ y) - 2.0 * max_filter(group, x, y)
-    if radicand < -tol.eq_tol:
-        raise NegativeRadicand(
-            f"polarization radicand {radicand:.3e} < -eq_tol; group data inconsistent")
-    return float(np.sqrt(max(radicand, 0.0)))
+    """min over g of |x - g.y|, computed by polarization; the one-row case
+    of ``_pair_distances``."""
+    X, Y = (np.asarray(v, dtype=float).reshape(1, -1) for v in (x, y))
+    return float(_pair_distances(group, X, Y, tol)[0])
 
 
 def apply_bank(bank: MaxFilterBank, x) -> np.ndarray:
@@ -124,9 +120,14 @@ def max_filter_pairs(group: FiniteGroup, X, Y) -> np.ndarray:
     return _filter_values(group, X, Y, paired=True)
 
 
-def _pair_distances(group: FiniteGroup, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise quotient distances by polarization, radicands clamped at 0."""
+def _pair_distances(group: FiniteGroup, X: np.ndarray, Y: np.ndarray,
+                    tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Row-wise quotient distances by polarization; radicands in [-eq_tol, 0)
+    clamp to 0, and a lower one raises NegativeRadicand."""
     rad = (X * X).sum(axis=1) + (Y * Y).sum(axis=1) - 2.0 * max_filter_pairs(group, X, Y)
+    if rad.min() < -tol.eq_tol:
+        raise NegativeRadicand(
+            f"polarization radicand {rad.min():.3e} < -eq_tol; group data inconsistent")
     return np.sqrt(np.maximum(rad, 0.0))
 
 

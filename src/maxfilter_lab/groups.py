@@ -35,6 +35,7 @@ __all__ = [
     "save_group",
     "load_group",
     "FAMILIES",
+    "MAX_ORDER",
 ]
 
 
@@ -61,6 +62,8 @@ def _canonical_order(stack: np.ndarray) -> np.ndarray:
 
 # float64 entries one block of an intermediate may hold (8 MiB)
 _BLOCK = 1 << 20
+# largest group order any constructor builds or any closure reaches
+MAX_ORDER = 100_000
 
 
 def _projection(k: int) -> np.ndarray:
@@ -91,7 +94,7 @@ def _first_seen(rows: np.ndarray, thresh, ord=2) -> np.ndarray:
     proj = rows @ u
     # a projection's rounding error is below (k+1)*eps*|u|_1*max|entry|;
     # the factor 1.001 covers the rounding of the norms and of the gaps
-    rounding = 2 * (k + 2) * np.finfo(float).eps * np.abs(u).sum() * np.abs(rows).max()
+    rounding = 2 * (k + 2) * np.finfo(float).eps * np.abs(u).sum() * max(rows.max(), -rows.min())
     width = 1.001 * (np.linalg.norm(u, 1 if ord == np.inf else 2) * np.max(thresh) + rounding)
     order = np.argsort(proj, kind="stable")
     starts = np.concatenate(([True], np.diff(proj[order]) > width))
@@ -204,7 +207,7 @@ class Orbit:
 
 def generate_group(
     generators,
-    max_order: int = 100_000,
+    max_order: int = MAX_ORDER,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> FiniteGroup:
     """Close a generator list under multiplication.
@@ -213,9 +216,12 @@ def generate_group(
     generators, so right-multiplication BFS without explicit inverses
     reaches the full group.  ``_first_seen`` deduplicates the generators,
     then each level's products f @ g (frontier-major) behind the elements
-    found so far.  The group is untagged, so its filter takes the dense
-    route even when it equals a named family; build a family with its
-    constructor to get that family's route.
+    found so far, in slices of frontier rows; the rule only looks back, so
+    slicing keeps the elements and their order.  Each slice re-reads the
+    elements, so it holds up to _BLOCK entries or as many as they have.
+    Raises ClosureOverflow past ``max_order`` elements.  The group is
+    untagged, so its filter takes the dense route even when it equals a
+    named family; build a family with its constructor to get that route.
     """
     gens = [_as_matrix(g) for g in generators]
     if not gens:
@@ -226,15 +232,23 @@ def generate_group(
         _check_orthogonal(g, tol)
 
     gen_stack = np.stack(gens)[_first_seen(np.reshape(gens, (len(gens), -1)), tol.eq_tol, np.inf)]
-    elements, cands = np.eye(dim)[None], gen_stack
-    while len(cands):
-        both = np.concatenate([elements, cands])
-        kept = _first_seen(both.reshape(len(both), -1), tol.eq_tol, np.inf)
-        elements, frontier = both[kept], both[kept[kept >= len(elements)]]
-        if len(elements) > max_order:
-            raise ClosureOverflow(f"closure exceeded max_order={max_order}")
-        cands = np.matmul(frontier[:, None], gen_stack[None]).reshape(-1, dim, dim)
-    return FiniteGroup.from_matrices(elements)
+    elements, level = np.eye(dim)[None], [gen_stack]
+    while True:
+        start = len(elements)
+        for cands in level:
+            n = len(elements)
+            kept = _first_seen(np.concatenate([elements, cands]).reshape(n + len(cands), -1),
+                               tol.eq_tol, np.inf)
+            # every element found so far is kept, so only the new rows are appended
+            elements = np.concatenate([elements, cands[kept[kept >= n] - n]])
+            if len(elements) > max_order:
+                raise ClosureOverflow(f"closure exceeded max_order={max_order}")
+        if len(elements) == start:
+            return FiniteGroup.from_matrices(elements)
+        frontier = elements[start:].copy()    # a view would keep this level's whole array alive
+        step = max(1, max(_BLOCK, elements.size) // (len(gen_stack) * dim * dim))
+        level = (np.matmul(frontier[lo:lo + step, None], gen_stack[None]).reshape(-1, dim, dim)
+                 for lo in range(0, len(frontier), step))
 
 
 # ---------------------------------------------------------------------------
@@ -246,25 +260,24 @@ def _rotation_2d(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _family_cap(order: int, max_order: int, name: str) -> None:
-    if order > max_order:
-        raise SizeOverflow(f"{name} would have order {order} > max_order={max_order}")
+def _family_cap(name: str, param: int, order: int) -> None:
+    """A family parameter must be positive and give an order within MAX_ORDER."""
+    if param < 1:
+        raise ValueError(f"{name} needs a parameter >= 1, got {param}")
+    if order > MAX_ORDER:
+        raise SizeOverflow(f"{name} would have order {order} > MAX_ORDER={MAX_ORDER}")
 
 
-def cyclic_rotation_2d(m: int, max_order: int = 100_000) -> FiniteGroup:
+def cyclic_rotation_2d(m: int) -> FiniteGroup:
     """Planar rotations by multiples of 2*pi/m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    _family_cap(m, max_order, "cyclic_rotation_2d")
+    _family_cap("cyclic_rotation_2d", m, m)
     mats = np.stack([_rotation_2d(2 * math.pi * k / m) for k in range(m)])
     return FiniteGroup._from_stack(mats, "cyclic_rotation_2d")
 
 
-def axis_rotation_3d(m: int, max_order: int = 100_000) -> FiniteGroup:
+def axis_rotation_3d(m: int) -> FiniteGroup:
     """Rotations about the e3 axis by multiples of 2*pi/m; e3 is fixed."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    _family_cap(m, max_order, "axis_rotation_3d")
+    _family_cap("axis_rotation_3d", m, m)
     mats = []
     for k in range(m):
         M = np.eye(3)
@@ -273,32 +286,26 @@ def axis_rotation_3d(m: int, max_order: int = 100_000) -> FiniteGroup:
     return FiniteGroup._from_stack(np.stack(mats), "axis_rotation_3d")
 
 
-def dihedral_2d(m: int, max_order: int = 100_000) -> FiniteGroup:
+def dihedral_2d(m: int) -> FiniteGroup:
     """Order-2m dihedral group: m rotations and m reflections."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    _family_cap(2 * m, max_order, "dihedral_2d")
+    _family_cap("dihedral_2d", m, 2 * m)
     flip = np.diag([1.0, -1.0])
     rots = [_rotation_2d(2 * math.pi * k / m) for k in range(m)]
     mats = np.stack(rots + [R @ flip for R in rots])
     return FiniteGroup._from_stack(mats, "dihedral_2d")
 
 
-def sign_flips(d: int, max_order: int = 100_000) -> FiniteGroup:
+def sign_flips(d: int) -> FiniteGroup:
     """All 2^d diagonal matrices with +-1 entries."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    _family_cap(2 ** d, max_order, "sign_flips")
+    _family_cap("sign_flips", d, 2 ** d)
     mats = np.stack([np.diag(np.array(s, dtype=float))
                      for s in itertools.product((1.0, -1.0), repeat=d)])
     return FiniteGroup._from_stack(mats, "sign_flips")
 
 
-def permutations(d: int, max_order: int = 100_000) -> FiniteGroup:
+def permutations(d: int) -> FiniteGroup:
     """All d! coordinate-permutation matrices."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    _family_cap(math.factorial(d), max_order, "permutations")
+    _family_cap("permutations", d, math.factorial(d))
     mats = []
     for p in itertools.permutations(range(d)):
         M = np.zeros((d, d))
@@ -307,19 +314,15 @@ def permutations(d: int, max_order: int = 100_000) -> FiniteGroup:
     return FiniteGroup._from_stack(np.stack(mats), "permutations")
 
 
-def plus_minus_id(d: int, max_order: int = 100_000) -> FiniteGroup:
+def plus_minus_id(d: int) -> FiniteGroup:
     """The two-element group {I, -I} on R^d."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    _family_cap(2, max_order, "plus_minus_id")
+    _family_cap("plus_minus_id", d, 2)
     return FiniteGroup._from_stack(np.stack([np.eye(d), -np.eye(d)]), "plus_minus_id")
 
 
-def circular_shifts(d: int, max_order: int = 100_000) -> FiniteGroup:
+def circular_shifts(d: int) -> FiniteGroup:
     """Cyclic shifts of coordinates; max filtering runs as an FFT cross-correlation."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    _family_cap(d, max_order, "circular_shifts")
+    _family_cap("circular_shifts", d, d)
     shift = np.zeros((d, d))
     shift[np.arange(d), (np.arange(d) - 1) % d] = 1.0  # (S x)[i] = x[i-1]
     mats = [np.eye(d)]
@@ -339,12 +342,12 @@ FAMILIES = {
 }
 
 
-def build_family(name: str, param: int, max_order: int = 100_000) -> FiniteGroup:
+def build_family(name: str, param: int) -> FiniteGroup:
     """Build a named family; ``param`` is m for the rotation families and
-    d for the coordinate families."""
+    d for the coordinate families.  Raises SizeOverflow past MAX_ORDER."""
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILIES)}")
-    return FAMILIES[name](param, max_order=max_order)
+    return FAMILIES[name](param)
 
 
 # ---------------------------------------------------------------------------
@@ -397,21 +400,21 @@ def save_group(group: FiniteGroup, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def load_group(path, max_order: int = 100_000, tol: TolerancePolicy = DEFAULT_TOL) -> FiniteGroup:
+def load_group(path, tol: TolerancePolicy = DEFAULT_TOL) -> FiniteGroup:
     """Read a group file.
 
     A tagged file is rebuilt by its family constructor, which keeps the
     family's filter routes, and its stored elements must equal the
     constructor's within eq_tol.  An untagged file is closed again from
-    its stored elements.
+    its stored elements.  Either way the order is capped at MAX_ORDER.
     """
     payload = json.loads(Path(path).read_text())
     dim = int(payload["dim"])
     gens = np.array(payload["generators"], dtype=float).reshape(-1, dim, dim)
     family = payload.get("family")
     if family is None:
-        return generate_group(gens, max_order=max_order, tol=tol)
-    group = build_family(family, int(payload["param"]), max_order=max_order)
+        return generate_group(gens, tol=tol)
+    group = build_family(family, int(payload["param"]))
     if gens.shape != group.stack.shape or np.abs(gens - group.stack).max() > tol.eq_tol:
         raise ValueError(
             f"stored elements differ from {family}({payload['param']}) beyond eq_tol")

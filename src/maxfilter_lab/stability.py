@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, CaseMismatch, DomainError, NotNicePoint
+from .errors import BUDGETS, BudgetExceeded, CaseMismatch, DomainError, NotNicePoint
 from .filtering import MaxFilterBank, _pair_distances, apply_bank, apply_bank_batch, quotient_distance
 from .groups import _first_seen, orbit_of
 from .streams import STREAMS
@@ -87,7 +87,7 @@ class UpperBound:
 def upper_bound_exact(
     bank: MaxFilterBank,
     tol: TolerancePolicy = DEFAULT_TOL,
-    max_lp_solves: int = 500_000,
+    max_lp_solves: int = BUDGETS["lp_solves"],
 ) -> UpperBound:
     """Max of |{g_i z_i}|_2->2 over tuples whose open cells intersect.
 
@@ -155,7 +155,7 @@ def _best_leaf(orbits, visit, leaves) -> tuple[float | None, tuple[int, ...] | N
 
 def upper_bound_relaxed(
     bank: MaxFilterBank,
-    max_leaves: int = 2_000_000,
+    max_leaves: int = BUDGETS["tuple_leaves"],
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> float:
     """Max spectral norm over ALL tuples, no cell-feasibility filter.
@@ -188,7 +188,7 @@ def pair_lower_value(
     x,
     y,
     tol: TolerancePolicy = DEFAULT_TOL,
-    cap: int = 100_000,
+    cap: int = BUDGETS["choice_cap"],
 ) -> float:
     """Inner value of the sharp lower bound at one nice pair:
     max over admissible assignments f of
@@ -219,7 +219,7 @@ def lower_bound_sharp(
     n_pairs: int,
     seed: int,
     tol: TolerancePolicy = DEFAULT_TOL,
-    cap: int = 100_000,
+    cap: int = BUDGETS["choice_cap"],
 ) -> AlphaSharp:
     """Sampled estimate of the sharp lower constant: min of pair_lower_value
     over seeded Gaussian nice pairs.  An upper estimate of the true inf;
@@ -251,7 +251,7 @@ def lower_bound_sharp(
 def alpha_tilde(
     bank: MaxFilterBank,
     chi: int,
-    budget: int = 30_000_000,
+    budget: int = BUDGETS["alpha_tilde_evals"],
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> float:
     """Pigeonhole lower bound: exact min of sqrt(lambda_min) of
@@ -550,43 +550,42 @@ def ordering_audit(report: StabilityReport) -> list[tuple[str, bool, float, floa
     return out
 
 
+def _within_budget(search, *args, **kwargs):
+    """(search(*args, **kwargs), True), or on a budget miss (its partial
+    value, or NaN without one, False): the one place a miss is caught."""
+    try:
+        return search(*args, **kwargs), True
+    except BudgetExceeded as e:
+        return (math.nan if e.partial is None else e.partial), False
+
+
 def compute_stability_report(
     bank: MaxFilterBank,
     chi: int,
     n_pairs: int = 200,
     seed: int = 0,
     tol: TolerancePolicy = DEFAULT_TOL,
-    lp_budget: int = 500_000,
-    tuple_budget: int = 2_000_000,
-    subset_budget: int = 30_000_000,
-    assignment_cap: int = 100_000,
+    budgets: dict | None = None,
 ) -> tuple[StabilityReport, EmpiricalLipschitz]:
     """All bounds for one bank, plus the raw empirical sample so callers
     can dump per-pair ratios without recomputation; alpha_sharp samples
-    min(n_pairs, 200) nice pairs.  Budget misses do not raise here; they
-    are recorded as certified=False flags with the partial values."""
-    flags = {"beta_exact_certified": True, "beta_relaxed_certified": True,
-             "alpha_tilde_certified": True}
-    argmax_tuple: tuple[int, ...] | None = None
-    try:
-        ub = upper_bound_exact(bank, tol, max_lp_solves=lp_budget)
-        beta_exact, argmax_tuple = ub.beta, ub.argmax_tuple
-    except BudgetExceeded as e:
-        beta_exact = e.partial if e.partial is not None else math.nan
-        flags["beta_exact_certified"] = False
-    try:
-        beta_relaxed = upper_bound_relaxed(bank, max_leaves=tuple_budget, tol=tol)
-    except BudgetExceeded as e:
-        beta_relaxed = e.partial if e.partial is not None else math.nan
-        flags["beta_relaxed_certified"] = False
-    try:
-        a_tilde = alpha_tilde(bank, chi, budget=subset_budget, tol=tol)
-    except BudgetExceeded as e:
-        a_tilde = e.partial if e.partial is not None else math.nan
-        flags["alpha_tilde_certified"] = False
+    min(n_pairs, 200) nice pairs.  ``budgets`` overrides entries of
+    errors.BUDGETS by their keys; an unknown key raises ValueError.  Budget
+    misses do not raise here; they are recorded as certified=False flags
+    with the partial values."""
+    unknown = set(budgets or {}) - set(BUDGETS)
+    if unknown:
+        raise ValueError(f"unknown budget keys: {sorted(unknown)}")
+    caps = {k: int(v) for k, v in {**BUDGETS, **(budgets or {})}.items()}
+    ub, exact_ok = _within_budget(upper_bound_exact, bank, tol, max_lp_solves=caps["lp_solves"])
+    beta_exact = ub.beta if exact_ok else ub
+    beta_relaxed, relaxed_ok = _within_budget(upper_bound_relaxed, bank,
+                                              max_leaves=caps["tuple_leaves"], tol=tol)
+    a_tilde, tilde_ok = _within_budget(alpha_tilde, bank, chi,
+                                       budget=caps["alpha_tilde_evals"], tol=tol)
 
     a_pairs = min(n_pairs, 200)
-    sharp = lower_bound_sharp(bank, a_pairs, seed=seed, tol=tol, cap=assignment_cap)
+    sharp = lower_bound_sharp(bank, a_pairs, seed=seed, tol=tol, cap=caps["choice_cap"])
     emp = empirical_lipschitz(bank, n_pairs, seed=seed)
 
     kappa_certified = math.inf if a_tilde == 0 else beta_exact / a_tilde
@@ -601,10 +600,12 @@ def compute_stability_report(
         "n_pairs": n_pairs,
         "alpha_pairs": a_pairs,
         "chi": chi,
-        "budgets": {"lp": lp_budget, "tuples": tuple_budget,
-                    "assignments": subset_budget, "choice_cap": assignment_cap},
-        "beta_argmax_tuple": list(argmax_tuple) if argmax_tuple is not None else None,
-        **flags,
+        "budgets": {"lp": caps["lp_solves"], "tuples": caps["tuple_leaves"],
+                    "assignments": caps["alpha_tilde_evals"], "choice_cap": caps["choice_cap"]},
+        "beta_argmax_tuple": list(ub.argmax_tuple) if exact_ok else None,
+        "beta_exact_certified": exact_ok,
+        "beta_relaxed_certified": relaxed_ok,
+        "alpha_tilde_certified": tilde_ok,
     }
     return StabilityReport(
         beta_exact=float(beta_exact), beta_relaxed=float(beta_relaxed),

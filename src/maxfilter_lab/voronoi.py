@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_array
 
-from .errors import LpNumericalFailure, NotNicePoint
+from .errors import BUDGETS, LpNumericalFailure, NotNicePoint
 from .filtering import MaxFilterBank
 from .groups import FiniteGroup, Orbit, orbit_of, stabilizer_order
 from .streams import STREAMS
@@ -102,6 +102,7 @@ class ConeFeasibility:
 # alone.  The solve time per problem grows with the batch past a few
 # thousand problems, and the bound also caps the memory of one call.
 _LP_NNZ = 1 << 16
+_SAMPLE_TRIES = 100    # Gaussian draws per call of sample_principal and sample_nice
 
 
 def _margin_lps(
@@ -208,29 +209,27 @@ def sample_principal(
     group: FiniteGroup,
     rng: np.random.Generator,
     tol: TolerancePolicy = DEFAULT_TOL,
-    max_tries: int = 100,
 ) -> np.ndarray:
     """Standard Gaussian draw, rejected until the point is principal."""
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_TRIES):
         x = rng.standard_normal(group.dim)
         if is_principal(group, x, tol):
             return x
-    raise NotNicePoint(f"no principal point found in {max_tries} Gaussian draws")
+    raise NotNicePoint(f"no principal point found in {_SAMPLE_TRIES} Gaussian draws")
 
 
 def sample_nice(
     bank: MaxFilterBank,
     rng: np.random.Generator,
     tol: TolerancePolicy = DEFAULT_TOL,
-    max_tries: int = 100,
 ) -> np.ndarray:
     """Principal point that also has a unique best representative in every
     template orbit."""
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_TRIES):
         x = rng.standard_normal(bank.dim)
         if is_principal(bank.group, x, tol) and all(in_Q(o, x, tol) for o in bank.orbits(tol)):
             return x
-    raise NotNicePoint(f"no nice point found in {max_tries} Gaussian draws")
+    raise NotNicePoint(f"no nice point found in {_SAMPLE_TRIES} Gaussian draws")
 
 
 @dataclass(frozen=True)
@@ -300,7 +299,7 @@ def choice_assignments(
     x,
     y,
     tol: TolerancePolicy = DEFAULT_TOL,
-    cap: int = 100_000,
+    cap: int = BUDGETS["choice_cap"],
 ) -> ChoiceEnumeration:
     """Enumerate F(x, y): maps f with f(i) in S(x, y) attaining the best
     score of v_i(x) against the orbit of y, up to a sample_tol tie.

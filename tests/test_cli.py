@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -143,6 +144,44 @@ def test_run_all_runs_every_shipped_config():
     assert listed == {p.name for p in CONFIGS.glob("*.json")}
 
 
+def _load_diff_reports():
+    path = CONFIGS.parent / "scripts" / "diff_reports.py"
+    spec = importlib.util.spec_from_file_location("diff_reports", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_diff_reports_ignores_only_timings(tmp_path, capsys):
+    diff_reports = _load_diff_reports()
+    report = {"results": {"beta": 1.5, "flags": [True, 2]}, "timings": {"bounds": 0.1}}
+    for side, seconds in (("a", 0.1), ("b", 9.0)):
+        (tmp_path / side / "cfg").mkdir(parents=True)
+        (tmp_path / side / "cfg" / "bounds_report.json").write_text(
+            json.dumps(dict(report, timings={"bounds": seconds})))
+        (tmp_path / side / "cfg" / "pairs.csv").write_text("pair,ratio\n0,1.5\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert diff_reports.main([str(a), str(b)]) == 0
+
+    changes = [
+        ("cfg/bounds_report.json", json.dumps(dict(report, results={"beta": 1.5, "flags": [True, 3]}))),
+        ("cfg/bounds_report.json", json.dumps(dict(report, results={"beta": 1.5, "flags": [1, 2]}))),
+        ("cfg/pairs.csv", "pair,ratio\n0,1.6\n"),
+        ("cfg/pairs.csv", None),
+    ]
+    for rel, text in changes:
+        original = (b / rel).read_text()
+        if text is None:
+            (b / rel).unlink()
+        else:
+            (b / rel).write_text(text)
+        capsys.readouterr()
+        assert diff_reports.main([str(a), str(b)]) == 1
+        assert "cfg" in capsys.readouterr().out
+        (b / rel).write_text(original)
+    assert diff_reports.main([str(a), str(b)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -252,6 +291,39 @@ def test_exit_three_injectivity_budget_keeps_the_report(tmp_path):
     assert [a["name"] for a in report["assertions"]] == ["no_collisions_n3", "no_collisions_n4"]
     rows = (tmp_path / "out" / "injectivity_pairs.csv").read_text().splitlines()
     assert len(rows) > 1
+
+
+@pytest.mark.parametrize("sub,key,flag", [
+    ("bounds", "tuple_leaves", "beta_relaxed_certified"),
+    ("bounds", "alpha_tilde_evals", "alpha_tilde_certified"),
+    ("distortion", "alpha_tilde_evals", None),
+])
+def test_exit_three_on_each_exhaustible_budget(tmp_path, sub, key, flag):
+    # one unit of the budget cannot finish the search it caps; the run
+    # still writes its report and CSV and names what is not certified
+    payload = dict(SF2_BOUNDS if sub == "bounds" else C3_DISTORTION, budgets={key: 1})
+    cfg = write_config(tmp_path, payload)
+    assert run(sub, cfg, out=str(tmp_path / "out")) == 3
+    report = json.loads((tmp_path / "out" / f"{sub}_report.json").read_text())
+    assert set(report) == ENVELOPE
+    csv = "bounds_pairs.csv" if sub == "bounds" else "distortion_trials.csv"
+    rows = (tmp_path / "out" / csv).read_text().splitlines()
+    if sub == "bounds":
+        prov = report["results"]["stability"]["provenance"]
+        flags = {k: v for k, v in prov.items() if k.endswith("_certified")}
+        assert flags == {k: k != flag for k in flags}
+        assert len(rows) == SF2_BOUNDS["n_pairs"] + 1
+    else:
+        assert report["results"]["uncertified_trials"] == [0, 1]
+        assert len(rows) == C3_DISTORTION["n_trials"] + 1
+        assert all(r.split(",")[2] == "nan" for r in rows[1:])   # no partial alpha_tilde
+
+
+@pytest.mark.parametrize("name", ["fraction_slack", "min_quotient_distance"])
+def test_former_config_constants_are_unknown_keys(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, dict(SF2_BOUNDS, **{name: 0.1}))
+    assert main(["bounds", "--config", cfg]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from maxfilter_lab import (FAMILIES, FilterValue, FiniteGroup, LengthMismatch,
                            max_filter, max_filter_circular_brute,
                            max_filter_circular_fft, max_filter_pairs,
                            quotient_distance, save_templates)
+from maxfilter_lab import empirical_lipschitz, filtering
 from oracles import (BACKEND_CASES, brute_circular_max, brute_max_filter,
                      brute_orbit_min_distance, degenerate_points)
 
@@ -62,11 +63,17 @@ def test_quotient_distance_vanishes_on_orbits(c5, rng):
 
 
 def test_negative_radicand_on_corrupted_group():
-    # a non-orthogonal "element" breaks the polarization identity
+    # a non-orthogonal "element" breaks the polarization identity: at
+    # x = (1, 0.5) the radicand is 2|x|^2 - 4|x|^2 = -2.5
     bogus = FiniteGroup.from_matrices(np.stack([np.eye(2), 2.0 * np.eye(2)]))
-    x = np.array([1.0, 0.0])
+    x = np.array([1.0, 0.5])
     with pytest.raises(NegativeRadicand):
         quotient_distance(bogus, x, x)
+    # the batched path and the sampler built on it check the same radicand
+    with pytest.raises(NegativeRadicand):
+        filtering._pair_distances(bogus, np.stack([x, -x]), np.stack([x, -x]))
+    with pytest.raises(NegativeRadicand):
+        empirical_lipschitz(MaxFilterBank(bogus, np.eye(2)), n_pairs=100, seed=0)
 
 
 def test_apply_bank_matches_scalar_filters(perm3, rng):

@@ -78,10 +78,12 @@ def test_generate_group_overflow_on_irrational_rotation():
 
 
 def test_family_size_cap():
+    # 2^17 = 131072 and 9! = 362880 both exceed MAX_ORDER
+    assert groups.MAX_ORDER == 100_000
     with pytest.raises(SizeOverflow):
-        build_family("sign_flips", 20, max_order=1000)
+        build_family("sign_flips", 17)
     with pytest.raises(SizeOverflow):
-        build_family("permutations", 9, max_order=1000)
+        build_family("permutations", 9)
 
 
 def test_unknown_family_rejected():
@@ -374,6 +376,19 @@ def test_permutations_7_orbits_and_closure():
     closed = generate_group(_two_generators(7))
     assert closed.order == 5040
     assert np.array_equal(closed.stack, g.stack)
+
+
+@pytest.mark.parametrize("name,param", [("sign_flips", 8), ("permutations", 4)])
+def test_sliced_closure_is_the_family_stack(monkeypatch, name, param):
+    # with _BLOCK small, each BFS level goes through the dedup in several
+    # slices of frontier rows, and the closure is the same stack, bit for bit
+    g = build_family(name, param)
+    gens = (_two_generators(param) if name == "permutations"
+            else [np.diag(np.where(np.arange(param) == i, -1.0, 1.0)) for i in range(param)])
+    for block in (1, 3 * len(gens) * param * param):
+        monkeypatch.setattr(groups, "_BLOCK", block)
+        closed = generate_group(gens)
+        assert closed.stack.tobytes() == g.stack.tobytes()
 
 
 @pytest.mark.parametrize("name,param", BACKEND_CASES + [("permutations", 5)])

@@ -449,9 +449,16 @@ def test_stability_report_budget_flags(rng):
     g = build_family("sign_flips", 2)
     bank = MaxFilterBank(g, rng.standard_normal((5, 2)))
     report, _ = compute_stability_report(bank, chi=1, n_pairs=20, seed=1,
-                                         lp_budget=2)
+                                         budgets={"lp_solves": 2})
     assert not report.provenance["beta_exact_certified"]
     assert report.provenance["beta_relaxed_certified"]
+
+
+def test_stability_report_rejects_an_unknown_budget_key(rng):
+    bank = MaxFilterBank(build_family("sign_flips", 2), rng.standard_normal((5, 2)))
+    with pytest.raises(ValueError, match="lp_solvs"):
+        compute_stability_report(bank, chi=1, n_pairs=20, seed=1,
+                                 budgets={"lp_solvs": 2})
 
 
 @given(st.integers(2, 200), st.floats(1.2, 50.0), st.floats(1.0, 20.0))

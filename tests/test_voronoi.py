@@ -192,13 +192,14 @@ def test_is_principal_and_samplers(rng):
         assert in_Q(orbit_of(sf, z), y)
 
 
-def test_sampler_failure_on_degenerate_group():
+def test_sampler_failure_on_degenerate_group(monkeypatch):
     # every point of the plane is fixed by the identity-only "orbit";
     # principal sampling cannot fail there, so force failure with zero tries
     c5 = build_family("cyclic_rotation_2d", 5)
     rng = np.random.default_rng(0)
+    monkeypatch.setattr(voronoi, "_SAMPLE_TRIES", 0)
     with pytest.raises(NotNicePoint):
-        sample_principal(c5, rng, max_tries=0)
+        sample_principal(c5, rng)
 
 
 def test_s_set_generic_and_aligned_sizes(c5, rng):
