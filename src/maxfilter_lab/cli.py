@@ -10,7 +10,7 @@ per-trial numbers, prints one line per assertion, and exits with:
     0  all assertions passed
     1  at least one assertion failed
     2  config or domain error
-    3  a search budget was exhausted
+    3  a value is not certified (budget miss or unproven chi)
 
 Reports are byte-identical across reruns with the same config and seed;
 wall-clock numbers live in the single "timings" field which comparisons
@@ -32,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BUDGETS, BudgetExceeded, ConfigError, DomainError, MaxFilterError
-from .filtering import (MaxFilterBank, _pair_distances, apply_bank_batch,
-                        load_templates, max_filter_circular_brute,
+from .filtering import (_CHAMBERS, MaxFilterBank, _pair_distances,
+                        apply_bank_batch, load_templates, max_filter_circular_brute,
                         max_filter_circular_fft)
 from .groups import FAMILIES, FiniteGroup, build_family, load_group
 from .kernels import direct_quadratic_form, search_psd_violation
@@ -44,7 +44,7 @@ from .stability import (_AUDIT_SLACK, DistortionBoundParams, _within_budget,
                         theoretical_distortion_bound, upper_bound_exact)
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL, TolerancePolicy
-from .voronoi import voronoi_characteristic
+from .voronoi import ChiEstimate, voronoi_characteristic
 
 _FRACTION_SLACK = 0.05          # distortion: allowed shortfall below the success probability
 _MIN_QUOTIENT_DISTANCE = 1e-3   # injectivity: pairs closer in the quotient are not scanned
@@ -199,27 +199,32 @@ class StageTimer:
                 time.perf_counter() - t0)
 
 
+def _chi_block(est: ChiEstimate) -> dict:
+    """Report block of a sampled chi: a lower bound, and proven only when it
+    saturates at |G|, since chi <= |G| always."""
+    return {"chi": est.chi_lower, "source": "order_bound" if est.saturated else "sampled",
+            "saturated": est.saturated, "n_samples": est.n_samples,
+            "witness_x": est.witness_x, "witness_y": est.witness_y}
+
+
 def _resolve_chi(config: ExperimentConfig, group: FiniteGroup, seed: int,
-                 tol: TolerancePolicy) -> tuple[int, dict]:
-    """Configured chi if present, else the sampled lower bound."""
+                 tol: TolerancePolicy) -> tuple[int, dict, bool]:
+    """chi, its report block and whether it is proven: the configured chi,
+    else 1 for a reflection family (a key of filtering._CHAMBERS), else a
+    sample.  Only a proven chi certifies alpha_tilde: one too small makes
+    the pigeonhole subsets too large."""
     if config.chi is not None:
-        return config.chi, {"chi": config.chi, "source": "config"}
+        return config.chi, {"chi": config.chi, "source": "config"}, True
+    if group.family in _CHAMBERS:
+        return 1, {"chi": 1, "source": "reflection_family"}, True
     est = voronoi_characteristic(group, config.chi_samples, seed, tol)
-    info = {
-        "chi": est.chi_lower,
-        "source": "sampled",
-        "saturated": est.saturated,
-        "n_samples": est.n_samples,
-        "witness_x": est.witness_x,
-        "witness_y": est.witness_y,
-    }
-    return est.chi_lower, info
+    return est.chi_lower, _chi_block(est), est.saturated
 
 
 # ---------------------------------------------------------------------------
 # subcommands; each takes (config, seed, tol, timer) and returns
 # (results, assertions, csv_files, certified), where csv_files is a list of
-# (filename, header, rows) and certified is False when a budget ran out
+# (filename, header, rows); certified is False on a budget miss or unproven chi
 
 
 def cmd_bounds(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
@@ -229,11 +234,12 @@ def cmd_bounds(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
     Z = resolve_templates(config, group, seed)
     bank = MaxFilterBank(group, Z)
     with timer.stage("chi"):
-        chi, chi_info = _resolve_chi(config, group, seed, tol)
+        chi, chi_info, chi_proven = _resolve_chi(config, group, seed, tol)
     with timer.stage("bounds"):
         stab, emp = compute_stability_report(
             bank, chi, n_pairs=config.n_pairs, seed=seed, tol=tol,
             budgets=config.budgets)
+    stab.provenance["alpha_tilde_certified"] &= chi_proven
 
     try:
         params = DistortionBoundParams(
@@ -295,7 +301,7 @@ def cmd_distortion(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
         raise ConfigError("distortion requires templates drawn by a sampler")
     n = int(config.templates["n"])
     with timer.stage("chi"):
-        chi, chi_info = _resolve_chi(config, group, seed, tol)
+        chi, chi_info, chi_proven = _resolve_chi(config, group, seed, tol)
     params = DistortionBoundParams(m=group.order, chi=chi, d=group.dim,
                                    n=n, lambda0=config.lambda0)
     bound = theoretical_distortion_bound(params)  # DomainError -> exit 2
@@ -314,7 +320,7 @@ def cmd_distortion(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
             beta = ub.beta if beta_ok else ub
             at, at_ok = _within_budget(alpha_tilde, bank, chi,
                                        budget=config.budget("alpha_tilde_evals"), tol=tol)
-            certified = beta_ok and at_ok
+            certified = beta_ok and at_ok and chi_proven
             if not certified:
                 uncertified.append(t)
             emp = empirical_lipschitz(bank, config.n_pairs, seed=seed, stream=t)
@@ -399,7 +405,7 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
     group = build_group_from_spec(config.group_spec)
     d = group.dim
     with timer.stage("chi"):
-        chi, chi_info = _resolve_chi(config, group, seed, tol)
+        chi, chi_info, chi_proven = _resolve_chi(config, group, seed, tol)
     threshold_n = chi * (d - 1) + 1
     run_ns = sorted({2 * d, threshold_n})
 
@@ -413,6 +419,7 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
             bank = MaxFilterBank(group, rng.standard_normal((n, d)))
             at, at_ok = _within_budget(alpha_tilde, bank, chi,
                                        budget=config.budget("alpha_tilde_evals"), tol=tol)
+            at_ok &= chi_proven
             certified &= at_ok
             summary, rows = _collision_scan(bank, config.n_pairs, seed, n, tol)
         summary["alpha_tilde"] = at if at_ok else None   # a partial alpha_tilde certifies nothing
@@ -449,8 +456,7 @@ def cmd_kernel(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
         search = search_psd_violation(group, config.n_trials,
                                       config.points_per_trial, seed, tol)
 
-    consistent = (reflection and not search.found) or \
-        (not reflection and search.found)
+    consistent = reflection != search.found
     asserts = [assertion(
         "reflection_psd_dichotomy",
         "violation certificates exist exactly for non-reflection groups",
@@ -467,8 +473,7 @@ def cmd_kernel(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
             recheck < -1e-6, recheck, 1e-6))
 
     results = {
-        "chi": {"chi": est.chi_lower, "saturated": est.saturated,
-                "n_samples": est.n_samples, "source": "sampled"},
+        "chi": _chi_block(est),
         "is_reflection_group": reflection,
         "search": search,
         "certificate_recheck": recheck,
@@ -612,7 +617,7 @@ def run(subcommand: str, config_path: str, seed: int | None = None,
               f"tolerance={json.dumps(sanitize(a['tolerance']))})")
     print(f"report: {json_path}")
     if code == 3:
-        print("budget exceeded: some values are partial and not certified",
+        print("budget exceeded or chi unproven: some values are not certified",
               file=sys.stderr)
     return code
 

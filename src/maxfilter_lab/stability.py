@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BUDGETS, BudgetExceeded, CaseMismatch, DomainError, NotNicePoint
 from .filtering import MaxFilterBank, _pair_distances, apply_bank, apply_bank_batch, quotient_distance
 from .groups import _first_seen, orbit_of
+from .kernels import is_reflection_group
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 from .voronoi import (
@@ -26,7 +27,6 @@ from .voronoi import (
     _margin_lps,
     choice_assignments,
     sample_nice,
-    voronoi_characteristic,
 )
 
 __all__ = [
@@ -193,13 +193,14 @@ def pair_lower_value(
     """Inner value of the sharp lower bound at one nice pair:
     max over admissible assignments f of
     sqrt( sum over S-members w of lambda_min( sum_{i in f^-1(w)} v_i v_i^T ) ).
+    Raises BudgetExceeded when |F(x, y)| exceeds ``cap``.
     """
     enum = choice_assignments(bank, x, y, tol, cap)
     best = -math.inf
-    for a in enum.assignments:
+    for f in enum.assignments:
         total = 0.0
-        for w in np.unique(a.member_index):
-            V = enum.aligned[a.member_index == w]
+        for w in np.unique(f):
+            V = enum.aligned[f == w]
             total += _lam_min(V.T @ V)
         best = max(best, total)
     return float(math.sqrt(max(best, 0.0)))
@@ -223,7 +224,8 @@ def lower_bound_sharp(
 ) -> AlphaSharp:
     """Sampled estimate of the sharp lower constant: min of pair_lower_value
     over seeded Gaussian nice pairs.  An upper estimate of the true inf;
-    the certified lower bound is alpha_tilde.
+    the certified lower bound is alpha_tilde.  A pair with more than
+    ``cap`` choice assignments raises BudgetExceeded.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
@@ -507,10 +509,8 @@ def optimality_witness(
             raise CaseMismatch("pm_id witness requires the group {+I, -I}")
         return _pm_id_witness(bank)
     if case == "reflection":
-        est = voronoi_characteristic(group, chi_samples, seed=seed, tol=tol)
-        if est.chi_lower != 1:
-            raise CaseMismatch(
-                f"reflection witness requires chi = 1; sampling found {est.chi_lower}")
+        if not is_reflection_group(group, chi_samples, seed, tol):
+            raise CaseMismatch("reflection witness requires chi = 1; sampling found more")
         return _reflection_witness(bank, tol, seed)
     raise CaseMismatch(f"unknown witness case {case!r}")
 
@@ -572,7 +572,8 @@ def compute_stability_report(
     min(n_pairs, 200) nice pairs.  ``budgets`` overrides entries of
     errors.BUDGETS by their keys; an unknown key raises ValueError.  Budget
     misses do not raise here; they are recorded as certified=False flags
-    with the partial values."""
+    with the partial values (alpha_sharp has none: NaN, and no witness
+    pair)."""
     unknown = set(budgets or {}) - set(BUDGETS)
     if unknown:
         raise ValueError(f"unknown budget keys: {sorted(unknown)}")
@@ -585,13 +586,16 @@ def compute_stability_report(
                                        budget=caps["alpha_tilde_evals"], tol=tol)
 
     a_pairs = min(n_pairs, 200)
-    sharp = lower_bound_sharp(bank, a_pairs, seed=seed, tol=tol, cap=caps["choice_cap"])
+    sharp, sharp_ok = _within_budget(lower_bound_sharp, bank, a_pairs, seed=seed, tol=tol,
+                                     cap=caps["choice_cap"])
+    alpha_sharp = sharp.alpha if sharp_ok else sharp
     emp = empirical_lipschitz(bank, n_pairs, seed=seed)
 
     kappa_certified = math.inf if a_tilde == 0 else beta_exact / a_tilde
     kappa_empirical = math.inf if emp.alpha_emp == 0 else emp.beta_emp / emp.alpha_emp
     witnesses = {
-        "alpha_sharp_pair": [sharp.witness_x.tolist(), sharp.witness_y.tolist()],
+        "alpha_sharp_pair": (
+            [sharp.witness_x.tolist(), sharp.witness_y.tolist()] if sharp_ok else None),
         "alpha_empirical_pair": emp.min_pair.tolist(),
         "beta_empirical_pair": emp.max_pair.tolist(),
     }
@@ -606,10 +610,11 @@ def compute_stability_report(
         "beta_exact_certified": exact_ok,
         "beta_relaxed_certified": relaxed_ok,
         "alpha_tilde_certified": tilde_ok,
+        "alpha_sharp_certified": sharp_ok,
     }
     return StabilityReport(
         beta_exact=float(beta_exact), beta_relaxed=float(beta_relaxed),
-        alpha_sharp=float(sharp.alpha), alpha_tilde=float(a_tilde),
+        alpha_sharp=float(alpha_sharp), alpha_tilde=float(a_tilde),
         alpha_empirical=float(emp.alpha_emp), beta_empirical=float(emp.beta_emp),
         kappa_certified=float(kappa_certified), kappa_empirical=float(kappa_empirical),
         witnesses=witnesses, provenance=provenance), emp

@@ -14,6 +14,7 @@ batch, and ``stability.upper_bound_exact`` one batch per search level.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_array
 
-from .errors import BUDGETS, LpNumericalFailure, NotNicePoint
+from .errors import BUDGETS, BudgetExceeded, LpNumericalFailure, NotNicePoint
 from .filtering import MaxFilterBank
 from .groups import FiniteGroup, Orbit, orbit_of, stabilizer_order
 from .streams import STREAMS
@@ -33,7 +34,6 @@ __all__ = [
     "VoronoiCellSpec",
     "ConeFeasibility",
     "SSet",
-    "ChoiceAssignment",
     "ChoiceEnumeration",
     "ChiEstimate",
     "cell_of",
@@ -273,25 +273,15 @@ def s_set(group: FiniteGroup, x, y, tol: TolerancePolicy = DEFAULT_TOL) -> SSet:
 
 
 @dataclass(frozen=True)
-class ChoiceAssignment:
-    """One admissible map template index -> member of S(x, y).
-
-    member_index[i] indexes into the S-set; images[i] is the chosen
-    orbit point of y for template i.
-    """
-
-    member_index: np.ndarray
-    images: np.ndarray
-
-
-@dataclass(frozen=True)
 class ChoiceEnumeration:
+    """F(x, y) of a nice pair.  Row k of ``assignments`` maps template i to
+    s.members[assignments[k, i]], in itertools.product order."""
+
     x: np.ndarray
     y: np.ndarray
     aligned: np.ndarray           # v_i(x), the unique best representative of [z_i]
     s: SSet
-    assignments: tuple[ChoiceAssignment, ...]
-    truncated: bool
+    assignments: np.ndarray       # (|F(x, y)|, n_templates) indices into s.members
 
 
 def choice_assignments(
@@ -305,7 +295,9 @@ def choice_assignments(
     score of v_i(x) against the orbit of y, up to a sample_tol tie.
 
     Requires x principal with a unique best representative in every
-    template orbit; raises NotNicePoint otherwise.
+    template orbit; raises NotNicePoint otherwise.  |F(x, y)| is the
+    product of the per-template candidate counts; when it exceeds ``cap``
+    nothing is enumerated and BudgetExceeded is raised, without a partial.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -326,16 +318,11 @@ def choice_assignments(
             raise NotNicePoint("no S-set member attains the best score for a template")
         candidates.append(cand)
 
-    assignments: list[ChoiceAssignment] = []
-    truncated = False
-    for combo in itertools.product(*candidates):
-        if len(assignments) >= cap:
-            truncated = True
-            break
-        idx = np.array(combo, dtype=int)
-        assignments.append(ChoiceAssignment(member_index=idx, images=s.members[idx]))
+    total = math.prod(len(c) for c in candidates)
+    if total > cap:
+        raise BudgetExceeded(f"choice_assignments: {total} assignments exceed the cap of {cap}")
     return ChoiceEnumeration(x=x.copy(), y=y.copy(), aligned=aligned, s=s,
-                             assignments=tuple(assignments), truncated=truncated)
+                             assignments=np.array(list(itertools.product(*candidates))))
 
 
 @dataclass(frozen=True)

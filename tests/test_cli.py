@@ -293,15 +293,22 @@ def test_exit_three_injectivity_budget_keeps_the_report(tmp_path):
     assert len(rows) > 1
 
 
-@pytest.mark.parametrize("sub,key,flag", [
-    ("bounds", "tuple_leaves", "beta_relaxed_certified"),
-    ("bounds", "alpha_tilde_evals", "alpha_tilde_certified"),
-    ("distortion", "alpha_tilde_evals", None),
+def _budget_case(sub, key, value, flag):
+    # the id names the subcommand, budget key and flag, not the value
+    return pytest.param(sub, key, value, flag, id=f"{sub}-{key}-{flag}")
+
+
+@pytest.mark.parametrize("sub,key,value,flag", [
+    _budget_case("bounds", "tuple_leaves", 1, "beta_relaxed_certified"),
+    _budget_case("bounds", "alpha_tilde_evals", 1, "alpha_tilde_certified"),
+    # every nice pair has at least one choice assignment
+    _budget_case("bounds", "choice_cap", 0, "alpha_sharp_certified"),
+    _budget_case("distortion", "alpha_tilde_evals", 1, None),
 ])
-def test_exit_three_on_each_exhaustible_budget(tmp_path, sub, key, flag):
-    # one unit of the budget cannot finish the search it caps; the run
-    # still writes its report and CSV and names what is not certified
-    payload = dict(SF2_BOUNDS if sub == "bounds" else C3_DISTORTION, budgets={key: 1})
+def test_exit_three_on_each_exhaustible_budget(tmp_path, sub, key, value, flag):
+    # the budget value cannot finish the search it caps; the run still
+    # writes its report and CSV and names what is not certified
+    payload = dict(SF2_BOUNDS if sub == "bounds" else C3_DISTORTION, budgets={key: value})
     cfg = write_config(tmp_path, payload)
     assert run(sub, cfg, out=str(tmp_path / "out")) == 3
     report = json.loads((tmp_path / "out" / f"{sub}_report.json").read_text())
@@ -312,11 +319,62 @@ def test_exit_three_on_each_exhaustible_budget(tmp_path, sub, key, flag):
         prov = report["results"]["stability"]["provenance"]
         flags = {k: v for k, v in prov.items() if k.endswith("_certified")}
         assert flags == {k: k != flag for k in flags}
+        assert len(flags) == 4
         assert len(rows) == SF2_BOUNDS["n_pairs"] + 1
+        if key == "choice_cap":
+            stab = report["results"]["stability"]
+            assert stab["alpha_sharp"] == "nan"
+            assert stab["witnesses"]["alpha_sharp_pair"] is None
     else:
         assert report["results"]["uncertified_trials"] == [0, 1]
         assert len(rows) == C3_DISTORTION["n_trials"] + 1
         assert all(r.split(",")[2] == "nan" for r in rows[1:])   # no partial alpha_tilde
+
+
+# circular_shifts(4) is not a reflection family, so without a configured
+# chi the run samples it; one sample finds 3 at seed 0 and |G| = 4 at seed 1
+CS4_BOUNDS = {"group_spec": {"family": "circular_shifts", "param": 4},
+              "templates": {"sampler": "gaussian", "n": 10},
+              "chi_samples": 1, "n_pairs": 50}
+P3_BOUNDS = {"group_spec": {"family": "permutations", "param": 3},
+             "templates": {"sampler": "gaussian", "n": 3}, "n_pairs": 50, "seed": 7}
+
+
+@pytest.mark.parametrize("payload,chi,source,code", [
+    pytest.param(dict(CS4_BOUNDS, seed=0), 3, "sampled", 3, id="sampled"),
+    pytest.param(dict(CS4_BOUNDS, seed=1), 4, "order_bound", 0, id="order_bound"),
+    pytest.param(P3_BOUNDS, 1, "reflection_family", 0, id="reflection_family"),
+])
+def test_only_a_proven_chi_certifies_alpha_tilde(tmp_path, payload, chi, source, code):
+    cfg = write_config(tmp_path, payload)
+    assert run("bounds", cfg, out=str(tmp_path / "out")) == code
+    results = json.loads((tmp_path / "out" / "bounds_report.json").read_text())["results"]
+    assert results["chi"]["chi"] == chi
+    assert results["chi"]["source"] == source
+    # a reflection family is not sampled at all
+    assert ("n_samples" in results["chi"]) is (source != "reflection_family")
+    prov = results["stability"]["provenance"]
+    assert prov["alpha_tilde_certified"] is (code == 0)
+    assert prov["beta_exact_certified"] and prov["alpha_sharp_certified"]
+    assert (tmp_path / "out" / "bounds_pairs.csv").exists()
+
+
+def test_sampled_chi_certifies_no_alpha_tilde(tmp_path):
+    # C3 and C5 sample chi = 2 < |G|, a lower bound only
+    distortion = {k: v for k, v in C3_DISTORTION.items() if k != "chi"}
+    cfg = write_config(tmp_path, distortion, name="distortion.json")
+    assert run("distortion", cfg, out=str(tmp_path / "d")) == 3
+    results = json.loads((tmp_path / "d" / "distortion_report.json").read_text())["results"]
+    assert results["chi"]["source"] == "sampled"
+    assert results["uncertified_trials"] == [0, 1]
+
+    injectivity = {"group_spec": {"family": "cyclic_rotation_2d", "param": 5},
+                   "n_pairs": 2000, "seed": 3}
+    cfg = write_config(tmp_path, injectivity, name="injectivity.json")
+    assert run("injectivity", cfg, out=str(tmp_path / "i")) == 3
+    results = json.loads((tmp_path / "i" / "injectivity_report.json").read_text())["results"]
+    assert results["chi"]["source"] == "sampled"
+    assert [r["alpha_tilde"] for r in results["runs"].values()] == [None, None]
 
 
 @pytest.mark.parametrize("name", ["fraction_slack", "min_quotient_distance"])

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maxfilter_lab import (DEFAULT_TOL, MaxFilterBank, NotNicePoint,
+from maxfilter_lab import (DEFAULT_TOL, BudgetExceeded, MaxFilterBank, NotNicePoint,
                            VoronoiCellSpec, build_family, cell_of,
                            choice_assignments, generate_group, in_Q,
                            is_principal, orbit_of, s_set, sample_nice,
                            sample_principal, strict_cones_feasible,
                            upper_bound_exact, voronoi_characteristic)
 from maxfilter_lab import voronoi
+from maxfilter_lab.stability import pair_lower_value
 from oracles import brute_s_members
 
 GOLDEN_Z = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
@@ -273,14 +274,15 @@ def test_choice_assignments_golden(c3, rng):
     x = sample_nice(bank, rng)
     y = sample_principal(c3, rng)
     enum = choice_assignments(bank, x, y)
-    assert not enum.truncated
     assert 1 <= len(enum.assignments) <= enum.s.size ** 2
+    assert enum.assignments.shape == (len(enum.assignments), 2)
     orb_y = orbit_of(c3, y)
-    for a in enum.assignments:
-        assert a.images.shape == (2, 2)
+    for row in enum.assignments:
+        images = enum.s.members[row]
+        assert images.shape == (2, 2)
         for i in range(2):
             best = float((orb_y.points @ enum.aligned[i]).max())
-            assert float(a.images[i] @ enum.aligned[i]) >= best - 1e-9
+            assert float(images[i] @ enum.aligned[i]) >= best - 1e-9
 
 
 def test_choice_assignments_rejects_bad_x(c3):
@@ -289,16 +291,20 @@ def test_choice_assignments_rejects_bad_x(c3):
         choice_assignments(bank, np.zeros(2), np.array([1.0, 0.5]))
 
 
-def test_choice_assignments_cap(rng):
-    sf = build_family("sign_flips", 2)
-    bank = MaxFilterBank(sf, rng.standard_normal((6, 2)))
-    x = sample_nice(bank, rng)
-    y = sample_principal(sf, rng)
-    full = choice_assignments(bank, x, y)
-    if len(full.assignments) > 1:
-        capped = choice_assignments(bank, x, y, cap=1)
-        assert capped.truncated
-        assert len(capped.assignments) == 1
+def test_choice_assignments_cap():
+    # z_1 = (1, 0) scores 0 against both points of [y]: a tie, so F(x, y)
+    # has two assignments, and a cap below two must raise, not truncate
+    bank = MaxFilterBank(build_family("plus_minus_id", 2), np.array([[1.0, 0.0], [0.3, 1.0]]))
+    x, y = np.array([0.7, 0.4]), np.array([0.0, 1.0])
+    enum = choice_assignments(bank, x, y, cap=2)
+    assert enum.assignments.tolist() == [[0, 1], [1, 1]]
+    for cap in (0, 1):
+        with pytest.raises(BudgetExceeded) as miss:
+            choice_assignments(bank, x, y, cap=cap)
+        assert miss.value.partial is None
+        with pytest.raises(BudgetExceeded):
+            pair_lower_value(bank, x, y, cap=cap)
+    assert abs(pair_lower_value(bank, x, y, cap=2) - 0.8612) < 1e-4
 
 
 def test_voronoi_characteristic_prefix_stability(c5):
