@@ -2,15 +2,17 @@
 # Run every shipped experiment config through the CLI of this source
 # checkout; no install needed.  Each config writes its report and CSV to
 # its own directory, out_dir/<config name>, so no report overwrites another.
-# Usage, from the repository root: scripts/run_all.sh [out_dir]
+# With a seed, every run takes --seed and ignores the seed in its config.
+# Usage, from the repository root: scripts/run_all.sh [out_dir] [seed]
 set -u
 out="${1:-reports}"
+seed="${2:-}"
 fail=0
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 run() {
-    echo "== maxfilter_lab.cli $1 --config $2"
-    python3 -m maxfilter_lab.cli "$1" --config "$2" --out "$out/$(basename "$2" .json)" || fail=1
+    echo "== maxfilter_lab.cli $1 --config $2${seed:+ --seed $seed}"
+    python3 -m maxfilter_lab.cli "$1" --config "$2" ${seed:+--seed "$seed"} --out "$out/$(basename "$2" .json)" || fail=1
     echo
 }
 

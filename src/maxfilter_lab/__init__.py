@@ -29,7 +29,7 @@ from .stability import (AlphaSharp, DistortionBoundParams, EmpiricalLipschitz,
                         lower_bound_sharp, optimality_witness, ordering_audit,
                         theoretical_distortion_bound, theoretical_sigma,
                         upper_bound_exact, upper_bound_relaxed)
-from .tolerances import DEFAULT_TOL, TolerancePolicy
+from .tolerances import DEFAULT_TOL
 from .voronoi import (ChiEstimate, ChoiceEnumeration, SSet, VoronoiCellSpec,
                       cell_of, choice_assignments, in_Q, is_principal,
                       s_set, sample_nice, sample_principal,
@@ -45,7 +45,7 @@ __all__ = [
     "LpNumericalFailure", "MaxFilterBank", "MaxFilterError",
     "NegativeRadicand", "NotNicePoint", "NotOrthogonal", "Orbit",
     "PsdSearchResult", "SSet", "SizeOverflow", "StabilityReport",
-    "TolerancePolicy", "UpperBound", "VoronoiCellSpec", "WitnessPair",
+    "UpperBound", "VoronoiCellSpec", "WitnessPair",
     "alpha_tilde", "apply_bank", "apply_bank_batch", "build_family",
     "cell_of", "choice_assignments", "compute_stability_report",
     "direct_quadratic_form", "empirical_lipschitz", "generate_group",

@@ -43,7 +43,7 @@ from .stability import (_AUDIT_SLACK, DistortionBoundParams, _within_budget,
                         empirical_lipschitz, ordering_audit,
                         theoretical_distortion_bound, upper_bound_exact)
 from .streams import STREAMS
-from .tolerances import DEFAULT_TOL, TolerancePolicy
+from .tolerances import DEFAULT_TOL
 from .voronoi import ChiEstimate, voronoi_characteristic
 
 _FRACTION_SLACK = 0.05          # distortion: allowed shortfall below the success probability
@@ -72,7 +72,6 @@ class ExperimentConfig:
     expected_chi: int | None = None
     expected_saturated: bool | None = None
     budgets: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
     seed: int | None = None
     out: str | None = None
 
@@ -145,15 +144,6 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig, dict]:
     return ExperimentConfig.from_dict(raw), raw
 
 
-def resolve_tol(config: ExperimentConfig) -> TolerancePolicy:
-    if not config.tolerances:
-        return DEFAULT_TOL
-    try:
-        return dataclasses.replace(DEFAULT_TOL, **config.tolerances)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad tolerance overrides: {e}") from e
-
-
 def build_group_from_spec(spec: dict) -> FiniteGroup:
     if "path" in spec:
         try:
@@ -207,8 +197,7 @@ def _chi_block(est: ChiEstimate) -> dict:
             "witness_x": est.witness_x, "witness_y": est.witness_y}
 
 
-def _resolve_chi(config: ExperimentConfig, group: FiniteGroup, seed: int,
-                 tol: TolerancePolicy) -> tuple[int, dict, bool]:
+def _resolve_chi(config: ExperimentConfig, group: FiniteGroup, seed: int) -> tuple[int, dict, bool]:
     """chi, its report block and whether it is proven: the configured chi,
     else 1 for a reflection family (a key of filtering._CHAMBERS), else a
     sample.  Only a proven chi certifies alpha_tilde: one too small makes
@@ -217,28 +206,26 @@ def _resolve_chi(config: ExperimentConfig, group: FiniteGroup, seed: int,
         return config.chi, {"chi": config.chi, "source": "config"}, True
     if group.family in _CHAMBERS:
         return 1, {"chi": 1, "source": "reflection_family"}, True
-    est = voronoi_characteristic(group, config.chi_samples, seed, tol)
+    est = voronoi_characteristic(group, config.chi_samples, seed)
     return est.chi_lower, _chi_block(est), est.saturated
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each takes (config, seed, tol, timer) and returns
+# subcommands; each takes (config, seed, timer) and returns
 # (results, assertions, csv_files, certified), where csv_files is a list of
 # (filename, header, rows); certified is False on a budget miss or unproven chi
 
 
-def cmd_bounds(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
-               timer: StageTimer):
+def cmd_bounds(config: ExperimentConfig, seed: int, timer: StageTimer):
     """exact/relaxed upper and certified/sampled lower Lipschitz bounds"""
     group = build_group_from_spec(config.group_spec)
     Z = resolve_templates(config, group, seed)
     bank = MaxFilterBank(group, Z)
     with timer.stage("chi"):
-        chi, chi_info, chi_proven = _resolve_chi(config, group, seed, tol)
+        chi, chi_info, chi_proven = _resolve_chi(config, group, seed)
     with timer.stage("bounds"):
         stab, emp = compute_stability_report(
-            bank, chi, n_pairs=config.n_pairs, seed=seed, tol=tol,
-            budgets=config.budgets)
+            bank, chi, n_pairs=config.n_pairs, seed=seed, budgets=config.budgets)
     stab.provenance["alpha_tilde_certified"] &= chi_proven
 
     try:
@@ -293,15 +280,14 @@ def cmd_bounds(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
     return results, asserts, csvs, certified
 
 
-def cmd_distortion(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
-                   timer: StageTimer):
+def cmd_distortion(config: ExperimentConfig, seed: int, timer: StageTimer):
     """random-template distortion vs the closed-form bound"""
     group = build_group_from_spec(config.group_spec)
     if config.templates is None or "sampler" not in config.templates:
         raise ConfigError("distortion requires templates drawn by a sampler")
     n = int(config.templates["n"])
     with timer.stage("chi"):
-        chi, chi_info, chi_proven = _resolve_chi(config, group, seed, tol)
+        chi, chi_info, chi_proven = _resolve_chi(config, group, seed)
     params = DistortionBoundParams(m=group.order, chi=chi, d=group.dim,
                                    n=n, lambda0=config.lambda0)
     bound = theoretical_distortion_bound(params)  # DomainError -> exit 2
@@ -315,11 +301,11 @@ def cmd_distortion(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
             rng = np.random.default_rng((seed, STREAMS["distortion_trials"], t))
             bank = MaxFilterBank(group, rng.standard_normal((n, group.dim)))
             # a budget miss leaves the partial value, or NaN, uncertified
-            ub, beta_ok = _within_budget(upper_bound_exact, bank, tol,
+            ub, beta_ok = _within_budget(upper_bound_exact, bank,
                                          max_lp_solves=config.budget("lp_solves"))
             beta = ub.beta if beta_ok else ub
             at, at_ok = _within_budget(alpha_tilde, bank, chi,
-                                       budget=config.budget("alpha_tilde_evals"), tol=tol)
+                                       budget=config.budget("alpha_tilde_evals"))
             certified = beta_ok and at_ok and chi_proven
             if not certified:
                 uncertified.append(t)
@@ -364,8 +350,7 @@ def cmd_distortion(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
     return results, asserts, csvs, not uncertified
 
 
-def _collision_scan(bank: MaxFilterBank, n_pairs: int, seed: int, n_tag: int,
-                    tol: TolerancePolicy):
+def _collision_scan(bank: MaxFilterBank, n_pairs: int, seed: int, n_tag: int):
     """Draw n_pairs Gaussian pairs; among those separated in the quotient,
     count image collisions and track the worst contraction ratio."""
     group, d = bank.group, bank.dim
@@ -381,14 +366,14 @@ def _collision_scan(bank: MaxFilterBank, n_pairs: int, seed: int, n_tag: int,
         b = min(batch, n_pairs - done)
         X = rng.standard_normal((b, d))
         Y = rng.standard_normal((b, d))
-        dist = _pair_distances(group, X, Y, tol)
+        dist = _pair_distances(group, X, Y)
         dphi = np.linalg.norm(apply_bank_batch(bank, X) - apply_bank_batch(bank, Y),
                               axis=1)
         mask = dist > _MIN_QUOTIENT_DISTANCE
         kept += int(mask.sum())
         if mask.any():
             dm, pm = dist[mask], dphi[mask]
-            collisions += int((pm < tol.sample_tol).sum())
+            collisions += int((pm < DEFAULT_TOL.sample_tol).sum())
             min_dphi = min(min_dphi, float(pm.min()))
             min_ratio = min(min_ratio, float((pm / dm).min()))
             rows.extend((done + int(i), float(dist[i]), float(dphi[i]),
@@ -399,13 +384,12 @@ def _collision_scan(bank: MaxFilterBank, n_pairs: int, seed: int, n_tag: int,
             "min_ratio": min_ratio}, rows
 
 
-def cmd_injectivity(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
-                    timer: StageTimer):
+def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
     """collision search at the injectivity template counts"""
     group = build_group_from_spec(config.group_spec)
     d = group.dim
     with timer.stage("chi"):
-        chi, chi_info, chi_proven = _resolve_chi(config, group, seed, tol)
+        chi, chi_info, chi_proven = _resolve_chi(config, group, seed)
     threshold_n = chi * (d - 1) + 1
     run_ns = sorted({2 * d, threshold_n})
 
@@ -418,17 +402,17 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
             rng = np.random.default_rng((seed, STREAMS["injectivity_templates"], n))
             bank = MaxFilterBank(group, rng.standard_normal((n, d)))
             at, at_ok = _within_budget(alpha_tilde, bank, chi,
-                                       budget=config.budget("alpha_tilde_evals"), tol=tol)
+                                       budget=config.budget("alpha_tilde_evals"))
             at_ok &= chi_proven
             certified &= at_ok
-            summary, rows = _collision_scan(bank, config.n_pairs, seed, n, tol)
+            summary, rows = _collision_scan(bank, config.n_pairs, seed, n)
         summary["alpha_tilde"] = at if at_ok else None   # a partial alpha_tilde certifies nothing
         runs[f"n={n}"] = summary
         all_rows.extend((n, *r) for r in rows)
         asserts.append(assertion(
             f"no_collisions_n{n}",
             f"with {n} templates, no separated pair maps to the same bank image",
-            summary["collisions"] == 0, summary["collisions"], tol.sample_tol))
+            summary["collisions"] == 0, summary["collisions"], DEFAULT_TOL.sample_tol))
         if n == threshold_n and at_ok:
             asserts.append(assertion(
                 f"alpha_tilde_positive_n{n}",
@@ -445,16 +429,15 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
     return results, asserts, csvs, certified
 
 
-def cmd_kernel(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
-               timer: StageTimer):
+def cmd_kernel(config: ExperimentConfig, seed: int, timer: StageTimer):
     """kernel positive-semidefiniteness audit"""
     group = build_group_from_spec(config.group_spec)
     with timer.stage("chi"):
-        est = voronoi_characteristic(group, config.chi_samples, seed, tol)
+        est = voronoi_characteristic(group, config.chi_samples, seed)
     reflection = est.chi_lower == 1
     with timer.stage("psd_search"):
         search = search_psd_violation(group, config.n_trials,
-                                      config.points_per_trial, seed, tol)
+                                      config.points_per_trial, seed)
 
     consistent = reflection != search.found
     asserts = [assertion(
@@ -484,8 +467,7 @@ def cmd_kernel(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
     return results, asserts, csvs, True
 
 
-def cmd_maxfilter(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
-                  timer: StageTimer):
+def cmd_maxfilter(config: ExperimentConfig, seed: int, timer: StageTimer):
     """FFT vs brute-force circular max filtering"""
     results = {}
     asserts = []
@@ -511,7 +493,7 @@ def cmd_maxfilter(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
         asserts.append(assertion(
             f"fft_matches_brute_d{d}",
             "FFT circular max filter equals the quadratic-time scan",
-            disc <= tol.sample_tol, disc, tol.sample_tol))
+            disc <= DEFAULT_TOL.sample_tol, disc, DEFAULT_TOL.sample_tol))
 
     # fft-vs-brute timing comparison is informational; it lives in timings only
     csvs = [("maxfilter_pairs.csv",
@@ -520,12 +502,11 @@ def cmd_maxfilter(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
     return {"per_dim": results}, asserts, csvs, True
 
 
-def cmd_chi(config: ExperimentConfig, seed: int, tol: TolerancePolicy,
-            timer: StageTimer):
+def cmd_chi(config: ExperimentConfig, seed: int, timer: StageTimer):
     """sampled cell-crossing count of the group"""
     group = build_group_from_spec(config.group_spec)
     with timer.stage("chi"):
-        est = voronoi_characteristic(group, config.chi_samples, seed, tol)
+        est = voronoi_characteristic(group, config.chi_samples, seed)
     counts = np.bincount(est.sizes, minlength=group.order + 1)
     asserts = []
     if config.expected_chi is not None:
@@ -588,12 +569,10 @@ def run(subcommand: str, config_path: str, seed: int | None = None,
         run_seed, seed_source = config.seed, "config"
     else:
         raise ConfigError("a seed is required: pass --seed or set it in the config")
-    tol = resolve_tol(config)
     out_dir = Path(out or config.out or "reports")
 
     timer = StageTimer()
-    results, asserts, csvs, certified = _DISPATCH[subcommand](
-        config, run_seed, tol, timer)
+    results, asserts, csvs, certified = _DISPATCH[subcommand](config, run_seed, timer)
     passed = all_passed(asserts)
     report = {
         "subcommand": subcommand,

@@ -6,14 +6,15 @@ follows by polarization:  d([x],[y])^2 = |x|^2 + |y|^2 - 2 max_g <g.x, y>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import LengthMismatch, NegativeRadicand
 from .groups import _BLOCK, FiniteGroup, Orbit, orbit_of
-from .tolerances import DEFAULT_TOL, TolerancePolicy
+from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "FilterValue",
@@ -43,7 +44,6 @@ class MaxFilterBank:
 
     group: FiniteGroup
     templates: np.ndarray
-    _orbits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Z = np.asarray(self.templates, dtype=float)
@@ -65,11 +65,10 @@ class MaxFilterBank:
     def dim(self) -> int:
         return self.group.dim
 
-    def orbits(self, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[Orbit, ...]:
-        """Template orbits ``orbit_of(group, z, tol)``, built once per tolerance policy."""
-        if tol not in self._orbits:
-            self._orbits[tol] = tuple(orbit_of(self.group, z, tol) for z in self.templates)
-        return self._orbits[tol]
+    @cached_property
+    def orbits(self) -> tuple[Orbit, ...]:
+        """Template orbits ``orbit_of(group, z)``, built once per bank."""
+        return tuple(orbit_of(self.group, z) for z in self.templates)
 
 
 def max_filter(group: FiniteGroup, x, y, allow_fft: bool = True) -> FilterValue:
@@ -90,11 +89,11 @@ def max_filter(group: FiniteGroup, x, y, allow_fft: bool = True) -> FilterValue:
     return FilterValue(float(_filter_values(group, x[None, :], y[None, :], paired=True)[0]))
 
 
-def quotient_distance(group: FiniteGroup, x, y, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def quotient_distance(group: FiniteGroup, x, y) -> float:
     """min over g of |x - g.y|, computed by polarization; the one-row case
     of ``_pair_distances``."""
     X, Y = (np.asarray(v, dtype=float).reshape(1, -1) for v in (x, y))
-    return float(_pair_distances(group, X, Y, tol)[0])
+    return float(_pair_distances(group, X, Y)[0])
 
 
 def apply_bank(bank: MaxFilterBank, x) -> np.ndarray:
@@ -120,12 +119,11 @@ def max_filter_pairs(group: FiniteGroup, X, Y) -> np.ndarray:
     return _filter_values(group, X, Y, paired=True)
 
 
-def _pair_distances(group: FiniteGroup, X: np.ndarray, Y: np.ndarray,
-                    tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def _pair_distances(group: FiniteGroup, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Row-wise quotient distances by polarization; radicands in [-eq_tol, 0)
     clamp to 0, and a lower one raises NegativeRadicand."""
     rad = (X * X).sum(axis=1) + (Y * Y).sum(axis=1) - 2.0 * max_filter_pairs(group, X, Y)
-    if rad.min() < -tol.eq_tol:
+    if rad.min() < -DEFAULT_TOL.eq_tol:
         raise NegativeRadicand(
             f"polarization radicand {rad.min():.3e} < -eq_tol; group data inconsistent")
     return np.sqrt(np.maximum(rad, 0.0))

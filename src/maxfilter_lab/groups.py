@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ClosureOverflow, NotOrthogonal, SizeOverflow
-from .tolerances import DEFAULT_TOL, TolerancePolicy
+from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "FiniteGroup",
@@ -48,9 +48,9 @@ def _as_matrix(matrix, dim: int | None = None) -> np.ndarray:
     return M
 
 
-def _check_orthogonal(M: np.ndarray, tol: TolerancePolicy) -> None:
+def _check_orthogonal(M: np.ndarray) -> None:
     defect = np.abs(M.T @ M - np.eye(M.shape[0])).max()
-    if defect > tol.eq_tol:
+    if defect > DEFAULT_TOL.eq_tol:
         raise NotOrthogonal(f"matrix is not orthogonal: |Q^T Q - I|_max = {defect:.3e}")
 
 
@@ -77,11 +77,11 @@ def _first_seen(rows: np.ndarray, thresh, ord=2) -> np.ndarray:
     Row i is kept unless an earlier kept row lies within ``thresh`` (a
     scalar, or one value per row i) of it in the norm ``ord``.  The rule
     is greedy, so the kept rows depend on the input order, which feeds
-    the S-sets, argmax tuples and reports.  ``orbit_of`` passes the images
-    g.x, Euclidean, at eq_tol*(1+|x|); ``generate_group`` flattened
-    matrices, max-abs (ord=inf), at eq_tol; ``stability.alpha_tilde``
-    [p0, -p0, p1, -p1, ...] over an orbit, Euclidean, at eq_tol*(1+|p|),
-    keeping the even rows.
+    the S-sets, argmax tuples and reports.  Every caller scales the fixed
+    DEFAULT_TOL.eq_tol: ``orbit_of`` passes the images g.x, Euclidean, at
+    eq_tol*(1+|x|); ``generate_group`` flattened matrices, max-abs
+    (ord=inf), at eq_tol; ``stability.alpha_tilde`` [p0, -p0, p1, -p1, ...]
+    over an orbit, Euclidean, at eq_tol*(1+|p|), keeping the even rows.
 
     As |<u, a - b>| <= |u|_2 |a - b|_2 and <= |u|_1 |a - b|_inf for the
     fixed u = _projection(k), a pair the exact test accepts lies in one run
@@ -151,9 +151,9 @@ class FiniteGroup:
         """All images g.x, shape (order, dim), in canonical element order."""
         return self.stack @ np.asarray(x, dtype=float)
 
-    def contains(self, matrix, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    def contains(self, matrix) -> bool:
         M = _as_matrix(matrix, self.dim)
-        return bool(np.abs(self.stack - M).max(axis=(1, 2)).min() <= tol.eq_tol)
+        return bool(np.abs(self.stack - M).max(axis=(1, 2)).min() <= DEFAULT_TOL.eq_tol)
 
     def closure_defect(self) -> float:
         """Max distance from any pairwise product to its nearest element.
@@ -205,11 +205,7 @@ class Orbit:
         return self.points.shape[0]
 
 
-def generate_group(
-    generators,
-    max_order: int = MAX_ORDER,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> FiniteGroup:
+def generate_group(generators) -> FiniteGroup:
     """Close a generator list under multiplication.
 
     Every element of a finite matrix group is a positive power of the
@@ -219,9 +215,10 @@ def generate_group(
     found so far, in slices of frontier rows; the rule only looks back, so
     slicing keeps the elements and their order.  Each slice re-reads the
     elements, so it holds up to _BLOCK entries or as many as they have.
-    Raises ClosureOverflow past ``max_order`` elements.  The group is
-    untagged, so its filter takes the dense route even when it equals a
-    named family; build a family with its constructor to get that route.
+    Raises ClosureOverflow past MAX_ORDER elements, read at call time.
+    The group is untagged, so its filter takes the dense route even when
+    it equals a named family; build a family with its constructor to get
+    that route.
     """
     gens = [_as_matrix(g) for g in generators]
     if not gens:
@@ -229,20 +226,21 @@ def generate_group(
     dim = gens[0].shape[0]
     for g in gens:
         _as_matrix(g, dim)
-        _check_orthogonal(g, tol)
+        _check_orthogonal(g)
 
-    gen_stack = np.stack(gens)[_first_seen(np.reshape(gens, (len(gens), -1)), tol.eq_tol, np.inf)]
+    eq_tol = DEFAULT_TOL.eq_tol
+    gen_stack = np.stack(gens)[_first_seen(np.reshape(gens, (len(gens), -1)), eq_tol, np.inf)]
     elements, level = np.eye(dim)[None], [gen_stack]
     while True:
         start = len(elements)
         for cands in level:
             n = len(elements)
             kept = _first_seen(np.concatenate([elements, cands]).reshape(n + len(cands), -1),
-                               tol.eq_tol, np.inf)
+                               eq_tol, np.inf)
             # every element found so far is kept, so only the new rows are appended
             elements = np.concatenate([elements, cands[kept[kept >= n] - n]])
-            if len(elements) > max_order:
-                raise ClosureOverflow(f"closure exceeded max_order={max_order}")
+            if len(elements) > MAX_ORDER:
+                raise ClosureOverflow(f"closure exceeded MAX_ORDER={MAX_ORDER}")
         if len(elements) == start:
             return FiniteGroup.from_matrices(elements)
         frontier = elements[start:].copy()    # a view would keep this level's whole array alive
@@ -354,19 +352,19 @@ def build_family(name: str, param: int) -> FiniteGroup:
 # orbits and stabilizers
 
 
-def orbit_of(group: FiniteGroup, x, tol: TolerancePolicy = DEFAULT_TOL) -> Orbit:
+def orbit_of(group: FiniteGroup, x) -> Orbit:
     """Deduplicated orbit of x: ``_first_seen`` over the images g.x of the canonical elements."""
     x = np.asarray(x, dtype=float)
     images = group.apply_all(x)
-    reps = _first_seen(images, tol.eq_tol * (1.0 + float(np.linalg.norm(x))))
+    reps = _first_seen(images, DEFAULT_TOL.eq_tol * (1.0 + float(np.linalg.norm(x))))
     return Orbit(base=x.copy(), points=images[reps], rep_elements=reps)
 
 
-def stabilizer_order(group: FiniteGroup, x, tol: TolerancePolicy = DEFAULT_TOL) -> int:
+def stabilizer_order(group: FiniteGroup, x) -> int:
     """Number of elements fixing x, relative threshold eq_tol*(1+|x|)."""
     x = np.asarray(x, dtype=float)
     images = group.apply_all(x)
-    thresh = tol.eq_tol * (1.0 + float(np.linalg.norm(x)))
+    thresh = DEFAULT_TOL.eq_tol * (1.0 + float(np.linalg.norm(x)))
     return int((np.linalg.norm(images - x, axis=1) <= thresh).sum())
 
 
@@ -400,7 +398,7 @@ def save_group(group: FiniteGroup, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def load_group(path, tol: TolerancePolicy = DEFAULT_TOL) -> FiniteGroup:
+def load_group(path) -> FiniteGroup:
     """Read a group file.
 
     A tagged file is rebuilt by its family constructor, which keeps the
@@ -413,9 +411,9 @@ def load_group(path, tol: TolerancePolicy = DEFAULT_TOL) -> FiniteGroup:
     gens = np.array(payload["generators"], dtype=float).reshape(-1, dim, dim)
     family = payload.get("family")
     if family is None:
-        return generate_group(gens, tol=tol)
+        return generate_group(gens)
     group = build_family(family, int(payload["param"]))
-    if gens.shape != group.stack.shape or np.abs(gens - group.stack).max() > tol.eq_tol:
+    if gens.shape != group.stack.shape or np.abs(gens - group.stack).max() > DEFAULT_TOL.eq_tol:
         raise ValueError(
             f"stored elements differ from {family}({payload['param']}) beyond eq_tol")
     return group

@@ -25,7 +25,7 @@ import numpy as np
 from .filtering import _filter_values, max_filter
 from .groups import FiniteGroup
 from .streams import STREAMS
-from .tolerances import DEFAULT_TOL, TolerancePolicy
+from .tolerances import DEFAULT_TOL
 from .voronoi import voronoi_characteristic
 
 
@@ -61,11 +61,7 @@ def gram_matrix(group: FiniteGroup, points: np.ndarray) -> np.ndarray:
     return 0.5 * (gram + gram.T)
 
 
-def gram_audit(
-    group: FiniteGroup,
-    points: np.ndarray,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> GramAudit:
+def gram_audit(group: FiniteGroup, points: np.ndarray) -> GramAudit:
     """Audit the max-filter Gram matrix of a point set.
 
     Verdict is "not_psd" exactly when the smallest eigenvalue drops below
@@ -79,7 +75,7 @@ def gram_audit(
     eigvals, eigvecs = np.linalg.eigh(gram)
     min_eig = float(eigvals[0])
     scale = 1.0 + float(np.max(np.diag(gram))) if gram.size else 1.0
-    verdict = "not_psd" if min_eig < -tol.psd_tol * scale else "psd"
+    verdict = "not_psd" if min_eig < -DEFAULT_TOL.psd_tol * scale else "psd"
     return GramAudit(points=X.copy(), gram=gram, min_eig=min_eig,
                      verdict=verdict, coeffs=eigvecs[:, 0].copy())
 
@@ -121,7 +117,6 @@ def search_psd_violation(
     n_trials: int,
     points_per_trial: int,
     seed: int,
-    tol: TolerancePolicy = DEFAULT_TOL,
 ) -> PsdSearchResult:
     """Search Gaussian point sets for a Gram matrix with a negative eigenvalue.
 
@@ -134,7 +129,7 @@ def search_psd_violation(
     for trial in range(n_trials):
         rng = np.random.default_rng((seed, STREAMS["psd_search"], trial))
         X = rng.standard_normal((points_per_trial, group.dim))
-        audit = gram_audit(group, X, tol)
+        audit = gram_audit(group, X)
         if audit.verdict == "not_psd":
             return PsdSearchResult(found=True, certificate=audit,
                                    trials_run=trial + 1, seed=seed)
@@ -142,12 +137,7 @@ def search_psd_violation(
                            trials_run=n_trials, seed=seed)
 
 
-def is_reflection_group(
-    group: FiniteGroup,
-    n_samples: int,
-    seed: int,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> bool:
+def is_reflection_group(group: FiniteGroup, n_samples: int, seed: int) -> bool:
     """Sampled test for the reflection-group property via chi(G) == 1.
 
     chi == 1 means generic Voronoi cells meet only one cell per orbit,
@@ -155,5 +145,5 @@ def is_reflection_group(
     hyperplanes.  A sampled chi of 1 is a statistical verdict: larger
     n_samples makes a false positive less likely.
     """
-    est = voronoi_characteristic(group, n_samples, seed, tol)
+    est = voronoi_characteristic(group, n_samples, seed)
     return est.chi_lower == 1

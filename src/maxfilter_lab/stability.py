@@ -21,7 +21,7 @@ from .filtering import MaxFilterBank, _pair_distances, apply_bank, apply_bank_ba
 from .groups import _first_seen, orbit_of
 from .kernels import is_reflection_group
 from .streams import STREAMS
-from .tolerances import DEFAULT_TOL, TolerancePolicy
+from .tolerances import DEFAULT_TOL
 from .voronoi import (
     VoronoiCellSpec,
     _margin_lps,
@@ -84,11 +84,7 @@ class UpperBound:
     feasible_tuples: int
 
 
-def upper_bound_exact(
-    bank: MaxFilterBank,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    max_lp_solves: int = BUDGETS["lp_solves"],
-) -> UpperBound:
+def upper_bound_exact(bank: MaxFilterBank, max_lp_solves: int = BUDGETS["lp_solves"]) -> UpperBound:
     """Max of |{g_i z_i}|_2->2 over tuples whose open cells intersect.
 
     Level-synchronous search over per-template orbit points.  Level k
@@ -110,7 +106,7 @@ def upper_bound_exact(
     budget runs out on the last level.
     """
     n = bank.n_templates
-    orbits = bank.orbits(tol)
+    orbits = bank.orbits
     cells = [[VoronoiCellSpec(center=p, orbit=orb) for p in orb.points] for orb in orbits]
     pin = int(np.argmax([orb.size for orb in orbits]))
     visit = [pin] + [i for i in range(n) if i != pin]
@@ -126,7 +122,7 @@ def upper_bound_exact(
         kids = itertools.islice(((key + (c,), chosen + [cells[t][c]])
                                  for key, chosen in frontier for c in range(n_cand)), take)
         mine, theirs = itertools.tee(kids)
-        verdicts = _margin_lps((chosen for _, chosen in theirs), tol)
+        verdicts = _margin_lps(chosen for _, chosen in theirs)
         frontier = [kid for kid, v in zip(mine, verdicts) if v.feasible]
         solves += take
         if take < needed:
@@ -153,17 +149,13 @@ def _best_leaf(orbits, visit, leaves) -> tuple[float | None, tuple[int, ...] | N
     return float(sigma[i]), leaves[i][0]
 
 
-def upper_bound_relaxed(
-    bank: MaxFilterBank,
-    max_leaves: int = BUDGETS["tuple_leaves"],
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> float:
+def upper_bound_relaxed(bank: MaxFilterBank, max_leaves: int = BUDGETS["tuple_leaves"]) -> float:
     """Max spectral norm over ALL tuples, no cell-feasibility filter.
 
     Same pinning symmetry as the exact search; enumeration is vectorized
     over chunks of the remaining index product.
     """
-    orbits = bank.orbits(tol)
+    orbits = bank.orbits
     pin = int(np.argmax([orb.size for orb in orbits]))
     sizes = [1 if i == pin else orbits[i].size for i in range(len(orbits))]
     total = int(np.prod(sizes))
@@ -187,7 +179,6 @@ def pair_lower_value(
     bank: MaxFilterBank,
     x,
     y,
-    tol: TolerancePolicy = DEFAULT_TOL,
     cap: int = BUDGETS["choice_cap"],
 ) -> float:
     """Inner value of the sharp lower bound at one nice pair:
@@ -195,7 +186,7 @@ def pair_lower_value(
     sqrt( sum over S-members w of lambda_min( sum_{i in f^-1(w)} v_i v_i^T ) ).
     Raises BudgetExceeded when |F(x, y)| exceeds ``cap``.
     """
-    enum = choice_assignments(bank, x, y, tol, cap)
+    enum = choice_assignments(bank, x, y, cap)
     best = -math.inf
     for f in enum.assignments:
         total = 0.0
@@ -219,7 +210,6 @@ def lower_bound_sharp(
     bank: MaxFilterBank,
     n_pairs: int,
     seed: int,
-    tol: TolerancePolicy = DEFAULT_TOL,
     cap: int = BUDGETS["choice_cap"],
 ) -> AlphaSharp:
     """Sampled estimate of the sharp lower constant: min of pair_lower_value
@@ -236,9 +226,9 @@ def lower_bound_sharp(
         for attempt in range(_NICE_ATTEMPTS):
             rng = np.random.default_rng((seed, STREAMS["alpha_sharp"], k, attempt))
             try:
-                x = sample_nice(bank, rng, tol)
-                y = sample_nice(bank, rng, tol)
-                val = pair_lower_value(bank, x, y, tol, cap)
+                x = sample_nice(bank, rng)
+                y = sample_nice(bank, rng)
+                val = pair_lower_value(bank, x, y, cap)
                 break
             except NotNicePoint:
                 continue
@@ -250,12 +240,7 @@ def lower_bound_sharp(
                       n_pairs=n_pairs, seed=seed)
 
 
-def alpha_tilde(
-    bank: MaxFilterBank,
-    chi: int,
-    budget: int = BUDGETS["alpha_tilde_evals"],
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> float:
+def alpha_tilde(bank: MaxFilterBank, chi: int, budget: int = BUDGETS["alpha_tilde_evals"]) -> float:
     """Pigeonhole lower bound: exact min of sqrt(lambda_min) of
     sum_{i in I} (g_i z_i)(g_i z_i)^T over subsets of size ceil(n/chi)
     and all assignments.  Larger subsets cannot do better since
@@ -275,9 +260,9 @@ def alpha_tilde(
         return 0.0
 
     outers: list[np.ndarray] = []
-    for orb in bank.orbits(tol):
+    for orb in bank.orbits:
         signed = np.stack([orb.points, -orb.points], axis=1).reshape(-1, d)
-        kept = _first_seen(signed, tol.eq_tol * (1.0 + np.linalg.norm(signed, axis=1)))
+        kept = _first_seen(signed, DEFAULT_TOL.eq_tol * (1.0 + np.linalg.norm(signed, axis=1)))
         R = signed[kept[kept % 2 == 0]]
         outers.append(np.einsum("rd,re->rde", R, R))
 
@@ -462,26 +447,26 @@ def _pm_id_witness(bank: MaxFilterBank) -> WitnessPair:
     return WitnessPair(x=x, y=y, achieved_ratio=dphi / dq, target_alpha=target, case="pm_id")
 
 
-def _reflection_witness(bank: MaxFilterBank, tol: TolerancePolicy, seed: int) -> WitnessPair:
+def _reflection_witness(bank: MaxFilterBank, seed: int) -> WitnessPair:
     """x in an open chamber aligned with every template, y = x + t v for a
     bottom eigenvector v of sum v_i v_i^T and t small enough to stay in V_x."""
     group = bank.group
     rng = np.random.default_rng((seed, STREAMS["witness"]))
-    x = sample_nice(bank, rng, tol)
-    V = np.stack([orb.points[int(np.argmax(orb.points @ x))] for orb in bank.orbits(tol)])
+    x = sample_nice(bank, rng)
+    V = np.stack([orb.points[int(np.argmax(orb.points @ x))] for orb in bank.orbits])
     M = V.T @ V
     lam, vecs = np.linalg.eigh(M)
     bottom = vecs[:, 0]
     target = math.sqrt(max(float(lam[0]), 0.0))
 
-    cell = VoronoiCellSpec(center=x, orbit=orbit_of(group, x, tol))
+    cell = VoronoiCellSpec(center=x, orbit=orbit_of(group, x))
     rows = cell.rows
     a = rows @ x
     b = rows @ bottom
     neg = b < 0
     t = 0.5 * float((a[neg] / -b[neg]).min()) if neg.any() else 0.5 * float(np.linalg.norm(x))
     for _ in range(60):
-        if cell.contains(x + t * bottom, tol):
+        if cell.contains(x + t * bottom):
             break
         t *= 0.5
     else:
@@ -495,7 +480,6 @@ def _reflection_witness(bank: MaxFilterBank, tol: TolerancePolicy, seed: int) ->
 def optimality_witness(
     bank: MaxFilterBank,
     case: str,
-    tol: TolerancePolicy = DEFAULT_TOL,
     seed: int = 0,
     chi_samples: int = 100,
 ) -> WitnessPair:
@@ -505,13 +489,13 @@ def optimality_witness(
     group = bank.group
     if case == "pm_id":
         eye = np.eye(group.dim)
-        if group.order != 2 or not group.contains(-eye, tol) or not group.contains(eye, tol):
+        if group.order != 2 or not group.contains(-eye) or not group.contains(eye):
             raise CaseMismatch("pm_id witness requires the group {+I, -I}")
         return _pm_id_witness(bank)
     if case == "reflection":
-        if not is_reflection_group(group, chi_samples, seed, tol):
+        if not is_reflection_group(group, chi_samples, seed):
             raise CaseMismatch("reflection witness requires chi = 1; sampling found more")
-        return _reflection_witness(bank, tol, seed)
+        return _reflection_witness(bank, seed)
     raise CaseMismatch(f"unknown witness case {case!r}")
 
 
@@ -533,20 +517,21 @@ class StabilityReport:
     provenance: dict = field(default_factory=dict)
 
 
+_CHAIN = ("alpha_tilde", "alpha_sharp", "alpha_empirical", "beta_empirical", "beta_exact",
+          "beta_relaxed")
+
+
 def ordering_audit(report: StabilityReport) -> list[tuple[str, bool, float, float]]:
     """The chain alpha_tilde <= alpha_sharp <= alpha_empirical <=
-    beta_empirical <= beta_exact <= beta_relaxed, each step with _AUDIT_SLACK."""
-    chain = [
-        ("alpha_tilde_le_alpha_sharp", report.alpha_tilde, report.alpha_sharp),
-        ("alpha_sharp_le_alpha_empirical", report.alpha_sharp, report.alpha_empirical),
-        ("alpha_empirical_le_beta_empirical", report.alpha_empirical, report.beta_empirical),
-        ("beta_empirical_le_beta_exact", report.beta_empirical, report.beta_exact),
-        ("beta_exact_le_beta_relaxed", report.beta_exact, report.beta_relaxed),
-    ]
-    out = [(name, bool(lhs <= rhs + _AUDIT_SLACK), float(lhs), float(rhs)) for name, lhs, rhs in chain]
-    nonneg = all(v >= 0 for v in (report.beta_exact, report.beta_relaxed, report.alpha_sharp,
-                                  report.alpha_tilde, report.alpha_empirical, report.beta_empirical))
-    out.append(("all_fields_nonnegative", nonneg, 0.0, 0.0))
+    beta_empirical <= beta_exact <= beta_relaxed, each step with _AUDIT_SLACK,
+    then nonnegativity.  Only certified values take part: a value whose
+    ``<name>_certified`` flag in the provenance is false (a budget miss or
+    an unproven chi) skips both of its steps, as the CLI's sandwich checks do."""
+    values = {name: float(getattr(report, name)) for name in _CHAIN
+              if report.provenance.get(f"{name}_certified", True)}
+    out = [(f"{lo}_le_{hi}", values[lo] <= values[hi] + _AUDIT_SLACK, values[lo], values[hi])
+           for lo, hi in zip(_CHAIN, _CHAIN[1:]) if lo in values and hi in values]
+    out.append(("all_fields_nonnegative", all(v >= 0 for v in values.values()), 0.0, 0.0))
     return out
 
 
@@ -564,7 +549,6 @@ def compute_stability_report(
     chi: int,
     n_pairs: int = 200,
     seed: int = 0,
-    tol: TolerancePolicy = DEFAULT_TOL,
     budgets: dict | None = None,
 ) -> tuple[StabilityReport, EmpiricalLipschitz]:
     """All bounds for one bank, plus the raw empirical sample so callers
@@ -578,15 +562,14 @@ def compute_stability_report(
     if unknown:
         raise ValueError(f"unknown budget keys: {sorted(unknown)}")
     caps = {k: int(v) for k, v in {**BUDGETS, **(budgets or {})}.items()}
-    ub, exact_ok = _within_budget(upper_bound_exact, bank, tol, max_lp_solves=caps["lp_solves"])
+    ub, exact_ok = _within_budget(upper_bound_exact, bank, max_lp_solves=caps["lp_solves"])
     beta_exact = ub.beta if exact_ok else ub
     beta_relaxed, relaxed_ok = _within_budget(upper_bound_relaxed, bank,
-                                              max_leaves=caps["tuple_leaves"], tol=tol)
-    a_tilde, tilde_ok = _within_budget(alpha_tilde, bank, chi,
-                                       budget=caps["alpha_tilde_evals"], tol=tol)
+                                              max_leaves=caps["tuple_leaves"])
+    a_tilde, tilde_ok = _within_budget(alpha_tilde, bank, chi, budget=caps["alpha_tilde_evals"])
 
     a_pairs = min(n_pairs, 200)
-    sharp, sharp_ok = _within_budget(lower_bound_sharp, bank, a_pairs, seed=seed, tol=tol,
+    sharp, sharp_ok = _within_budget(lower_bound_sharp, bank, a_pairs, seed=seed,
                                      cap=caps["choice_cap"])
     alpha_sharp = sharp.alpha if sharp_ok else sharp
     emp = empirical_lipschitz(bank, n_pairs, seed=seed)

@@ -1,4 +1,9 @@
-"""Single tolerance policy threaded through every numerical comparison."""
+"""The fixed numerical thresholds: every comparison reads ``DEFAULT_TOL``.
+
+No function, method or config takes its own policy, so one run never
+mixes two.  TolerancePolicy is only the type of DEFAULT_TOL and checks
+its invariants.
+"""
 
 from __future__ import annotations
 

@@ -28,7 +28,7 @@ from .errors import BUDGETS, BudgetExceeded, LpNumericalFailure, NotNicePoint
 from .filtering import MaxFilterBank
 from .groups import FiniteGroup, Orbit, orbit_of, stabilizer_order
 from .streams import STREAMS
-from .tolerances import DEFAULT_TOL, TolerancePolicy
+from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "VoronoiCellSpec",
@@ -75,19 +75,19 @@ class VoronoiCellSpec:
         rows.setflags(write=False)
         return rows
 
-    def contains(self, y, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    def contains(self, y) -> bool:
         """Strict membership as the margin LP decides it: once y is scaled
         into the LP's box |y|_inf <= 1, every row margin exceeds lp_tol."""
         y = np.asarray(y, dtype=float)
         rows = self.rows
         if rows.shape[0] == 0:
             return True
-        return bool((rows @ y).min() > tol.lp_tol * np.abs(y).max())
+        return bool((rows @ y).min() > DEFAULT_TOL.lp_tol * np.abs(y).max())
 
 
-def cell_of(group: FiniteGroup, x, tol: TolerancePolicy = DEFAULT_TOL) -> VoronoiCellSpec:
+def cell_of(group: FiniteGroup, x) -> VoronoiCellSpec:
     x = np.asarray(x, dtype=float)
-    return VoronoiCellSpec(center=x, orbit=orbit_of(group, x, tol))
+    return VoronoiCellSpec(center=x, orbit=orbit_of(group, x))
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,7 @@ _LP_NNZ = 1 << 16
 _SAMPLE_TRIES = 100    # Gaussian draws per call of sample_principal and sample_nice
 
 
-def _margin_lps(
-    problems: Iterable[Sequence[VoronoiCellSpec]],
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> Iterator[ConeFeasibility]:
+def _margin_lps(problems: Iterable[Sequence[VoronoiCellSpec]]) -> Iterator[ConeFeasibility]:
     """One ConeFeasibility per list of cells, in input order.
 
     Problem k has its own unknowns (y_k, t_k), rows -R_k y_k + t_k <= 0
@@ -127,7 +124,7 @@ def _margin_lps(
             R = np.concatenate(rows)
             size = R.shape[0] * (R.shape[1] + 1)
             if pending and nnz + size > _LP_NNZ:
-                _solve_blocks(pending, results, tol)
+                _solve_blocks(pending, results)
                 yield from results
                 pending, results, nnz = [], [], 0
             pending.append((len(results), R))
@@ -136,11 +133,11 @@ def _margin_lps(
         else:
             d = cells[0].center.shape[0] if cells else 0
             results.append(ConeFeasibility(feasible=True, witness=np.zeros(d), margin=np.inf))
-    _solve_blocks(pending, results, tol)
+    _solve_blocks(pending, results)
     yield from results
 
 
-def _solve_blocks(pending: list, results: list, tol: TolerancePolicy) -> None:
+def _solve_blocks(pending: list, results: list) -> None:
     """Solve the (slot, rows) problems of ``pending`` as one block-diagonal
     LP and store each verdict at its slot of ``results``."""
     if not pending:
@@ -166,14 +163,13 @@ def _solve_blocks(pending: list, results: list, tol: TolerancePolicy) -> None:
     x = res.x.reshape(k, w)
     for (slot, _), xk in zip(pending, x):
         margin = float(xk[d])
-        feasible = margin > tol.lp_tol
+        feasible = margin > DEFAULT_TOL.lp_tol
         witness = xk[:d].copy() if feasible else None
         results[slot] = ConeFeasibility(feasible=feasible, witness=witness, margin=margin)
 
 
 def strict_cones_feasible(
     cells: list[VoronoiCellSpec] | tuple[VoronoiCellSpec, ...],
-    tol: TolerancePolicy = DEFAULT_TOL,
 ) -> ConeFeasibility:
     """Decide whether the open cells intersect.
 
@@ -185,10 +181,10 @@ def strict_cones_feasible(
     and ``upper_bound_exact`` solve in batches; every path shares its
     assembly.
     """
-    return next(_margin_lps([cells], tol))
+    return next(_margin_lps([cells]))
 
 
-def in_Q(orbit: Orbit, y, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+def in_Q(orbit: Orbit, y) -> bool:
     """Unique-argmax test: the top inner product beats the runner-up by
     more than sample_tol * (1 + |y|)."""
     y = np.asarray(y, dtype=float)
@@ -197,37 +193,29 @@ def in_Q(orbit: Orbit, y, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
         return True
     top2 = np.partition(vals, vals.shape[0] - 2)[-2:]
     gap = float(top2[1] - top2[0])
-    return gap > tol.sample_tol * (1.0 + float(np.linalg.norm(y)))
+    return gap > DEFAULT_TOL.sample_tol * (1.0 + float(np.linalg.norm(y)))
 
 
-def is_principal(group: FiniteGroup, x, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+def is_principal(group: FiniteGroup, x) -> bool:
     """Trivial stabilizer, i.e. the orbit has full size |G|."""
-    return stabilizer_order(group, x, tol) == 1
+    return stabilizer_order(group, x) == 1
 
 
-def sample_principal(
-    group: FiniteGroup,
-    rng: np.random.Generator,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> np.ndarray:
+def sample_principal(group: FiniteGroup, rng: np.random.Generator) -> np.ndarray:
     """Standard Gaussian draw, rejected until the point is principal."""
     for _ in range(_SAMPLE_TRIES):
         x = rng.standard_normal(group.dim)
-        if is_principal(group, x, tol):
+        if is_principal(group, x):
             return x
     raise NotNicePoint(f"no principal point found in {_SAMPLE_TRIES} Gaussian draws")
 
 
-def sample_nice(
-    bank: MaxFilterBank,
-    rng: np.random.Generator,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> np.ndarray:
+def sample_nice(bank: MaxFilterBank, rng: np.random.Generator) -> np.ndarray:
     """Principal point that also has a unique best representative in every
     template orbit."""
     for _ in range(_SAMPLE_TRIES):
         x = rng.standard_normal(bank.dim)
-        if is_principal(bank.group, x, tol) and all(in_Q(o, x, tol) for o in bank.orbits(tol)):
+        if is_principal(bank.group, x) and all(in_Q(o, x) for o in bank.orbits):
             return x
     raise NotNicePoint(f"no nice point found in {_SAMPLE_TRIES} Gaussian draws")
 
@@ -246,7 +234,7 @@ class SSet:
         return self.members.shape[0]
 
 
-def s_set(group: FiniteGroup, x, y, tol: TolerancePolicy = DEFAULT_TOL) -> SSet:
+def s_set(group: FiniteGroup, x, y) -> SSet:
     """S(x, y) = {q in [y] : V_q meets V_x}, in canonical orbit order.
 
     The |[y]| two-cell questions "does V_q meet V_x" are independent and
@@ -256,15 +244,15 @@ def s_set(group: FiniteGroup, x, y, tol: TolerancePolicy = DEFAULT_TOL) -> SSet:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     for name, pt in (("x", x), ("y", y)):
-        if not is_principal(group, pt, tol):
+        if not is_principal(group, pt):
             warnings.warn(f"s_set: {name} is not principal; result may be degenerate",
                           stacklevel=2)
-    orbit_x = orbit_of(group, x, tol)
-    orbit_y = orbit_of(group, y, tol)
+    orbit_x = orbit_of(group, x)
+    orbit_y = orbit_of(group, y)
     cell_x = VoronoiCellSpec(center=x, orbit=orbit_x)
     problems = [[VoronoiCellSpec(center=q, orbit=orbit_y), cell_x] for q in orbit_y.points]
     members, witnesses = [], []
-    for q, result in zip(orbit_y.points, _margin_lps(problems, tol)):
+    for q, result in zip(orbit_y.points, _margin_lps(problems)):
         if result.feasible:
             members.append(q)
             witnesses.append(result.witness)
@@ -288,7 +276,6 @@ def choice_assignments(
     bank: MaxFilterBank,
     x,
     y,
-    tol: TolerancePolicy = DEFAULT_TOL,
     cap: int = BUDGETS["choice_cap"],
 ) -> ChoiceEnumeration:
     """Enumerate F(x, y): maps f with f(i) in S(x, y) attaining the best
@@ -302,18 +289,18 @@ def choice_assignments(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     group = bank.group
-    if not is_principal(group, x, tol):
+    if not is_principal(group, x):
         raise NotNicePoint("x is not principal")
-    if not all(in_Q(orb, x, tol) for orb in bank.orbits(tol)):
+    if not all(in_Q(orb, x) for orb in bank.orbits):
         raise NotNicePoint("x has a tied best representative for a template orbit")
-    aligned = np.stack([orb.points[int(np.argmax(orb.points @ x))] for orb in bank.orbits(tol)])
+    aligned = np.stack([orb.points[int(np.argmax(orb.points @ x))] for orb in bank.orbits])
 
-    s = s_set(group, x, y, tol)
-    orbit_y = orbit_of(group, y, tol)
+    s = s_set(group, x, y)
+    orbit_y = orbit_of(group, y)
     candidates: list[list[int]] = []
     for v in aligned:
-        best = float((orbit_y.points @ v).max())
-        cand = [k for k, q in enumerate(s.members) if float(q @ v) >= best - tol.sample_tol]
+        floor = float((orbit_y.points @ v).max()) - DEFAULT_TOL.sample_tol
+        cand = [k for k, q in enumerate(s.members) if float(q @ v) >= floor]
         if not cand:
             raise NotNicePoint("no S-set member attains the best score for a template")
         candidates.append(cand)
@@ -338,12 +325,7 @@ class ChiEstimate:
     sizes: np.ndarray
 
 
-def voronoi_characteristic(
-    group: FiniteGroup,
-    n_samples: int,
-    seed: int,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> ChiEstimate:
+def voronoi_characteristic(group: FiniteGroup, n_samples: int, seed: int) -> ChiEstimate:
     """Monte Carlo lower bound on chi(G) over seeded Gaussian principal
     pairs.  Sample k is driven by default_rng((seed, tag, k)), so prefixes
     of the sample stream agree across different n_samples.
@@ -355,9 +337,9 @@ def voronoi_characteristic(
     sizes = np.zeros(n_samples, dtype=int)
     for k in range(n_samples):
         rng = np.random.default_rng((seed, STREAMS["chi_sampling"], k))
-        x = sample_principal(group, rng, tol)
-        y = sample_principal(group, rng, tol)
-        sizes[k] = s_set(group, x, y, tol).size
+        x = sample_principal(group, rng)
+        y = sample_principal(group, rng)
+        sizes[k] = s_set(group, x, y).size
         if sizes[k] > best:
             best, wx, wy = int(sizes[k]), x, y
     return ChiEstimate(chi_lower=best, saturated=(best == group.order),

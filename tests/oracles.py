@@ -88,13 +88,13 @@ def brute_beta_exact_sampled(bank, n_samples: int, rng) -> float:
     return best
 
 
-def dfs_upper_bound_exact(bank, tol=DEFAULT_TOL, max_lp_solves: int = 500_000) -> UpperBound:
+def dfs_upper_bound_exact(bank, max_lp_solves: int = 500_000) -> UpperBound:
     """Referee for upper_bound_exact: recursive depth-first search with
     one strict_cones_feasible LP per child, same pinning, visit order
     and child order.  Ties go to the first leaf reached."""
     group = bank.group
     n = bank.n_templates
-    orbits = [orbit_of(group, z, tol) for z in bank.templates]
+    orbits = [orbit_of(group, z) for z in bank.templates]
     cells = [[VoronoiCellSpec(center=p, orbit=orb) for p in orb.points] for orb in orbits]
     pin = int(np.argmax([orb.size for orb in orbits]))
     visit = [pin] + [i for i in range(n) if i != pin]
@@ -121,7 +121,7 @@ def dfs_upper_bound_exact(bank, tol=DEFAULT_TOL, max_lp_solves: int = 500_000) -
                                      partial=None if best == -math.inf else best)
             solves += 1
             trial = cur_cells + [cells[t][c]]
-            if strict_cones_feasible(trial, tol).feasible:
+            if strict_cones_feasible(trial).feasible:
                 choice[t] = c
                 extend(pos + 1, trial, choice)
                 del choice[t]
@@ -227,12 +227,12 @@ def degenerate_points(group, rng) -> np.ndarray:
 # each keeps a row unless an earlier kept row lies within the threshold
 
 
-def loop_orbit_of(group, x, tol=DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def loop_orbit_of(group, x) -> tuple[np.ndarray, np.ndarray]:
     """(points, rep_elements) of the orbit of x, one image at a time
     against the stacked points kept so far, Euclidean, eq_tol*(1+|x|)."""
     x = np.asarray(x, dtype=float)
     images = group.apply_all(x)
-    thresh = tol.eq_tol * (1.0 + float(np.linalg.norm(x)))
+    thresh = DEFAULT_TOL.eq_tol * (1.0 + float(np.linalg.norm(x)))
     points, reps = [], []
     for gi, p in enumerate(images):
         if not points or np.linalg.norm(np.stack(points) - p, axis=1).min() > thresh:
@@ -250,16 +250,17 @@ def loop_dedup_stack(stack: np.ndarray, eq_tol: float) -> np.ndarray:
     return np.stack(kept) if kept else stack[:0]
 
 
-def loop_closure(generators, tol=DEFAULT_TOL) -> np.ndarray:
+def loop_closure(generators) -> np.ndarray:
     """Right-multiplication BFS closure, in discovery order (not the
     canonical order): each product f @ g, frontier-major and
     generator-minor, is tested alone against every element and every
     new product so far."""
-    gen_stack = loop_dedup_stack(np.stack([np.asarray(g, float) for g in generators]), tol.eq_tol)
+    eq_tol = DEFAULT_TOL.eq_tol
+    gen_stack = loop_dedup_stack(np.stack([np.asarray(g, float) for g in generators]), eq_tol)
     elements = [np.eye(gen_stack.shape[1])]
 
     def known(M) -> bool:
-        return bool(np.abs(np.stack(elements) - M).max(axis=(1, 2)).min() <= tol.eq_tol)
+        return bool(np.abs(np.stack(elements) - M).max(axis=(1, 2)).min() <= eq_tol)
 
     frontier = [g for g in gen_stack if not known(g)]
     elements.extend(frontier)
@@ -268,19 +269,19 @@ def loop_closure(generators, tol=DEFAULT_TOL) -> np.ndarray:
         for f in frontier:
             for g in gen_stack:
                 cand = f @ g
-                if not known(cand) and not any(np.abs(cand - M).max() <= tol.eq_tol for M in new):
+                if not known(cand) and not any(np.abs(cand - M).max() <= eq_tol for M in new):
                     new.append(cand)
         elements.extend(new)
         frontier = new
     return np.stack(elements)
 
 
-def loop_pm_representatives(points: np.ndarray, tol=DEFAULT_TOL) -> np.ndarray:
+def loop_pm_representatives(points: np.ndarray) -> np.ndarray:
     """alpha_tilde's representatives of the orbit points up to sign: p is
     kept unless a kept q has |p + q| <= eq_tol*(1+|p|)."""
     reps: list[np.ndarray] = []
     for p in points:
-        thresh = tol.eq_tol * (1.0 + float(np.linalg.norm(p)))
+        thresh = DEFAULT_TOL.eq_tol * (1.0 + float(np.linalg.norm(p)))
         if not any(np.linalg.norm(p + q) <= thresh for q in reps):
             reps.append(p)
     return np.stack(reps)

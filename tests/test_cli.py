@@ -1,11 +1,14 @@
 import copy
 import importlib.util
+import inspect
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+import maxfilter_lab
+from maxfilter_lab import cli
 from maxfilter_lab.cli import (ExperimentConfig, build_parser, load_config,
                                main, run)
 from maxfilter_lab.errors import ConfigError
@@ -224,12 +227,6 @@ def test_exit_two_malformed_json(tmp_path):
     assert main(["bounds", "--config", str(p)]) == 2
 
 
-def test_exit_two_bad_tolerance_key(tmp_path):
-    payload = dict(SF2_BOUNDS, tolerances={"no_such_tol": 1e-6})
-    cfg = write_config(tmp_path, payload)
-    assert main(["bounds", "--config", cfg]) == 2
-
-
 def test_exit_two_lambda_below_floor(tmp_path):
     # n=4 templates with chi=2, d=2 gives lambda=1 < lambda0
     payload = {
@@ -316,6 +313,10 @@ def test_exit_three_on_each_exhaustible_budget(tmp_path, sub, key, value, flag):
     csv = "bounds_pairs.csv" if sub == "bounds" else "distortion_trials.csv"
     rows = (tmp_path / "out" / csv).read_text().splitlines()
     if sub == "bounds":
+        # an uncertified value takes no part in the ordering audit, so
+        # nothing fails: the miss shows in the exit code and the flags only
+        assert report["passed"] is True
+        assert all(a["passed"] for a in report["assertions"])
         prov = report["results"]["stability"]["provenance"]
         flags = {k: v for k, v in prov.items() if k.endswith("_certified")}
         assert flags == {k: k != flag for k in flags}
@@ -377,11 +378,30 @@ def test_sampled_chi_certifies_no_alpha_tilde(tmp_path):
     assert [r["alpha_tilde"] for r in results["runs"].values()] == [None, None]
 
 
-@pytest.mark.parametrize("name", ["fraction_slack", "min_quotient_distance"])
+@pytest.mark.parametrize("name", ["fraction_slack", "min_quotient_distance", "tolerances"])
 def test_former_config_constants_are_unknown_keys(tmp_path, capsys, name):
     cfg = write_config(tmp_path, dict(SF2_BOUNDS, **{name: 0.1}))
     assert main(["bounds", "--config", cfg]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_no_public_callable_takes_a_tolerance_or_order_cap():
+    # the thresholds live in tolerances.DEFAULT_TOL and the order cap in
+    # groups.MAX_ORDER; no call may pass its own
+    callables = {}
+    for name in maxfilter_lab.__all__:
+        obj = getattr(maxfilter_lab, name)
+        if inspect.isclass(obj):
+            # Python-level methods only: the builtin ones of exceptions have no signature
+            methods = inspect.getmembers(obj, lambda f: inspect.isfunction(f) or inspect.ismethod(f))
+            callables.update({f"{name}.{m}": f for m, f in methods if not m.startswith("_")})
+        elif callable(obj):
+            callables[name] = obj
+    callables.update({n: f for n, f in vars(cli).items() if n.startswith("cmd_")})
+    assert len(callables) > 40
+    taking = sorted(n for n, f in callables.items()
+                    if {"tol", "max_order"} & set(inspect.signature(f).parameters))
+    assert taking == []
 
 
 # ---------------------------------------------------------------------------

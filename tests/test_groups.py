@@ -39,7 +39,7 @@ def test_family_orders_and_dims(name, param, order, dim):
 def test_families_are_closed_orthogonal_groups(name, param, order, dim):
     g = build_family(name, param)
     for M in g.stack:
-        _check_orthogonal(M, DEFAULT_TOL)
+        _check_orthogonal(M)
     assert g.closure_defect() < 1e-12
 
 
@@ -69,12 +69,13 @@ def test_generate_group_rejects_non_orthogonal():
         generate_group([np.array([[1.0, 0.0], [0.0, 2.0]])])
 
 
-def test_generate_group_overflow_on_irrational_rotation():
-    # rotation by 1 radian generates an infinite group
+def test_generate_group_overflow_on_irrational_rotation(monkeypatch):
+    # rotation by 1 radian generates an infinite group; the cap is read at call time
+    monkeypatch.setattr(groups, "MAX_ORDER", 64)
     M = np.array([[math.cos(1.0), -math.sin(1.0)],
                   [math.sin(1.0), math.cos(1.0)]])
     with pytest.raises(ClosureOverflow):
-        generate_group([M], max_order=64)
+        generate_group([M])
 
 
 def test_family_size_cap():

@@ -14,7 +14,6 @@ from maxfilter_lab import (BudgetExceeded, CaseMismatch, DistortionBoundParams,
                            theoretical_sigma, upper_bound_exact,
                            upper_bound_relaxed)
 from maxfilter_lab import filtering, groups, stability, voronoi
-from maxfilter_lab.tolerances import DEFAULT_TOL, TolerancePolicy
 from maxfilter_lab.stability import pair_lower_value
 from oracles import (brute_alpha_tilde, brute_beta_exact_sampled,
                      brute_beta_relaxed, dfs_upper_bound_exact,
@@ -80,8 +79,8 @@ def test_lp_budget_edge(spec, monkeypatch):
     solved = []
     real = stability._margin_lps
 
-    def counting(problems, tol):
-        for r in real(problems, tol):
+    def counting(problems):
+        for r in real(problems):
             solved.append(r)
             yield r
 
@@ -476,15 +475,15 @@ def test_each_template_orbit_is_built_once(monkeypatch):
     built = []
     real = groups.orbit_of
 
-    def counting(group, x, tol=DEFAULT_TOL):
-        built.append((np.array(x, dtype=float), tol))
-        return real(group, x, tol)
+    def counting(group, x):
+        built.append(np.array(x, dtype=float))
+        return real(group, x)
 
     for module in (groups, filtering, voronoi, stability):
         monkeypatch.setattr(module, "orbit_of", counting)
 
-    def builds(z, tol=DEFAULT_TOL):
-        return sum(np.array_equal(x, z) and t == tol for x, t in built)
+    def builds(z):
+        return sum(np.array_equal(x, z) for x in built)
 
     lower_bound_sharp(bank, n_pairs=3, seed=0)
     assert [builds(z) for z in bank.templates] == [1, 1, 1, 1]
@@ -493,16 +492,12 @@ def test_each_template_orbit_is_built_once(monkeypatch):
     alpha_tilde(bank, chi=1)
     optimality_witness(bank, "reflection", chi_samples=5)
     assert [builds(z) for z in bank.templates] == [1, 1, 1, 1]
-    assert bank.orbits() is bank.orbits(DEFAULT_TOL)
-    loose = TolerancePolicy(eq_tol=1e-8, sample_tol=1e-8)
-    assert [o.size for o in bank.orbits(loose)] == [o.size for o in bank.orbits()]
-    assert [builds(z, loose) for z in bank.templates] == [1, 1, 1, 1]
 
 
 def test_orbit_cache_stays_out_of_repr_and_equality():
     g = build_family("cyclic_rotation_2d", 3)
     bank = MaxFilterBank(g, GOLDEN_Z)
     before = repr(bank)
-    bank.orbits()
-    assert repr(bank) == before and "_orbits" not in before
+    bank.orbits
+    assert repr(bank) == before and "orbits" not in before
     assert [f.name for f in dataclasses.fields(bank) if f.compare] == ["group", "templates"]
