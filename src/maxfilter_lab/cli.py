@@ -4,8 +4,9 @@ Usage: ``maxfilter-lab <subcommand> --config path.json [--seed N] [--out dir]``
 
 Subcommands: bounds | distortion | injectivity | kernel | maxfilter | chi.
 Each run loads one self-contained JSON config, executes a seeded
-experiment, writes a canonical JSON report plus a flat CSV of per-pair or
-per-trial numbers, prints one line per assertion, and exits with:
+experiment, writes a canonical JSON report plus, for every subcommand
+but kernel, a flat CSV of per-pair or per-trial numbers, prints one line
+per assertion, and exits with:
 
     0  all assertions passed
     1  at least one assertion failed
@@ -32,11 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BUDGETS, BudgetExceeded, ConfigError, DomainError, MaxFilterError
-from .filtering import (_CHAMBERS, MaxFilterBank, _pair_distances,
-                        apply_bank_batch, load_templates, max_filter_circular_brute,
+from .filtering import (MaxFilterBank, _pair_distances, apply_bank_batch,
+                        load_templates, max_filter_circular_brute,
                         max_filter_circular_fft)
 from .groups import FAMILIES, FiniteGroup, build_family, load_group
-from .kernels import direct_quadratic_form, search_psd_violation
+from .kernels import direct_quadratic_form, is_reflection_group, search_psd_violation
 from .reporting import all_passed, assertion, sanitize, write_csv, write_json
 from .stability import (_AUDIT_SLACK, DistortionBoundParams, _within_budget,
                         alpha_tilde, compute_stability_report,
@@ -44,10 +45,16 @@ from .stability import (_AUDIT_SLACK, DistortionBoundParams, _within_budget,
                         theoretical_distortion_bound, upper_bound_exact)
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
-from .voronoi import ChiEstimate, voronoi_characteristic
+from .voronoi import voronoi_characteristic
 
 _FRACTION_SLACK = 0.05          # distortion: allowed shortfall below the success probability
 _MIN_QUOTIENT_DISTANCE = 1e-3   # injectivity: pairs closer in the quotient are not scanned
+
+
+def _require_int(name: str, value, least: int) -> None:
+    """Raise ConfigError unless value is an integer >= least (not a bool)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,11 +84,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n_pairs", "n_trials", "chi_samples", "points_per_trial"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        if self.chi is not None and (not isinstance(self.chi, int) or self.chi < 1):
-            raise ConfigError(f"chi must be a positive integer, got {self.chi!r}")
+            _require_int(name, getattr(self, name), 1)
+        if self.chi is not None:
+            _require_int("chi", self.chi, 1)
+        if self.seed is not None:
+            _require_int("seed", self.seed, 0)
         if not self.dims or any((not isinstance(d, int)) or d < 1 for d in self.dims):
             raise ConfigError("dims must be a nonempty list of positive integers")
         if not isinstance(self.group_spec, dict):
@@ -95,6 +102,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown family {self.group_spec['family']!r}; "
                 f"known: {sorted(FAMILIES)}")
+        if has_family:
+            _require_int("group_spec.param", self.group_spec.get("param"), 1)
         if self.templates is not None:
             t_path = "path" in self.templates
             t_sampler = "sampler" in self.templates
@@ -104,12 +113,16 @@ class ExperimentConfig:
             if t_sampler:
                 if self.templates["sampler"] != "gaussian":
                     raise ConfigError("only the 'gaussian' sampler is supported")
-                n = self.templates.get("n")
-                if not isinstance(n, int) or n < 1:
-                    raise ConfigError("sampler requires a positive integer 'n'")
+                _require_int("templates.n", self.templates.get("n"), 1)
+                if self.templates.get("seed") is not None:
+                    _require_int("templates.seed", self.templates["seed"], 0)
+        if not isinstance(self.budgets, dict):
+            raise ConfigError("budgets must be an object")
         unknown = set(self.budgets) - set(BUDGETS)
         if unknown:
             raise ConfigError(f"unknown budget keys: {sorted(unknown)}")
+        for key, cap in self.budgets.items():
+            _require_int(f"budgets.{key}", cap, 0)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -128,7 +141,7 @@ class ExperimentConfig:
             raise ConfigError(str(e)) from e
 
     def budget(self, key: str) -> int:
-        return int(self.budgets.get(key, BUDGETS[key]))
+        return self.budgets.get(key, BUDGETS[key])
 
 
 def load_config(path: str | Path) -> tuple[ExperimentConfig, dict]:
@@ -150,11 +163,7 @@ def build_group_from_spec(spec: dict) -> FiniteGroup:
             return load_group(spec["path"])
         except FileNotFoundError as e:
             raise ConfigError(f"group file not found: {spec['path']}") from e
-    family = spec["family"]
-    param = spec.get("param")
-    if param is None:
-        raise ConfigError("group_spec with 'family' requires 'param'")
-    return build_family(family, int(param))
+    return build_family(spec["family"], spec["param"])
 
 
 def resolve_templates(config: ExperimentConfig, group: FiniteGroup,
@@ -189,25 +198,22 @@ class StageTimer:
                 time.perf_counter() - t0)
 
 
-def _chi_block(est: ChiEstimate) -> dict:
-    """Report block of a sampled chi: a lower bound, and proven only when it
-    saturates at |G|, since chi <= |G| always."""
-    return {"chi": est.chi_lower, "source": "order_bound" if est.saturated else "sampled",
-            "saturated": est.saturated, "n_samples": est.n_samples,
-            "witness_x": est.witness_x, "witness_y": est.witness_y}
-
-
 def _resolve_chi(config: ExperimentConfig, group: FiniteGroup, seed: int) -> tuple[int, dict, bool]:
-    """chi, its report block and whether it is proven: the configured chi,
-    else 1 for a reflection family (a key of filtering._CHAMBERS), else a
-    sample.  Only a proven chi certifies alpha_tilde: one too small makes
-    the pigeonhole subsets too large."""
+    """chi, its report block and whether it is proven: the configured chi;
+    else 1 for a reflection group, whose open chambers are its generic
+    cells; else a sample of chi_samples pairs, a lower bound proven only
+    when it saturates at |G|, since chi <= |G| always.  Only a proven chi
+    certifies alpha_tilde: one too small makes the pigeonhole subsets too
+    large."""
     if config.chi is not None:
         return config.chi, {"chi": config.chi, "source": "config"}, True
-    if group.family in _CHAMBERS:
-        return 1, {"chi": 1, "source": "reflection_family"}, True
+    if is_reflection_group(group):
+        return 1, {"chi": 1, "source": "reflection_group"}, True
     est = voronoi_characteristic(group, config.chi_samples, seed)
-    return est.chi_lower, _chi_block(est), est.saturated
+    block = {"chi": est.chi_lower, "source": "order_bound" if est.saturated else "sampled",
+             "saturated": est.saturated, "n_samples": est.n_samples,
+             "witness_x": est.witness_x, "witness_y": est.witness_y}
+    return est.chi_lower, block, est.saturated
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +438,7 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
 def cmd_kernel(config: ExperimentConfig, seed: int, timer: StageTimer):
     """kernel positive-semidefiniteness audit"""
     group = build_group_from_spec(config.group_spec)
-    with timer.stage("chi"):
-        est = voronoi_characteristic(group, config.chi_samples, seed)
-    reflection = est.chi_lower == 1
+    reflection = is_reflection_group(group)
     with timer.stage("psd_search"):
         search = search_psd_violation(group, config.n_trials,
                                       config.points_per_trial, seed)
@@ -456,15 +460,11 @@ def cmd_kernel(config: ExperimentConfig, seed: int, timer: StageTimer):
             recheck < -1e-6, recheck, 1e-6))
 
     results = {
-        "chi": _chi_block(est),
         "is_reflection_group": reflection,
         "search": search,
         "certificate_recheck": recheck,
     }
-    sizes = est.sizes
-    csvs = [("kernel_chi_samples.csv", ["sample", "s_set_size"],
-             [(k, int(sizes[k])) for k in range(len(sizes))])]
-    return results, asserts, csvs, True
+    return results, asserts, [], True
 
 
 def cmd_maxfilter(config: ExperimentConfig, seed: int, timer: StageTimer):
@@ -564,6 +564,7 @@ def run(subcommand: str, config_path: str, seed: int | None = None,
     """Programmatic entry point; same semantics as the CLI."""
     config, raw = load_config(config_path)
     if seed is not None:
+        _require_int("--seed", seed, 0)
         run_seed, seed_source = seed, "flag"
     elif config.seed is not None:
         run_seed, seed_source = config.seed, "config"

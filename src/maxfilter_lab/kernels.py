@@ -4,8 +4,9 @@ The similarity K(x, y) = max_g <g x, y> defines a kernel on orbit space.
 This module builds Gram matrices of that kernel on finite point sets,
 checks them for negative eigenvalues, and searches for certificates that
 the kernel fails to be positive semidefinite.  For reflection groups
-(chi == 1) no such certificate exists; for every other group a random
-search finds one quickly at small dimension.
+no such certificate exists; for every other group a random search finds
+one quickly at small dimension.  ``is_reflection_group`` decides which
+case a group is in, exactly, from its element stack.
 
 The Gram matrix comes from the family-keyed filter backend in
 ``filtering``.  For a reflection family it is pi(P) pi(P)^T, with pi the
@@ -23,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtering import _filter_values, max_filter
-from .groups import FiniteGroup
+from .groups import FiniteGroup, generate_group
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
-from .voronoi import voronoi_characteristic
 
 
 @dataclass(frozen=True)
@@ -137,13 +137,17 @@ def search_psd_violation(
                            trials_run=n_trials, seed=seed)
 
 
-def is_reflection_group(group: FiniteGroup, n_samples: int, seed: int) -> bool:
-    """Sampled test for the reflection-group property via chi(G) == 1.
+def is_reflection_group(group: FiniteGroup) -> bool:
+    """Whether G is generated by its reflections (Humphreys 1990, 1.1).
 
-    chi == 1 means generic Voronoi cells meet only one cell per orbit,
-    which happens exactly when the cell decomposition comes from mirror
-    hyperplanes.  A sampled chi of 1 is a statistical verdict: larger
-    n_samples makes a false positive less likely.
+    The reflections in G are its symmetric elements with trace d - 2,
+    both within eq_tol: orthogonal involutions with a single eigenvalue
+    -1.  G is a reflection group exactly when they close to all |G|
+    elements; the trivial group, generated by no reflection, is one.
+    Exact and deterministic: no sampling.
     """
-    est = voronoi_characteristic(group, n_samples, seed)
-    return est.chi_lower == 1
+    stack, eq_tol = group.stack, DEFAULT_TOL.eq_tol
+    symmetric = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) <= eq_tol
+    hyperplane = np.abs(np.trace(stack, axis1=1, axis2=2) - (group.dim - 2)) <= eq_tol
+    reflections = stack[symmetric & hyperplane]
+    return generate_group([np.eye(group.dim), *reflections]).order == group.order

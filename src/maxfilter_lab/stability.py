@@ -481,11 +481,10 @@ def optimality_witness(
     bank: MaxFilterBank,
     case: str,
     seed: int = 0,
-    chi_samples: int = 100,
 ) -> WitnessPair:
     """Construct a pair whose ratio attains the case's closed-form sharp
-    lower constant: 'pm_id' for G = {+I, -I}, 'reflection' for groups
-    certified as reflection groups by chi sampling."""
+    lower constant: 'pm_id' for G = {+I, -I}, 'reflection' for a group
+    generated by its reflections (``kernels.is_reflection_group``)."""
     group = bank.group
     if case == "pm_id":
         eye = np.eye(group.dim)
@@ -493,8 +492,8 @@ def optimality_witness(
             raise CaseMismatch("pm_id witness requires the group {+I, -I}")
         return _pm_id_witness(bank)
     if case == "reflection":
-        if not is_reflection_group(group, chi_samples, seed):
-            raise CaseMismatch("reflection witness requires chi = 1; sampling found more")
+        if not is_reflection_group(group):
+            raise CaseMismatch("reflection witness requires a group generated by its reflections")
         return _reflection_witness(bank, seed)
     raise CaseMismatch(f"unknown witness case {case!r}")
 

@@ -21,7 +21,7 @@ from maxfilter_lab import (MaxFilterBank, alpha_tilde, apply_bank_batch,
                            search_psd_violation, theoretical_distortion_bound,
                            upper_bound_exact, upper_bound_relaxed,
                            voronoi_characteristic, DistortionBoundParams,
-                           direct_quadratic_form)
+                           direct_quadratic_form, is_reflection_group)
 from maxfilter_lab.cli import run as cli_run
 from oracles import brute_orbit_min_distance
 
@@ -109,7 +109,7 @@ def test_acceptance_chi_values():
     for name, param, want_chi, want_sat in CHI_TABLE:
         g = build_family(name, param)
         est = voronoi_characteristic(g, n_samples=1000, seed=17)
-        good = est.chi_lower == want_chi
+        good = est.chi_lower == want_chi and is_reflection_group(g) is (want_chi == 1)
         if want_sat is not None:
             good = good and est.saturated is want_sat
         details.append((name, param, est.chi_lower, est.saturated, good))
@@ -185,14 +185,14 @@ def test_acceptance_kernel_dichotomy(c5, pm2, perm3, sf3, dih4):
     ok = True
     for g in (c5, pm2):
         res = search_psd_violation(g, n_trials=200, points_per_trial=6, seed=5)
-        ok = ok and res.found
+        ok = ok and res.found and is_reflection_group(g) is (not res.found)
         if res.found:
             q = direct_quadratic_form(g, res.certificate.points,
                                       res.certificate.coeffs)
             ok = ok and q < -1e-6
     for g in (perm3, sf3, dih4):
         res = search_psd_violation(g, n_trials=500, points_per_trial=6, seed=5)
-        ok = ok and not res.found
+        ok = ok and not res.found and is_reflection_group(g) is (not res.found)
     assert _emit("kernel_dichotomy", ok)
 
 

@@ -1,14 +1,16 @@
 import copy
+import dataclasses
 import importlib.util
 import inspect
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import maxfilter_lab
-from maxfilter_lab import cli
+from maxfilter_lab import cli, generate_group, save_group
 from maxfilter_lab.cli import (ExperimentConfig, build_parser, load_config,
                                main, run)
 from maxfilter_lab.errors import ConfigError
@@ -81,9 +83,9 @@ def test_seed_flag_overrides_config(tmp_path):
 
 
 @pytest.mark.parametrize("sub,payload,csvname", [
+    # kernel writes no CSV: it samples nothing per pair or trial
     ("kernel", {"group_spec": {"family": "cyclic_rotation_2d", "param": 5},
-                "n_trials": 20, "points_per_trial": 5, "chi_samples": 100,
-                "seed": 3}, "kernel_chi_samples.csv"),
+                "n_trials": 20, "points_per_trial": 5, "seed": 3}, None),
     ("maxfilter", {"group_spec": {"family": "circular_shifts", "param": 4},
                    "dims": [4, 8], "n_pairs": 10, "seed": 3},
      "maxfilter_pairs.csv"),
@@ -101,7 +103,8 @@ def test_subcommands_small_runs(tmp_path, sub, payload, csvname):
     report = json.loads((tmp_path / "out" / f"{sub}_report.json").read_text())
     assert set(report) == ENVELOPE
     assert report["passed"] is True
-    assert (tmp_path / "out" / csvname).exists()
+    written = {p.name for p in (tmp_path / "out").iterdir()}
+    assert written == {f"{sub}_report.json"} | ({csvname} if csvname else set())
 
 
 def test_distortion_small_run(tmp_path):
@@ -128,17 +131,16 @@ def test_stream_tags_are_unique_and_recorded(tmp_path):
 
 def test_reports_are_deterministic(tmp_path):
     payload = {"group_spec": {"family": "cyclic_rotation_2d", "param": 5},
-               "n_trials": 20, "points_per_trial": 5, "chi_samples": 100,
-               "seed": 3}
+               "n_trials": 20, "points_per_trial": 5, "seed": 3}
     cfg = write_config(tmp_path, payload)
     for d in ("r1", "r2"):
         assert run("kernel", cfg, out=str(tmp_path / d)) == 0
+        assert [p.name for p in (tmp_path / d).iterdir()] == ["kernel_report.json"]
     r1 = json.loads((tmp_path / "r1" / "kernel_report.json").read_text())
     r2 = json.loads((tmp_path / "r2" / "kernel_report.json").read_text())
     assert strip_timings(r1) == strip_timings(r2)
-    c1 = (tmp_path / "r1" / "kernel_chi_samples.csv").read_bytes()
-    c2 = (tmp_path / "r2" / "kernel_chi_samples.csv").read_bytes()
-    assert c1 == c2
+    assert "chi" not in r1["results"]
+    assert r1["results"]["is_reflection_group"] is False
 
 
 def test_run_all_runs_every_shipped_config():
@@ -332,7 +334,7 @@ def test_exit_three_on_each_exhaustible_budget(tmp_path, sub, key, value, flag):
         assert all(r.split(",")[2] == "nan" for r in rows[1:])   # no partial alpha_tilde
 
 
-# circular_shifts(4) is not a reflection family, so without a configured
+# circular_shifts(4) is not a reflection group, so without a configured
 # chi the run samples it; one sample finds 3 at seed 0 and |G| = 4 at seed 1
 CS4_BOUNDS = {"group_spec": {"family": "circular_shifts", "param": 4},
               "templates": {"sampler": "gaussian", "n": 10},
@@ -344,7 +346,7 @@ P3_BOUNDS = {"group_spec": {"family": "permutations", "param": 3},
 @pytest.mark.parametrize("payload,chi,source,code", [
     pytest.param(dict(CS4_BOUNDS, seed=0), 3, "sampled", 3, id="sampled"),
     pytest.param(dict(CS4_BOUNDS, seed=1), 4, "order_bound", 0, id="order_bound"),
-    pytest.param(P3_BOUNDS, 1, "reflection_family", 0, id="reflection_family"),
+    pytest.param(P3_BOUNDS, 1, "reflection_group", 0, id="reflection_family"),
 ])
 def test_only_a_proven_chi_certifies_alpha_tilde(tmp_path, payload, chi, source, code):
     cfg = write_config(tmp_path, payload)
@@ -352,12 +354,25 @@ def test_only_a_proven_chi_certifies_alpha_tilde(tmp_path, payload, chi, source,
     results = json.loads((tmp_path / "out" / "bounds_report.json").read_text())["results"]
     assert results["chi"]["chi"] == chi
     assert results["chi"]["source"] == source
-    # a reflection family is not sampled at all
-    assert ("n_samples" in results["chi"]) is (source != "reflection_family")
+    # a reflection group is not sampled at all
+    assert ("n_samples" in results["chi"]) is (source != "reflection_group")
     prov = results["stability"]["provenance"]
     assert prov["alpha_tilde_certified"] is (code == 0)
     assert prov["beta_exact_certified"] and prov["alpha_sharp_certified"]
     assert (tmp_path / "out" / "bounds_pairs.csv").exists()
+
+
+def test_untagged_reflection_group_gets_a_proven_chi(tmp_path):
+    # S3 closed from two transpositions and loaded by path carries no
+    # family tag; the exact reflection test still proves chi = 1
+    path = tmp_path / "s3.json"
+    save_group(generate_group([np.eye(3)[[1, 0, 2]], np.eye(3)[[0, 2, 1]]]), path)
+    payload = {k: v for k, v in P3_BOUNDS.items() if k != "group_spec"}
+    cfg = write_config(tmp_path, dict(payload, group_spec={"path": str(path)}))
+    assert run("bounds", cfg, out=str(tmp_path / "out")) == 0
+    results = json.loads((tmp_path / "out" / "bounds_report.json").read_text())["results"]
+    assert results["chi"] == {"chi": 1, "source": "reflection_group"}
+    assert results["stability"]["provenance"]["alpha_tilde_certified"] is True
 
 
 def test_sampled_chi_certifies_no_alpha_tilde(tmp_path):
@@ -404,8 +419,50 @@ def test_no_public_callable_takes_a_tolerance_or_order_cap():
     assert taking == []
 
 
+def test_settable_value_count_ratchet():
+    # every parameter of the public API (callables in __all__, the public
+    # methods of exported classes), the init fields of exported
+    # dataclasses, the ExperimentConfig fields and the 3 CLI flags; a new
+    # knob must raise this number and say why
+    count = len(dataclasses.fields(ExperimentConfig)) + 3
+    for name in maxfilter_lab.__all__:
+        obj = getattr(maxfilter_lab, name)
+        if inspect.isclass(obj):
+            if dataclasses.is_dataclass(obj):
+                count += sum(f.init for f in dataclasses.fields(obj))
+            methods = inspect.getmembers(obj, lambda f: inspect.isfunction(f) or inspect.ismethod(f))
+            callables = [f for m, f in methods if not m.startswith("_")]
+        else:
+            callables = [obj] if callable(obj) else []
+        count += sum(p not in ("self", "cls")
+                     for f in callables for p in inspect.signature(f).parameters)
+    assert count <= 182
+
+
 # ---------------------------------------------------------------------------
 # config validation units
+
+
+@pytest.mark.parametrize("change,flags", [
+    pytest.param({"group_spec": {"family": "sign_flips", "param": 0}}, [], id="param_zero"),
+    pytest.param({"group_spec": {"family": "sign_flips", "param": "x"}}, [], id="param_string"),
+    pytest.param({"group_spec": {"family": "sign_flips"}}, [], id="param_missing"),
+    pytest.param({"seed": -1}, [], id="seed_negative"),
+    pytest.param({"seed": 1.5}, [], id="seed_float"),
+    pytest.param({"templates": {"sampler": "gaussian", "n": 3, "seed": -4}}, [],
+                 id="templates_seed_negative"),
+    pytest.param({"budgets": {"lp_solves": "abc"}}, [], id="budget_string"),
+    pytest.param({"budgets": ["lp_solves"]}, [], id="budgets_list"),
+    # a zero cap is a cap (test_exit_three_on_each_exhaustible_budget); below zero is an error
+    pytest.param({"budgets": {"lp_solves": -1}}, [], id="budget_negative"),
+    pytest.param({}, ["--seed", "-1"], id="seed_flag_negative"),
+])
+def test_exit_two_on_malformed_config_value(tmp_path, capsys, change, flags):
+    cfg = write_config(tmp_path, dict(SF2_BOUNDS, **change))
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_bad_counts():

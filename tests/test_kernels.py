@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maxfilter_lab import (build_family, direct_quadratic_form, gram_audit,
-                           gram_matrix, is_reflection_group, max_filter,
-                           search_psd_violation)
+from maxfilter_lab import (FAMILIES, build_family, direct_quadratic_form,
+                           generate_group, gram_audit, gram_matrix,
+                           is_reflection_group, max_filter, search_psd_violation,
+                           voronoi_characteristic)
 from maxfilter_lab.reporting import sanitize
 from oracles import BACKEND_CASES, brute_max_filter, degenerate_points
 
@@ -89,21 +90,42 @@ def test_search_no_violation_for_reflections(sf2):
     assert res.trials_run == 60
 
 
-@pytest.mark.parametrize("name,param,expect", [
-    ("sign_flips", 2, True), ("sign_flips", 3, True),
-    ("permutations", 3, True), ("dihedral_2d", 3, True),
-    ("dihedral_2d", 4, True), ("cyclic_rotation_2d", 3, False),
-    ("cyclic_rotation_2d", 5, False), ("plus_minus_id", 3, False),
-    ("axis_rotation_3d", 4, False),
-])
+_PLANAR = ("cyclic_rotation_2d", "axis_rotation_3d", "dihedral_2d")
+_REFLECTION_FAMILIES = ("permutations", "sign_flips", "dihedral_2d")
+# untagged groups closed from generators: S3 from two transpositions, and
+# an order-4 group whose one reflection generates only half of it
+_GENERATED = {
+    "s3_transpositions": ([np.eye(3)[[1, 0, 2]], np.eye(3)[[0, 2, 1]]], True),
+    "one_reflection_order4": ([np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, -1.0, -1.0])], False),
+}
+
+
+def _reflection_cases():
+    # a family at a parameter is a reflection group when it is one of the
+    # three reflection families, or at param 1 (trivial, or {1, -1} on the
+    # line for plus_minus_id), or circular_shifts(2), the swap of two coordinates
+    for name in FAMILIES:
+        for param in range(1, 7 if name in _PLANAR else 5):
+            expect = (name in _REFLECTION_FAMILIES or param == 1
+                      or (name, param) == ("circular_shifts", 2))
+            yield name, param, expect
+    for name, (_, expect) in _GENERATED.items():
+        yield name, None, expect
+
+
+@pytest.mark.parametrize("name,param,expect", list(_reflection_cases()))
 def test_reflection_classification(name, param, expect):
-    g = build_family(name, param)
-    assert is_reflection_group(g, n_samples=200, seed=11) is expect
+    g = generate_group(_GENERATED[name][0]) if name in _GENERATED else build_family(name, param)
+    assert is_reflection_group(g) is expect
+    # referee: a reflection group has chi = 1, so every sampled S-set has
+    # one cell; each non-reflection case here shows a larger one
+    est = voronoi_characteristic(g, 200, seed=11)
+    assert bool((est.sizes == 1).all()) is expect
 
 
 def test_trivial_group_is_reflection_case(trivial2, rng):
-    # chi = 1 vacuously; the quadratic form is a plain Gram matrix
-    assert is_reflection_group(trivial2, n_samples=50, seed=0)
+    # generated by no reflection; the quadratic form is a plain Gram matrix
+    assert is_reflection_group(trivial2)
     X = rng.standard_normal((5, 2))
     assert gram_audit(trivial2, X).verdict == "psd"
 

@@ -490,7 +490,7 @@ def test_each_template_orbit_is_built_once(monkeypatch):
     upper_bound_exact(bank)
     upper_bound_relaxed(bank)
     alpha_tilde(bank, chi=1)
-    optimality_witness(bank, "reflection", chi_samples=5)
+    optimality_witness(bank, "reflection")
     assert [builds(z) for z in bank.templates] == [1, 1, 1, 1]
 
 
