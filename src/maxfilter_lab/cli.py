@@ -11,7 +11,7 @@ per assertion, and exits with:
     0  all assertions passed
     1  at least one assertion failed
     2  config or domain error
-    3  a value is not certified (budget miss or unproven chi)
+    3  a search ran out of budget; its values are reported uncertified
 
 Reports are byte-identical across reruns with the same config and seed;
 wall-clock numbers live in the single "timings" field which comparisons
@@ -64,7 +64,8 @@ class ExperimentConfig:
     ``group_spec`` is either {"family": name, "param": int} or
     {"path": "group.json"}.  ``templates`` is either {"path": "z.csv"} or
     {"sampler": "gaussian", "n": int, "seed": optional int}; subcommands
-    that draw their own templates ignore it.
+    that draw their own templates ignore it.  Only the chi subcommand
+    reads ``chi_samples``; the others take a proven chi (_resolve_chi).
     """
 
     group_spec: dict
@@ -89,6 +90,9 @@ class ExperimentConfig:
             _require_int("chi", self.chi, 1)
         if self.seed is not None:
             _require_int("seed", self.seed, 0)
+        if (not isinstance(self.lambda0, (int, float)) or isinstance(self.lambda0, bool)
+                or not math.isfinite(self.lambda0)):
+            raise ConfigError(f"lambda0 must be a finite number, got {self.lambda0!r}")
         if not self.dims or any((not isinstance(d, int)) or d < 1 for d in self.dims):
             raise ConfigError("dims must be a nonempty list of positive integers")
         if not isinstance(self.group_spec, dict):
@@ -158,12 +162,14 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig, dict]:
 
 
 def build_group_from_spec(spec: dict) -> FiniteGroup:
-    if "path" in spec:
-        try:
-            return load_group(spec["path"])
-        except FileNotFoundError as e:
-            raise ConfigError(f"group file not found: {spec['path']}") from e
-    return build_family(spec["family"], spec["param"])
+    """The family, or the group file; a file that cannot be read or does
+    not hold a valid group is a ConfigError."""
+    if "family" in spec:
+        return build_family(spec["family"], spec["param"])
+    try:
+        return load_group(spec["path"])
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"group file {spec['path']}: {type(e).__name__}: {e}") from e
 
 
 def resolve_templates(config: ExperimentConfig, group: FiniteGroup,
@@ -171,7 +177,11 @@ def resolve_templates(config: ExperimentConfig, group: FiniteGroup,
     if config.templates is None:
         raise ConfigError("this subcommand requires a 'templates' entry")
     if "path" in config.templates:
-        Z = load_templates(config.templates["path"])
+        try:
+            Z = load_templates(config.templates["path"])
+        except (OSError, ValueError) as e:
+            raise ConfigError(
+                f"template file {config.templates['path']}: {type(e).__name__}: {e}") from e
         if Z.shape[1] != group.dim:
             raise ConfigError(
                 f"templates have dim {Z.shape[1]}, group acts on {group.dim}")
@@ -198,28 +208,29 @@ class StageTimer:
                 time.perf_counter() - t0)
 
 
-def _resolve_chi(config: ExperimentConfig, group: FiniteGroup, seed: int) -> tuple[int, dict, bool]:
-    """chi, its report block and whether it is proven: the configured chi;
-    else 1 for a reflection group, whose open chambers are its generic
-    cells; else a sample of chi_samples pairs, a lower bound proven only
-    when it saturates at |G|, since chi <= |G| always.  Only a proven chi
-    certifies alpha_tilde: one too small makes the pigeonhole subsets too
-    large."""
+def _resolve_chi(config: ExperimentConfig, group: FiniteGroup) -> tuple[int, dict]:
+    """An upper bound on chi and its report block, by the first rule that
+    applies: the configured chi, taken as given; 1 for a reflection group,
+    whose open chambers are its generic cells; 2 for the planar rotation
+    families, since an open sector of width 2*pi/m meets at most two
+    sectors of another orbit's partition into m; else |G|, since
+    chi <= |G| always.  alpha_tilde needs only an upper bound: a larger
+    chi makes the pigeonhole subsets smaller, which can only lower it."""
     if config.chi is not None:
-        return config.chi, {"chi": config.chi, "source": "config"}, True
-    if is_reflection_group(group):
-        return 1, {"chi": 1, "source": "reflection_group"}, True
-    est = voronoi_characteristic(group, config.chi_samples, seed)
-    block = {"chi": est.chi_lower, "source": "order_bound" if est.saturated else "sampled",
-             "saturated": est.saturated, "n_samples": est.n_samples,
-             "witness_x": est.witness_x, "witness_y": est.witness_y}
-    return est.chi_lower, block, est.saturated
+        chi, source = config.chi, "config"
+    elif is_reflection_group(group):
+        chi, source = 1, "reflection_group"
+    elif group.family in ("cyclic_rotation_2d", "axis_rotation_3d"):
+        chi, source = 2, "planar_sectors"
+    else:
+        chi, source = group.order, "order_bound"
+    return chi, {"chi": chi, "source": source}
 
 
 # ---------------------------------------------------------------------------
 # subcommands; each takes (config, seed, timer) and returns
 # (results, assertions, csv_files, certified), where csv_files is a list of
-# (filename, header, rows); certified is False on a budget miss or unproven chi
+# (filename, header, rows); certified is False on a budget miss
 
 
 def cmd_bounds(config: ExperimentConfig, seed: int, timer: StageTimer):
@@ -228,11 +239,10 @@ def cmd_bounds(config: ExperimentConfig, seed: int, timer: StageTimer):
     Z = resolve_templates(config, group, seed)
     bank = MaxFilterBank(group, Z)
     with timer.stage("chi"):
-        chi, chi_info, chi_proven = _resolve_chi(config, group, seed)
+        chi, chi_info = _resolve_chi(config, group)
     with timer.stage("bounds"):
         stab, emp = compute_stability_report(
             bank, chi, n_pairs=config.n_pairs, seed=seed, budgets=config.budgets)
-    stab.provenance["alpha_tilde_certified"] &= chi_proven
 
     try:
         params = DistortionBoundParams(
@@ -293,7 +303,7 @@ def cmd_distortion(config: ExperimentConfig, seed: int, timer: StageTimer):
         raise ConfigError("distortion requires templates drawn by a sampler")
     n = int(config.templates["n"])
     with timer.stage("chi"):
-        chi, chi_info, chi_proven = _resolve_chi(config, group, seed)
+        chi, chi_info = _resolve_chi(config, group)
     params = DistortionBoundParams(m=group.order, chi=chi, d=group.dim,
                                    n=n, lambda0=config.lambda0)
     bound = theoretical_distortion_bound(params)  # DomainError -> exit 2
@@ -312,7 +322,7 @@ def cmd_distortion(config: ExperimentConfig, seed: int, timer: StageTimer):
             beta = ub.beta if beta_ok else ub
             at, at_ok = _within_budget(alpha_tilde, bank, chi,
                                        budget=config.budget("alpha_tilde_evals"))
-            certified = beta_ok and at_ok and chi_proven
+            certified = beta_ok and at_ok
             if not certified:
                 uncertified.append(t)
             emp = empirical_lipschitz(bank, config.n_pairs, seed=seed, stream=t)
@@ -395,7 +405,7 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
     group = build_group_from_spec(config.group_spec)
     d = group.dim
     with timer.stage("chi"):
-        chi, chi_info, chi_proven = _resolve_chi(config, group, seed)
+        chi, chi_info = _resolve_chi(config, group)
     threshold_n = chi * (d - 1) + 1
     run_ns = sorted({2 * d, threshold_n})
 
@@ -409,7 +419,6 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
             bank = MaxFilterBank(group, rng.standard_normal((n, d)))
             at, at_ok = _within_budget(alpha_tilde, bank, chi,
                                        budget=config.budget("alpha_tilde_evals"))
-            at_ok &= chi_proven
             certified &= at_ok
             summary, rows = _collision_scan(bank, config.n_pairs, seed, n)
         summary["alpha_tilde"] = at if at_ok else None   # a partial alpha_tilde certifies nothing
@@ -597,8 +606,7 @@ def run(subcommand: str, config_path: str, seed: int | None = None,
               f"tolerance={json.dumps(sanitize(a['tolerance']))})")
     print(f"report: {json_path}")
     if code == 3:
-        print("budget exceeded or chi unproven: some values are not certified",
-              file=sys.stderr)
+        print("budget exceeded: some values are not certified", file=sys.stderr)
     return code
 
 

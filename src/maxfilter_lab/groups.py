@@ -155,23 +155,6 @@ class FiniteGroup:
         M = _as_matrix(matrix, self.dim)
         return bool(np.abs(self.stack - M).max(axis=(1, 2)).min() <= DEFAULT_TOL.eq_tol)
 
-    def closure_defect(self) -> float:
-        """Max distance from any pairwise product to its nearest element.
-
-        Zero (up to float noise) iff the element list is closed under
-        multiplication.  Cubic in the order, in blocks of _BLOCK entries.
-        """
-        stack, m, d = self.stack, self.order, self.dim
-        step = max(1, _BLOCK // (m * d * d))
-        worst = 0.0
-        for lo in range(0, m, step):
-            prods = np.einsum("aij,bjk->abik", stack[lo:lo + step], stack).reshape(-1, d, d)
-            for p in range(0, len(prods), step):
-                # (step, m) distance matrix in the entrywise max norm
-                dist = np.abs(prods[p:p + step, None, :, :] - stack[None, :, :, :]).max(axis=(2, 3))
-                worst = max(worst, float(dist.min(axis=1).max()))
-        return worst
-
     @classmethod
     def from_matrices(cls, mats: np.ndarray) -> "FiniteGroup":
         stack = np.asarray(mats, dtype=float)

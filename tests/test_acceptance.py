@@ -22,7 +22,7 @@ from maxfilter_lab import (MaxFilterBank, alpha_tilde, apply_bank_batch,
                            upper_bound_exact, upper_bound_relaxed,
                            voronoi_characteristic, DistortionBoundParams,
                            direct_quadratic_form, is_reflection_group)
-from maxfilter_lab.cli import run as cli_run
+from maxfilter_lab.cli import ExperimentConfig, _resolve_chi, run as cli_run
 from oracles import brute_orbit_min_distance
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -112,7 +112,11 @@ def test_acceptance_chi_values():
         good = est.chi_lower == want_chi and is_reflection_group(g) is (want_chi == 1)
         if want_sat is not None:
             good = good and est.saturated is want_sat
-        details.append((name, param, est.chi_lower, est.saturated, good))
+        # the runs' proven chi is the table's wherever its rule is exact
+        chi, block = _resolve_chi(ExperimentConfig(group_spec={"family": name, "param": param}), g)
+        if block["source"] != "order_bound":
+            good = good and chi == want_chi
+        details.append((name, param, est.chi_lower, est.saturated, block, good))
         ok = ok and good
     assert _emit("chi_values", ok), details
 

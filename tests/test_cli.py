@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import maxfilter_lab
-from maxfilter_lab import cli, generate_group, save_group
+from maxfilter_lab import (FAMILIES, build_family, cli, generate_group, save_group,
+                          voronoi_characteristic)
 from maxfilter_lab.cli import (ExperimentConfig, build_parser, load_config,
                                main, run)
 from maxfilter_lab.errors import ConfigError
@@ -334,63 +335,64 @@ def test_exit_three_on_each_exhaustible_budget(tmp_path, sub, key, value, flag):
         assert all(r.split(",")[2] == "nan" for r in rows[1:])   # no partial alpha_tilde
 
 
-# circular_shifts(4) is not a reflection group, so without a configured
-# chi the run samples it; one sample finds 3 at seed 0 and |G| = 4 at seed 1
-CS4_BOUNDS = {"group_spec": {"family": "circular_shifts", "param": 4},
-              "templates": {"sampler": "gaussian", "n": 10},
-              "chi_samples": 1, "n_pairs": 50}
+# without a configured chi, each run takes the first rule that proves one
 P3_BOUNDS = {"group_spec": {"family": "permutations", "param": 3},
              "templates": {"sampler": "gaussian", "n": 3}, "n_pairs": 50, "seed": 7}
+NO_CHI_RUNS = [
+    pytest.param("distortion", {k: v for k, v in C3_DISTORTION.items() if k != "chi"},
+                 2, "planar_sectors", id="planar_sectors_distortion"),
+    pytest.param("injectivity", {"group_spec": {"family": "cyclic_rotation_2d", "param": 5},
+                                 "n_pairs": 2000, "seed": 3},
+                 2, "planar_sectors", id="planar_sectors_injectivity"),
+    # circular_shifts(4) is neither a reflection group nor planar
+    pytest.param("bounds", {"group_spec": {"family": "circular_shifts", "param": 4},
+                            "templates": {"sampler": "gaussian", "n": 10},
+                            "n_pairs": 50, "seed": 1},
+                 4, "order_bound", id="order_bound"),
+    pytest.param("bounds", P3_BOUNDS, 1, "reflection_group", id="reflection_family"),
+    # S3 closed from two transpositions and loaded by path carries no family tag
+    pytest.param("bounds", dict(P3_BOUNDS, group_spec={"path": "s3.json"}),
+                 1, "reflection_group", id="untagged_reflection_group"),
+]
 
 
-@pytest.mark.parametrize("payload,chi,source,code", [
-    pytest.param(dict(CS4_BOUNDS, seed=0), 3, "sampled", 3, id="sampled"),
-    pytest.param(dict(CS4_BOUNDS, seed=1), 4, "order_bound", 0, id="order_bound"),
-    pytest.param(P3_BOUNDS, 1, "reflection_group", 0, id="reflection_family"),
-])
-def test_only_a_proven_chi_certifies_alpha_tilde(tmp_path, payload, chi, source, code):
-    cfg = write_config(tmp_path, payload)
-    assert run("bounds", cfg, out=str(tmp_path / "out")) == code
-    results = json.loads((tmp_path / "out" / "bounds_report.json").read_text())["results"]
-    assert results["chi"]["chi"] == chi
-    assert results["chi"]["source"] == source
-    # a reflection group is not sampled at all
-    assert ("n_samples" in results["chi"]) is (source != "reflection_group")
-    prov = results["stability"]["provenance"]
-    assert prov["alpha_tilde_certified"] is (code == 0)
-    assert prov["beta_exact_certified"] and prov["alpha_sharp_certified"]
-    assert (tmp_path / "out" / "bounds_pairs.csv").exists()
+@pytest.mark.parametrize("sub,payload,chi,source", NO_CHI_RUNS)
+def test_only_a_proven_chi_certifies_alpha_tilde(tmp_path, monkeypatch, sub, payload, chi, source):
+    # the resolver samples nothing, so every alpha_tilde it feeds is certified
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("chi was sampled")
+    monkeypatch.setattr(cli, "voronoi_characteristic", no_sampling)
+    monkeypatch.chdir(tmp_path)
+    save_group(generate_group([np.eye(3)[[1, 0, 2]], np.eye(3)[[0, 2, 1]]]), "s3.json")
+    assert run(sub, write_config(tmp_path, payload), out="out") == 0
+    results = json.loads((tmp_path / "out" / f"{sub}_report.json").read_text())["results"]
+    assert results["chi"] == {"chi": chi, "source": source}
+    if sub == "bounds":
+        assert results["stability"]["provenance"]["alpha_tilde_certified"] is True
+    elif sub == "distortion":
+        assert results["uncertified_trials"] == []
+    else:
+        assert None not in [r["alpha_tilde"] for r in results["runs"].values()]
 
 
-def test_untagged_reflection_group_gets_a_proven_chi(tmp_path):
-    # S3 closed from two transpositions and loaded by path carries no
-    # family tag; the exact reflection test still proves chi = 1
-    path = tmp_path / "s3.json"
-    save_group(generate_group([np.eye(3)[[1, 0, 2]], np.eye(3)[[0, 2, 1]]]), path)
-    payload = {k: v for k, v in P3_BOUNDS.items() if k != "group_spec"}
-    cfg = write_config(tmp_path, dict(payload, group_spec={"path": str(path)}))
-    assert run("bounds", cfg, out=str(tmp_path / "out")) == 0
-    results = json.loads((tmp_path / "out" / "bounds_report.json").read_text())["results"]
-    assert results["chi"] == {"chi": 1, "source": "reflection_group"}
-    assert results["stability"]["provenance"]["alpha_tilde_certified"] is True
+def _chi_rule_cases():
+    for name in FAMILIES:
+        for param in range(1, 7 if name in ("cyclic_rotation_2d", "axis_rotation_3d",
+                                            "dihedral_2d") else 5):
+            yield name, param
 
 
-def test_sampled_chi_certifies_no_alpha_tilde(tmp_path):
-    # C3 and C5 sample chi = 2 < |G|, a lower bound only
-    distortion = {k: v for k, v in C3_DISTORTION.items() if k != "chi"}
-    cfg = write_config(tmp_path, distortion, name="distortion.json")
-    assert run("distortion", cfg, out=str(tmp_path / "d")) == 3
-    results = json.loads((tmp_path / "d" / "distortion_report.json").read_text())["results"]
-    assert results["chi"]["source"] == "sampled"
-    assert results["uncertified_trials"] == [0, 1]
-
-    injectivity = {"group_spec": {"family": "cyclic_rotation_2d", "param": 5},
-                   "n_pairs": 2000, "seed": 3}
-    cfg = write_config(tmp_path, injectivity, name="injectivity.json")
-    assert run("injectivity", cfg, out=str(tmp_path / "i")) == 3
-    results = json.loads((tmp_path / "i" / "injectivity_report.json").read_text())["results"]
-    assert results["chi"]["source"] == "sampled"
-    assert [r["alpha_tilde"] for r in results["runs"].values()] == [None, None]
+@pytest.mark.parametrize("name,param", list(_chi_rule_cases()))
+def test_no_sample_exceeds_the_resolved_chi(name, param):
+    # a sampled S-set is a lower bound on chi, so one above the resolved
+    # value would disprove its rule; the rules for reflection groups and
+    # planar rotations are exact, so there the samples reach them
+    g = build_family(name, param)
+    chi, block = cli._resolve_chi(ExperimentConfig(group_spec={"family": name, "param": param}), g)
+    est = voronoi_characteristic(g, 50, seed=11)
+    assert est.chi_lower <= chi, (block, est.witness_x, est.witness_y)
+    if block["source"] != "order_bound":
+        assert est.chi_lower == chi
 
 
 @pytest.mark.parametrize("name", ["fraction_slack", "min_quotient_distance", "tolerances"])
@@ -443,6 +445,17 @@ def test_settable_value_count_ratchet():
 # config validation units
 
 
+# outside files a config may name, malformed; every case below runs among them
+OUTSIDE_FILES = {
+    "no_generators.json": '{"dim": 2}',
+    # C3's three elements stored under the tag of C4
+    "c3_tagged_as_c4.json": json.dumps({
+        "dim": 2, "family": "cyclic_rotation_2d", "param": 4,
+        "generators": build_family("cyclic_rotation_2d", 3).stack.reshape(3, -1).tolist()}),
+    "not_numeric.csv": "1.0,x\n",
+}
+
+
 @pytest.mark.parametrize("change,flags", [
     pytest.param({"group_spec": {"family": "sign_flips", "param": 0}}, [], id="param_zero"),
     pytest.param({"group_spec": {"family": "sign_flips", "param": "x"}}, [], id="param_string"),
@@ -456,10 +469,21 @@ def test_settable_value_count_ratchet():
     # a zero cap is a cap (test_exit_three_on_each_exhaustible_budget); below zero is an error
     pytest.param({"budgets": {"lp_solves": -1}}, [], id="budget_negative"),
     pytest.param({}, ["--seed", "-1"], id="seed_flag_negative"),
+    pytest.param({"lambda0": "x"}, [], id="lambda0_string"),
+    pytest.param({"lambda0": True}, [], id="lambda0_bool"),
+    pytest.param({"group_spec": {"path": "no_generators.json"}}, [],
+                 id="group_file_without_generators"),
+    pytest.param({"group_spec": {"path": "c3_tagged_as_c4.json"}}, [],
+                 id="group_file_differs_from_its_family"),
+    pytest.param({"templates": {"path": "missing.csv"}}, [], id="template_file_missing"),
+    pytest.param({"templates": {"path": "not_numeric.csv"}}, [], id="template_file_not_numeric"),
 ])
-def test_exit_two_on_malformed_config_value(tmp_path, capsys, change, flags):
+def test_exit_two_on_malformed_config_value(tmp_path, monkeypatch, capsys, change, flags):
+    monkeypatch.chdir(tmp_path)
+    for name, text in OUTSIDE_FILES.items():
+        (tmp_path / name).write_text(text)
     cfg = write_config(tmp_path, dict(SF2_BOUNDS, **change))
-    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 2
+    assert main(["bounds", "--config", cfg, "--out", "out", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()

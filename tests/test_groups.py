@@ -40,7 +40,7 @@ def test_families_are_closed_orthogonal_groups(name, param, order, dim):
     g = build_family(name, param)
     for M in g.stack:
         _check_orthogonal(M)
-    assert g.closure_defect() < 1e-12
+    assert dense_closure_defect(g.stack) < 1e-12
 
 
 def test_canonical_order_is_construction_independent():
@@ -390,14 +390,3 @@ def test_sliced_closure_is_the_family_stack(monkeypatch, name, param):
         monkeypatch.setattr(groups, "_BLOCK", block)
         closed = generate_group(gens)
         assert closed.stack.tobytes() == g.stack.tobytes()
-
-
-@pytest.mark.parametrize("name,param", BACKEND_CASES + [("permutations", 5)])
-def test_closure_defect_is_the_dense_value(monkeypatch, name, param):
-    g = build_family(name, param)
-    expected = dense_closure_defect(g.stack)
-    assert g.closure_defect() == expected
-    monkeypatch.setattr(groups, "_BLOCK", 3 * g.dim * g.dim * g.order)  # three-row blocks
-    assert g.closure_defect() == expected
-    monkeypatch.setattr(groups, "_BLOCK", 1)
-    assert g.closure_defect() == expected
