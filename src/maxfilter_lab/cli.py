@@ -27,12 +27,12 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BUDGETS, BudgetExceeded, ConfigError, DomainError, MaxFilterError
+from .errors import BudgetExceeded, ConfigError, DomainError, MaxFilterError
 from .filtering import (MaxFilterBank, _pair_distances, apply_bank_batch,
                         load_templates, max_filter_circular_brute,
                         max_filter_circular_fft)
@@ -65,7 +65,10 @@ class ExperimentConfig:
     {"path": "group.json"}.  ``templates`` is either {"path": "z.csv"} or
     {"sampler": "gaussian", "n": int, "seed": optional int}; subcommands
     that draw their own templates ignore it.  Only the chi subcommand
-    reads ``chi_samples``; the others take a proven chi (_resolve_chi).
+    reads ``chi_samples``, ``expected_chi`` and ``expected_saturated``;
+    the others take a proven chi (_resolve_chi).  Search caps, tolerances
+    and the report directory are not config keys: the caps are fixed in
+    errors.BUDGETS, and reports go to ``--out``.
     """
 
     group_spec: dict
@@ -79,22 +82,26 @@ class ExperimentConfig:
     points_per_trial: int = 6
     expected_chi: int | None = None
     expected_saturated: bool | None = None
-    budgets: dict = field(default_factory=dict)
     seed: int | None = None
-    out: str | None = None
 
     def __post_init__(self):
         for name in ("n_pairs", "n_trials", "chi_samples", "points_per_trial"):
             _require_int(name, getattr(self, name), 1)
-        if self.chi is not None:
-            _require_int("chi", self.chi, 1)
+        for name in ("chi", "expected_chi"):
+            if getattr(self, name) is not None:
+                _require_int(name, getattr(self, name), 1)
+        if self.expected_saturated is not None and not isinstance(self.expected_saturated, bool):
+            raise ConfigError(
+                f"expected_saturated must be true or false, got {self.expected_saturated!r}")
         if self.seed is not None:
             _require_int("seed", self.seed, 0)
         if (not isinstance(self.lambda0, (int, float)) or isinstance(self.lambda0, bool)
                 or not math.isfinite(self.lambda0)):
             raise ConfigError(f"lambda0 must be a finite number, got {self.lambda0!r}")
-        if not self.dims or any((not isinstance(d, int)) or d < 1 for d in self.dims):
+        if not self.dims:
             raise ConfigError("dims must be a nonempty list of positive integers")
+        for i, d in enumerate(self.dims):
+            _require_int(f"dims[{i}]", d, 1)
         if not isinstance(self.group_spec, dict):
             raise ConfigError("group_spec must be an object")
         has_family = "family" in self.group_spec
@@ -120,13 +127,6 @@ class ExperimentConfig:
                 _require_int("templates.n", self.templates.get("n"), 1)
                 if self.templates.get("seed") is not None:
                     _require_int("templates.seed", self.templates["seed"], 0)
-        if not isinstance(self.budgets, dict):
-            raise ConfigError("budgets must be an object")
-        unknown = set(self.budgets) - set(BUDGETS)
-        if unknown:
-            raise ConfigError(f"unknown budget keys: {sorted(unknown)}")
-        for key, cap in self.budgets.items():
-            _require_int(f"budgets.{key}", cap, 0)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -137,15 +137,12 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(raw)
-        if "dims" in kwargs:
-            kwargs["dims"] = tuple(kwargs["dims"])
         try:
+            if "dims" in kwargs:
+                kwargs["dims"] = tuple(kwargs["dims"])
             return cls(**kwargs)
         except TypeError as e:
             raise ConfigError(str(e)) from e
-
-    def budget(self, key: str) -> int:
-        return self.budgets.get(key, BUDGETS[key])
 
 
 def load_config(path: str | Path) -> tuple[ExperimentConfig, dict]:
@@ -242,7 +239,7 @@ def cmd_bounds(config: ExperimentConfig, seed: int, timer: StageTimer):
         chi, chi_info = _resolve_chi(config, group)
     with timer.stage("bounds"):
         stab, emp = compute_stability_report(
-            bank, chi, n_pairs=config.n_pairs, seed=seed, budgets=config.budgets)
+            bank, chi, n_pairs=config.n_pairs, seed=seed)
 
     try:
         params = DistortionBoundParams(
@@ -317,11 +314,9 @@ def cmd_distortion(config: ExperimentConfig, seed: int, timer: StageTimer):
             rng = np.random.default_rng((seed, STREAMS["distortion_trials"], t))
             bank = MaxFilterBank(group, rng.standard_normal((n, group.dim)))
             # a budget miss leaves the partial value, or NaN, uncertified
-            ub, beta_ok = _within_budget(upper_bound_exact, bank,
-                                         max_lp_solves=config.budget("lp_solves"))
+            ub, beta_ok = _within_budget(upper_bound_exact, bank)
             beta = ub.beta if beta_ok else ub
-            at, at_ok = _within_budget(alpha_tilde, bank, chi,
-                                       budget=config.budget("alpha_tilde_evals"))
+            at, at_ok = _within_budget(alpha_tilde, bank, chi)
             certified = beta_ok and at_ok
             if not certified:
                 uncertified.append(t)
@@ -417,8 +412,7 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
         with timer.stage(f"scan_n{n}"):
             rng = np.random.default_rng((seed, STREAMS["injectivity_templates"], n))
             bank = MaxFilterBank(group, rng.standard_normal((n, d)))
-            at, at_ok = _within_budget(alpha_tilde, bank, chi,
-                                       budget=config.budget("alpha_tilde_evals"))
+            at, at_ok = _within_budget(alpha_tilde, bank, chi)
             certified &= at_ok
             summary, rows = _collision_scan(bank, config.n_pairs, seed, n)
         summary["alpha_tilde"] = at if at_ok else None   # a partial alpha_tilde certifies nothing
@@ -564,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="run seed; overrides the config seed")
         p.add_argument("--out", default=None,
-                       help="report directory; overrides the config out path")
+                       help="report directory (default: reports)")
     return parser
 
 
@@ -579,7 +573,7 @@ def run(subcommand: str, config_path: str, seed: int | None = None,
         run_seed, seed_source = config.seed, "config"
     else:
         raise ConfigError("a seed is required: pass --seed or set it in the config")
-    out_dir = Path(out or config.out or "reports")
+    out_dir = Path(out or "reports")
 
     timer = StageTimer()
     results, asserts, csvs, certified = _DISPATCH[subcommand](config, run_seed, timer)

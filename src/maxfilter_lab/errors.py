@@ -47,13 +47,15 @@ class ConfigError(MaxFilterError):
     """Experiment configuration is missing, malformed, or inconsistent."""
 
 
-# Cap of each exact search, keyed as in a config's "budgets": LPs of upper_bound_exact,
-# tuples of upper_bound_relaxed, alpha_tilde subset sums, assignments per choice_assignments.
+# The fixed cap of each exact search, read when the search runs (like groups.MAX_ORDER):
+# LPs of upper_bound_exact, tuples of upper_bound_relaxed, alpha_tilde subset sums,
+# assignments per choice_assignments, partitions of the pm_id witness.
 BUDGETS = {
     "lp_solves": 500_000,
     "tuple_leaves": 2_000_000,
     "alpha_tilde_evals": 30_000_000,
     "choice_cap": 100_000,
+    "pm_id_partitions": 2 ** 22,
 }
 
 

@@ -84,7 +84,7 @@ class UpperBound:
     feasible_tuples: int
 
 
-def upper_bound_exact(bank: MaxFilterBank, max_lp_solves: int = BUDGETS["lp_solves"]) -> UpperBound:
+def upper_bound_exact(bank: MaxFilterBank) -> UpperBound:
     """Max of |{g_i z_i}|_2->2 over tuples whose open cells intersect.
 
     Level-synchronous search over per-template orbit points.  Level k
@@ -101,7 +101,7 @@ def upper_bound_exact(bank: MaxFilterBank, max_lp_solves: int = BUDGETS["lp_solv
     preserves the spectral norm.
 
     Raises BudgetExceeded exactly when the search needs more than
-    ``max_lp_solves`` LPs, after solving that many and no more.  Its
+    BUDGETS["lp_solves"] LPs, after solving that many and no more.  Its
     ``partial`` is the best leaf scored so far, so it is None unless the
     budget runs out on the last level.
     """
@@ -118,7 +118,7 @@ def upper_bound_exact(bank: MaxFilterBank, max_lp_solves: int = BUDGETS["lp_solv
     for pos, t in enumerate(visit):
         n_cand = 1 if pos == 0 else orbits[t].size
         needed = len(frontier) * n_cand
-        take = min(needed, max(max_lp_solves - solves, 0))
+        take = min(needed, max(BUDGETS["lp_solves"] - solves, 0))
         kids = itertools.islice(((key + (c,), chosen + [cells[t][c]])
                                  for key, chosen in frontier for c in range(n_cand)), take)
         mine, theirs = itertools.tee(kids)
@@ -149,11 +149,12 @@ def _best_leaf(orbits, visit, leaves) -> tuple[float | None, tuple[int, ...] | N
     return float(sigma[i]), leaves[i][0]
 
 
-def upper_bound_relaxed(bank: MaxFilterBank, max_leaves: int = BUDGETS["tuple_leaves"]) -> float:
+def upper_bound_relaxed(bank: MaxFilterBank) -> float:
     """Max spectral norm over ALL tuples, no cell-feasibility filter.
 
     Same pinning symmetry as the exact search; enumeration is vectorized
-    over chunks of the remaining index product.
+    over chunks of the remaining index product.  Raises BudgetExceeded
+    before any chunk that would pass BUDGETS["tuple_leaves"] tuples.
     """
     orbits = bank.orbits
     pin = int(np.argmax([orb.size for orb in orbits]))
@@ -162,7 +163,7 @@ def upper_bound_relaxed(bank: MaxFilterBank, max_leaves: int = BUDGETS["tuple_le
     best = -math.inf
     for lo in range(0, total, _RELAXED_CHUNK):
         hi = min(lo + _RELAXED_CHUNK, total)
-        if hi > max_leaves:
+        if hi > BUDGETS["tuple_leaves"]:
             raise BudgetExceeded("upper_bound_relaxed tuple budget exhausted",
                                  partial=None if best == -math.inf else best)
         idx = np.unravel_index(np.arange(lo, hi), sizes)
@@ -175,18 +176,13 @@ def upper_bound_relaxed(bank: MaxFilterBank, max_leaves: int = BUDGETS["tuple_le
 # lower bounds
 
 
-def pair_lower_value(
-    bank: MaxFilterBank,
-    x,
-    y,
-    cap: int = BUDGETS["choice_cap"],
-) -> float:
+def pair_lower_value(bank: MaxFilterBank, x, y) -> float:
     """Inner value of the sharp lower bound at one nice pair:
     max over admissible assignments f of
     sqrt( sum over S-members w of lambda_min( sum_{i in f^-1(w)} v_i v_i^T ) ).
-    Raises BudgetExceeded when |F(x, y)| exceeds ``cap``.
+    Raises BudgetExceeded when |F(x, y)| exceeds BUDGETS["choice_cap"].
     """
-    enum = choice_assignments(bank, x, y, cap)
+    enum = choice_assignments(bank, x, y)
     best = -math.inf
     for f in enum.assignments:
         total = 0.0
@@ -206,16 +202,11 @@ class AlphaSharp:
     seed: int
 
 
-def lower_bound_sharp(
-    bank: MaxFilterBank,
-    n_pairs: int,
-    seed: int,
-    cap: int = BUDGETS["choice_cap"],
-) -> AlphaSharp:
+def lower_bound_sharp(bank: MaxFilterBank, n_pairs: int, seed: int) -> AlphaSharp:
     """Sampled estimate of the sharp lower constant: min of pair_lower_value
     over seeded Gaussian nice pairs.  An upper estimate of the true inf;
     the certified lower bound is alpha_tilde.  A pair with more than
-    ``cap`` choice assignments raises BudgetExceeded.
+    BUDGETS["choice_cap"] choice assignments raises BudgetExceeded.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
@@ -228,7 +219,7 @@ def lower_bound_sharp(
             try:
                 x = sample_nice(bank, rng)
                 y = sample_nice(bank, rng)
-                val = pair_lower_value(bank, x, y, cap)
+                val = pair_lower_value(bank, x, y)
                 break
             except NotNicePoint:
                 continue
@@ -240,7 +231,7 @@ def lower_bound_sharp(
                       n_pairs=n_pairs, seed=seed)
 
 
-def alpha_tilde(bank: MaxFilterBank, chi: int, budget: int = BUDGETS["alpha_tilde_evals"]) -> float:
+def alpha_tilde(bank: MaxFilterBank, chi: int) -> float:
     """Pigeonhole lower bound: exact min of sqrt(lambda_min) of
     sum_{i in I} (g_i z_i)(g_i z_i)^T over subsets of size ceil(n/chi)
     and all assignments.  Larger subsets cannot do better since
@@ -250,7 +241,8 @@ def alpha_tilde(bank: MaxFilterBank, chi: int, budget: int = BUDGETS["alpha_tild
     (p and -p agree; see ``groups._first_seen``), and the subset search
     shares partial-sum tensors along combination prefixes, pruning
     branches whose partial lambda_min already meets the incumbent
-    (adding PSD terms never lowers lambda_min).
+    (adding PSD terms never lowers lambda_min).  Raises BudgetExceeded
+    before the evaluated assignments would pass BUDGETS["alpha_tilde_evals"].
     """
     if chi < 1:
         raise ValueError("chi must be >= 1")
@@ -271,7 +263,7 @@ def alpha_tilde(bank: MaxFilterBank, chi: int, budget: int = BUDGETS["alpha_tild
 
     def descend(start: int, left: int, partial: np.ndarray) -> None:
         nonlocal best, used
-        if used + partial.shape[0] > budget:
+        if used + partial.shape[0] > BUDGETS["alpha_tilde_evals"]:
             raise BudgetExceeded(
                 "alpha_tilde assignment budget exhausted",
                 partial=None if best == math.inf else float(math.sqrt(max(best, 0.0))))
@@ -427,8 +419,9 @@ def _pm_id_witness(bank: MaxFilterBank) -> WitnessPair:
     unit bottom eigenvectors of the two partial Gram sums."""
     Z = bank.templates
     n, d = Z.shape
-    if n > 22:
-        raise BudgetExceeded("pm_id witness enumerates 2^n partitions; n too large")
+    if 2 ** n > BUDGETS["pm_id_partitions"]:
+        raise BudgetExceeded(f"pm_id witness: {2 ** n} partitions exceed the cap of "
+                             f"{BUDGETS['pm_id_partitions']}")
     best = (math.inf, None)
     for mask in range(2 ** n):
         sel = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
@@ -524,8 +517,8 @@ def ordering_audit(report: StabilityReport) -> list[tuple[str, bool, float, floa
     """The chain alpha_tilde <= alpha_sharp <= alpha_empirical <=
     beta_empirical <= beta_exact <= beta_relaxed, each step with _AUDIT_SLACK,
     then nonnegativity.  Only certified values take part: a value whose
-    ``<name>_certified`` flag in the provenance is false (a budget miss or
-    an unproven chi) skips both of its steps, as the CLI's sandwich checks do."""
+    ``<name>_certified`` flag in the provenance is false (a budget miss)
+    skips both of its steps, as the CLI's sandwich checks do."""
     values = {name: float(getattr(report, name)) for name in _CHAIN
               if report.provenance.get(f"{name}_certified", True)}
     out = [(f"{lo}_le_{hi}", values[lo] <= values[hi] + _AUDIT_SLACK, values[lo], values[hi])
@@ -548,28 +541,19 @@ def compute_stability_report(
     chi: int,
     n_pairs: int = 200,
     seed: int = 0,
-    budgets: dict | None = None,
 ) -> tuple[StabilityReport, EmpiricalLipschitz]:
     """All bounds for one bank, plus the raw empirical sample so callers
     can dump per-pair ratios without recomputation; alpha_sharp samples
-    min(n_pairs, 200) nice pairs.  ``budgets`` overrides entries of
-    errors.BUDGETS by their keys; an unknown key raises ValueError.  Budget
-    misses do not raise here; they are recorded as certified=False flags
-    with the partial values (alpha_sharp has none: NaN, and no witness
-    pair)."""
-    unknown = set(budgets or {}) - set(BUDGETS)
-    if unknown:
-        raise ValueError(f"unknown budget keys: {sorted(unknown)}")
-    caps = {k: int(v) for k, v in {**BUDGETS, **(budgets or {})}.items()}
-    ub, exact_ok = _within_budget(upper_bound_exact, bank, max_lp_solves=caps["lp_solves"])
+    min(n_pairs, 200) nice pairs.  Budget misses against errors.BUDGETS
+    do not raise here; they are recorded as certified=False flags with the
+    partial values (alpha_sharp has none: NaN, and no witness pair)."""
+    ub, exact_ok = _within_budget(upper_bound_exact, bank)
     beta_exact = ub.beta if exact_ok else ub
-    beta_relaxed, relaxed_ok = _within_budget(upper_bound_relaxed, bank,
-                                              max_leaves=caps["tuple_leaves"])
-    a_tilde, tilde_ok = _within_budget(alpha_tilde, bank, chi, budget=caps["alpha_tilde_evals"])
+    beta_relaxed, relaxed_ok = _within_budget(upper_bound_relaxed, bank)
+    a_tilde, tilde_ok = _within_budget(alpha_tilde, bank, chi)
 
     a_pairs = min(n_pairs, 200)
-    sharp, sharp_ok = _within_budget(lower_bound_sharp, bank, a_pairs, seed=seed,
-                                     cap=caps["choice_cap"])
+    sharp, sharp_ok = _within_budget(lower_bound_sharp, bank, a_pairs, seed=seed)
     alpha_sharp = sharp.alpha if sharp_ok else sharp
     emp = empirical_lipschitz(bank, n_pairs, seed=seed)
 
@@ -586,8 +570,9 @@ def compute_stability_report(
         "n_pairs": n_pairs,
         "alpha_pairs": a_pairs,
         "chi": chi,
-        "budgets": {"lp": caps["lp_solves"], "tuples": caps["tuple_leaves"],
-                    "assignments": caps["alpha_tilde_evals"], "choice_cap": caps["choice_cap"]},
+        "budgets": {"lp": BUDGETS["lp_solves"], "tuples": BUDGETS["tuple_leaves"],
+                    "assignments": BUDGETS["alpha_tilde_evals"],
+                    "choice_cap": BUDGETS["choice_cap"]},
         "beta_argmax_tuple": list(ub.argmax_tuple) if exact_ok else None,
         "beta_exact_certified": exact_ok,
         "beta_relaxed_certified": relaxed_ok,

@@ -272,19 +272,15 @@ class ChoiceEnumeration:
     assignments: np.ndarray       # (|F(x, y)|, n_templates) indices into s.members
 
 
-def choice_assignments(
-    bank: MaxFilterBank,
-    x,
-    y,
-    cap: int = BUDGETS["choice_cap"],
-) -> ChoiceEnumeration:
+def choice_assignments(bank: MaxFilterBank, x, y) -> ChoiceEnumeration:
     """Enumerate F(x, y): maps f with f(i) in S(x, y) attaining the best
     score of v_i(x) against the orbit of y, up to a sample_tol tie.
 
     Requires x principal with a unique best representative in every
     template orbit; raises NotNicePoint otherwise.  |F(x, y)| is the
-    product of the per-template candidate counts; when it exceeds ``cap``
-    nothing is enumerated and BudgetExceeded is raised, without a partial.
+    product of the per-template candidate counts; when it exceeds
+    BUDGETS["choice_cap"] nothing is enumerated and BudgetExceeded is
+    raised, without a partial.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -306,6 +302,7 @@ def choice_assignments(
         candidates.append(cand)
 
     total = math.prod(len(c) for c in candidates)
+    cap = BUDGETS["choice_cap"]
     if total > cap:
         raise BudgetExceeded(f"choice_assignments: {total} assignments exceed the cap of {cap}")
     return ChoiceEnumeration(x=x.copy(), y=y.copy(), aligned=aligned, s=s,

@@ -14,7 +14,7 @@ from maxfilter_lab import (FAMILIES, build_family, cli, generate_group, save_gro
                           voronoi_characteristic)
 from maxfilter_lab.cli import (ExperimentConfig, build_parser, load_config,
                                main, run)
-from maxfilter_lab.errors import ConfigError
+from maxfilter_lab.errors import BUDGETS, ConfigError
 from maxfilter_lab.streams import STREAMS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -241,20 +241,20 @@ def test_exit_two_lambda_below_floor(tmp_path):
     assert main(["distortion", "--config", cfg]) == 2
 
 
-def test_exit_three_tiny_lp_budget(tmp_path, capsys):
-    payload = dict(SF2_BOUNDS, budgets={"lp_solves": 2})
-    cfg = write_config(tmp_path, payload)
+def test_exit_three_tiny_lp_budget(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(BUDGETS, "lp_solves", 2)
+    cfg = write_config(tmp_path, SF2_BOUNDS)
     assert run("bounds", cfg, out=str(tmp_path / "out")) == 3
     report = json.loads((tmp_path / "out" / "bounds_report.json").read_text())
     prov = report["results"]["stability"]["provenance"]
     assert prov["beta_exact_certified"] is False
 
 
-def test_exit_three_distortion_budget_keeps_the_report(tmp_path, capsys):
+def test_exit_three_distortion_budget_keeps_the_report(tmp_path, monkeypatch, capsys):
     # each trial's exact search needs more than 5 LPs, so both trials
     # stop with a partial (here absent) beta and count as not within
-    payload = dict(C3_DISTORTION, budgets={"lp_solves": 5})
-    cfg = write_config(tmp_path, payload)
+    monkeypatch.setitem(BUDGETS, "lp_solves", 5)
+    cfg = write_config(tmp_path, C3_DISTORTION)
     assert run("distortion", cfg, out=str(tmp_path / "run")) == 3
     assert main(["distortion", "--config", cfg,
                  "--out", str(tmp_path / "main")]) == 3
@@ -275,11 +275,11 @@ def test_exit_three_distortion_budget_keeps_the_report(tmp_path, capsys):
         assert all(r.split(",")[5] == "0" for r in rows[1:])
 
 
-def test_exit_three_injectivity_budget_keeps_the_report(tmp_path):
+def test_exit_three_injectivity_budget_keeps_the_report(tmp_path, monkeypatch):
     # one subset evaluation cannot finish alpha_tilde at n = 3 or n = 4
+    monkeypatch.setitem(BUDGETS, "alpha_tilde_evals", 1)
     payload = {"group_spec": {"family": "cyclic_rotation_2d", "param": 5},
-               "chi": 2, "n_pairs": 200, "seed": 1,
-               "budgets": {"alpha_tilde_evals": 1}}
+               "chi": 2, "n_pairs": 200, "seed": 1}
     cfg = write_config(tmp_path, payload)
     assert run("injectivity", cfg, out=str(tmp_path / "out")) == 3
     report = json.loads((tmp_path / "out" / "injectivity_report.json").read_text())
@@ -305,11 +305,11 @@ def _budget_case(sub, key, value, flag):
     _budget_case("bounds", "choice_cap", 0, "alpha_sharp_certified"),
     _budget_case("distortion", "alpha_tilde_evals", 1, None),
 ])
-def test_exit_three_on_each_exhaustible_budget(tmp_path, sub, key, value, flag):
-    # the budget value cannot finish the search it caps; the run still
+def test_exit_three_on_each_exhaustible_budget(tmp_path, monkeypatch, sub, key, value, flag):
+    # the cap cannot finish the search it bounds; the run still
     # writes its report and CSV and names what is not certified
-    payload = dict(SF2_BOUNDS if sub == "bounds" else C3_DISTORTION, budgets={key: value})
-    cfg = write_config(tmp_path, payload)
+    monkeypatch.setitem(BUDGETS, key, value)
+    cfg = write_config(tmp_path, SF2_BOUNDS if sub == "bounds" else C3_DISTORTION)
     assert run(sub, cfg, out=str(tmp_path / "out")) == 3
     report = json.loads((tmp_path / "out" / f"{sub}_report.json").read_text())
     assert set(report) == ENVELOPE
@@ -395,16 +395,17 @@ def test_no_sample_exceeds_the_resolved_chi(name, param):
         assert est.chi_lower == chi
 
 
-@pytest.mark.parametrize("name", ["fraction_slack", "min_quotient_distance", "tolerances"])
+@pytest.mark.parametrize("name", ["fraction_slack", "min_quotient_distance", "tolerances",
+                                  "budgets", "out"])
 def test_former_config_constants_are_unknown_keys(tmp_path, capsys, name):
     cfg = write_config(tmp_path, dict(SF2_BOUNDS, **{name: 0.1}))
     assert main(["bounds", "--config", cfg]) == 2
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_no_public_callable_takes_a_tolerance_or_order_cap():
-    # the thresholds live in tolerances.DEFAULT_TOL and the order cap in
-    # groups.MAX_ORDER; no call may pass its own
+def test_no_public_callable_takes_a_tolerance_or_cap():
+    # the thresholds live in tolerances.DEFAULT_TOL, the order cap in
+    # groups.MAX_ORDER and the search caps in errors.BUDGETS; no call may pass its own
     callables = {}
     for name in maxfilter_lab.__all__:
         obj = getattr(maxfilter_lab, name)
@@ -417,7 +418,8 @@ def test_no_public_callable_takes_a_tolerance_or_order_cap():
     callables.update({n: f for n, f in vars(cli).items() if n.startswith("cmd_")})
     assert len(callables) > 40
     taking = sorted(n for n, f in callables.items()
-                    if {"tol", "max_order"} & set(inspect.signature(f).parameters))
+                    if {"tol", "max_order", "max_lp_solves", "max_leaves", "budget", "budgets",
+                        "cap"} & set(inspect.signature(f).parameters))
     assert taking == []
 
 
@@ -438,7 +440,7 @@ def test_settable_value_count_ratchet():
             callables = [obj] if callable(obj) else []
         count += sum(p not in ("self", "cls")
                      for f in callables for p in inspect.signature(f).parameters)
-    assert count <= 182
+    assert count <= 174
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +466,13 @@ OUTSIDE_FILES = {
     pytest.param({"seed": 1.5}, [], id="seed_float"),
     pytest.param({"templates": {"sampler": "gaussian", "n": 3, "seed": -4}}, [],
                  id="templates_seed_negative"),
-    pytest.param({"budgets": {"lp_solves": "abc"}}, [], id="budget_string"),
-    pytest.param({"budgets": ["lp_solves"]}, [], id="budgets_list"),
-    # a zero cap is a cap (test_exit_three_on_each_exhaustible_budget); below zero is an error
-    pytest.param({"budgets": {"lp_solves": -1}}, [], id="budget_negative"),
     pytest.param({}, ["--seed", "-1"], id="seed_flag_negative"),
     pytest.param({"lambda0": "x"}, [], id="lambda0_string"),
     pytest.param({"lambda0": True}, [], id="lambda0_bool"),
+    pytest.param({"dims": [True, 4]}, [], id="dims_bool"),
+    pytest.param({"dims": 4}, [], id="dims_not_a_list"),
+    pytest.param({"expected_chi": "1"}, [], id="expected_chi_string"),
+    pytest.param({"expected_saturated": "no"}, [], id="expected_saturated_string"),
     pytest.param({"group_spec": {"path": "no_generators.json"}}, [],
                  id="group_file_without_generators"),
     pytest.param({"group_spec": {"path": "c3_tagged_as_c4.json"}}, [],
@@ -512,12 +514,6 @@ def test_config_rejects_non_gaussian_sampler():
 def test_config_rejects_group_spec_without_source():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(dict(SF2_BOUNDS, group_spec={}))
-
-
-def test_config_rejects_unknown_budget():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(dict(SF2_BOUNDS,
-                                        budgets={"lp_solvs": 10}))
 
 
 def test_load_config_round_trips_raw(tmp_path):

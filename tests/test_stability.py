@@ -14,6 +14,7 @@ from maxfilter_lab import (BudgetExceeded, CaseMismatch, DistortionBoundParams,
                            theoretical_sigma, upper_bound_exact,
                            upper_bound_relaxed)
 from maxfilter_lab import filtering, groups, stability, voronoi
+from maxfilter_lab.errors import BUDGETS
 from maxfilter_lab.stability import pair_lower_value
 from oracles import (brute_alpha_tilde, brute_beta_exact_sampled,
                      brute_beta_relaxed, dfs_upper_bound_exact,
@@ -73,8 +74,10 @@ def test_golden_exact_bound_matches_referee(golden_bank):
 @pytest.mark.parametrize("spec", REFEREE_BANKS[1:])
 def test_lp_budget_edge(spec, monkeypatch):
     bank = referee_bank(*spec)
-    need = upper_bound_exact(bank).lp_solves
-    assert upper_bound_exact(bank, max_lp_solves=need) == upper_bound_exact(bank)
+    full = upper_bound_exact(bank)
+    need = full.lp_solves
+    monkeypatch.setitem(BUDGETS, "lp_solves", need)
+    assert upper_bound_exact(bank) == full
 
     solved = []
     real = stability._margin_lps
@@ -87,8 +90,9 @@ def test_lp_budget_edge(spec, monkeypatch):
     monkeypatch.setattr(stability, "_margin_lps", counting)
     for budget in (need - 1, need // 2, 1, 0):
         solved.clear()
+        monkeypatch.setitem(BUDGETS, "lp_solves", budget)
         with pytest.raises(BudgetExceeded) as e:
-            upper_bound_exact(bank, max_lp_solves=budget)
+            upper_bound_exact(bank)
         assert len(solved) == budget
         with pytest.raises(BudgetExceeded) as want:
             dfs_upper_bound_exact(bank, max_lp_solves=budget)
@@ -236,22 +240,28 @@ def test_alpha_tilde_rejects_bad_chi(golden_bank):
 # budgets
 
 
-def test_budget_exceeded_carries_partial(rng):
+def test_budget_exceeded_carries_partial(rng, monkeypatch):
     g = build_family("sign_flips", 2)
     bank = MaxFilterBank(g, rng.standard_normal((5, 2)))
-    with pytest.raises(BudgetExceeded) as e1:
-        upper_bound_exact(bank, max_lp_solves=2)
     true_beta = upper_bound_exact(bank).beta
+    relaxed = upper_bound_relaxed(bank)
+    true_alpha = alpha_tilde(bank, 1)
+
+    monkeypatch.setitem(BUDGETS, "lp_solves", 2)
+    with pytest.raises(BudgetExceeded) as e1:
+        upper_bound_exact(bank)
     if e1.value.partial is not None:
         assert 0.0 <= e1.value.partial <= true_beta + 1e-9
 
+    monkeypatch.setitem(BUDGETS, "tuple_leaves", 1)
     with pytest.raises(BudgetExceeded) as e2:
-        upper_bound_relaxed(bank, max_leaves=1)
-    assert e2.value.partial is None or e2.value.partial <= upper_bound_relaxed(bank) + 1e-9
+        upper_bound_relaxed(bank)
+    assert e2.value.partial is None or e2.value.partial <= relaxed + 1e-9
 
+    monkeypatch.setitem(BUDGETS, "alpha_tilde_evals", 0)
     with pytest.raises(BudgetExceeded) as e3:
-        alpha_tilde(bank, chi=1, budget=0)
-    assert e3.value.partial is None or e3.value.partial >= alpha_tilde(bank, 1) - 1e-9
+        alpha_tilde(bank, chi=1)
+    assert e3.value.partial is None or e3.value.partial >= true_alpha - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +403,19 @@ def test_pm_id_witness_achieves_target(rng):
         assert abs(w.achieved_ratio - w.target_alpha) <= 1e-6 * w.target_alpha
 
 
+def test_pm_id_witness_partition_cap_edge(monkeypatch):
+    # four templates have 2**4 partitions: a cap of 16 enumerates them
+    # all, one below it raises before enumerating any
+    bank = MaxFilterBank(build_family("plus_minus_id", 2),
+                         np.random.default_rng(5).standard_normal((4, 2)))
+    want = optimality_witness(bank, "pm_id")
+    monkeypatch.setitem(BUDGETS, "pm_id_partitions", 16)
+    assert optimality_witness(bank, "pm_id").target_alpha == want.target_alpha
+    monkeypatch.setitem(BUDGETS, "pm_id_partitions", 15)
+    with pytest.raises(BudgetExceeded, match="16 partitions"):
+        optimality_witness(bank, "pm_id")
+
+
 def test_reflection_witness_rank_one():
     sf2 = build_family("sign_flips", 2)
     bank = MaxFilterBank(sf2, np.array([[1.0, 1.0]]))
@@ -444,20 +467,15 @@ def test_stability_report_golden(golden_bank):
     assert all(ok for _, ok, _, _ in audit)
 
 
-def test_stability_report_budget_flags(rng):
+def test_stability_report_budget_flags(rng, monkeypatch):
     g = build_family("sign_flips", 2)
     bank = MaxFilterBank(g, rng.standard_normal((5, 2)))
-    report, _ = compute_stability_report(bank, chi=1, n_pairs=20, seed=1,
-                                         budgets={"lp_solves": 2})
+    monkeypatch.setitem(BUDGETS, "lp_solves", 2)
+    report, _ = compute_stability_report(bank, chi=1, n_pairs=20, seed=1)
     assert not report.provenance["beta_exact_certified"]
     assert report.provenance["beta_relaxed_certified"]
-
-
-def test_stability_report_rejects_an_unknown_budget_key(rng):
-    bank = MaxFilterBank(build_family("sign_flips", 2), rng.standard_normal((5, 2)))
-    with pytest.raises(ValueError, match="lp_solvs"):
-        compute_stability_report(bank, chi=1, n_pairs=20, seed=1,
-                                 budgets={"lp_solvs": 2})
+    # the provenance reads the caps in force when the report is made
+    assert report.provenance["budgets"]["lp"] == 2
 
 
 @given(st.integers(2, 200), st.floats(1.2, 50.0), st.floats(1.0, 20.0))

@@ -12,6 +12,7 @@ from maxfilter_lab import (DEFAULT_TOL, BudgetExceeded, MaxFilterBank, NotNicePo
                            sample_principal, strict_cones_feasible,
                            upper_bound_exact, voronoi_characteristic)
 from maxfilter_lab import voronoi
+from maxfilter_lab.errors import BUDGETS
 from maxfilter_lab.stability import pair_lower_value
 from oracles import brute_s_members
 
@@ -291,20 +292,22 @@ def test_choice_assignments_rejects_bad_x(c3):
         choice_assignments(bank, np.zeros(2), np.array([1.0, 0.5]))
 
 
-def test_choice_assignments_cap():
+def test_choice_assignments_cap(monkeypatch):
     # z_1 = (1, 0) scores 0 against both points of [y]: a tie, so F(x, y)
     # has two assignments, and a cap below two must raise, not truncate
     bank = MaxFilterBank(build_family("plus_minus_id", 2), np.array([[1.0, 0.0], [0.3, 1.0]]))
     x, y = np.array([0.7, 0.4]), np.array([0.0, 1.0])
-    enum = choice_assignments(bank, x, y, cap=2)
+    monkeypatch.setitem(BUDGETS, "choice_cap", 2)
+    enum = choice_assignments(bank, x, y)
     assert enum.assignments.tolist() == [[0, 1], [1, 1]]
+    assert abs(pair_lower_value(bank, x, y) - 0.8612) < 1e-4
     for cap in (0, 1):
+        monkeypatch.setitem(BUDGETS, "choice_cap", cap)
         with pytest.raises(BudgetExceeded) as miss:
-            choice_assignments(bank, x, y, cap=cap)
+            choice_assignments(bank, x, y)
         assert miss.value.partial is None
         with pytest.raises(BudgetExceeded):
-            pair_lower_value(bank, x, y, cap=cap)
-    assert abs(pair_lower_value(bank, x, y, cap=2) - 0.8612) < 1e-4
+            pair_lower_value(bank, x, y)
 
 
 def test_voronoi_characteristic_prefix_stability(c5):
