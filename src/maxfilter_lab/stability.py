@@ -80,12 +80,92 @@ def _lam_min_batch(S: np.ndarray) -> np.ndarray:
 class UpperBound:
     beta: float
     argmax_tuple: tuple[int, ...]   # one group-element index per template
-    lp_solves: int
+    lp_solves: int                  # margin-LP problems of the LP route; 0 on the geometric route
     feasible_tuples: int
 
 
 def upper_bound_exact(bank: MaxFilterBank) -> UpperBound:
     """Max of |{g_i z_i}|_2->2 over tuples whose open cells intersect.
+
+    One template is pinned to a single orbit point: left-multiplying a
+    whole tuple by any group element maps feasible tuples to feasible
+    tuples and preserves the spectral norm.  The family tag selects the
+    geometric route, which solves no LP; every other bank, and every bank
+    that route hands back, takes the LP route.  Both supply the same
+    feasible leaves, and ties in beta go to the first in lexicographic
+    order.  ``lp_solves`` counts the LP route's problems (0 on the
+    geometric route), and only the LP route is bound by
+    BUDGETS["lp_solves"]: it raises BudgetExceeded
+    exactly when it needs more LPs, after solving that many and no more.
+    Its ``partial`` is the best leaf scored so far, so it is None unless
+    the budget runs out on the last level.
+    """
+    n = bank.n_templates
+    orbits = bank.orbits
+    cells = [[VoronoiCellSpec(center=p, orbit=orb) for p in orb.points] for orb in orbits]
+    pin = int(np.argmax([orb.size for orb in orbits]))
+    visit = [pin] + [i for i in range(n) if i != pin]
+
+    leaves, solves = _geometric_leaves(bank, cells, visit), 0
+    if leaves is None:
+        leaves, solves = _lp_leaves(orbits, cells, visit)
+    if not leaves:
+        raise RuntimeError("no feasible tuple found; tolerances are inconsistent")
+    beta, key = _best_leaf(orbits, visit, leaves)
+    choice = dict(zip(visit, key))
+    elems = tuple(int(orbits[i].rep_elements[choice[i]]) for i in range(n))
+    return UpperBound(beta=beta, argmax_tuple=elems,
+                      lp_solves=solves, feasible_tuples=len(leaves))
+
+
+# Families whose open cells are known in closed form at principal points:
+# the open chamber of a reflection group (Humphreys, Reflection Groups and
+# Coxeter Groups, 1990, ch. 1), and for a planar rotation the open sector
+# of width 2*pi/m centred on the point, times the axis in 3-D.
+_REFLECTION_FAMILIES = ("permutations", "sign_flips", "dihedral_2d")
+_PLANAR_FAMILIES = ("cyclic_rotation_2d", "axis_rotation_3d")
+
+
+def _geometric_leaves(bank, cells, visit) -> list[tuple[int, ...]] | None:
+    """Sorted feasible leaves from the cell geometry, or None to fall back.
+
+    Applies to the families above when every template orbit has size |G|.
+    One probe lies in each jointly feasible intersection: the pinned point
+    itself for a reflection group, whose chamber meets one chamber of
+    every orbit; for a planar rotation, the midpoint of each arc that the
+    other templates' sector cuts make inside the pinned sector.  A probe's
+    leaf is its argmax orbit point per template.  It stands only if the
+    probe keeps the pinned point and passes ``VoronoiCellSpec.contains``,
+    the margin LP's own rule, for every cell of the leaf.
+    """
+    group, orbits = bank.group, bank.orbits
+    if (group.family not in _REFLECTION_FAMILIES + _PLANAR_FAMILIES
+            or any(orb.size != group.order for orb in orbits)):
+        return None
+    if group.family in _REFLECTION_FAMILIES:
+        probes = orbits[visit[0]].points[:1]
+    else:
+        # the cut of template t lies at theta_t + w/2 (mod w); offsets from
+        # the pinned sector's lower edge, then the arc midpoints between them
+        w = 2.0 * np.pi / group.order
+        firsts = np.stack([orbits[t].points[0] for t in visit])
+        theta = np.arctan2(firsts[:, 1], firsts[:, 0])
+        low = theta[0] - w / 2
+        edges = np.concatenate(([0.0], np.sort(np.mod(theta[1:] + w / 2 - low, w)), [w]))
+        phi = low + (edges[:-1] + edges[1:]) / 2
+        probes = np.zeros((phi.shape[0], group.dim))
+        probes[:, 0], probes[:, 1] = np.cos(phi), np.sin(phi)
+    leaves = set()
+    for y in probes:
+        key = tuple(int(np.argmax(orbits[t].points @ y)) for t in visit)
+        if key[0] != 0 or not all(cells[t][c].contains(y) for t, c in zip(visit, key)):
+            return None
+        leaves.add(key)
+    return sorted(leaves)
+
+
+def _lp_leaves(orbits, cells, visit) -> tuple[list[tuple[int, ...]], int]:
+    """Feasible leaves in lexicographic order, and the LP problems solved.
 
     Level-synchronous search over per-template orbit points.  Level k
     extends every jointly feasible k-tuple by each orbit point of the
@@ -95,22 +175,8 @@ def upper_bound_exact(bank: MaxFilterBank) -> UpperBound:
     shrinks the intersection.  Every child's verdict depends on its own
     tuple alone, so the LPs solved, the feasible tuples and the leaf
     order are exactly those of a depth-first search with the same child
-    order; ties in beta go to the first leaf in that order.  One template
-    is pinned to a single orbit point: left-multiplying a whole tuple by
-    any group element maps feasible tuples to feasible tuples and
-    preserves the spectral norm.
-
-    Raises BudgetExceeded exactly when the search needs more than
-    BUDGETS["lp_solves"] LPs, after solving that many and no more.  Its
-    ``partial`` is the best leaf scored so far, so it is None unless the
-    budget runs out on the last level.
+    order.
     """
-    n = bank.n_templates
-    orbits = bank.orbits
-    cells = [[VoronoiCellSpec(center=p, orbit=orb) for p in orb.points] for orb in orbits]
-    pin = int(np.argmax([orb.size for orb in orbits]))
-    visit = [pin] + [i for i in range(n) if i != pin]
-
     # feasible partial tuples of one level, in lexicographic order:
     # (orbit-point indices in visit order, their cells)
     frontier: list[tuple[tuple[int, ...], list[VoronoiCellSpec]]] = [((), [])]
@@ -126,15 +192,10 @@ def upper_bound_exact(bank: MaxFilterBank) -> UpperBound:
         frontier = [kid for kid, v in zip(mine, verdicts) if v.feasible]
         solves += take
         if take < needed:
-            partial = _best_leaf(orbits, visit, frontier)[0] if pos == n - 1 else None
+            partial = (_best_leaf(orbits, visit, [key for key, _ in frontier])[0]
+                       if pos == len(visit) - 1 else None)
             raise BudgetExceeded("upper_bound_exact LP budget exhausted", partial=partial)
-    if not frontier:
-        raise RuntimeError("no feasible tuple found; tolerances are inconsistent")
-    beta, key = _best_leaf(orbits, visit, frontier)
-    choice = dict(zip(visit, key))
-    elems = tuple(int(orbits[i].rep_elements[choice[i]]) for i in range(n))
-    return UpperBound(beta=beta, argmax_tuple=elems,
-                      lp_solves=solves, feasible_tuples=len(frontier))
+    return [key for key, _ in frontier], solves
 
 
 def _best_leaf(orbits, visit, leaves) -> tuple[float | None, tuple[int, ...] | None]:
@@ -143,10 +204,10 @@ def _best_leaf(orbits, visit, leaves) -> tuple[float | None, tuple[int, ...] | N
     if not leaves:
         return None, None
     cols = np.stack([np.stack([orbits[t].points[c] for t, c in zip(visit, key)], axis=1)
-                     for key, _ in leaves])
+                     for key in leaves])
     sigma = np.linalg.svd(cols, compute_uv=False)[:, 0]
     i = int(np.argmax(sigma))
-    return float(sigma[i]), leaves[i][0]
+    return float(sigma[i]), leaves[i]
 
 
 def upper_bound_relaxed(bank: MaxFilterBank) -> float:

@@ -8,7 +8,8 @@ LPs are solved together as one block-diagonal LP: every block keeps its
 own variables and rows, so each block's optimum, and its verdict, is
 the one the block would have alone.  ``strict_cones_feasible`` is the
 one-problem case, ``s_set`` sends all |[y]| two-cell problems in one
-batch, and ``stability.upper_bound_exact`` one batch per search level.
+batch, and the LP route of ``stability.upper_bound_exact`` one batch per
+search level.
 """
 
 from __future__ import annotations
@@ -178,8 +179,8 @@ def strict_cones_feasible(
     point is always feasible at t = 0, so the LP is bounded and feasible;
     the intersection is nonempty iff the optimum exceeds lp_tol.  This is
     the one-problem case of the block-diagonal margin LP that ``s_set``
-    and ``upper_bound_exact`` solve in batches; every path shares its
-    assembly.
+    and the LP route of ``upper_bound_exact`` solve in batches; every
+    path shares its assembly.
     """
     return next(_margin_lps([cells]))
 

@@ -14,7 +14,8 @@ import mpmath
 import numpy as np
 
 from maxfilter_lab.errors import BudgetExceeded
-from maxfilter_lab.groups import orbit_of
+from maxfilter_lab.filtering import MaxFilterBank
+from maxfilter_lab.groups import FiniteGroup, orbit_of
 from maxfilter_lab.stability import UpperBound
 from maxfilter_lab.tolerances import DEFAULT_TOL
 from maxfilter_lab.voronoi import VoronoiCellSpec, strict_cones_feasible
@@ -130,6 +131,15 @@ def dfs_upper_bound_exact(bank, max_lp_solves: int = 500_000) -> UpperBound:
     elems = tuple(int(orbits[i].rep_elements[best_choice[i]]) for i in range(n))
     return UpperBound(beta=float(best), argmax_tuple=elems,
                       lp_solves=solves, feasible_tuples=leaves)
+
+
+def lp_route(bank) -> MaxFilterBank:
+    """The same bank on an untagged copy of its group, which sends
+    upper_bound_exact down the LP route.  The copy keeps the element
+    order, so element indices mean the same in both banks."""
+    group = FiniteGroup.from_matrices(bank.group.stack)
+    assert group.family is None and np.array_equal(group.stack, bank.group.stack)
+    return MaxFilterBank(group, bank.templates)
 
 
 def brute_alpha_tilde(bank, chi: int) -> float:

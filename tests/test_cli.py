@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import maxfilter_lab
-from maxfilter_lab import (FAMILIES, build_family, cli, generate_group, save_group,
-                          voronoi_characteristic)
+from maxfilter_lab import (FAMILIES, FiniteGroup, build_family, cli, generate_group,
+                          save_group, voronoi_characteristic)
 from maxfilter_lab.cli import (ExperimentConfig, build_parser, load_config,
                                main, run)
 from maxfilter_lab.errors import BUDGETS, ConfigError
@@ -241,9 +241,18 @@ def test_exit_two_lambda_below_floor(tmp_path):
     assert main(["distortion", "--config", cfg]) == 2
 
 
+def untagged_group_spec(tmp_path, family, param):
+    """group_spec naming a file of the family's elements without its tag,
+    so the exact bound takes the LP route that the lp_solves cap binds."""
+    path = tmp_path / f"{family}_{param}_untagged.json"
+    save_group(FiniteGroup.from_matrices(build_family(family, param).stack), path)
+    return {"path": str(path)}
+
+
 def test_exit_three_tiny_lp_budget(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(BUDGETS, "lp_solves", 2)
-    cfg = write_config(tmp_path, SF2_BOUNDS)
+    cfg = write_config(tmp_path, dict(
+        SF2_BOUNDS, group_spec=untagged_group_spec(tmp_path, "sign_flips", 2)))
     assert run("bounds", cfg, out=str(tmp_path / "out")) == 3
     report = json.loads((tmp_path / "out" / "bounds_report.json").read_text())
     prov = report["results"]["stability"]["provenance"]
@@ -254,7 +263,8 @@ def test_exit_three_distortion_budget_keeps_the_report(tmp_path, monkeypatch, ca
     # each trial's exact search needs more than 5 LPs, so both trials
     # stop with a partial (here absent) beta and count as not within
     monkeypatch.setitem(BUDGETS, "lp_solves", 5)
-    cfg = write_config(tmp_path, C3_DISTORTION)
+    cfg = write_config(tmp_path, dict(
+        C3_DISTORTION, group_spec=untagged_group_spec(tmp_path, "cyclic_rotation_2d", 3)))
     assert run("distortion", cfg, out=str(tmp_path / "run")) == 3
     assert main(["distortion", "--config", cfg,
                  "--out", str(tmp_path / "main")]) == 3

@@ -18,7 +18,7 @@ from maxfilter_lab.errors import BUDGETS
 from maxfilter_lab.stability import pair_lower_value
 from oracles import (brute_alpha_tilde, brute_beta_exact_sampled,
                      brute_beta_relaxed, dfs_upper_bound_exact,
-                     distortion_bound_mpmath, sigma_mpmath)
+                     distortion_bound_mpmath, lp_route, sigma_mpmath)
 
 GOLDEN_Z = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 
@@ -44,11 +44,18 @@ def test_golden_beta_exact(golden_bank):
     assert abs(np.linalg.norm(cols, 2) - ub.beta) < 1e-12
 
 
-# (family, param, n templates, seed): the banks the level search is
-# refereed on against the one-LP-per-child depth-first search
+# (family, param, n templates, seed): the banks both routes of the exact
+# search are refereed on against the one-LP-per-child depth-first search
 REFEREE_BANKS = [("cyclic_rotation_2d", 3, 16, 1), ("cyclic_rotation_2d", 3, 5, 2),
                  ("cyclic_rotation_2d", 5, 4, 3), ("sign_flips", 3, 6, 4),
-                 ("permutations", 3, 6, 5), ("dihedral_2d", 3, 5, 6)]
+                 ("permutations", 3, 6, 5), ("dihedral_2d", 3, 5, 6),
+                 ("axis_rotation_3d", 4, 9, 7), ("permutations", 4, 6, 8),
+                 ("dihedral_2d", 4, 8, 9), ("cyclic_rotation_2d", 5, 10, 10),
+                 ("cyclic_rotation_2d", 7, 8, 11)]
+
+# the families whose exact bound takes the geometric route, one group each
+GEOMETRIC_GROUPS = [("cyclic_rotation_2d", 5), ("axis_rotation_3d", 4), ("sign_flips", 3),
+                    ("permutations", 3), ("dihedral_2d", 4)]
 
 
 def referee_bank(name, param, n, seed):
@@ -56,24 +63,90 @@ def referee_bank(name, param, n, seed):
     return MaxFilterBank(g, np.random.default_rng(seed).standard_normal((n, g.dim)))
 
 
+def leaf_summary(ub):
+    return ub.beta, ub.argmax_tuple, ub.feasible_tuples
+
+
+def assert_routes_match_referee(bank):
+    """The tagged bank's geometric route and its LP route both equal the
+    referee; the LP route in every field, lp_solves included."""
+    want = dfs_upper_bound_exact(bank)
+    got = upper_bound_exact(bank)
+    assert leaf_summary(got) == leaf_summary(want)
+    assert got.lp_solves == 0
+    assert upper_bound_exact(lp_route(bank)) == want
+
+
 @pytest.mark.parametrize("spec", REFEREE_BANKS)
 def test_exact_bound_matches_depth_first_referee(spec):
-    bank = referee_bank(*spec)
-    got = upper_bound_exact(bank)
-    want = dfs_upper_bound_exact(bank)
-    assert got.beta == want.beta
-    assert got.argmax_tuple == want.argmax_tuple
-    assert got.lp_solves == want.lp_solves
-    assert got.feasible_tuples == want.feasible_tuples
+    assert_routes_match_referee(referee_bank(*spec))
 
 
 def test_golden_exact_bound_matches_referee(golden_bank):
-    assert upper_bound_exact(golden_bank) == dfs_upper_bound_exact(golden_bank)
+    assert_routes_match_referee(golden_bank)
+
+
+@given(st.sampled_from(GEOMETRIC_GROUPS), st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+def test_geometric_route_agrees_with_lp_route(group, seed, n):
+    bank = referee_bank(*group, n, seed)
+    assert leaf_summary(upper_bound_exact(bank)) == leaf_summary(upper_bound_exact(lp_route(bank)))
+
+
+@pytest.mark.parametrize("name,param", GEOMETRIC_GROUPS)
+def test_geometric_route_solves_no_lp(name, param, monkeypatch):
+    # a work count, not a time: a silent fall back to the LP search fails here
+    def no_lp(problems):
+        raise AssertionError("margin LP on the geometric route")
+
+    bank = referee_bank(name, param, 6, 12)
+    assert all(orb.size == bank.group.order for orb in bank.orbits)
+    monkeypatch.setattr(stability, "_margin_lps", no_lp)
+    ub = upper_bound_exact(bank)
+    assert ub.lp_solves == 0 and ub.feasible_tuples >= 1
+
+
+def _mirror_template(name, param, row):
+    def build():
+        bank = referee_bank(name, param, 6, 13)
+        Z = bank.templates.copy()
+        Z[2] = row
+        return MaxFilterBank(bank.group, Z)
+    return build
+
+
+def _near_tie_c3():
+    # the sector cuts of templates 1 and 2 lie 1e-12 rad apart inside the pinned sector
+    angles = np.concatenate(([0.0, 0.4, 0.4 + 1e-12],
+                             np.random.default_rng(14).uniform(0, 2 * np.pi, 3)))
+    return MaxFilterBank(build_family("cyclic_rotation_2d", 3),
+                         np.stack([np.cos(angles), np.sin(angles)], axis=1))
+
+
+@pytest.mark.parametrize("build", [
+    _mirror_template("sign_flips", 3, [0.7, 0.0, -1.3]),
+    _mirror_template("permutations", 3, [0.4, 0.4, -1.1]),
+    _mirror_template("axis_rotation_3d", 4, [0.0, 0.0, 1.5]),
+    _near_tie_c3,
+], ids=["sign_flips_zero_coordinate", "permutations_equal_coordinates",
+        "axis_rotation_on_the_axis", "c3_near_tie_cuts"])
+def test_exact_bound_falls_back_to_the_lp_route(build):
+    bank = build()
+    got = upper_bound_exact(bank)
+    assert got.lp_solves > 0
+    assert got == dfs_upper_bound_exact(bank)
+
+
+def test_failed_cell_check_falls_back_to_the_lp_route(monkeypatch):
+    bank = referee_bank("cyclic_rotation_2d", 3, 5, 2)
+    monkeypatch.setattr(voronoi.VoronoiCellSpec, "contains", lambda self, y: False)
+    got = upper_bound_exact(bank)
+    assert got.lp_solves > 0
+    assert got == dfs_upper_bound_exact(bank)
 
 
 @pytest.mark.parametrize("spec", REFEREE_BANKS[1:])
 def test_lp_budget_edge(spec, monkeypatch):
-    bank = referee_bank(*spec)
+    bank = lp_route(referee_bank(*spec))
     full = upper_bound_exact(bank)
     need = full.lp_solves
     monkeypatch.setitem(BUDGETS, "lp_solves", need)
@@ -242,7 +315,7 @@ def test_alpha_tilde_rejects_bad_chi(golden_bank):
 
 def test_budget_exceeded_carries_partial(rng, monkeypatch):
     g = build_family("sign_flips", 2)
-    bank = MaxFilterBank(g, rng.standard_normal((5, 2)))
+    bank = lp_route(MaxFilterBank(g, rng.standard_normal((5, 2))))
     true_beta = upper_bound_exact(bank).beta
     relaxed = upper_bound_relaxed(bank)
     true_alpha = alpha_tilde(bank, 1)
@@ -262,6 +335,17 @@ def test_budget_exceeded_carries_partial(rng, monkeypatch):
     with pytest.raises(BudgetExceeded) as e3:
         alpha_tilde(bank, chi=1)
     assert e3.value.partial is None or e3.value.partial >= true_alpha - 1e-9
+
+
+@pytest.mark.parametrize("name,param", [("cyclic_rotation_2d", 3), ("sign_flips", 3)])
+def test_lp_budget_does_not_bind_the_geometric_route(name, param, monkeypatch):
+    bank = referee_bank(name, param, 6, 15)
+    want = upper_bound_exact(bank)
+    monkeypatch.setitem(BUDGETS, "lp_solves", 0)
+    assert upper_bound_exact(bank) == want
+    report, _ = compute_stability_report(bank, chi=1, n_pairs=20, seed=1)
+    assert report.provenance["beta_exact_certified"]
+    assert report.beta_exact == want.beta
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +553,7 @@ def test_stability_report_golden(golden_bank):
 
 def test_stability_report_budget_flags(rng, monkeypatch):
     g = build_family("sign_flips", 2)
-    bank = MaxFilterBank(g, rng.standard_normal((5, 2)))
+    bank = lp_route(MaxFilterBank(g, rng.standard_normal((5, 2))))
     monkeypatch.setitem(BUDGETS, "lp_solves", 2)
     report, _ = compute_stability_report(bank, chi=1, n_pairs=20, seed=1)
     assert not report.provenance["beta_exact_certified"]
