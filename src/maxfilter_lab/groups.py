@@ -121,19 +121,23 @@ class FiniteGroup:
 
     ``stack`` holds all matrices as one read-only (order, dim, dim)
     array, copied in the order given; ``from_matrices`` sorts them into
-    canonical order first.  ``family`` names the constructor in FAMILIES
-    that built the group, and it alone enables the structure-specific
-    filter routes: the chamber projections of the reflection families
-    and the circular-shift FFT.  Only those constructors set it, through
-    ``_from_stack``; every other group is untagged and takes the dense
-    route.
+    canonical order first, and its sorted copy, read-only and owning its
+    memory, is taken without a second copy.  ``family`` names the
+    constructor in FAMILIES that built the group, and it alone enables
+    the structure-specific filter routes: the chamber projections of the
+    reflection families and the circular-shift FFT.  Only those
+    constructors set it, through ``_from_stack``; every other group is
+    untagged and takes the dense route.
     """
 
     stack: np.ndarray = field(repr=False)
     family: str | None = field(default=None, init=False)
 
     def __post_init__(self):
-        stack = np.array(self.stack, dtype=float)
+        stack = self.stack
+        if not (isinstance(stack, np.ndarray) and stack.dtype == float
+                and stack.flags.owndata and not stack.flags.writeable):
+            stack = np.array(stack, dtype=float)
         if stack.ndim != 3 or stack.shape[0] == 0 or stack.shape[1] != stack.shape[2]:
             raise ValueError(f"expected a nonempty (order, dim, dim) stack, got shape {stack.shape}")
         stack.setflags(write=False)
@@ -158,7 +162,9 @@ class FiniteGroup:
     @classmethod
     def from_matrices(cls, mats: np.ndarray) -> "FiniteGroup":
         stack = np.asarray(mats, dtype=float)
-        return cls(stack[_canonical_order(stack)])
+        stack = stack[_canonical_order(stack)]
+        stack.setflags(write=False)
+        return cls(stack)
 
     @classmethod
     def _from_stack(cls, mats: np.ndarray, family: str) -> "FiniteGroup":

@@ -10,6 +10,7 @@ optimality witness constructions round out the module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -102,13 +103,12 @@ def upper_bound_exact(bank: MaxFilterBank) -> UpperBound:
     """
     n = bank.n_templates
     orbits = bank.orbits
-    cells = [[VoronoiCellSpec(center=p, orbit=orb) for p in orb.points] for orb in orbits]
     pin = int(np.argmax([orb.size for orb in orbits]))
     visit = [pin] + [i for i in range(n) if i != pin]
 
-    leaves, solves = _geometric_leaves(bank, cells, visit), 0
+    leaves, solves = _geometric_leaves(bank, visit), 0
     if leaves is None:
-        leaves, solves = _lp_leaves(orbits, cells, visit)
+        leaves, solves = _lp_leaves(orbits, visit)
     if not leaves:
         raise RuntimeError("no feasible tuple found; tolerances are inconsistent")
     beta, key = _best_leaf(orbits, visit, leaves)
@@ -126,7 +126,7 @@ _REFLECTION_FAMILIES = ("permutations", "sign_flips", "dihedral_2d")
 _PLANAR_FAMILIES = ("cyclic_rotation_2d", "axis_rotation_3d")
 
 
-def _geometric_leaves(bank, cells, visit) -> list[tuple[int, ...]] | None:
+def _geometric_leaves(bank, visit) -> list[tuple[int, ...]] | None:
     """Sorted feasible leaves from the cell geometry, or None to fall back.
 
     Applies to the families above when every template orbit has size |G|.
@@ -155,16 +155,23 @@ def _geometric_leaves(bank, cells, visit) -> list[tuple[int, ...]] | None:
         phi = low + (edges[:-1] + edges[1:]) / 2
         probes = np.zeros((phi.shape[0], group.dim))
         probes[:, 0], probes[:, 1] = np.cos(phi), np.sin(phi)
+
+    @functools.cache
+    def cell(t: int, c: int) -> VoronoiCellSpec:
+        # built on first read and shared by the probes; a reflection
+        # group's one probe reads n of the n*|G| cells
+        return VoronoiCellSpec(center=orbits[t].points[c], orbit=orbits[t])
+
     leaves = set()
     for y in probes:
         key = tuple(int(np.argmax(orbits[t].points @ y)) for t in visit)
-        if key[0] != 0 or not all(cells[t][c].contains(y) for t, c in zip(visit, key)):
+        if key[0] != 0 or not all(cell(t, c).contains(y) for t, c in zip(visit, key)):
             return None
         leaves.add(key)
     return sorted(leaves)
 
 
-def _lp_leaves(orbits, cells, visit) -> tuple[list[tuple[int, ...]], int]:
+def _lp_leaves(orbits, visit) -> tuple[list[tuple[int, ...]], int]:
     """Feasible leaves in lexicographic order, and the LP problems solved.
 
     Level-synchronous search over per-template orbit points.  Level k
@@ -183,9 +190,10 @@ def _lp_leaves(orbits, cells, visit) -> tuple[list[tuple[int, ...]], int]:
     solves = 0
     for pos, t in enumerate(visit):
         n_cand = 1 if pos == 0 else orbits[t].size
+        cells = [VoronoiCellSpec(center=p, orbit=orbits[t]) for p in orbits[t].points[:n_cand]]
         needed = len(frontier) * n_cand
         take = min(needed, max(BUDGETS["lp_solves"] - solves, 0))
-        kids = itertools.islice(((key + (c,), chosen + [cells[t][c]])
+        kids = itertools.islice(((key + (c,), chosen + [cells[c]])
                                  for key, chosen in frontier for c in range(n_cand)), take)
         mine, theirs = itertools.tee(kids)
         verdicts = _margin_lps(chosen for _, chosen in theirs)
@@ -302,8 +310,17 @@ def alpha_tilde(bank: MaxFilterBank, chi: int) -> float:
     (p and -p agree; see ``groups._first_seen``), and the subset search
     shares partial-sum tensors along combination prefixes, pruning
     branches whose partial lambda_min already meets the incumbent
-    (adding PSD terms never lowers lambda_min).  Raises BudgetExceeded
-    before the evaluated assignments would pass BUDGETS["alpha_tilde_evals"].
+    (adding PSD terms never lowers lambda_min).  The first template of
+    every subset is pinned to its first representative: left-multiplying
+    every g_i by one h in G permutes each orbit up to sign and keeps
+    lambda_min, as the pin of ``upper_bound_exact``.  The first incumbent
+    is the leaf of one greedy pinned dive, which at each level keeps the
+    child of smallest lambda_min; it is attained by a real assignment.
+
+    BUDGETS["alpha_tilde_evals"] counts every lambda_min evaluation, the
+    dive's included.  BudgetExceeded is raised before the count would
+    pass the cap; its ``partial`` is the incumbent, None if the cap runs
+    out inside the dive (always so at caps 0 and 1 once d >= 2).
     """
     if chi < 1:
         raise ValueError("chi must be >= 1")
@@ -322,25 +339,40 @@ def alpha_tilde(bank: MaxFilterBank, chi: int) -> float:
     best = math.inf
     used = 0
 
-    def descend(start: int, left: int, partial: np.ndarray) -> None:
-        nonlocal best, used
+    def evaluate(partial: np.ndarray) -> np.ndarray:
+        nonlocal used
         if used + partial.shape[0] > BUDGETS["alpha_tilde_evals"]:
             raise BudgetExceeded(
                 "alpha_tilde assignment budget exhausted",
                 partial=None if best == math.inf else float(math.sqrt(max(best, 0.0))))
         used += partial.shape[0]
-        lam = _lam_min_batch(partial)
+        return _lam_min_batch(partial)
+
+    def terms(nxt: int, left: int) -> np.ndarray:
+        return outers[nxt][:1] if left == k else outers[nxt]
+
+    def descend(start: int, left: int, partial: np.ndarray) -> None:
+        nonlocal best
+        lam = evaluate(partial)
         if left == 0:
-            low = float(lam.min())
-            if low < best:
-                best = low
+            best = min(best, float(lam.min()))
             return
-        live = partial[lam < best] if best < math.inf else partial
+        live = partial[lam < best]
         if live.shape[0] == 0:
             return
         for nxt in range(start, n - left + 1):
-            child = (live[:, None, :, :] + outers[nxt][None, :, :, :]).reshape(-1, d, d)
+            child = (live[:, None, :, :] + terms(nxt, left)[None, :, :, :]).reshape(-1, d, d)
             descend(nxt + 1, left - 1, child)
+
+    # the greedy dive: (template, summand) children of the one kept prefix
+    start, acc = 0, np.zeros((d, d))
+    for left in range(k, 0, -1):
+        cand = [(nxt, term) for nxt in range(start, n - left + 1) for term in terms(nxt, left)]
+        kids = acc + np.stack([term for _, term in cand])
+        lam = evaluate(kids)
+        j = int(np.argmin(lam))
+        start, acc = cand[j][0] + 1, kids[j]
+    best = float(lam[j])
 
     descend(0, k, np.zeros((1, d, d)))
     return float(math.sqrt(max(best, 0.0)))

@@ -163,6 +163,37 @@ def brute_alpha_tilde(bank, chi: int) -> float:
     return math.sqrt(max(best, 0.0))
 
 
+def dfs_alpha_tilde(bank, chi: int) -> float:
+    """Referee for alpha_tilde: the same depth-first search over subset
+    prefixes and ± representatives, with no pinned template and no first
+    incumbent, so every branch is pruned against leaves it reached."""
+    n, d = bank.n_templates, bank.dim
+    k = math.ceil(n / chi)
+    if k <= d - 1:
+        return 0.0
+    outers = []
+    for z in bank.templates:
+        R = loop_pm_representatives(orbit_of(bank.group, z).points)
+        outers.append(np.einsum("rd,re->rde", R, R))
+    best = math.inf
+
+    def descend(start: int, left: int, partial: np.ndarray) -> None:
+        nonlocal best
+        lam = np.linalg.eigvalsh(partial)[:, 0]
+        if left == 0:
+            best = min(best, float(lam.min()))
+            return
+        live = partial[lam < best]
+        if live.shape[0] == 0:
+            return
+        for nxt in range(start, n - left + 1):
+            child = (live[:, None, :, :] + outers[nxt][None, :, :, :]).reshape(-1, d, d)
+            descend(nxt + 1, left - 1, child)
+
+    descend(0, k, np.zeros((1, d, d)))
+    return math.sqrt(max(best, 0.0))
+
+
 def brute_s_members(group, x, y, n_samples: int, rng) -> set:
     """Indices (into the orbit of y) of cells hit by random points of V_x.
 

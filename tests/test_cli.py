@@ -188,6 +188,27 @@ def test_diff_reports_ignores_only_timings(tmp_path, capsys):
     assert diff_reports.main([str(a), str(b)]) == 0
 
 
+def test_diff_reports_gives_the_size_of_a_number_difference(tmp_path, capsys):
+    diff_reports = _load_diff_reports()
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, at, kind in ((a, 0.25, "x"), (b, 0.25 + 1e-13, "y")):
+        root.mkdir()
+        (root / "bounds_report.json").write_text(
+            json.dumps({"results": {"alpha_tilde": at, "flag": kind == "x"}}))
+        (root / "trials.csv").write_text(f"trial,alpha_tilde,kind\n0,{at!r},{kind}\n")
+    assert diff_reports.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines()[:-1] == [
+        "bounds_report.json: $.results.alpha_tilde: 0.25 != 0.2500000000001 (abs 1e-13, rel 4e-13)",
+        "bounds_report.json: $.results.flag: true != false",
+        "trials.csv: line 2, alpha_tilde: 0.25 != 0.2500000000001 (abs 1e-13, rel 4e-13)",
+        "trials.csv: line 2, kind: x != y",
+    ]
+    # CSV files of different shapes are compared as bytes only
+    (b / "trials.csv").write_text("trial,alpha_tilde\n0,0.25\n")
+    assert diff_reports.main([str(a), str(b)]) == 1
+    assert "trials.csv: bytes differ" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

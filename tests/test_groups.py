@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +165,24 @@ def test_constructor_keeps_a_copy_of_a_square_stack():
     for bad in (mats[:, :, :1], mats[0], mats[:0]):
         with pytest.raises(ValueError):
             FiniteGroup(bad)
+
+
+def test_from_matrices_sorts_sign_flips_15_with_one_copy():
+    g = build_family("sign_flips", 15)
+    # canonical order is lexicographic on the flattened entries, so on
+    # diagonal sign matrices it is the product order with -1 first
+    want = np.array(list(itertools.product((-1.0, 1.0), repeat=15)))
+    assert np.array_equal(g.stack.diagonal(axis1=1, axis2=2), want)
+    shuffled = g.stack[np.random.default_rng(3).permutation(g.order)]
+    tracemalloc.start()
+    try:
+        again = FiniteGroup.from_matrices(shuffled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again.stack, g.stack)
+    # the sorted copy is the group's stack; a second copy would double this
+    assert peak < 1.5 * g.stack.nbytes
 
 
 def test_stack_and_orbit_arrays_are_frozen(c3, rng):

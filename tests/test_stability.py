@@ -17,7 +17,7 @@ from maxfilter_lab import filtering, groups, stability, voronoi
 from maxfilter_lab.errors import BUDGETS
 from maxfilter_lab.stability import pair_lower_value
 from oracles import (brute_alpha_tilde, brute_beta_exact_sampled,
-                     brute_beta_relaxed, dfs_upper_bound_exact,
+                     brute_beta_relaxed, dfs_alpha_tilde, dfs_upper_bound_exact,
                      distortion_bound_mpmath, lp_route, sigma_mpmath)
 
 GOLDEN_Z = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
@@ -265,12 +265,62 @@ def test_sharp_witness_reproduces_alpha(rng):
 @pytest.mark.parametrize("name,param,n,chi", [
     ("plus_minus_id", 2, 4, 2), ("cyclic_rotation_2d", 3, 4, 2),
     ("sign_flips", 2, 3, 1), ("sign_flips", 2, 4, 1),
-    ("permutations", 3, 4, 1),
+    ("permutations", 3, 4, 1), ("permutations", 3, 5, 1),
+    # -I lies in sign_flips(3), so every orbit point has its negative in the orbit
+    ("sign_flips", 3, 4, 1), ("cyclic_rotation_2d", 3, 8, 2),
 ])
 def test_alpha_tilde_matches_brute(name, param, n, chi, rng):
     g = build_family(name, param)
     bank = MaxFilterBank(g, rng.standard_normal((n, g.dim)))
     assert abs(alpha_tilde(bank, chi) - brute_alpha_tilde(bank, chi)) < 1e-10
+
+
+# (family, param, n templates, chi, seed): the three banks of a certify
+# trial, then families off the geometric route of the exact bound; on the
+# circular_shifts(3) bank alpha_tilde is about 1e-3, and the two searches
+# differ by about 1e-9 relative
+ALPHA_REFEREE_BANKS = [("cyclic_rotation_2d", 3, 16, 2, 1), ("sign_flips", 3, 6, 1, 4),
+                       ("permutations", 3, 6, 1, 5), ("axis_rotation_3d", 4, 9, 2, 7),
+                       ("plus_minus_id", 3, 6, 2, 8), ("circular_shifts", 3, 7, 3, 9)]
+
+
+@pytest.mark.parametrize("spec", ALPHA_REFEREE_BANKS)
+def test_alpha_tilde_matches_depth_first_referee(spec):
+    # the pinned, seeded search against the unpinned one it replaced;
+    # absolute, since near alpha_tilde = 0 rounding in lambda_min alone
+    # moves sqrt(lambda_min) by far more than 1e-12 relative
+    *bank_spec, chi, seed = spec
+    bank = referee_bank(*bank_spec, seed)
+    assert abs(alpha_tilde(bank, chi) - dfs_alpha_tilde(bank, chi)) < 1e-10
+
+
+@pytest.mark.parametrize("spec", ALPHA_REFEREE_BANKS)
+def test_alpha_tilde_budget_edge(spec, monkeypatch):
+    *bank_spec, chi, seed = spec
+    bank = referee_bank(*bank_spec, seed)
+    want = alpha_tilde(bank, chi)
+    evaluated = []
+    real = stability._lam_min_batch
+
+    def counting(S):
+        evaluated.append(S.shape[0])
+        return real(S)
+
+    monkeypatch.setattr(stability, "_lam_min_batch", counting)
+    alpha_tilde(bank, chi)
+    need = sum(evaluated)
+    monkeypatch.setitem(BUDGETS, "alpha_tilde_evals", need)
+    assert alpha_tilde(bank, chi) == want
+    monkeypatch.setitem(BUDGETS, "alpha_tilde_evals", need - 1)
+    with pytest.raises(BudgetExceeded) as e:
+        alpha_tilde(bank, chi)
+    assert e.value.partial is None or e.value.partial >= want - 1e-10
+    # the first incumbent is the dive's leaf, so a cap inside the dive leaves none
+    for cap in (0, 1):
+        monkeypatch.setitem(BUDGETS, "alpha_tilde_evals", cap)
+        with pytest.raises(BudgetExceeded) as e:
+            alpha_tilde(bank, chi)
+        assert e.value.partial is None
 
 
 def test_alpha_tilde_zero_when_subsets_small(golden_bank):
