@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BUDGETS, BudgetExceeded, CaseMismatch, DomainError, NotNicePoint
 from .filtering import MaxFilterBank, _pair_distances, apply_bank, apply_bank_batch, quotient_distance
-from .groups import _first_seen, orbit_of
+from .groups import _BLOCK, _first_seen, orbit_of
 from .kernels import is_reflection_group
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
@@ -28,6 +28,7 @@ from .voronoi import (
     _margin_lps,
     choice_assignments,
     sample_nice,
+    strictly_inside,
 )
 
 __all__ = [
@@ -135,8 +136,9 @@ def _geometric_leaves(bank, visit) -> list[tuple[int, ...]] | None:
     every orbit; for a planar rotation, the midpoint of each arc that the
     other templates' sector cuts make inside the pinned sector.  A probe's
     leaf is its argmax orbit point per template.  It stands only if the
-    probe keeps the pinned point and passes ``VoronoiCellSpec.contains``,
-    the margin LP's own rule, for every cell of the leaf.
+    probe keeps the pinned point and lies in every cell of the leaf by
+    ``voronoi.strictly_inside``, the margin LP's own rule, which checks
+    each probe against the stacked rows of all its cells at once.
     """
     group, orbits = bank.group, bank.orbits
     if (group.family not in _REFLECTION_FAMILIES + _PLANAR_FAMILIES
@@ -157,18 +159,19 @@ def _geometric_leaves(bank, visit) -> list[tuple[int, ...]] | None:
         probes[:, 0], probes[:, 1] = np.cos(phi), np.sin(phi)
 
     @functools.cache
-    def cell(t: int, c: int) -> VoronoiCellSpec:
+    def rows(t: int, c: int) -> np.ndarray:
         # built on first read and shared by the probes; a reflection
         # group's one probe reads n of the n*|G| cells
-        return VoronoiCellSpec(center=orbits[t].points[c], orbit=orbits[t])
+        return VoronoiCellSpec(center=orbits[t].points[c], orbit=orbits[t]).rows
 
-    leaves = set()
-    for y in probes:
-        key = tuple(int(np.argmax(orbits[t].points @ y)) for t in visit)
-        if key[0] != 0 or not all(cell(t, c).contains(y) for t, c in zip(visit, key)):
-            return None
-        leaves.add(key)
-    return sorted(leaves)
+    keys = np.stack([np.argmax(probes @ orbits[t].points.T, axis=1) for t in visit], axis=1)
+    if keys[:, 0].any():
+        return None
+    stacked = np.stack([np.concatenate([rows(t, c) for t, c in zip(visit, key)])
+                        for key in keys.tolist()])
+    if not strictly_inside(stacked, probes).all():
+        return None
+    return sorted(set(map(tuple, keys.tolist())))
 
 
 def _lp_leaves(orbits, visit) -> tuple[list[tuple[int, ...]], int]:
@@ -302,13 +305,16 @@ def lower_bound_sharp(bank: MaxFilterBank, n_pairs: int, seed: int) -> AlphaShar
 
 def alpha_tilde(bank: MaxFilterBank, chi: int) -> float:
     """Pigeonhole lower bound: exact min of sqrt(lambda_min) of
-    sum_{i in I} (g_i z_i)(g_i z_i)^T over subsets of size ceil(n/chi)
+    sum_{i in I} (g_i z_i)(g_i z_i)^T over subsets of size k = ceil(n/chi)
     and all assignments.  Larger subsets cannot do better since
     lambda_min is superadditive over PSD sums.
 
-    Assignments are deduplicated by the rank-1 summand they induce
-    (p and -p agree; see ``groups._first_seen``), and the subset search
-    shares partial-sum tensors along combination prefixes, pruning
+    At d = 2 the minimum is read off the unit circle (``_circle_sweep``):
+    by Rayleigh-Ritz it is the min over unit u of the sum of the k
+    smallest min_{p in orbit i} <p, u>^2.  In higher dimensions a subset
+    search finds it.  Assignments are deduplicated by the rank-1 summand
+    they induce (p and -p agree; see ``groups._first_seen``), and the
+    search shares partial-sum tensors along combination prefixes, pruning
     branches whose partial lambda_min already meets the incumbent
     (adding PSD terms never lowers lambda_min).  The first template of
     every subset is pinned to its first representative: left-multiplying
@@ -317,10 +323,11 @@ def alpha_tilde(bank: MaxFilterBank, chi: int) -> float:
     is the leaf of one greedy pinned dive, which at each level keeps the
     child of smallest lambda_min; it is attained by a real assignment.
 
-    BUDGETS["alpha_tilde_evals"] counts every lambda_min evaluation, the
-    dive's included.  BudgetExceeded is raised before the count would
-    pass the cap; its ``partial`` is the incumbent, None if the cap runs
-    out inside the dive (always so at caps 0 and 1 once d >= 2).
+    BUDGETS["alpha_tilde_evals"] counts every lambda_min evaluation: the
+    sweep's pieces at d = 2, and the search's partial sums, the dive's
+    included.  BudgetExceeded is raised before the count would pass the
+    cap.  The sweep's has no ``partial``; the search's is the incumbent,
+    None if the cap runs out inside the dive (always so at caps 0 and 1).
     """
     if chi < 1:
         raise ValueError("chi must be >= 1")
@@ -328,6 +335,8 @@ def alpha_tilde(bank: MaxFilterBank, chi: int) -> float:
     k = math.ceil(n / chi)
     if k <= d - 1:
         return 0.0
+    if d == 2:
+        return math.sqrt(max(_circle_sweep(bank.orbits, k), 0.0))
 
     outers: list[np.ndarray] = []
     for orb in bank.orbits:
@@ -376,6 +385,60 @@ def alpha_tilde(bank: MaxFilterBank, chi: int) -> float:
 
     descend(0, k, np.zeros((1, d, d)))
     return float(math.sqrt(max(best, 0.0)))
+
+
+def _circle_sweep(orbits, k: int) -> float:
+    """alpha_tilde^2 of a planar bank: the min over u = (cos t, sin t) of
+    s_k(t), the sum of the k smallest c_i(t) = min_{p in orbit i} <p, u>^2.
+
+    As <p, u>^2 = |p|^2 sin^2(t - psi_p) with psi_p the angle of p plus
+    pi/2, and all points of an orbit share one norm, c_i takes the point
+    whose psi is nearest to t (mod pi), and switches point only at the
+    bisectors of neighbouring psi.  Between two consecutive switches of
+    any template, c_i and c_j cross only where u is orthogonal to p_i - p_j
+    or to p_i + p_j.  Inside each piece so cut, the k smallest templates
+    and their points are fixed, so s_k(t) = u^T S u for one real subset
+    sum S, read at the piece's midpoint.  Every lambda_min(S) is at least
+    alpha_tilde^2, and the piece holding a minimizer of s_k attains it.
+    Pieces are evaluated a block of switches at a time, each block's
+    count checked against BUDGETS["alpha_tilde_evals"] before its pieces
+    are built.
+    """
+    n = len(orbits)
+    pts, bis = [], []
+    for orb in orbits:
+        psi = np.mod(np.arctan2(orb.points[:, 1], orb.points[:, 0]) + np.pi / 2, np.pi)
+        order = np.argsort(psi)
+        # one neighbour across the wrap on each side, so searchsorted on the
+        # m + 1 bisectors gives the active point of every t in [0, pi]
+        wrap = np.concatenate((order[-1:], order, order[:1]))
+        ext = np.concatenate((psi[order[-1:]] - np.pi, psi[order], psi[order[:1]] + np.pi))
+        pts.append(orb.points[wrap])
+        bis.append((ext[:-1] + ext[1:]) / 2)
+    edges = np.unique(np.concatenate([[0.0, np.pi]] + [np.mod(b[:-1], np.pi) for b in bis]))
+    ii, jj = np.triu_indices(n, 1)
+    # switch intervals per block: each cuts into at most 2*pairs + 1 pieces of n points
+    step = max(1, _BLOCK // (2 * n * (2 * ii.size + 1)))
+    best, used = math.inf, 0
+    for lo in range(0, edges.size - 1, step):
+        hi = min(lo + step, edges.size - 1)
+        a, b = edges[lo:hi], edges[lo + 1:hi + 1]
+        act = np.stack([p[np.searchsorted(c, (a + b) / 2)] for p, c in zip(pts, bis)], axis=1)
+        w = np.concatenate((act[:, ii] - act[:, jj], act[:, ii] + act[:, jj]), axis=1)
+        cross = np.mod(np.arctan2(w[..., 1], w[..., 0]) + np.pi / 2, np.pi)
+        inner = np.where((cross > a[:, None]) & (cross < b[:, None]), cross, b[:, None])
+        cuts = np.sort(np.concatenate((a[:, None], inner, b[:, None]), axis=1), axis=1)
+        piece = np.diff(cuts, axis=1) > 0
+        count = int(piece.sum())
+        if used + count > BUDGETS["alpha_tilde_evals"]:
+            raise BudgetExceeded("alpha_tilde piece budget exhausted", partial=None)
+        used += count
+        t = ((cuts[:, :-1] + cuts[:, 1:]) / 2)[piece]
+        V = act[np.nonzero(piece)[0]]
+        c = np.einsum("mnd,md->mn", V, np.stack((np.cos(t), np.sin(t)), axis=1)) ** 2
+        V = np.take_along_axis(V, np.argpartition(c, k - 1, axis=1)[:, :k, None], axis=1)
+        best = min(best, float(_lam_min_batch(np.einsum("mki,mkj->mij", V, V)).min()))
+    return best
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "VoronoiCellSpec",
+    "strictly_inside",
     "ConeFeasibility",
     "SSet",
     "ChoiceEnumeration",
@@ -77,13 +78,22 @@ class VoronoiCellSpec:
         return rows
 
     def contains(self, y) -> bool:
-        """Strict membership as the margin LP decides it: once y is scaled
-        into the LP's box |y|_inf <= 1, every row margin exceeds lp_tol."""
-        y = np.asarray(y, dtype=float)
-        rows = self.rows
-        if rows.shape[0] == 0:
-            return True
-        return bool((rows @ y).min() > DEFAULT_TOL.lp_tol * np.abs(y).max())
+        """``strictly_inside`` for the one probe y and this cell."""
+        return bool(strictly_inside(self.rows[None], np.asarray(y, dtype=float)[None])[0])
+
+
+def strictly_inside(rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Strict membership as the margin LP decides it, one verdict per probe.
+
+    ``rows[j]`` stacks the constraint normals of every cell that probe
+    ``probes[j]`` is tested against, shape (m, r, d) for (m, d) probes.
+    A probe is inside when, scaled into the LP's box |y|_inf <= 1, every
+    one of its row margins exceeds lp_tol; with r = 0 every probe is.
+    """
+    if rows.shape[1] == 0:
+        return np.ones(rows.shape[0], dtype=bool)
+    margins = np.einsum("mrd,md->mr", rows, probes)
+    return margins.min(axis=1) > DEFAULT_TOL.lp_tol * np.abs(probes).max(axis=1)
 
 
 def cell_of(group: FiniteGroup, x) -> VoronoiCellSpec:

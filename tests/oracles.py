@@ -194,6 +194,23 @@ def dfs_alpha_tilde(bank, chi: int) -> float:
     return math.sqrt(max(best, 0.0))
 
 
+def grid_alpha_tilde(bank, chi: int, n_grid: int) -> np.ndarray:
+    """s_k(u) at n_grid angles t = j*pi/(n_grid - 1), u = (cos t, sin t),
+    for a planar bank: the sum of the k = ceil(n/chi) smallest, over the
+    templates, of min over orbit points p of <p, u>^2.  By Rayleigh-Ritz
+    alpha_tilde^2 is the min of s_k over the whole circle."""
+    n = bank.n_templates
+    k = math.ceil(n / chi)
+    orbits = [orbit_of(bank.group, z).points for z in bank.templates]
+    t = np.linspace(0.0, math.pi, n_grid)
+    out = np.empty(n_grid)
+    for lo in range(0, n_grid, 1000):
+        u = np.stack([np.cos(t[lo:lo + 1000]), np.sin(t[lo:lo + 1000])], axis=1)
+        c = np.stack([((u @ P.T) ** 2).min(axis=1) for P in orbits], axis=1)
+        out[lo:lo + 1000] = np.sort(c, axis=1)[:, :k].sum(axis=1)
+    return out
+
+
 def brute_s_members(group, x, y, n_samples: int, rng) -> set:
     """Indices (into the orbit of y) of cells hit by random points of V_x.
 

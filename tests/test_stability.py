@@ -18,7 +18,7 @@ from maxfilter_lab.errors import BUDGETS
 from maxfilter_lab.stability import pair_lower_value
 from oracles import (brute_alpha_tilde, brute_beta_exact_sampled,
                      brute_beta_relaxed, dfs_alpha_tilde, dfs_upper_bound_exact,
-                     distortion_bound_mpmath, lp_route, sigma_mpmath)
+                     distortion_bound_mpmath, grid_alpha_tilde, lp_route, sigma_mpmath)
 
 GOLDEN_Z = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 
@@ -138,7 +138,8 @@ def test_exact_bound_falls_back_to_the_lp_route(build):
 
 def test_failed_cell_check_falls_back_to_the_lp_route(monkeypatch):
     bank = referee_bank("cyclic_rotation_2d", 3, 5, 2)
-    monkeypatch.setattr(voronoi.VoronoiCellSpec, "contains", lambda self, y: False)
+    monkeypatch.setattr(stability, "strictly_inside",
+                        lambda rows, probes: np.zeros(len(probes), dtype=bool))
     got = upper_bound_exact(bank)
     assert got.lp_solves > 0
     assert got == dfs_upper_bound_exact(bank)
@@ -278,20 +279,61 @@ def test_alpha_tilde_matches_brute(name, param, n, chi, rng):
 # (family, param, n templates, chi, seed): the three banks of a certify
 # trial, then families off the geometric route of the exact bound; on the
 # circular_shifts(3) bank alpha_tilde is about 1e-3, and the two searches
-# differ by about 1e-9 relative
+# differ by about 1e-9 relative.  The planar banks, the C3 one first, take
+# the circle sweep, the others the pinned, seeded search.
 ALPHA_REFEREE_BANKS = [("cyclic_rotation_2d", 3, 16, 2, 1), ("sign_flips", 3, 6, 1, 4),
                        ("permutations", 3, 6, 1, 5), ("axis_rotation_3d", 4, 9, 2, 7),
-                       ("plus_minus_id", 3, 6, 2, 8), ("circular_shifts", 3, 7, 3, 9)]
+                       ("plus_minus_id", 3, 6, 2, 8), ("circular_shifts", 3, 7, 3, 9),
+                       ("dihedral_2d", 4, 8, 1, 16), ("cyclic_rotation_2d", 5, 10, 2, 17),
+                       ("cyclic_rotation_2d", 7, 12, 3, 18), ("sign_flips", 2, 5, 1, 19)]
 
 
 @pytest.mark.parametrize("spec", ALPHA_REFEREE_BANKS)
 def test_alpha_tilde_matches_depth_first_referee(spec):
-    # the pinned, seeded search against the unpinned one it replaced;
+    # the sweep and the pinned, seeded search against the unpinned search;
     # absolute, since near alpha_tilde = 0 rounding in lambda_min alone
     # moves sqrt(lambda_min) by far more than 1e-12 relative
     *bank_spec, chi, seed = spec
     bank = referee_bank(*bank_spec, seed)
     assert abs(alpha_tilde(bank, chi) - dfs_alpha_tilde(bank, chi)) < 1e-10
+
+
+def test_alpha_tilde_sweep_needs_no_family_tag(monkeypatch):
+    # the dimension alone selects the sweep, which needs no +- dedup
+    bank = referee_bank("cyclic_rotation_2d", 3, 16, 1)
+    want = alpha_tilde(bank, 2)
+    monkeypatch.setattr(stability, "_first_seen", None)
+    assert alpha_tilde(lp_route(bank), 2) == want
+    assert abs(want - dfs_alpha_tilde(bank, 2)) < 1e-10
+
+
+def _planar_bank(name, param, Z):
+    return MaxFilterBank(build_family(name, param), np.array(Z, dtype=float))
+
+
+@pytest.mark.parametrize("bank,chi", [
+    # parallel templates: the order of the c_i never changes
+    (_planar_bank("cyclic_rotation_2d", 3, np.outer([1.0, -2.0, 0.5, 3.0, 1.5], [0.6, 0.8])), 2),
+    (_planar_bank("dihedral_2d", 3, np.outer([1.0, 2.0, -0.7, 1.2], [1.0, 0.0])), 1),
+    # a zero template: its orbit is one point and c is 0 everywhere
+    (_planar_bank("cyclic_rotation_2d", 5,
+                  np.vstack([np.zeros(2), np.random.default_rng(20).standard_normal((5, 2))])), 2),
+    (_planar_bank("sign_flips", 2, [[0.0, 0.0], [1.0, 2.0], [-0.5, 0.3]]), 1),
+], ids=["c3_parallel", "d3_parallel", "c5_zero_template", "signflips_zero_template"])
+def test_alpha_tilde_degenerate_planar_banks(bank, chi):
+    assert abs(alpha_tilde(bank, chi) - dfs_alpha_tilde(bank, chi)) < 1e-10
+
+
+@pytest.mark.parametrize("name,param,n", [("cyclic_rotation_2d", 360, 8),
+                                          ("cyclic_rotation_2d", 3, 32)])
+def test_alpha_tilde_sweep_against_a_dense_grid(name, param, n):
+    # banks too large for the subset-search referee: s_k on a grid never
+    # falls below alpha_tilde^2, and its grid minimum comes close to it
+    bank = referee_bank(name, param, n, 21)
+    want = alpha_tilde(bank, 2) ** 2
+    s_k = grid_alpha_tilde(bank, 2, 200_001)
+    assert s_k.min() >= want - 1e-12
+    assert s_k.min() - want < 1e-8
 
 
 @pytest.mark.parametrize("spec", ALPHA_REFEREE_BANKS)

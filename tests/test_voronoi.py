@@ -66,6 +66,26 @@ def test_cell_contains_center_and_excludes_other_cells(c5, rng):
             assert not other.contains(x)
 
 
+@pytest.mark.parametrize("name,param", [("cyclic_rotation_2d", 5), ("sign_flips", 3),
+                                        ("permutations", 3)])
+def test_stacked_cells_hold_a_probe_iff_each_cell_does(name, param, rng):
+    # one probe per row; each probe against the argmax cell of every
+    # template, as the geometric route of upper_bound_exact checks it,
+    # and against one cell it may miss
+    group = build_family(name, param)
+    orbits = [orbit_of(group, z) for z in rng.standard_normal((3, group.dim))]
+    probes = rng.standard_normal((40, group.dim))
+    verdicts, stacks = [], []
+    for j, y in enumerate(probes):
+        cells = [VoronoiCellSpec(center=orb.points[int(np.argmax(orb.points @ y))], orbit=orb)
+                 for orb in orbits]
+        cells[j % 3] = VoronoiCellSpec(center=orbits[j % 3].points[j % 2], orbit=orbits[j % 3])
+        verdicts.append(all(c.contains(y) for c in cells))
+        stacks.append(np.concatenate([c.rows for c in cells]))
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert voronoi.strictly_inside(np.stack(stacks), probes).tolist() == verdicts
+
+
 def test_trivial_group_cell_is_everything(trivial2, rng):
     cell = cell_of(trivial2, rng.standard_normal(2))
     assert cell.rows.shape[0] == 0
