@@ -39,7 +39,7 @@ from .filtering import (MaxFilterBank, _pair_distances, apply_bank_batch,
 from .groups import FAMILIES, FiniteGroup, build_family, load_group
 from .kernels import direct_quadratic_form, is_reflection_group, search_psd_violation
 from .reporting import all_passed, assertion, sanitize, write_csv, write_json
-from .stability import (_AUDIT_SLACK, DistortionBoundParams, _within_budget,
+from .stability import (_AUDIT_SLACK, _PLANAR_FAMILIES, DistortionBoundParams, _within_budget,
                         alpha_tilde, compute_stability_report,
                         empirical_lipschitz, ordering_audit,
                         theoretical_distortion_bound, upper_bound_exact)
@@ -153,6 +153,8 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig, dict]:
         raw = json.loads(p.read_text())
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {p}") from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config file {p}: {type(e).__name__}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     return ExperimentConfig.from_dict(raw), raw
@@ -182,6 +184,8 @@ def resolve_templates(config: ExperimentConfig, group: FiniteGroup,
         if Z.shape[1] != group.dim:
             raise ConfigError(
                 f"templates have dim {Z.shape[1]}, group acts on {group.dim}")
+        if not np.isfinite(Z).all():
+            raise ConfigError(f"template file {config.templates['path']}: non-finite entry")
         return Z
     sampler_seed = config.templates.get("seed")
     entropy = (sampler_seed,) if sampler_seed is not None else (seed, STREAMS["template_sampler"])
@@ -217,7 +221,7 @@ def _resolve_chi(config: ExperimentConfig, group: FiniteGroup) -> tuple[int, dic
         chi, source = config.chi, "config"
     elif is_reflection_group(group):
         chi, source = 1, "reflection_group"
-    elif group.family in ("cyclic_rotation_2d", "axis_rotation_3d"):
+    elif group.family in _PLANAR_FAMILIES:
         chi, source = 2, "planar_sectors"
     else:
         chi, source = group.order, "order_bound"

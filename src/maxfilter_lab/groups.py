@@ -49,8 +49,9 @@ def _as_matrix(matrix, dim: int | None = None) -> np.ndarray:
 
 
 def _check_orthogonal(M: np.ndarray) -> None:
-    defect = np.abs(M.T @ M - np.eye(M.shape[0])).max()
-    if defect > DEFAULT_TOL.eq_tol:
+    with np.errstate(invalid="ignore"):    # an inf entry gives a NaN defect, which fails
+        defect = np.abs(M.T @ M - np.eye(M.shape[0])).max()
+    if not defect <= DEFAULT_TOL.eq_tol:
         raise NotOrthogonal(f"matrix is not orthogonal: |Q^T Q - I|_max = {defect:.3e}")
 
 

@@ -10,7 +10,6 @@ optimality witness constructions round out the module.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -18,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BUDGETS, BudgetExceeded, CaseMismatch, DomainError, NotNicePoint
-from .filtering import MaxFilterBank, _pair_distances, apply_bank, apply_bank_batch, quotient_distance
+from .filtering import (_CHAMBERS, MaxFilterBank, _pair_distances, apply_bank, apply_bank_batch,
+                        quotient_distance)
 from .groups import _BLOCK, _first_seen, orbit_of
 from .kernels import is_reflection_group
 from .streams import STREAMS
@@ -56,10 +56,6 @@ _NICE_ATTEMPTS = 10      # draws per nice pair in lower_bound_sharp
 _MIN_SEPARATION = 1e-6   # quotient distance below which empirical_lipschitz drops a pair
 _PAIR_BATCH = 1024       # smallest Gaussian batch of empirical_lipschitz
 _AUDIT_SLACK = 1e-7      # slack of each ordering_audit step and of the CLI's sandwich checks
-
-
-def _lam_min(M: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(M)[0])
 
 
 def _lam_min_batch(S: np.ndarray) -> np.ndarray:
@@ -120,10 +116,10 @@ def upper_bound_exact(bank: MaxFilterBank) -> UpperBound:
 
 
 # Families whose open cells are known in closed form at principal points:
-# the open chamber of a reflection group (Humphreys, Reflection Groups and
-# Coxeter Groups, 1990, ch. 1), and for a planar rotation the open sector
-# of width 2*pi/m centred on the point, times the axis in 3-D.
-_REFLECTION_FAMILIES = ("permutations", "sign_flips", "dihedral_2d")
+# the open chamber of a reflection group, one per key of
+# filtering._CHAMBERS (Humphreys, Reflection Groups and Coxeter Groups,
+# 1990, ch. 1), and for a planar rotation the open sector of width 2*pi/m
+# centred on the point, times the axis in 3-D.
 _PLANAR_FAMILIES = ("cyclic_rotation_2d", "axis_rotation_3d")
 
 
@@ -134,17 +130,18 @@ def _geometric_leaves(bank, visit) -> list[tuple[int, ...]] | None:
     One probe lies in each jointly feasible intersection: the pinned point
     itself for a reflection group, whose chamber meets one chamber of
     every orbit; for a planar rotation, the midpoint of each arc that the
-    other templates' sector cuts make inside the pinned sector.  A probe's
+    other templates' sector cuts make inside the pinned sector.  One
+    product scores every probe against every template orbit; a probe's
     leaf is its argmax orbit point per template.  It stands only if the
-    probe keeps the pinned point and lies in every cell of the leaf by
-    ``voronoi.strictly_inside``, the margin LP's own rule, which checks
-    each probe against the stacked rows of all its cells at once.
+    probe keeps the pinned point and, by those same scores, lies in every
+    cell of the leaf by ``voronoi.strictly_inside``, the margin LP's own
+    rule.  No cell is built.
     """
     group, orbits = bank.group, bank.orbits
-    if (group.family not in _REFLECTION_FAMILIES + _PLANAR_FAMILIES
+    if (group.family not in (*_CHAMBERS, *_PLANAR_FAMILIES)
             or any(orb.size != group.order for orb in orbits)):
         return None
-    if group.family in _REFLECTION_FAMILIES:
+    if group.family in _CHAMBERS:
         probes = orbits[visit[0]].points[:1]
     else:
         # the cut of template t lies at theta_t + w/2 (mod w); offsets from
@@ -157,19 +154,9 @@ def _geometric_leaves(bank, visit) -> list[tuple[int, ...]] | None:
         phi = low + (edges[:-1] + edges[1:]) / 2
         probes = np.zeros((phi.shape[0], group.dim))
         probes[:, 0], probes[:, 1] = np.cos(phi), np.sin(phi)
-
-    @functools.cache
-    def rows(t: int, c: int) -> np.ndarray:
-        # built on first read and shared by the probes; a reflection
-        # group's one probe reads n of the n*|G| cells
-        return VoronoiCellSpec(center=orbits[t].points[c], orbit=orbits[t]).rows
-
-    keys = np.stack([np.argmax(probes @ orbits[t].points.T, axis=1) for t in visit], axis=1)
-    if keys[:, 0].any():
-        return None
-    stacked = np.stack([np.concatenate([rows(t, c) for t, c in zip(visit, key)])
-                        for key in keys.tolist()])
-    if not strictly_inside(stacked, probes).all():
+    scores = np.einsum("md,kgd->mkg", probes, np.stack([orbits[t].points for t in visit]))
+    keys = scores.argmax(axis=-1)
+    if keys[:, 0].any() or not strictly_inside(scores, keys, probes).all():
         return None
     return sorted(set(map(tuple, keys.tolist())))
 
@@ -257,11 +244,9 @@ def pair_lower_value(bank: MaxFilterBank, x, y) -> float:
     enum = choice_assignments(bank, x, y)
     best = -math.inf
     for f in enum.assignments:
-        total = 0.0
-        for w in np.unique(f):
-            V = enum.aligned[f == w]
-            total += _lam_min(V.T @ V)
-        best = max(best, total)
+        blocks = [enum.aligned[f == w] for w in np.unique(f)]
+        lam = _lam_min_batch(np.stack([V.T @ V for V in blocks]))
+        best = max(best, float(lam.sum()))
     return float(math.sqrt(max(best, 0.0)))
 
 
@@ -583,7 +568,7 @@ def _pm_id_witness(bank: MaxFilterBank) -> WitnessPair:
         sel = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
         A = Z[sel].T @ Z[sel] if sel.any() else np.zeros((d, d))
         B = Z[~sel].T @ Z[~sel] if (~sel).any() else np.zeros((d, d))
-        val = _lam_min(A) + _lam_min(B)
+        val = float(_lam_min_batch(np.stack([A, B])).sum())
         if val < best[0]:
             best = (val, (A, B))
     delta_sq, (A, B) = best

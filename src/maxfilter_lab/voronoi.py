@@ -2,14 +2,15 @@
 characteristic chi.
 
 The open cell V_x collects the points whose best orbit representative is
-x itself and nobody else; joint nonemptiness of several open cells is
-decided by a small margin LP rather than sampling.  Independent margin
-LPs are solved together as one block-diagonal LP: every block keeps its
-own variables and rows, so each block's optimum, and its verdict, is
-the one the block would have alone.  ``strict_cones_feasible`` is the
-one-problem case, ``s_set`` sends all |[y]| two-cell problems in one
-batch, and the LP route of ``stability.upper_bound_exact`` one batch per
-search level.
+x itself and nobody else, so whether a point lies in it is read off its
+orbit scores (``strictly_inside``); joint nonemptiness of several open
+cells is decided by a small margin LP rather than sampling.  Independent
+margin LPs are solved together as one block-diagonal LP: every block
+keeps its own variables and rows, so each block's optimum, and its
+verdict, is the one the block would have alone.
+``strict_cones_feasible`` is the one-problem case, ``s_set`` sends all
+|[y]| two-cell problems in one batch, and the LP route of
+``stability.upper_bound_exact`` one batch per search level.
 """
 
 from __future__ import annotations
@@ -79,21 +80,25 @@ class VoronoiCellSpec:
 
     def contains(self, y) -> bool:
         """``strictly_inside`` for the one probe y and this cell."""
-        return bool(strictly_inside(self.rows[None], np.asarray(y, dtype=float)[None])[0])
+        y = np.asarray(y, dtype=float)
+        return bool(strictly_inside((self.orbit.points @ y)[None, None],
+                                    np.array([[self._center_index]]), y[None])[0])
 
 
-def strictly_inside(rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
+def strictly_inside(scores: np.ndarray, centers: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """Strict membership as the margin LP decides it, one verdict per probe.
 
-    ``rows[j]`` stacks the constraint normals of every cell that probe
-    ``probes[j]`` is tested against, shape (m, r, d) for (m, d) probes.
-    A probe is inside when, scaled into the LP's box |y|_inf <= 1, every
-    one of its row margins exceeds lp_tol; with r = 0 every probe is.
+    ``scores[j, k]`` holds <p, probes[j]> for every point p of the orbit
+    of the k-th cell probe j is tested against, shape (m, K, |orbit|) for
+    (m, d) probes, and ``centers[j, k]`` the index of that cell's centre.
+    A probe is inside when, in every cell, its centre's score beats the
+    best other score by more than lp_tol * |y|_inf, the LP's box scaling;
+    a one-point orbit contains every probe.
     """
-    if rows.shape[1] == 0:
-        return np.ones(rows.shape[0], dtype=bool)
-    margins = np.einsum("mrd,md->mr", rows, probes)
-    return margins.min(axis=1) > DEFAULT_TOL.lp_tol * np.abs(probes).max(axis=1)
+    own = np.take_along_axis(scores, centers[..., None], axis=-1)[..., 0]
+    others = np.where(np.arange(scores.shape[-1]) == centers[..., None], -np.inf, scores)
+    margins = (own - others.max(axis=-1)).min(axis=-1)
+    return margins > DEFAULT_TOL.lp_tol * np.abs(probes).max(axis=-1)
 
 
 def cell_of(group: FiniteGroup, x) -> VoronoiCellSpec:

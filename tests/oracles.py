@@ -211,6 +211,18 @@ def grid_alpha_tilde(bank, chi: int, n_grid: int) -> np.ndarray:
     return out
 
 
+def rows_strictly_inside(rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """The constraint-row rule for strict cell membership: probe j is inside
+    when every margin <r, probes[j]> over its stacked normals rows[j]
+    (center - q for every other orbit point q of each of its cells) exceeds
+    lp_tol * |probes[j]|_inf; with no rows every probe is."""
+    verdicts = []
+    for R, y in zip(rows, probes):
+        floor = DEFAULT_TOL.lp_tol * float(np.abs(y).max())
+        verdicts.append(all(float(r @ y) > floor for r in R))
+    return np.array(verdicts, dtype=bool)
+
+
 def brute_s_members(group, x, y, n_samples: int, rng) -> set:
     """Indices (into the orbit of y) of cells hit by random points of V_x.
 

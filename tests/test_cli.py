@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
@@ -251,6 +252,19 @@ def test_exit_two_malformed_json(tmp_path):
     assert main(["bounds", "--config", str(p)]) == 2
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda p: p.mkdir(), id="directory"),
+    pytest.param(lambda p: p.write_bytes(b'{"seed": "\xff"}'), id="not_utf8"),
+])
+def test_exit_two_unreadable_config(tmp_path, capsys, make):
+    p = tmp_path / "cfg.json"
+    make(p)
+    assert main(["bounds", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_two_lambda_below_floor(tmp_path):
     # n=4 templates with chi=2, d=2 gives lambda=1 < lambda0
     payload = {
@@ -486,6 +500,8 @@ OUTSIDE_FILES = {
         "dim": 2, "family": "cyclic_rotation_2d", "param": 4,
         "generators": build_family("cyclic_rotation_2d", 3).stack.reshape(3, -1).tolist()}),
     "not_numeric.csv": "1.0,x\n",
+    "not_finite.csv": "1.0,nan\n0.5,0.25\n",
+    "nan_generator.json": json.dumps({"dim": 2, "generators": [[math.nan, 0.0, 0.0, 1.0]]}),
 }
 
 
@@ -510,6 +526,9 @@ OUTSIDE_FILES = {
                  id="group_file_differs_from_its_family"),
     pytest.param({"templates": {"path": "missing.csv"}}, [], id="template_file_missing"),
     pytest.param({"templates": {"path": "not_numeric.csv"}}, [], id="template_file_not_numeric"),
+    pytest.param({"templates": {"path": "not_finite.csv"}, "group_spec":
+                  {"family": "cyclic_rotation_2d", "param": 3}}, [], id="template_file_not_finite"),
+    pytest.param({"group_spec": {"path": "nan_generator.json"}}, [], id="group_file_nan_generator"),
 ])
 def test_exit_two_on_malformed_config_value(tmp_path, monkeypatch, capsys, change, flags):
     monkeypatch.chdir(tmp_path)

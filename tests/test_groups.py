@@ -71,6 +71,13 @@ def test_generate_group_rejects_non_orthogonal():
         generate_group([np.array([[1.0, 0.0], [0.0, 2.0]])])
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_generate_group_rejects_non_finite_generator(entry):
+    # a NaN defect compares false with the tolerance; it must still fail
+    with pytest.raises(NotOrthogonal):
+        generate_group([np.array([[entry, 0.0], [0.0, 1.0]])])
+
+
 def test_generate_group_overflow_on_irrational_rotation(monkeypatch):
     # rotation by 1 radian generates an infinite group; the cap is read at call time
     monkeypatch.setattr(groups, "MAX_ORDER", 64)

@@ -105,6 +105,19 @@ def test_geometric_route_solves_no_lp(name, param, monkeypatch):
     assert ub.lp_solves == 0 and ub.feasible_tuples >= 1
 
 
+@pytest.mark.parametrize("spec", REFEREE_BANKS)
+def test_geometric_route_builds_no_cell(spec, monkeypatch):
+    # cell membership comes from the orbit scores alone
+    bank = referee_bank(*spec)
+    want = upper_bound_exact(bank)
+
+    def no_cell(self):
+        raise AssertionError("VoronoiCellSpec built on the geometric route")
+
+    monkeypatch.setattr(voronoi.VoronoiCellSpec, "__post_init__", no_cell)
+    assert upper_bound_exact(bank) == want
+
+
 def _mirror_template(name, param, row):
     def build():
         bank = referee_bank(name, param, 6, 13)
@@ -139,7 +152,7 @@ def test_exact_bound_falls_back_to_the_lp_route(build):
 def test_failed_cell_check_falls_back_to_the_lp_route(monkeypatch):
     bank = referee_bank("cyclic_rotation_2d", 3, 5, 2)
     monkeypatch.setattr(stability, "strictly_inside",
-                        lambda rows, probes: np.zeros(len(probes), dtype=bool))
+                        lambda scores, centers, probes: np.zeros(len(probes), dtype=bool))
     got = upper_bound_exact(bank)
     assert got.lp_solves > 0
     assert got == dfs_upper_bound_exact(bank)

@@ -14,7 +14,7 @@ from maxfilter_lab import (DEFAULT_TOL, BudgetExceeded, MaxFilterBank, NotNicePo
 from maxfilter_lab import voronoi
 from maxfilter_lab.errors import BUDGETS
 from maxfilter_lab.stability import pair_lower_value
-from oracles import brute_s_members
+from oracles import brute_s_members, rows_strictly_inside
 
 GOLDEN_Z = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 # the groups of the acceptance chi table
@@ -66,24 +66,63 @@ def test_cell_contains_center_and_excludes_other_cells(c5, rng):
             assert not other.contains(x)
 
 
+def near_wall_probes(rows, probes, lp_tol):
+    """Each inside probe moved along the normal of its nearest row to the
+    margin lp_tol*|y|_inf*(1 + 1e-6), and a copy to (1 - 1e-6).  A copy
+    is kept only while every other row's margin exceeds 1.01*lp_tol*|y|_inf,
+    so that one wall alone decides it.  Returns the kept copies, the index
+    of the probe each came from, and whether each lies inside."""
+    near, owners, inside = [], [], []
+    for j, (R, y) in enumerate(zip(rows, probes)):
+        m = R @ y
+        if m.min() <= 0:
+            continue
+        # the nearest wall; of rows on its hyperplane (cells of a
+        # reflection group share walls), the one of least margin
+        dist = m / np.linalg.norm(R, axis=1)
+        tied = np.flatnonzero(dist <= dist.min() * (1 + 1e-9))
+        i = tied[np.argmin(m[tied])]
+        for s in (1 + 1e-6, 1 - 1e-6):
+            z = y
+            for _ in range(3):
+                z = z - (R[i] @ z - s * lp_tol * np.abs(z).max()) / (R[i] @ R[i]) * R[i]
+            if np.delete(R @ z, i).min() > 1.01 * lp_tol * np.abs(z).max():
+                near.append(z)
+                owners.append(j)
+                inside.append(s > 1)
+    return np.stack(near), owners, inside
+
+
 @pytest.mark.parametrize("name,param", [("cyclic_rotation_2d", 5), ("sign_flips", 3),
                                         ("permutations", 3)])
 def test_stacked_cells_hold_a_probe_iff_each_cell_does(name, param, rng):
-    # one probe per row; each probe against the argmax cell of every
-    # template, as the geometric route of upper_bound_exact checks it,
-    # and against one cell it may miss
+    # each probe against the argmax cell of every template, as the
+    # geometric route of upper_bound_exact checks it, with one cell it
+    # may miss; then copies a hair inside and outside one wall
     group = build_family(name, param)
     orbits = [orbit_of(group, z) for z in rng.standard_normal((3, group.dim))]
+    points = np.stack([orb.points for orb in orbits])
     probes = rng.standard_normal((40, group.dim))
-    verdicts, stacks = [], []
-    for j, y in enumerate(probes):
-        cells = [VoronoiCellSpec(center=orb.points[int(np.argmax(orb.points @ y))], orbit=orb)
-                 for orb in orbits]
-        cells[j % 3] = VoronoiCellSpec(center=orbits[j % 3].points[j % 2], orbit=orbits[j % 3])
-        verdicts.append(all(c.contains(y) for c in cells))
-        stacks.append(np.concatenate([c.rows for c in cells]))
+    centers = np.einsum("md,kgd->mkg", probes, points).argmax(axis=-1)
+    j = np.arange(len(probes))
+    centers[j, j % 3] = j % 2
+
+    def check(probes, centers):
+        """The batch verdicts equal every cell's contains and the row rule."""
+        cells = [[VoronoiCellSpec(center=orb.points[c], orbit=orb) for orb, c in zip(orbits, row)]
+                 for row in centers]
+        verdicts = [all(c.contains(y) for c in row) for row, y in zip(cells, probes)]
+        rows = np.stack([np.concatenate([c.rows for c in row]) for row in cells])
+        scores = np.einsum("md,kgd->mkg", probes, points)
+        assert voronoi.strictly_inside(scores, centers, probes).tolist() == verdicts
+        assert rows_strictly_inside(rows, probes).tolist() == verdicts
+        return verdicts, rows
+
+    verdicts, rows = check(probes, centers)
     assert 0 < sum(verdicts) < len(verdicts)
-    assert voronoi.strictly_inside(np.stack(stacks), probes).tolist() == verdicts
+    near, owners, inside = near_wall_probes(rows, probes, DEFAULT_TOL.lp_tol)
+    assert 0 < sum(inside) < len(inside)
+    assert check(near, centers[owners])[0] == inside
 
 
 def test_trivial_group_cell_is_everything(trivial2, rng):
