@@ -1,0 +1,26 @@
+#!/usr/bin/env bash
+# Check that the working tree writes the same reports as a revision.
+# Unpacks `git archive REV` (default HEAD) into a temporary directory,
+# runs scripts/run_all.sh there and in the working tree with the same
+# seed (the configs' own seeds when none is given), then compares the two
+# report trees with scripts/diff_reports.py.  Prints both exit statuses
+# and every difference; exits 1 if the statuses or any report differ.
+# Usage, from the repository root: scripts/compare_reports.sh [REV] [SEED]
+set -u
+rev="${1:-HEAD}"
+seed="${2:-}"
+root="$(git rev-parse --show-toplevel)" || exit 2
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/tree"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/tree" || exit 2
+
+(cd "$tmp/tree" && scripts/run_all.sh "$tmp/reports_rev" ${seed:+"$seed"})
+rev_status=$?
+(cd "$root" && scripts/run_all.sh "$tmp/reports_work" ${seed:+"$seed"})
+work_status=$?
+
+echo "run_all.sh exit status: $rev_status at $rev, $work_status in the working tree"
+"$root/scripts/diff_reports.py" "$tmp/reports_rev" "$tmp/reports_work"
+diff_status=$?
+[ "$rev_status" = "$work_status" ] && [ "$diff_status" = 0 ]

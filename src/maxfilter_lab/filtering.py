@@ -54,6 +54,8 @@ class MaxFilterBank:
         if Z.shape[1] != self.group.dim:
             raise ValueError(
                 f"template dimension {Z.shape[1]} != group dimension {self.group.dim}")
+        if not np.isfinite(Z).all():
+            raise ValueError("template entries must be finite")
         Z.setflags(write=False)
         object.__setattr__(self, "templates", Z)
 
@@ -208,6 +210,8 @@ def _check_signals(f, g) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("signals must be 1-D")
     if f.shape[0] != g.shape[0]:
         raise LengthMismatch(f"signal lengths differ: {f.shape[0]} vs {g.shape[0]}")
+    if f.shape[0] == 0:
+        raise ValueError("signals must be nonempty")
     return f, g
 
 

@@ -126,13 +126,16 @@ class FiniteGroup:
     memory, is taken without a second copy.  ``family`` names the
     constructor in FAMILIES that built the group, and it alone enables
     the structure-specific filter routes: the chamber projections of the
-    reflection families and the circular-shift FFT.  Only those
-    constructors set it, through ``_from_stack``; every other group is
-    untagged and takes the dense route.
+    reflection families and the circular-shift FFT.  ``param`` is that
+    constructor's parameter, m for the rotation families and d for the
+    coordinate families.  Only those constructors set the two, through
+    ``_from_stack``; every other group is untagged and takes the dense
+    route.
     """
 
     stack: np.ndarray = field(repr=False)
     family: str | None = field(default=None, init=False)
+    param: int | None = field(default=None, init=False)
 
     def __post_init__(self):
         stack = self.stack
@@ -168,11 +171,12 @@ class FiniteGroup:
         return cls(stack)
 
     @classmethod
-    def _from_stack(cls, mats: np.ndarray, family: str) -> "FiniteGroup":
-        """from_matrices plus the family tag; the family constructors are
-        its only callers."""
+    def _from_stack(cls, mats: np.ndarray, family: str, param: int) -> "FiniteGroup":
+        """from_matrices plus the family tag and its constructor parameter;
+        the family constructors are its only callers."""
         group = cls.from_matrices(mats)
         object.__setattr__(group, "family", family)
+        object.__setattr__(group, "param", param)
         return group
 
 
@@ -260,7 +264,7 @@ def cyclic_rotation_2d(m: int) -> FiniteGroup:
     """Planar rotations by multiples of 2*pi/m."""
     _family_cap("cyclic_rotation_2d", m, m)
     mats = np.stack([_rotation_2d(2 * math.pi * k / m) for k in range(m)])
-    return FiniteGroup._from_stack(mats, "cyclic_rotation_2d")
+    return FiniteGroup._from_stack(mats, "cyclic_rotation_2d", m)
 
 
 def axis_rotation_3d(m: int) -> FiniteGroup:
@@ -271,7 +275,7 @@ def axis_rotation_3d(m: int) -> FiniteGroup:
         M = np.eye(3)
         M[:2, :2] = _rotation_2d(2 * math.pi * k / m)
         mats.append(M)
-    return FiniteGroup._from_stack(np.stack(mats), "axis_rotation_3d")
+    return FiniteGroup._from_stack(np.stack(mats), "axis_rotation_3d", m)
 
 
 def dihedral_2d(m: int) -> FiniteGroup:
@@ -280,7 +284,7 @@ def dihedral_2d(m: int) -> FiniteGroup:
     flip = np.diag([1.0, -1.0])
     rots = [_rotation_2d(2 * math.pi * k / m) for k in range(m)]
     mats = np.stack(rots + [R @ flip for R in rots])
-    return FiniteGroup._from_stack(mats, "dihedral_2d")
+    return FiniteGroup._from_stack(mats, "dihedral_2d", m)
 
 
 def sign_flips(d: int) -> FiniteGroup:
@@ -288,7 +292,7 @@ def sign_flips(d: int) -> FiniteGroup:
     _family_cap("sign_flips", d, 2 ** d)
     mats = np.stack([np.diag(np.array(s, dtype=float))
                      for s in itertools.product((1.0, -1.0), repeat=d)])
-    return FiniteGroup._from_stack(mats, "sign_flips")
+    return FiniteGroup._from_stack(mats, "sign_flips", d)
 
 
 def permutations(d: int) -> FiniteGroup:
@@ -299,13 +303,13 @@ def permutations(d: int) -> FiniteGroup:
         M = np.zeros((d, d))
         M[np.arange(d), p] = 1.0
         mats.append(M)
-    return FiniteGroup._from_stack(np.stack(mats), "permutations")
+    return FiniteGroup._from_stack(np.stack(mats), "permutations", d)
 
 
 def plus_minus_id(d: int) -> FiniteGroup:
     """The two-element group {I, -I} on R^d."""
     _family_cap("plus_minus_id", d, 2)
-    return FiniteGroup._from_stack(np.stack([np.eye(d), -np.eye(d)]), "plus_minus_id")
+    return FiniteGroup._from_stack(np.stack([np.eye(d), -np.eye(d)]), "plus_minus_id", d)
 
 
 def circular_shifts(d: int) -> FiniteGroup:
@@ -316,7 +320,7 @@ def circular_shifts(d: int) -> FiniteGroup:
     mats = [np.eye(d)]
     for _ in range(d - 1):
         mats.append(shift @ mats[-1])
-    return FiniteGroup._from_stack(np.stack(mats), "circular_shifts")
+    return FiniteGroup._from_stack(np.stack(mats), "circular_shifts", d)
 
 
 FAMILIES = {
@@ -362,28 +366,14 @@ def stabilizer_order(group: FiniteGroup, x) -> int:
 # file format: {"dim": d, "generators": [[row-major d*d reals], ...],
 #               "family": name or null, "param": int or null}
 
-# the constructor parameter of each family: m for the rotation families,
-# d for the coordinate families
-_FAMILY_PARAM = {
-    "cyclic_rotation_2d": lambda g: g.order,
-    "axis_rotation_3d": lambda g: g.order,
-    "dihedral_2d": lambda g: g.order // 2,
-    "sign_flips": lambda g: g.dim,
-    "permutations": lambda g: g.dim,
-    "plus_minus_id": lambda g: g.dim,
-    "circular_shifts": lambda g: g.dim,
-}
-
-
 def save_group(group: FiniteGroup, path) -> None:
     """Write every element, plus the family tag and its parameter, both
     null for an untagged group."""
-    family = group.family
     payload = {
         "dim": group.dim,
         "generators": group.stack.reshape(group.order, -1).tolist(),
-        "family": family,
-        "param": _FAMILY_PARAM[family](group) if family else None,
+        "family": group.family,
+        "param": group.param,
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 

@@ -10,7 +10,7 @@ optimality witness constructions round out the module.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,13 +19,14 @@ import numpy as np
 from .errors import BUDGETS, BudgetExceeded, CaseMismatch, DomainError, NotNicePoint
 from .filtering import (_CHAMBERS, MaxFilterBank, _pair_distances, apply_bank, apply_bank_batch,
                         quotient_distance)
-from .groups import _BLOCK, _first_seen, orbit_of
+from .groups import _BLOCK, _first_seen
 from .kernels import is_reflection_group
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
 from .voronoi import (
     VoronoiCellSpec,
     _margin_lps,
+    cell_of,
     choice_assignments,
     sample_nice,
     strictly_inside,
@@ -172,28 +173,24 @@ def _lp_leaves(orbits, visit) -> tuple[list[tuple[int, ...]], int]:
     shrinks the intersection.  Every child's verdict depends on its own
     tuple alone, so the LPs solved, the feasible tuples and the leaf
     order are exactly those of a depth-first search with the same child
-    order.
+    order.  Tuples hold orbit-point indices in visit order, and each cell
+    is built on first use, looked up by (template, index).
     """
-    # feasible partial tuples of one level, in lexicographic order:
-    # (orbit-point indices in visit order, their cells)
-    frontier: list[tuple[tuple[int, ...], list[VoronoiCellSpec]]] = [((), [])]
+    cell = functools.cache(lambda t, c: VoronoiCellSpec(orbits[t], c))
+    frontier: list[tuple[int, ...]] = [()]
     solves = 0
     for pos, t in enumerate(visit):
         n_cand = 1 if pos == 0 else orbits[t].size
-        cells = [VoronoiCellSpec(center=p, orbit=orbits[t]) for p in orbits[t].points[:n_cand]]
         needed = len(frontier) * n_cand
         take = min(needed, max(BUDGETS["lp_solves"] - solves, 0))
-        kids = itertools.islice(((key + (c,), chosen + [cells[c]])
-                                 for key, chosen in frontier for c in range(n_cand)), take)
-        mine, theirs = itertools.tee(kids)
-        verdicts = _margin_lps(chosen for _, chosen in theirs)
-        frontier = [kid for kid, v in zip(mine, verdicts) if v.feasible]
+        kids = [frontier[i // n_cand] + (i % n_cand,) for i in range(take)]
+        verdicts = _margin_lps([cell(*tc) for tc in zip(visit, kid)] for kid in kids)
+        frontier = [kid for kid, v in zip(kids, verdicts) if v.feasible]
         solves += take
         if take < needed:
-            partial = (_best_leaf(orbits, visit, [key for key, _ in frontier])[0]
-                       if pos == len(visit) - 1 else None)
+            partial = _best_leaf(orbits, visit, frontier)[0] if pos == len(visit) - 1 else None
             raise BudgetExceeded("upper_bound_exact LP budget exhausted", partial=partial)
-    return [key for key, _ in frontier], solves
+    return frontier, solves
 
 
 def _best_leaf(orbits, visit, leaves) -> tuple[float | None, tuple[int, ...] | None]:
@@ -593,7 +590,7 @@ def _reflection_witness(bank: MaxFilterBank, seed: int) -> WitnessPair:
     bottom = vecs[:, 0]
     target = math.sqrt(max(float(lam[0]), 0.0))
 
-    cell = VoronoiCellSpec(center=x, orbit=orbit_of(group, x))
+    cell = cell_of(group, x)
     rows = cell.rows
     a = rows @ x
     b = rows @ bottom

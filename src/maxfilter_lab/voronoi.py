@@ -4,10 +4,12 @@ characteristic chi.
 The open cell V_x collects the points whose best orbit representative is
 x itself and nobody else, so whether a point lies in it is read off its
 orbit scores (``strictly_inside``); joint nonemptiness of several open
-cells is decided by a small margin LP rather than sampling.  Independent
-margin LPs are solved together as one block-diagonal LP: every block
-keeps its own variables and rows, so each block's optimum, and its
-verdict, is the one the block would have alone.
+cells is decided by a small margin LP rather than sampling.  A cell is
+named by its orbit and its centre's index there (``VoronoiCellSpec``);
+``cell_of`` alone looks a centre up from a point.  Independent margin
+LPs are solved together as one block-diagonal LP: every block keeps its
+own variables and rows, so each block's optimum, and its verdict, is the
+one the block would have alone.
 ``strict_cones_feasible`` is the one-problem case, ``s_set`` sends all
 |[y]| two-cell problems in one batch, and the LP route of
 ``stability.upper_bound_exact`` one batch per search level.
@@ -53,28 +55,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VoronoiCellSpec:
-    """Open cell {y : <center, y> > <p, y> for all other orbit points p}."""
+    """Open cell {y : <p, y> > <q, y> for all other orbit points q}, p = orbit.points[index]."""
 
-    center: np.ndarray
     orbit: Orbit
+    index: int
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
-        thresh = DEFAULT_TOL.eq_tol * (1.0 + float(np.linalg.norm(c)))
-        dists = np.linalg.norm(self.orbit.points - c, axis=1)
-        idx = int(np.argmin(dists))
-        if dists[idx] > thresh:
-            raise ValueError("cell center does not lie on the supplied orbit")
-        object.__setattr__(self, "_center_index", idx)
+        if not isinstance(self.index, (int, np.integer)) or not 0 <= self.index < self.orbit.size:
+            raise ValueError(f"cell index {self.index!r} is not in range({self.orbit.size})")
+
+    @property
+    def center(self) -> np.ndarray:
+        return self.orbit.points[self.index]
 
     @cached_property
     def rows(self) -> np.ndarray:
         """Constraint normals center - p, one per non-center orbit point;
         built once per cell and read-only."""
-        others = np.delete(self.orbit.points, self._center_index, axis=0)
-        rows = self.center[None, :] - others
+        rows = self.center[None, :] - np.delete(self.orbit.points, self.index, axis=0)
         rows.setflags(write=False)
         return rows
 
@@ -82,7 +80,7 @@ class VoronoiCellSpec:
         """``strictly_inside`` for the one probe y and this cell."""
         y = np.asarray(y, dtype=float)
         return bool(strictly_inside((self.orbit.points @ y)[None, None],
-                                    np.array([[self._center_index]]), y[None])[0])
+                                    np.array([[self.index]]), y[None])[0])
 
 
 def strictly_inside(scores: np.ndarray, centers: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -102,8 +100,11 @@ def strictly_inside(scores: np.ndarray, centers: np.ndarray, probes: np.ndarray)
 
 
 def cell_of(group: FiniteGroup, x) -> VoronoiCellSpec:
+    """Cell of the point of [x] nearest x: x itself, bit for bit, if x is principal
+    (its identity image is exact), else the orbit point within eq_tol of x."""
     x = np.asarray(x, dtype=float)
-    return VoronoiCellSpec(center=x, orbit=orbit_of(group, x))
+    orbit = orbit_of(group, x)
+    return VoronoiCellSpec(orbit, int(np.argmin(np.linalg.norm(orbit.points - x, axis=1))))
 
 
 @dataclass(frozen=True)
@@ -253,9 +254,11 @@ class SSet:
 def s_set(group: FiniteGroup, x, y) -> SSet:
     """S(x, y) = {q in [y] : V_q meets V_x}, in canonical orbit order.
 
-    The |[y]| two-cell questions "does V_q meet V_x" are independent and
-    are solved as one block-diagonal margin LP (split only past the
-    per-call nonzero bound), with the same verdicts as one LP each.
+    V_x is ``cell_of(group, x)``, centred on the orbit point within eq_tol
+    of x if x is not principal.  The |[y]| two-cell questions "does V_q
+    meet V_x" are independent and stream into one block-diagonal margin
+    LP (split only past the per-call nonzero bound), so each cell of [y]
+    lives only until its chunk; the verdicts are those of one LP each.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -263,10 +266,9 @@ def s_set(group: FiniteGroup, x, y) -> SSet:
         if not is_principal(group, pt):
             warnings.warn(f"s_set: {name} is not principal; result may be degenerate",
                           stacklevel=2)
-    orbit_x = orbit_of(group, x)
+    cell_x = cell_of(group, x)
     orbit_y = orbit_of(group, y)
-    cell_x = VoronoiCellSpec(center=x, orbit=orbit_x)
-    problems = [[VoronoiCellSpec(center=q, orbit=orbit_y), cell_x] for q in orbit_y.points]
+    problems = ([VoronoiCellSpec(orbit_y, k), cell_x] for k in range(orbit_y.size))
     members, witnesses = [], []
     for q, result in zip(orbit_y.points, _margin_lps(problems)):
         if result.feasible:

@@ -96,7 +96,7 @@ def dfs_upper_bound_exact(bank, max_lp_solves: int = 500_000) -> UpperBound:
     group = bank.group
     n = bank.n_templates
     orbits = [orbit_of(group, z) for z in bank.templates]
-    cells = [[VoronoiCellSpec(center=p, orbit=orb) for p in orb.points] for orb in orbits]
+    cells = [[VoronoiCellSpec(orb, c) for c in range(orb.size)] for orb in orbits]
     pin = int(np.argmax([orb.size for orb in orbits]))
     visit = [pin] + [i for i in range(n) if i != pin]
 

@@ -109,6 +109,9 @@ def test_bank_shape_validation(c3):
         MaxFilterBank(c3, np.zeros(2))            # not 2-D
     with pytest.raises(ValueError):
         MaxFilterBank(c3, np.zeros((0, 2)))       # empty
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            MaxFilterBank(c3, np.array([[bad, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_fft_path_used_only_for_circular_family(rng):
@@ -146,6 +149,12 @@ def test_length_mismatch():
         max_filter_circular_fft(np.ones(4), np.ones(5))
     with pytest.raises(LengthMismatch):
         max_filter_circular_brute(np.ones(3), np.ones(2))
+
+
+def test_empty_signals_rejected():
+    for fn in (max_filter_circular_fft, max_filter_circular_brute):
+        with pytest.raises(ValueError, match="nonempty"):
+            fn([], [])
 
 
 def test_trivial_group_bank_is_linear(trivial2, rng):

@@ -33,7 +33,7 @@ def test_family_orders_and_dims(name, param, order, dim):
     g = build_family(name, param)
     assert g.order == order
     assert g.dim == dim
-    assert g.family == name
+    assert (g.family, g.param) == (name, param)
     assert g.contains(np.eye(dim))
 
 

@@ -686,7 +686,7 @@ def test_each_template_orbit_is_built_once(monkeypatch):
         built.append(np.array(x, dtype=float))
         return real(group, x)
 
-    for module in (groups, filtering, voronoi, stability):
+    for module in (groups, filtering, voronoi):
         monkeypatch.setattr(module, "orbit_of", counting)
 
     def builds(z):

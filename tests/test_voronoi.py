@@ -45,14 +45,31 @@ def s_set_problems(group, rng):
     y = sample_principal(group, rng)
     orb_y = orbit_of(group, y)
     cell_x = cell_of(group, x)
-    return [[VoronoiCellSpec(center=q, orbit=orb_y), cell_x] for q in orb_y.points]
+    return [[VoronoiCellSpec(orb_y, k), cell_x] for k in range(orb_y.size)]
 
 
-def test_cell_center_must_lie_on_orbit(c5, rng):
-    x = rng.standard_normal(2)
-    orb = orbit_of(c5, x)
+def index_of(orbit, q):
+    """Index of the orbit point nearest q."""
+    return int(np.argmin(np.linalg.norm(orbit.points - q, axis=1)))
+
+
+@pytest.mark.parametrize("index", [5, -1, 1.0, "0", None],
+                         ids=["past_end", "negative", "float", "str", "none"])
+def test_cell_index_must_be_an_int_in_range(c5, rng, index):
+    orb = orbit_of(c5, rng.standard_normal(2))
     with pytest.raises(ValueError):
-        VoronoiCellSpec(center=x + np.array([0.5, 0.0]), orbit=orb)
+        VoronoiCellSpec(orb, index)
+    assert np.array_equal(VoronoiCellSpec(orb, np.int64(4)).center, orb.points[4])
+
+
+@pytest.mark.parametrize("name,param", CHI_GROUPS + [("axis_rotation_3d", 4)])
+def test_cell_of_principal_point_is_centred_on_it(name, param, rng):
+    group = build_family(name, param)
+    for _ in range(5):
+        x = sample_principal(group, rng)
+        cell = cell_of(group, x)
+        assert cell.center.tobytes() == x.tobytes()
+        assert cell.orbit.size == group.order
 
 
 def test_cell_contains_center_and_excludes_other_cells(c5, rng):
@@ -61,7 +78,7 @@ def test_cell_contains_center_and_excludes_other_cells(c5, rng):
     assert cell.contains(x)
     orb = orbit_of(c5, x)
     for k, q in enumerate(orb.points):
-        other = VoronoiCellSpec(center=q, orbit=orb)
+        other = VoronoiCellSpec(orb, k)
         if np.linalg.norm(q - x) > 1e-9:
             assert not other.contains(x)
 
@@ -109,8 +126,7 @@ def test_stacked_cells_hold_a_probe_iff_each_cell_does(name, param, rng):
 
     def check(probes, centers):
         """The batch verdicts equal every cell's contains and the row rule."""
-        cells = [[VoronoiCellSpec(center=orb.points[c], orbit=orb) for orb, c in zip(orbits, row)]
-                 for row in centers]
+        cells = [[VoronoiCellSpec(orb, c) for orb, c in zip(orbits, row)] for row in centers]
         verdicts = [all(c.contains(y) for c in row) for row, y in zip(cells, probes)]
         rows = np.stack([np.concatenate([c.rows for c in row]) for row in cells])
         scores = np.einsum("md,kgd->mkg", probes, points)
@@ -138,10 +154,10 @@ def test_golden_instance_has_six_feasible_pairs(c3):
     orb1 = orbit_of(c3, GOLDEN_Z[0])
     orb2 = orbit_of(c3, GOLDEN_Z[1])
     feasible = 0
-    for p in orb1.points:
-        for q in orb2.points:
-            c1 = VoronoiCellSpec(center=p, orbit=orb1)
-            c2 = VoronoiCellSpec(center=q, orbit=orb2)
+    for i in range(orb1.size):
+        for j in range(orb2.size):
+            c1 = VoronoiCellSpec(orb1, i)
+            c2 = VoronoiCellSpec(orb2, j)
             res = strict_cones_feasible([c1, c2])
             if res.feasible:
                 feasible += 1
@@ -154,8 +170,8 @@ def test_golden_instance_has_six_feasible_pairs(c3):
 def test_golden_batch_matches_one_problem_solves(c3):
     orb1 = orbit_of(c3, GOLDEN_Z[0])
     orb2 = orbit_of(c3, GOLDEN_Z[1])
-    cells1 = [VoronoiCellSpec(center=p, orbit=orb1) for p in orb1.points]
-    cells2 = [VoronoiCellSpec(center=q, orbit=orb2) for q in orb2.points]
+    cells1 = [VoronoiCellSpec(orb1, i) for i in range(orb1.size)]
+    cells2 = [VoronoiCellSpec(orb2, j) for j in range(orb2.size)]
     problems = [[a, b] for a in cells1 for b in cells2] + [[a] for a in cells1]
     assert_batch_matches_single(problems)
     assert sum(r.feasible for r in voronoi._margin_lps(problems)) == 6 + 3
@@ -172,8 +188,8 @@ def test_batch_matches_one_problem_solves_property(spec, seed, n_cells):
     g = build_family(*spec)
     rng = np.random.default_rng(seed)
     orbits = [orbit_of(g, rng.standard_normal(g.dim)) for _ in range(n_cells)]
-    problems = [[VoronoiCellSpec(center=o.points[int(rng.integers(o.size))], orbit=o)
-                 for o in orbits] for _ in range(8)]
+    problems = [[VoronoiCellSpec(o, int(rng.integers(o.size))) for o in orbits]
+                for _ in range(8)]
     assert_batch_matches_single(problems)
 
 
@@ -219,7 +235,7 @@ def test_chunk_split_keeps_verdicts(bound, monkeypatch, rng):
 def test_distinct_cells_of_one_orbit_never_intersect(c5, rng):
     x = rng.standard_normal(2)
     orb = orbit_of(c5, x)
-    cells = [VoronoiCellSpec(center=q, orbit=orb) for q in orb.points]
+    cells = [VoronoiCellSpec(orb, k) for k in range(orb.size)]
     assert strict_cones_feasible([cells[0], cells[0]]).feasible
     for a, b in itertools.combinations(range(5), 2):
         assert not strict_cones_feasible([cells[a], cells[b]]).feasible
@@ -273,11 +289,11 @@ def test_s_set_generic_and_aligned_sizes(c5, rng):
     cell_x = cell_of(c5, x)
     for q, w in zip(s.members, s.witnesses):
         assert cell_x.contains(w)
-        assert VoronoiCellSpec(center=q, orbit=orb_y).contains(w)
+        assert VoronoiCellSpec(orb_y, index_of(orb_y, q)).contains(w)
         for q2 in s.members:
             if np.linalg.norm(q2 - q) > 1e-9:
                 # w lies outside the closed cell of every other member
-                rows = VoronoiCellSpec(center=q2, orbit=orb_y).rows
+                rows = VoronoiCellSpec(orb_y, index_of(orb_y, q2)).rows
                 assert not (rows @ w >= -DEFAULT_TOL.lp_tol * np.linalg.norm(w)).all()
     # aligned pair: cells of y coincide with cells of x, one cover suffices
     aligned = s_set(c5, x, 2.5 * c5.stack[1] @ x)
@@ -292,8 +308,7 @@ def test_s_set_matches_sampling_oracle(rng):
         y = sample_principal(g, rng)
         s = s_set(g, x, y)
         orb_y = orbit_of(g, y)
-        lp_members = {int(np.argmin(np.linalg.norm(orb_y.points - q, axis=1)))
-                      for q in s.members}
+        lp_members = {index_of(orb_y, q) for q in s.members}
         sampled = brute_s_members(g, x, y, 4000, rng)
         assert sampled <= lp_members
         assert sampled == lp_members   # generic instances at this scale
