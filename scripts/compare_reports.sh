@@ -5,6 +5,8 @@
 # seed (the configs' own seeds when none is given), then compares the two
 # report trees with scripts/diff_reports.py.  Prints both exit statuses
 # and every difference; exits 1 if the statuses or any report differ.
+# Last it prints each config's stage seconds from both trees' `timings`,
+# REV first; those lines leave the exit status alone.
 # Usage, from the repository root: scripts/compare_reports.sh [REV] [SEED]
 set -u
 rev="${1:-HEAD}"
@@ -23,4 +25,20 @@ work_status=$?
 echo "run_all.sh exit status: $rev_status at $rev, $work_status in the working tree"
 "$root/scripts/diff_reports.py" "$tmp/reports_rev" "$tmp/reports_work"
 diff_status=$?
+
+echo "stage seconds, $rev / working tree:"
+python3 - "$tmp/reports_rev" "$tmp/reports_work" <<'PY'
+import json
+import sys
+from pathlib import Path
+
+trees = [Path(p) for p in sys.argv[1:]]
+for rel in sorted({p.relative_to(t) for t in trees for p in t.rglob("*_report.json")}):
+    timings = [json.loads((t / rel).read_text()).get("timings", {})
+               if (t / rel).is_file() else {} for t in trees]
+    for stage in dict.fromkeys([*timings[0], *timings[1]]):
+        cells = [f"{t[stage]:.3f}" if stage in t else "-" for t in timings]
+        print(f"  {rel.parent} {stage}: {cells[0]} / {cells[1]} s")
+PY
+
 [ "$rev_status" = "$work_status" ] && [ "$diff_status" = 0 ]

@@ -531,7 +531,7 @@ def cmd_chi(config: ExperimentConfig, seed: int, timer: StageTimer):
         "chi_lower": est.chi_lower,
         "saturated": est.saturated,
         "group_order": group.order,
-        "n_samples": est.n_samples,
+        "n_samples": config.chi_samples,
         "witness_x": est.witness_x,
         "witness_y": est.witness_y,
         "size_histogram": {str(s): int(counts[s])

@@ -46,7 +46,7 @@ class MaxFilterBank:
     templates: np.ndarray
 
     def __post_init__(self):
-        Z = np.asarray(self.templates, dtype=float)
+        Z = np.array(self.templates, dtype=float)     # a copy, frozen below
         if Z.ndim != 2:
             raise ValueError(f"templates must be 2-D (n, d), got shape {Z.shape}")
         if Z.shape[0] < 1:

@@ -252,8 +252,6 @@ class AlphaSharp:
     alpha: float
     witness_x: np.ndarray
     witness_y: np.ndarray
-    n_pairs: int
-    seed: int
 
 
 def lower_bound_sharp(bank: MaxFilterBank, n_pairs: int, seed: int) -> AlphaSharp:
@@ -281,8 +279,7 @@ def lower_bound_sharp(bank: MaxFilterBank, n_pairs: int, seed: int) -> AlphaShar
             raise NotNicePoint(f"pair {k}: no nice pair found in {_NICE_ATTEMPTS} attempts")
         if val < best:
             best, wx, wy = val, x, y
-    return AlphaSharp(alpha=float(best), witness_x=wx, witness_y=wy,
-                      n_pairs=n_pairs, seed=seed)
+    return AlphaSharp(alpha=float(best), witness_x=wx, witness_y=wy)
 
 
 def alpha_tilde(bank: MaxFilterBank, chi: int) -> float:

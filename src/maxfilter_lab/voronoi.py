@@ -10,9 +10,8 @@ named by its orbit and its centre's index there (``VoronoiCellSpec``);
 LPs are solved together as one block-diagonal LP: every block keeps its
 own variables and rows, so each block's optimum, and its verdict, is the
 one the block would have alone.
-``strict_cones_feasible`` is the one-problem case, ``s_set`` sends all
-|[y]| two-cell problems in one batch, and the LP route of
-``stability.upper_bound_exact`` one batch per search level.
+``strict_cones_feasible`` is the one-problem case; the S-set pairs of a χ run
+share one lazy stream (``_s_sets``), and β's LP route sends one batch per level.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -115,10 +115,10 @@ class ConeFeasibility:
 
 
 # Nonzeros of A_ub in one HiGHS call.  A batch of margin LPs is split at
-# problem boundaries so that no call exceeds it, unless one problem does
-# alone.  The solve time per problem grows with the batch past a few
-# thousand problems, and the bound also caps the memory of one call.
-_LP_NNZ = 1 << 16
+# problem boundaries below it, unless one problem exceeds it alone.  It caps
+# memory: HiGHS holds about 1.3 KB per row natively; `chi` benchmark peak RSS
+# at 1 << 16 / 14 / 13 was 102 / 91 / 86 MB (2 cores).  Re-measure to raise it.
+_LP_NNZ = 1 << 13
 _SAMPLE_TRIES = 100    # Gaussian draws per call of sample_principal and sample_nice
 
 
@@ -241,8 +241,6 @@ def sample_nice(bank: MaxFilterBank, rng: np.random.Generator) -> np.ndarray:
 class SSet:
     """Orbit points of y whose open cells meet V_x, with LP witnesses."""
 
-    base_x: np.ndarray
-    base_y: np.ndarray
     members: np.ndarray
     witnesses: np.ndarray
 
@@ -251,79 +249,87 @@ class SSet:
         return self.members.shape[0]
 
 
+def _s_sets(group: FiniteGroup, pairs: Iterable) -> Iterator[tuple[Orbit, list]]:
+    """(orbit of y, verdicts "V_q meets V_x" for q in [y]) per (x, y) of
+    ``pairs``, from one lazy ``_margin_lps`` stream: a pair's cells are
+    built when the stream reaches them and dropped after their chunk."""
+    started: deque[Orbit] = deque()
+
+    def problems():
+        for x, y in pairs:
+            cell_x, orbit_y = cell_of(group, x), orbit_of(group, y)
+            started.append(orbit_y)
+            yield from ([VoronoiCellSpec(orbit_y, k), cell_x] for k in range(orbit_y.size))
+
+    verdicts = _margin_lps(problems())
+    for first in verdicts:
+        orbit_y = started.popleft()
+        yield orbit_y, [first, *itertools.islice(verdicts, orbit_y.size - 1)]
+
+
 def s_set(group: FiniteGroup, x, y) -> SSet:
     """S(x, y) = {q in [y] : V_q meets V_x}, in canonical orbit order.
 
     V_x is ``cell_of(group, x)``, centred on the orbit point within eq_tol
-    of x if x is not principal.  The |[y]| two-cell questions "does V_q
-    meet V_x" are independent and stream into one block-diagonal margin
-    LP (split only past the per-call nonzero bound), so each cell of [y]
-    lives only until its chunk; the verdicts are those of one LP each.
+    of x if x is not principal.  The one-pair case of ``_s_sets``: the
+    |[y]| questions "does V_q meet V_x" are independent blocks of one
+    margin LP, so the verdicts are those of one LP each.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     for name, pt in (("x", x), ("y", y)):
         if not is_principal(group, pt):
             warnings.warn(f"s_set: {name} is not principal; result may be degenerate",
                           stacklevel=2)
-    cell_x = cell_of(group, x)
-    orbit_y = orbit_of(group, y)
-    problems = ([VoronoiCellSpec(orbit_y, k), cell_x] for k in range(orbit_y.size))
-    members, witnesses = [], []
-    for q, result in zip(orbit_y.points, _margin_lps(problems)):
-        if result.feasible:
-            members.append(q)
-            witnesses.append(result.witness)
-    return SSet(base_x=x.copy(), base_y=y.copy(),
-                members=np.stack(members), witnesses=np.stack(witnesses))
+    orbit_y, verdicts = next(_s_sets(group, [(x, y)]))
+    return SSet(members=orbit_y.points[[r.feasible for r in verdicts]],
+                witnesses=np.stack([r.witness for r in verdicts if r.feasible]))
 
 
 @dataclass(frozen=True)
 class ChoiceEnumeration:
     """F(x, y) of a nice pair.  Row k of ``assignments`` maps template i to
-    s.members[assignments[k, i]], in itertools.product order."""
+    members[assignments[k, i]], in itertools.product order."""
 
-    x: np.ndarray
-    y: np.ndarray
     aligned: np.ndarray           # v_i(x), the unique best representative of [z_i]
-    s: SSet
-    assignments: np.ndarray       # (|F(x, y)|, n_templates) indices into s.members
+    members: np.ndarray           # points of S(x, y) near some v_i's best, orbit order
+    assignments: np.ndarray       # (|F(x, y)|, n_templates) indices into members
 
 
 def choice_assignments(bank: MaxFilterBank, x, y) -> ChoiceEnumeration:
     """Enumerate F(x, y): maps f with f(i) in S(x, y) attaining the best
     score of v_i(x) against the orbit of y, up to a sample_tol tie.
 
-    Requires x principal with a unique best representative in every
-    template orbit; raises NotNicePoint otherwise.  |F(x, y)| is the
-    product of the per-template candidate counts; when it exceeds
-    BUDGETS["choice_cap"] nothing is enumerated and BudgetExceeded is
-    raised, without a partial.
+    Only the cells of those points of [y] are decided.  Requires x
+    principal with a unique best representative in every template orbit;
+    raises NotNicePoint otherwise, and warns if y is not principal.
+    |F(x, y)| is the product of the per-template candidate counts; when
+    it exceeds BUDGETS["choice_cap"] nothing is enumerated and
+    BudgetExceeded is raised, without a partial.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     group = bank.group
     if not is_principal(group, x):
         raise NotNicePoint("x is not principal")
     if not all(in_Q(orb, x) for orb in bank.orbits):
         raise NotNicePoint("x has a tied best representative for a template orbit")
+    if not is_principal(group, y):
+        warnings.warn("y is not principal; F(x, y) may be degenerate", stacklevel=2)
     aligned = np.stack([orb.points[int(np.argmax(orb.points @ x))] for orb in bank.orbits])
 
-    s = s_set(group, x, y)
-    orbit_y = orbit_of(group, y)
-    candidates: list[list[int]] = []
-    for v in aligned:
-        floor = float((orbit_y.points @ v).max()) - DEFAULT_TOL.sample_tol
-        cand = [k for k, q in enumerate(s.members) if float(q @ v) >= floor]
-        if not cand:
-            raise NotNicePoint("no S-set member attains the best score for a template")
-        candidates.append(cand)
+    cell_x, orbit_y = cell_of(group, x), orbit_of(group, y)
+    scores = orbit_y.points @ aligned.T
+    near = scores >= scores.max(axis=0) - DEFAULT_TOL.sample_tol
+    picks = np.flatnonzero(near.any(axis=1))
+    verdicts = _margin_lps([[VoronoiCellSpec(orbit_y, k), cell_x] for k in picks])
+    inside = picks[[r.feasible for r in verdicts]]
+    candidates = [np.flatnonzero(col) for col in near[inside].T]
+    if not all(c.size for c in candidates):
+        raise NotNicePoint("no S-set member attains the best score for a template")
 
-    total = math.prod(len(c) for c in candidates)
+    total = math.prod(c.size for c in candidates)
     cap = BUDGETS["choice_cap"]
     if total > cap:
         raise BudgetExceeded(f"choice_assignments: {total} assignments exceed the cap of {cap}")
-    return ChoiceEnumeration(x=x.copy(), y=y.copy(), aligned=aligned, s=s,
+    return ChoiceEnumeration(aligned=aligned, members=orbit_y.points[inside],
                              assignments=np.array(list(itertools.product(*candidates))))
 
 
@@ -335,28 +341,25 @@ class ChiEstimate:
     saturated: bool
     witness_x: np.ndarray
     witness_y: np.ndarray
-    n_samples: int
-    seed: int
     sizes: np.ndarray
 
 
 def voronoi_characteristic(group: FiniteGroup, n_samples: int, seed: int) -> ChiEstimate:
     """Monte Carlo lower bound on chi(G) over seeded Gaussian principal
     pairs.  Sample k is driven by default_rng((seed, tag, k)), so prefixes
-    of the sample stream agree across different n_samples.
+    of the sample stream agree across n_samples.  All pairs share one LP
+    stream; the witness pair, the first with the largest S-set, is drawn again.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    best = 0
-    wx = wy = None
-    sizes = np.zeros(n_samples, dtype=int)
-    for k in range(n_samples):
+
+    def pair(k: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng((seed, STREAMS["chi_sampling"], k))
-        x = sample_principal(group, rng)
-        y = sample_principal(group, rng)
-        sizes[k] = s_set(group, x, y).size
-        if sizes[k] > best:
-            best, wx, wy = int(sizes[k]), x, y
-    return ChiEstimate(chi_lower=best, saturated=(best == group.order),
-                       witness_x=wx, witness_y=wy, n_samples=n_samples, seed=seed,
-                       sizes=sizes)
+        return sample_principal(group, rng), sample_principal(group, rng)
+
+    sizes = np.array([sum(r.feasible for r in verdicts)
+                      for _, verdicts in _s_sets(group, map(pair, range(n_samples)))])
+    k = int(np.argmax(sizes))
+    wx, wy = pair(k)
+    return ChiEstimate(chi_lower=int(sizes[k]), saturated=bool(sizes[k] == group.order),
+                       witness_x=wx, witness_y=wy, sizes=sizes)

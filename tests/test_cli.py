@@ -485,7 +485,7 @@ def test_settable_value_count_ratchet():
             callables = [obj] if callable(obj) else []
         count += sum(p not in ("self", "cls")
                      for f in callables for p in inspect.signature(f).parameters)
-    assert count <= 174
+    assert count <= 166
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,16 @@ def test_bank_shape_validation(c3):
             MaxFilterBank(c3, np.array([[bad, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
 
+def test_bank_copies_and_freezes_templates():
+    Z = np.ones((2, 2))
+    bank = MaxFilterBank(build_family("cyclic_rotation_2d", 3), Z)
+    assert Z.flags.writeable
+    assert bank.templates is not Z
+    assert not bank.templates.flags.writeable
+    Z[0, 0] = 5.0               # refilling the caller's buffer leaves the bank alone
+    assert bank.templates[0, 0] == 1.0
+
+
 def test_fft_path_used_only_for_circular_family(rng):
     shifts = build_family("circular_shifts", 8)
     f, g = rng.standard_normal((2, 8))

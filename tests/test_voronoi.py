@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from maxfilter_lab import (DEFAULT_TOL, BudgetExceeded, MaxFilterBank, NotNicePo
 from maxfilter_lab import voronoi
 from maxfilter_lab.errors import BUDGETS
 from maxfilter_lab.stability import pair_lower_value
+from maxfilter_lab.streams import STREAMS
 from oracles import brute_s_members, rows_strictly_inside
 
 GOLDEN_Z = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
@@ -349,15 +351,53 @@ def test_choice_assignments_golden(c3, rng):
     x = sample_nice(bank, rng)
     y = sample_principal(c3, rng)
     enum = choice_assignments(bank, x, y)
-    assert 1 <= len(enum.assignments) <= enum.s.size ** 2
+    full = s_set(c3, x, y)
+    assert 1 <= len(enum.assignments) <= full.size ** 2
     assert enum.assignments.shape == (len(enum.assignments), 2)
     orb_y = orbit_of(c3, y)
+    best = [float((orb_y.points @ v).max()) for v in enum.aligned]
     for row in enum.assignments:
-        images = enum.s.members[row]
+        images = enum.members[row]
         assert images.shape == (2, 2)
         for i in range(2):
-            best = float((orb_y.points @ enum.aligned[i]).max())
-            assert float(images[i] @ enum.aligned[i]) >= best - 1e-9
+            assert float(images[i] @ enum.aligned[i]) >= best[i] - 1e-9
+    # members are the S-set points near some template's best score, in
+    # orbit order, and each template's column takes exactly its near-best ones
+    full_idx = [index_of(orb_y, q) for q in full.members]
+    member_idx = [index_of(orb_y, q) for q in enum.members]
+    assert member_idx == sorted(member_idx)
+    assert set(member_idx) <= set(full_idx)
+    for i, v in enumerate(enum.aligned):
+        near = {k for k in full_idx
+                if float(orb_y.points[k] @ v) >= best[i] - DEFAULT_TOL.sample_tol}
+        assert near <= set(member_idx)
+        assert {member_idx[j] for j in enum.assignments[:, i]} == near
+
+
+def test_choice_assignments_decides_only_candidates(monkeypatch, rng):
+    bank = MaxFilterBank(build_family("sign_flips", 3), rng.standard_normal((5, 3)))
+    x = sample_nice(bank, rng)
+    y = sample_nice(bank, rng)
+    want = pair_lower_value(bank, x, y)
+    sent = []
+    real = voronoi._margin_lps
+
+    def spy(problems):
+        problems = list(problems)
+        sent.append(len(problems))
+        return real(problems)
+
+    monkeypatch.setattr(voronoi, "_margin_lps", spy)
+    assert pair_lower_value(bank, x, y) == want
+    # one problem per template at most, not one per point of [y] (8 here)
+    assert 1 <= sum(sent) <= 5
+
+
+def test_choice_assignments_warns_on_non_principal_y(c3, rng):
+    bank = MaxFilterBank(c3, GOLDEN_Z)
+    x = sample_nice(bank, rng)
+    with pytest.warns(UserWarning, match="y is not principal"):
+        choice_assignments(bank, x, np.zeros(2))
 
 
 def test_choice_assignments_rejects_bad_x(c3):
@@ -392,6 +432,68 @@ def test_voronoi_characteristic_prefix_stability(c5):
     assert not big.saturated
     # the stored witness pair reproduces the reported size
     assert s_set(c5, big.witness_x, big.witness_y).size == big.chi_lower
+
+
+@pytest.mark.parametrize("name,param", [CHI_GROUPS[i] for i in (1, 2, 5, 7)],
+                         ids=lambda v: str(v))
+def test_chi_stream_matches_one_pair_s_sets(name, param):
+    g = build_family(name, param)
+    est = voronoi_characteristic(g, 12, seed=5)
+    pairs = []
+    for k in range(12):
+        rng = np.random.default_rng((5, STREAMS["chi_sampling"], k))
+        pairs.append((sample_principal(g, rng), sample_principal(g, rng)))
+        assert est.sizes[k] == s_set(g, *pairs[k]).size
+    # the witness is the first pair of largest S-set
+    first = int(np.argmax(est.sizes))
+    assert np.array_equal(est.witness_x, pairs[first][0])
+    assert np.array_equal(est.witness_y, pairs[first][1])
+
+
+def test_chi_run_is_one_lp_stream(c5, monkeypatch):
+    calls = []
+    real = voronoi.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["A_ub"].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(voronoi, "linprog", counting)
+    est = voronoi_characteristic(c5, 25, seed=7)
+    assert len(calls) == 1
+    # 25 pairs, 5 two-cell problems each, 4 + 4 rows per problem
+    assert calls == [25 * 5 * 8]
+    assert est.chi_lower == 2
+
+
+def test_s_sets_reads_pairs_lazily(c5):
+    drawn = []
+
+    def pairs():
+        rng = np.random.default_rng(3)
+        for k in range(200):
+            drawn.append(k)
+            yield sample_principal(c5, rng), sample_principal(c5, rng)
+
+    orbit_y, verdicts = next(voronoi._s_sets(c5, pairs()))
+    assert len(drawn) < 200
+    assert len(verdicts) == orbit_y.size == 5
+
+
+def test_chi_memory_does_not_grow_with_samples():
+    # 20 sign_flips(3) pairs already fill one LP chunk; holding every
+    # pair's cells at once would raise the traced peak about 1.8x
+    g = build_family("sign_flips", 3)
+
+    def peak(n):
+        tracemalloc.start()
+        voronoi_characteristic(g, n, seed=1)
+        top = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return top
+
+    peak(5)             # warm caches outside the measurement
+    assert peak(160) < 1.3 * peak(20)
 
 
 def test_voronoi_characteristic_saturation(pm2):
