@@ -6,7 +6,8 @@
 # report trees with scripts/diff_reports.py.  Prints both exit statuses
 # and every difference; exits 1 if the statuses or any report differ.
 # Last it prints each config's stage seconds from both trees' `timings`,
-# REV first; those lines leave the exit status alone.
+# REV first, then the line total of src/maxfilter_lab/*.py in both trees;
+# those lines leave the exit status alone.
 # Usage, from the repository root: scripts/compare_reports.sh [REV] [SEED]
 set -u
 rev="${1:-HEAD}"
@@ -40,5 +41,7 @@ for rel in sorted({p.relative_to(t) for t in trees for p in t.rglob("*_report.js
         cells = [f"{t[stage]:.3f}" if stage in t else "-" for t in timings]
         print(f"  {rel.parent} {stage}: {cells[0]} / {cells[1]} s")
 PY
+echo "src/maxfilter_lab/*.py lines, $rev / working tree:" \
+    "$(cat "$tmp"/tree/src/maxfilter_lab/*.py | wc -l) / $(cat "$root"/src/maxfilter_lab/*.py | wc -l)"
 
 [ "$rev_status" = "$work_status" ] && [ "$diff_status" = 0 ]

@@ -39,13 +39,13 @@ from .filtering import (MaxFilterBank, _pair_distances, apply_bank_batch,
 from .groups import FAMILIES, FiniteGroup, build_family, load_group
 from .kernels import direct_quadratic_form, is_reflection_group, search_psd_violation
 from .reporting import all_passed, assertion, sanitize, write_csv, write_json
-from .stability import (_AUDIT_SLACK, _PLANAR_FAMILIES, DistortionBoundParams, _within_budget,
+from .stability import (_AUDIT_SLACK, DistortionBoundParams, _within_budget,
                         alpha_tilde, compute_stability_report,
                         empirical_lipschitz, ordering_audit,
                         theoretical_distortion_bound, upper_bound_exact)
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
-from .voronoi import voronoi_characteristic
+from .voronoi import _PLANAR_FAMILIES, voronoi_characteristic
 
 _FRACTION_SLACK = 0.05          # distortion: allowed shortfall below the success probability
 _MIN_QUOTIENT_DISTANCE = 1e-3   # injectivity: pairs closer in the quotient are not scanned
@@ -155,7 +155,7 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig, dict]:
         raise ConfigError(f"config file not found: {p}") from e
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"config file {p}: {type(e).__name__}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:    # JSONDecodeError, or an integer too long to parse
         raise ConfigError(f"config is not valid JSON: {e}") from e
     return ExperimentConfig.from_dict(raw), raw
 

@@ -180,7 +180,7 @@ class FiniteGroup:
         return group
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Orbit:
     """Deduplicated orbit of ``base``; ``rep_elements[k]`` is the index of
     one group element sending base to ``points[k]``."""
@@ -252,24 +252,29 @@ def _rotation_2d(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _family_cap(name: str, param: int, order: int) -> None:
-    """A family parameter must be positive and give an order within MAX_ORDER."""
+def _family_cap(name: str, param: int, factors) -> None:
+    """A family parameter must be positive and give an order within MAX_ORDER.
+    The order is the product of ``factors``, multiplied only until it
+    passes the cap, so a huge order is never built or printed."""
     if param < 1:
         raise ValueError(f"{name} needs a parameter >= 1, got {param}")
-    if order > MAX_ORDER:
-        raise SizeOverflow(f"{name} would have order {order} > MAX_ORDER={MAX_ORDER}")
+    order = 1
+    for f in factors:
+        order *= f
+        if order > MAX_ORDER:
+            raise SizeOverflow(f"{name}({param}) would have order > MAX_ORDER={MAX_ORDER}")
 
 
 def cyclic_rotation_2d(m: int) -> FiniteGroup:
     """Planar rotations by multiples of 2*pi/m."""
-    _family_cap("cyclic_rotation_2d", m, m)
+    _family_cap("cyclic_rotation_2d", m, (m,))
     mats = np.stack([_rotation_2d(2 * math.pi * k / m) for k in range(m)])
     return FiniteGroup._from_stack(mats, "cyclic_rotation_2d", m)
 
 
 def axis_rotation_3d(m: int) -> FiniteGroup:
     """Rotations about the e3 axis by multiples of 2*pi/m; e3 is fixed."""
-    _family_cap("axis_rotation_3d", m, m)
+    _family_cap("axis_rotation_3d", m, (m,))
     mats = []
     for k in range(m):
         M = np.eye(3)
@@ -280,7 +285,7 @@ def axis_rotation_3d(m: int) -> FiniteGroup:
 
 def dihedral_2d(m: int) -> FiniteGroup:
     """Order-2m dihedral group: m rotations and m reflections."""
-    _family_cap("dihedral_2d", m, 2 * m)
+    _family_cap("dihedral_2d", m, (2, m))
     flip = np.diag([1.0, -1.0])
     rots = [_rotation_2d(2 * math.pi * k / m) for k in range(m)]
     mats = np.stack(rots + [R @ flip for R in rots])
@@ -289,7 +294,7 @@ def dihedral_2d(m: int) -> FiniteGroup:
 
 def sign_flips(d: int) -> FiniteGroup:
     """All 2^d diagonal matrices with +-1 entries."""
-    _family_cap("sign_flips", d, 2 ** d)
+    _family_cap("sign_flips", d, itertools.repeat(2, d))
     mats = np.stack([np.diag(np.array(s, dtype=float))
                      for s in itertools.product((1.0, -1.0), repeat=d)])
     return FiniteGroup._from_stack(mats, "sign_flips", d)
@@ -297,7 +302,7 @@ def sign_flips(d: int) -> FiniteGroup:
 
 def permutations(d: int) -> FiniteGroup:
     """All d! coordinate-permutation matrices."""
-    _family_cap("permutations", d, math.factorial(d))
+    _family_cap("permutations", d, range(2, d + 1))
     mats = []
     for p in itertools.permutations(range(d)):
         M = np.zeros((d, d))
@@ -308,13 +313,13 @@ def permutations(d: int) -> FiniteGroup:
 
 def plus_minus_id(d: int) -> FiniteGroup:
     """The two-element group {I, -I} on R^d."""
-    _family_cap("plus_minus_id", d, 2)
+    _family_cap("plus_minus_id", d, (2,))
     return FiniteGroup._from_stack(np.stack([np.eye(d), -np.eye(d)]), "plus_minus_id", d)
 
 
 def circular_shifts(d: int) -> FiniteGroup:
     """Cyclic shifts of coordinates; max filtering runs as an FFT cross-correlation."""
-    _family_cap("circular_shifts", d, d)
+    _family_cap("circular_shifts", d, (d,))
     shift = np.zeros((d, d))
     shift[np.arange(d), (np.arange(d) - 1) % d] = 1.0  # (S x)[i] = x[i-1]
     mats = [np.eye(d)]

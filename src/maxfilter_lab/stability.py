@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BUDGETS, BudgetExceeded, CaseMismatch, DomainError, NotNicePoint
-from .filtering import (_CHAMBERS, MaxFilterBank, _pair_distances, apply_bank, apply_bank_batch,
+from .filtering import (MaxFilterBank, _pair_distances, apply_bank, apply_bank_batch,
                         quotient_distance)
 from .groups import _BLOCK, _first_seen
 from .kernels import is_reflection_group
@@ -25,11 +25,11 @@ from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
 from .voronoi import (
     VoronoiCellSpec,
+    _geometric_leaves,
     _margin_lps,
     cell_of,
     choice_assignments,
     sample_nice,
-    strictly_inside,
 )
 
 __all__ = [
@@ -89,8 +89,9 @@ def upper_bound_exact(bank: MaxFilterBank) -> UpperBound:
     One template is pinned to a single orbit point: left-multiplying a
     whole tuple by any group element maps feasible tuples to feasible
     tuples and preserves the spectral norm.  The family tag selects the
-    geometric route, which solves no LP; every other bank, and every bank
-    that route hands back, takes the LP route.  Both supply the same
+    geometric route, ``voronoi._geometric_leaves`` pinned at that point,
+    which solves no LP; every other bank, and every bank that route
+    hands back, takes the LP route.  Both supply the same
     feasible leaves, and ties in beta go to the first in lexicographic
     order.  ``lp_solves`` counts the LP route's problems (0 on the
     geometric route), and only the LP route is bound by
@@ -104,7 +105,7 @@ def upper_bound_exact(bank: MaxFilterBank) -> UpperBound:
     pin = int(np.argmax([orb.size for orb in orbits]))
     visit = [pin] + [i for i in range(n) if i != pin]
 
-    leaves, solves = _geometric_leaves(bank, visit), 0
+    leaves, solves = _geometric_leaves(bank.group, [orbits[t] for t in visit], 0), 0
     if leaves is None:
         leaves, solves = _lp_leaves(orbits, visit)
     if not leaves:
@@ -114,52 +115,6 @@ def upper_bound_exact(bank: MaxFilterBank) -> UpperBound:
     elems = tuple(int(orbits[i].rep_elements[choice[i]]) for i in range(n))
     return UpperBound(beta=beta, argmax_tuple=elems,
                       lp_solves=solves, feasible_tuples=len(leaves))
-
-
-# Families whose open cells are known in closed form at principal points:
-# the open chamber of a reflection group, one per key of
-# filtering._CHAMBERS (Humphreys, Reflection Groups and Coxeter Groups,
-# 1990, ch. 1), and for a planar rotation the open sector of width 2*pi/m
-# centred on the point, times the axis in 3-D.
-_PLANAR_FAMILIES = ("cyclic_rotation_2d", "axis_rotation_3d")
-
-
-def _geometric_leaves(bank, visit) -> list[tuple[int, ...]] | None:
-    """Sorted feasible leaves from the cell geometry, or None to fall back.
-
-    Applies to the families above when every template orbit has size |G|.
-    One probe lies in each jointly feasible intersection: the pinned point
-    itself for a reflection group, whose chamber meets one chamber of
-    every orbit; for a planar rotation, the midpoint of each arc that the
-    other templates' sector cuts make inside the pinned sector.  One
-    product scores every probe against every template orbit; a probe's
-    leaf is its argmax orbit point per template.  It stands only if the
-    probe keeps the pinned point and, by those same scores, lies in every
-    cell of the leaf by ``voronoi.strictly_inside``, the margin LP's own
-    rule.  No cell is built.
-    """
-    group, orbits = bank.group, bank.orbits
-    if (group.family not in (*_CHAMBERS, *_PLANAR_FAMILIES)
-            or any(orb.size != group.order for orb in orbits)):
-        return None
-    if group.family in _CHAMBERS:
-        probes = orbits[visit[0]].points[:1]
-    else:
-        # the cut of template t lies at theta_t + w/2 (mod w); offsets from
-        # the pinned sector's lower edge, then the arc midpoints between them
-        w = 2.0 * np.pi / group.order
-        firsts = np.stack([orbits[t].points[0] for t in visit])
-        theta = np.arctan2(firsts[:, 1], firsts[:, 0])
-        low = theta[0] - w / 2
-        edges = np.concatenate(([0.0], np.sort(np.mod(theta[1:] + w / 2 - low, w)), [w]))
-        phi = low + (edges[:-1] + edges[1:]) / 2
-        probes = np.zeros((phi.shape[0], group.dim))
-        probes[:, 0], probes[:, 1] = np.cos(phi), np.sin(phi)
-    scores = np.einsum("md,kgd->mkg", probes, np.stack([orbits[t].points for t in visit]))
-    keys = scores.argmax(axis=-1)
-    if keys[:, 0].any() or not strictly_inside(scores, keys, probes).all():
-        return None
-    return sorted(set(map(tuple, keys.tolist())))
 
 
 def _lp_leaves(orbits, visit) -> tuple[list[tuple[int, ...]], int]:
@@ -257,8 +212,10 @@ class AlphaSharp:
 def lower_bound_sharp(bank: MaxFilterBank, n_pairs: int, seed: int) -> AlphaSharp:
     """Sampled estimate of the sharp lower constant: min of pair_lower_value
     over seeded Gaussian nice pairs.  An upper estimate of the true inf;
-    the certified lower bound is alpha_tilde.  A pair with more than
-    BUDGETS["choice_cap"] choice assignments raises BudgetExceeded.
+    the certified lower bound is alpha_tilde.  Each pair's S-set members
+    come from ``choice_assignments``: the cell geometry for the tagged
+    families, which solves no LP, else the margin LP.  A pair with more
+    than BUDGETS["choice_cap"] choice assignments raises BudgetExceeded.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")

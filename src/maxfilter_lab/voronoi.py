@@ -3,12 +3,16 @@ characteristic chi.
 
 The open cell V_x collects the points whose best orbit representative is
 x itself and nobody else, so whether a point lies in it is read off its
-orbit scores (``strictly_inside``); joint nonemptiness of several open
-cells is decided by a small margin LP rather than sampling.  A cell is
-named by its orbit and its centre's index there (``VoronoiCellSpec``);
-``cell_of`` alone looks a centre up from a point.  Independent margin
-LPs are solved together as one block-diagonal LP: every block keeps its
-own variables and rows, so each block's optimum, and its verdict, is the
+orbit scores (``strictly_inside``).  Which open cells of several orbits
+meet a pinned cell is read off the closed-form cell geometry of the
+tagged reflection and planar rotation families (``_geometric_leaves``)
+for β and the sharp bound's S-sets; every other group, every question
+that geometry hands back, and ``s_set`` and χ, which check the rules
+that geometry rests on, ask a small margin LP.  A cell is named by its
+orbit and its centre's index there (``VoronoiCellSpec``); ``cell_of``
+alone looks a centre up from a point.  Independent margin LPs are
+solved together as one block-diagonal LP: every block keeps its own
+variables and rows, so each block's optimum, and its verdict, is the
 one the block would have alone.
 ``strict_cones_feasible`` is the one-problem case; the S-set pairs of a χ run
 share one lazy stream (``_s_sets``), and β's LP route sends one batch per level.
@@ -29,7 +33,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_array
 
 from .errors import BUDGETS, BudgetExceeded, LpNumericalFailure, NotNicePoint
-from .filtering import MaxFilterBank
+from .filtering import _CHAMBERS, MaxFilterBank
 from .groups import FiniteGroup, Orbit, orbit_of, stabilizer_order
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
@@ -53,7 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoronoiCellSpec:
     """Open cell {y : <p, y> > <q, y> for all other orbit points q}, p = orbit.points[index]."""
 
@@ -97,6 +101,52 @@ def strictly_inside(scores: np.ndarray, centers: np.ndarray, probes: np.ndarray)
     others = np.where(np.arange(scores.shape[-1]) == centers[..., None], -np.inf, scores)
     margins = (own - others.max(axis=-1)).min(axis=-1)
     return margins > DEFAULT_TOL.lp_tol * np.abs(probes).max(axis=-1)
+
+
+# Families whose open cells are known in closed form at principal points:
+# the open chamber of a reflection group, one per key of
+# filtering._CHAMBERS (Humphreys, Reflection Groups and Coxeter Groups,
+# 1990, ch. 1), and for a planar rotation the open sector of width 2*pi/m
+# centred on the point, times the axis in 3-D.
+_PLANAR_FAMILIES = ("cyclic_rotation_2d", "axis_rotation_3d")
+
+
+def _geometric_leaves(group: FiniteGroup, orbits, pin: int) -> list[tuple[int, ...]] | None:
+    """Sorted feasible leaves from the cell geometry, or None to fall back.
+
+    A leaf holds one point index per orbit, orbit 0 pinned at ``pin``.
+    Applies to the families above when every orbit has size |G|.
+    One probe lies in each jointly feasible intersection: the pinned point
+    itself for a reflection group, whose chamber meets one chamber of
+    every orbit; for a planar rotation, the midpoint of each arc that the
+    other orbits' sector cuts make inside the sector centred on the
+    pinned point.  One product scores every probe against every orbit; a
+    probe's leaf is its argmax point per orbit.  It stands only if the
+    probe keeps ``pin`` and, by those same scores, lies in every cell of
+    the leaf by ``strictly_inside``, the margin LP's own rule.  No cell
+    is built.
+    """
+    if (group.family not in (*_CHAMBERS, *_PLANAR_FAMILIES)
+            or any(orb.size != group.order for orb in orbits)):
+        return None
+    firsts = np.stack([orbits[0].points[pin]] + [orb.points[0] for orb in orbits[1:]])
+    if group.family in _CHAMBERS:
+        probes = firsts[:1]
+    else:
+        # the cut of orbit t lies at theta_t + w/2 (mod w); offsets from
+        # the pinned sector's lower edge, then the arc midpoints between them
+        w = 2.0 * np.pi / group.order
+        theta = np.arctan2(firsts[:, 1], firsts[:, 0])
+        low = theta[0] - w / 2
+        edges = np.concatenate(([0.0], np.sort(np.mod(theta[1:] + w / 2 - low, w)), [w]))
+        phi = low + (edges[:-1] + edges[1:]) / 2
+        probes = np.zeros((phi.shape[0], group.dim))
+        probes[:, 0], probes[:, 1] = np.cos(phi), np.sin(phi)
+    scores = np.einsum("md,kgd->mkg", probes, np.stack([orb.points for orb in orbits]))
+    keys = scores.argmax(axis=-1)
+    if (keys[:, 0] != pin).any() or not strictly_inside(scores, keys, probes).all():
+        return None
+    return sorted(set(map(tuple, keys.tolist())))
 
 
 def cell_of(group: FiniteGroup, x) -> VoronoiCellSpec:
@@ -298,7 +348,9 @@ def choice_assignments(bank: MaxFilterBank, x, y) -> ChoiceEnumeration:
     """Enumerate F(x, y): maps f with f(i) in S(x, y) attaining the best
     score of v_i(x) against the orbit of y, up to a sample_tol tie.
 
-    Only the cells of those points of [y] are decided.  Requires x
+    Only the cells of those points of [y] are decided: by the cell
+    geometry of ``_geometric_leaves``, pinned at V_x, for the tagged
+    families, else by one margin LP each.  Requires x
     principal with a unique best representative in every template orbit;
     raises NotNicePoint otherwise, and warns if y is not principal.
     |F(x, y)| is the product of the per-template candidate counts; when
@@ -319,8 +371,12 @@ def choice_assignments(bank: MaxFilterBank, x, y) -> ChoiceEnumeration:
     scores = orbit_y.points @ aligned.T
     near = scores >= scores.max(axis=0) - DEFAULT_TOL.sample_tol
     picks = np.flatnonzero(near.any(axis=1))
-    verdicts = _margin_lps([[VoronoiCellSpec(orbit_y, k), cell_x] for k in picks])
-    inside = picks[[r.feasible for r in verdicts]]
+    leaves = _geometric_leaves(group, (cell_x.orbit, orbit_y), cell_x.index)
+    if leaves is None:
+        verdicts = _margin_lps([[VoronoiCellSpec(orbit_y, k), cell_x] for k in picks])
+        inside = picks[[r.feasible for r in verdicts]]
+    else:
+        inside = picks[np.isin(picks, [k for _, k in leaves])]
     candidates = [np.flatnonzero(col) for col in near[inside].T]
     if not all(c.size for c in candidates):
         raise NotNicePoint("no S-set member attains the best score for a template")

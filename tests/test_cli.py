@@ -250,6 +250,9 @@ def test_exit_two_malformed_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     assert main(["bounds", "--config", str(p)]) == 2
+    # an integer of more than 4300 digits, which Python refuses to parse
+    p.write_text('{"seed": ' + "9" * 5000 + "}")
+    assert main(["bounds", "--config", str(p)]) == 2
 
 
 @pytest.mark.parametrize("make", [
@@ -509,6 +512,8 @@ OUTSIDE_FILES = {
     pytest.param({"group_spec": {"family": "sign_flips", "param": 0}}, [], id="param_zero"),
     pytest.param({"group_spec": {"family": "sign_flips", "param": "x"}}, [], id="param_string"),
     pytest.param({"group_spec": {"family": "sign_flips"}}, [], id="param_missing"),
+    pytest.param({"group_spec": {"family": "permutations", "param": 2000}}, [],
+                 id="param_order_too_large"),
     pytest.param({"seed": -1}, [], id="seed_negative"),
     pytest.param({"seed": 1.5}, [], id="seed_float"),
     pytest.param({"templates": {"sampler": "gaussian", "n": 3, "seed": -4}}, [],

@@ -94,6 +94,11 @@ def test_family_size_cap():
         build_family("sign_flips", 17)
     with pytest.raises(SizeOverflow):
         build_family("permutations", 9)
+    # orders of over 4300 digits: decided without building or printing them
+    with pytest.raises(SizeOverflow):
+        build_family("permutations", 2000)
+    with pytest.raises(SizeOverflow):
+        build_family("sign_flips", 20000)
 
 
 def test_unknown_family_rejected():

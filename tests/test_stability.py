@@ -151,7 +151,7 @@ def test_exact_bound_falls_back_to_the_lp_route(build):
 
 def test_failed_cell_check_falls_back_to_the_lp_route(monkeypatch):
     bank = referee_bank("cyclic_rotation_2d", 3, 5, 2)
-    monkeypatch.setattr(stability, "strictly_inside",
+    monkeypatch.setattr(voronoi, "strictly_inside",
                         lambda scores, centers, probes: np.zeros(len(probes), dtype=bool))
     got = upper_bound_exact(bank)
     assert got.lp_solves > 0
@@ -274,6 +274,66 @@ def test_sharp_witness_reproduces_alpha(rng):
     assert abs(sharp.alpha - again) < 1e-12
     # deterministic in the seed
     assert lower_bound_sharp(bank, 30, seed=9).alpha == sharp.alpha
+
+
+@pytest.mark.parametrize("name,param", GEOMETRIC_GROUPS)
+def test_geometric_s_set_matches_the_lp_s_set(name, param):
+    # S(x, y) read off the cell geometry pinned at V_x, against s_set's
+    # margin LPs; the centre of V_x is rarely its orbit's point 0
+    g = build_family(name, param)
+    rng = np.random.default_rng(21)
+    pins = []
+    for _ in range(20):
+        x, y = voronoi.sample_principal(g, rng), voronoi.sample_principal(g, rng)
+        cell_x, orbit_y = voronoi.cell_of(g, x), groups.orbit_of(g, y)
+        leaves = voronoi._geometric_leaves(g, (cell_x.orbit, orbit_y), cell_x.index)
+        assert leaves is not None
+        assert np.array_equal(orbit_y.points[[k for _, k in leaves]], voronoi.s_set(g, x, y).members)
+        pins.append(cell_x.index)
+    assert any(pins)
+
+
+@pytest.mark.parametrize("name,param", [("sign_flips", 3), ("cyclic_rotation_2d", 3)])
+def test_sharp_bound_solves_no_lp_on_tagged_groups(name, param, monkeypatch):
+    bank = referee_bank(name, param, 5, 12)
+    calls = []
+    real = voronoi.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(voronoi, "linprog", counting)
+    want = lower_bound_sharp(lp_route(bank), 20, seed=3)
+    assert calls
+    calls.clear()
+    got = lower_bound_sharp(bank, 20, seed=3)
+    assert calls == []
+    assert got.alpha == want.alpha
+    assert np.array_equal(got.witness_x, want.witness_x)
+    assert np.array_equal(got.witness_y, want.witness_y)
+
+
+@pytest.mark.parametrize("name,param", [("sign_flips", 3), ("cyclic_rotation_2d", 3)])
+def test_failed_cell_check_sends_the_pair_to_the_lp(name, param, monkeypatch):
+    bank = referee_bank(name, param, 5, 2)
+    rng = np.random.default_rng(4)
+    x, y = voronoi.sample_nice(bank, rng), voronoi.sample_nice(bank, rng)
+    sent = []
+    real = voronoi._margin_lps
+
+    def spy(problems):
+        problems = list(problems)
+        sent.append(len(problems))
+        return real(problems)
+
+    monkeypatch.setattr(voronoi, "_margin_lps", spy)
+    want = pair_lower_value(bank, x, y)
+    assert sent == []
+    monkeypatch.setattr(voronoi, "strictly_inside",
+                        lambda scores, centers, probes: np.zeros(len(probes), dtype=bool))
+    assert pair_lower_value(bank, x, y) == want
+    assert sum(sent) >= 1
 
 
 @pytest.mark.parametrize("name,param,n,chi", [

@@ -16,7 +16,7 @@ from maxfilter_lab import voronoi
 from maxfilter_lab.errors import BUDGETS
 from maxfilter_lab.stability import pair_lower_value
 from maxfilter_lab.streams import STREAMS
-from oracles import brute_s_members, rows_strictly_inside
+from oracles import brute_s_members, lp_route, rows_strictly_inside
 
 GOLDEN_Z = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 # the groups of the acceptance chi table
@@ -62,6 +62,16 @@ def test_cell_index_must_be_an_int_in_range(c5, rng, index):
     with pytest.raises(ValueError):
         VoronoiCellSpec(orb, index)
     assert np.array_equal(VoronoiCellSpec(orb, np.int64(4)).center, orb.points[4])
+
+
+def test_cells_on_equal_orbits_compare_and_hash(c5):
+    # numpy fields: a generated __eq__ or __hash__ would raise on them
+    x = np.array([0.3, 1.1])
+    a, b = VoronoiCellSpec(orbit_of(c5, x), 2), VoronoiCellSpec(orbit_of(c5, x), 2)
+    assert a == a and a != b and a.orbit != b.orbit
+    keys = {a: "a", b: "b", a.orbit: "orbit"}
+    assert keys[a] == "a" and keys[b] == "b" and keys[a.orbit] == "orbit"
+    assert hash(a) == hash(a) and hash(b.orbit) == hash(b.orbit)
 
 
 @pytest.mark.parametrize("name,param", CHI_GROUPS + [("axis_rotation_3d", 4)])
@@ -375,7 +385,8 @@ def test_choice_assignments_golden(c3, rng):
 
 
 def test_choice_assignments_decides_only_candidates(monkeypatch, rng):
-    bank = MaxFilterBank(build_family("sign_flips", 3), rng.standard_normal((5, 3)))
+    # the LP route's candidate rule; the tagged bank takes the cell geometry
+    bank = lp_route(MaxFilterBank(build_family("sign_flips", 3), rng.standard_normal((5, 3))))
     x = sample_nice(bank, rng)
     y = sample_nice(bank, rng)
     want = pair_lower_value(bank, x, y)
