@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ConfigError("dims must be a nonempty list of positive integers")
         for i, d in enumerate(self.dims):
             _require_int(f"dims[{i}]", d, 1)
+        if len(set(self.dims)) != len(self.dims):
+            raise ConfigError(f"dims must not repeat an entry, got {list(self.dims)}")
         if not isinstance(self.group_spec, dict):
             raise ConfigError("group_spec must be an object")
         has_family = "family" in self.group_spec
@@ -115,12 +117,16 @@ class ExperimentConfig:
                 f"known: {sorted(FAMILIES)}")
         if has_family:
             _require_int("group_spec.param", self.group_spec.get("param"), 1)
+        if has_path and not isinstance(self.group_spec["path"], str):
+            raise ConfigError(f"group_spec.path must be a string, got {self.group_spec['path']!r}")
         if self.templates is not None:
             t_path = "path" in self.templates
             t_sampler = "sampler" in self.templates
             if t_path == t_sampler:
                 raise ConfigError(
                     "templates needs exactly one of 'path' or 'sampler'")
+            if t_path and not isinstance(self.templates["path"], str):
+                raise ConfigError(f"templates.path must be a string, got {self.templates['path']!r}")
             if t_sampler:
                 if self.templates["sampler"] != "gaussian":
                     raise ConfigError("only the 'gaussian' sampler is supported")
@@ -231,7 +237,8 @@ def _resolve_chi(config: ExperimentConfig, group: FiniteGroup) -> tuple[int, dic
 # ---------------------------------------------------------------------------
 # subcommands; each takes (config, seed, timer) and returns
 # (results, assertions, csv_files, certified), where csv_files is a list of
-# (filename, header, rows); certified is False on a budget miss
+# (filename, table) and a table maps each column name to its column, one
+# entry per row (reporting.write_csv); certified is False on a budget miss
 
 
 def cmd_bounds(config: ExperimentConfig, seed: int, timer: StageTimer):
@@ -290,10 +297,9 @@ def cmd_bounds(config: ExperimentConfig, seed: int, timer: StageTimer):
         "dim": group.dim,
         "group_order": group.order,
     }
-    rows = [(k, float(emp.distances[k]), float(emp.image_distances[k]),
-             float(emp.ratios[k])) for k in range(len(emp.ratios))]
-    csvs = [("bounds_pairs.csv",
-             ["pair", "quotient_distance", "image_distance", "ratio"], rows)]
+    csvs = [("bounds_pairs.csv", {
+        "pair": np.arange(len(emp.ratios)), "quotient_distance": emp.distances,
+        "image_distance": emp.image_distances, "ratio": emp.ratios})]
     return results, asserts, csvs, certified
 
 
@@ -309,9 +315,9 @@ def cmd_distortion(config: ExperimentConfig, seed: int, timer: StageTimer):
                                    n=n, lambda0=config.lambda0)
     bound = theoretical_distortion_bound(params)  # DomainError -> exit 2
 
-    rows = []
-    ok_flags = []
-    emp_ok_flags = []
+    table = {"trial": np.arange(config.n_trials), "beta_exact": [], "alpha_tilde": [],
+             "kappa_certified": [], "kappa_empirical": [], "within_bound": [],
+             "empirical_le_certified": []}
     uncertified = []
     with timer.stage("trials"):
         for t in range(config.n_trials):
@@ -328,14 +334,16 @@ def cmd_distortion(config: ExperimentConfig, seed: int, timer: StageTimer):
             kappa_cert = math.inf if at == 0 else beta / at
             kappa_emp = (math.inf if emp.alpha_emp == 0
                          else emp.beta_emp / emp.alpha_emp)
-            ok = certified and kappa_cert <= bound
-            emp_ok = kappa_emp <= kappa_cert + 1e-6
-            ok_flags.append(ok)
-            if certified:          # a partial or NaN kappa certifies nothing
-                emp_ok_flags.append(emp_ok)
-            rows.append((t, beta, at, kappa_cert, kappa_emp, int(ok), int(emp_ok)))
+            table["beta_exact"].append(beta)
+            table["alpha_tilde"].append(at)
+            table["kappa_certified"].append(kappa_cert)
+            table["kappa_empirical"].append(kappa_emp)
+            table["within_bound"].append(int(certified and kappa_cert <= bound))
+            table["empirical_le_certified"].append(int(kappa_emp <= kappa_cert + 1e-6))
 
-    fraction = float(np.mean(ok_flags))
+    fraction = float(np.mean(table["within_bound"]))
+    # a partial or NaN kappa certifies nothing, so only certified trials are checked
+    emp_ok = np.delete(table["empirical_le_certified"], uncertified)
     threshold = max(0.0, params.success_probability - _FRACTION_SLACK)
     asserts = [
         assertion("certified_fraction",
@@ -346,7 +354,7 @@ def cmd_distortion(config: ExperimentConfig, seed: int, timer: StageTimer):
                    "bound": bound}, _FRACTION_SLACK),
         assertion("empirical_le_certified",
                   "empirical distortion never exceeds certified distortion",
-                  all(emp_ok_flags), int(sum(emp_ok_flags)), 1e-6),
+                  emp_ok.all(), int(emp_ok.sum()), 1e-6),
     ]
     results = {
         "chi": chi_info,
@@ -358,45 +366,33 @@ def cmd_distortion(config: ExperimentConfig, seed: int, timer: StageTimer):
         "n_templates": n,
         "uncertified_trials": uncertified,
     }
-    csvs = [("distortion_trials.csv",
-             ["trial", "beta_exact", "alpha_tilde", "kappa_certified",
-              "kappa_empirical", "within_bound", "empirical_le_certified"],
-             rows)]
-    return results, asserts, csvs, not uncertified
+    return results, asserts, [("distortion_trials.csv", table)], not uncertified
 
 
 def _collision_scan(bank: MaxFilterBank, n_pairs: int, seed: int, n_tag: int):
     """Draw n_pairs Gaussian pairs; among those separated in the quotient,
-    count image collisions and track the worst contraction ratio."""
+    count image collisions and find the worst contraction ratio.  Returns
+    the summary and the separated pairs' table, which it is read off."""
     group, d = bank.group, bank.dim
     rng = np.random.default_rng((seed, STREAMS["injectivity_pairs"], n_tag))
     batch = 4096
-    done = 0
-    kept = 0
-    collisions = 0
-    min_ratio = math.inf
-    min_dphi = math.inf
-    rows = []
-    while done < n_pairs:
+    blocks = []
+    for done in range(0, n_pairs, batch):
         b = min(batch, n_pairs - done)
         X = rng.standard_normal((b, d))
         Y = rng.standard_normal((b, d))
         dist = _pair_distances(group, X, Y)
         dphi = np.linalg.norm(apply_bank_batch(bank, X) - apply_bank_batch(bank, Y),
                               axis=1)
-        mask = dist > _MIN_QUOTIENT_DISTANCE
-        kept += int(mask.sum())
-        if mask.any():
-            dm, pm = dist[mask], dphi[mask]
-            collisions += int((pm < DEFAULT_TOL.sample_tol).sum())
-            min_dphi = min(min_dphi, float(pm.min()))
-            min_ratio = min(min_ratio, float((pm / dm).min()))
-            rows.extend((done + int(i), float(dist[i]), float(dphi[i]),
-                         float(dphi[i] / dist[i])) for i in np.flatnonzero(mask))
-        done += b
-    return {"n_pairs": n_pairs, "separated_pairs": kept,
-            "collisions": collisions, "min_image_distance": min_dphi,
-            "min_ratio": min_ratio}, rows
+        kept = np.flatnonzero(dist > _MIN_QUOTIENT_DISTANCE)
+        blocks.append((done + kept, dist[kept], dphi[kept], dphi[kept] / dist[kept]))
+    pair, dist, dphi, ratio = (np.concatenate(col) for col in zip(*blocks))
+    summary = {"n_pairs": n_pairs, "separated_pairs": len(pair),
+               "collisions": int((dphi < DEFAULT_TOL.sample_tol).sum()),
+               "min_image_distance": float(dphi.min(initial=math.inf)),
+               "min_ratio": float(ratio.min(initial=math.inf))}
+    return summary, {"pair": pair, "quotient_distance": dist,
+                     "image_distance": dphi, "ratio": ratio}
 
 
 def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
@@ -410,7 +406,7 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
 
     runs = {}
     asserts = []
-    all_rows = []
+    blocks = []
     certified = True
     for n in run_ns:
         with timer.stage(f"scan_n{n}"):
@@ -418,10 +414,10 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
             bank = MaxFilterBank(group, rng.standard_normal((n, d)))
             at, at_ok = _within_budget(alpha_tilde, bank, chi)
             certified &= at_ok
-            summary, rows = _collision_scan(bank, config.n_pairs, seed, n)
+            summary, pairs = _collision_scan(bank, config.n_pairs, seed, n)
         summary["alpha_tilde"] = at if at_ok else None   # a partial alpha_tilde certifies nothing
         runs[f"n={n}"] = summary
-        all_rows.extend((n, *r) for r in rows)
+        blocks.append({"n_templates": np.full(len(pairs["pair"]), n), **pairs})
         asserts.append(assertion(
             f"no_collisions_n{n}",
             f"with {n} templates, no separated pair maps to the same bank image",
@@ -436,10 +432,8 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
     results = {"chi": chi_info, "runs": runs,
                "min_quotient_distance": _MIN_QUOTIENT_DISTANCE,
                "dim": d, "group_order": group.order}
-    csvs = [("injectivity_pairs.csv",
-             ["n_templates", "pair", "quotient_distance", "image_distance",
-              "ratio"], all_rows)]
-    return results, asserts, csvs, certified
+    table = {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
+    return results, asserts, [("injectivity_pairs.csv", table)], certified
 
 
 def cmd_kernel(config: ExperimentConfig, seed: int, timer: StageTimer):
@@ -478,7 +472,7 @@ def cmd_maxfilter(config: ExperimentConfig, seed: int, timer: StageTimer):
     """FFT vs brute-force circular max filtering"""
     results = {}
     asserts = []
-    rows = []
+    blocks = []
     for d in config.dims:
         rng = np.random.default_rng((seed, STREAMS["maxfilter_pairs"], d))
         F = rng.standard_normal((config.n_pairs, d))
@@ -489,10 +483,11 @@ def cmd_maxfilter(config: ExperimentConfig, seed: int, timer: StageTimer):
         with timer.stage(f"brute_d{d}"):
             brute_vals = np.array([max_filter_circular_brute(F[k], G[k])
                                    for k in range(config.n_pairs)])
-        disc = float(np.abs(fft_vals - brute_vals).max())
-        for k in range(config.n_pairs):
-            rows.append((d, k, float(fft_vals[k]), float(brute_vals[k]),
-                         float(abs(fft_vals[k] - brute_vals[k]))))
+        gap = np.abs(fft_vals - brute_vals)
+        blocks.append({"dim": np.full(config.n_pairs, d), "pair": np.arange(config.n_pairs),
+                       "fft_value": fft_vals, "brute_value": brute_vals,
+                       "abs_discrepancy": gap})
+        disc = float(gap.max())
         results[f"d={d}"] = {
             "max_discrepancy": disc,
             "n_pairs": config.n_pairs,
@@ -503,10 +498,8 @@ def cmd_maxfilter(config: ExperimentConfig, seed: int, timer: StageTimer):
             disc <= DEFAULT_TOL.sample_tol, disc, DEFAULT_TOL.sample_tol))
 
     # fft-vs-brute timing comparison is informational; it lives in timings only
-    csvs = [("maxfilter_pairs.csv",
-             ["dim", "pair", "fft_value", "brute_value", "abs_discrepancy"],
-             rows)]
-    return {"per_dim": results}, asserts, csvs, True
+    table = {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
+    return {"per_dim": results}, asserts, [("maxfilter_pairs.csv", table)], True
 
 
 def cmd_chi(config: ExperimentConfig, seed: int, timer: StageTimer):
@@ -537,8 +530,8 @@ def cmd_chi(config: ExperimentConfig, seed: int, timer: StageTimer):
         "size_histogram": {str(s): int(counts[s])
                            for s in range(len(counts)) if counts[s] > 0},
     }
-    csvs = [("chi_samples.csv", ["sample", "s_set_size"],
-             [(k, int(est.sizes[k])) for k in range(len(est.sizes))])]
+    csvs = [("chi_samples.csv", {"sample": np.arange(len(est.sizes)),
+                                 "s_set_size": est.sizes})]
     return results, asserts, csvs, True
 
 _DISPATCH = {
@@ -593,9 +586,10 @@ def run(subcommand: str, config_path: str, seed: int | None = None,
         "timings": timer.timings,
     }
     code = 3 if not certified else 0 if passed else 1
+    with timer.stage("write_csv"):
+        for filename, table in csvs:
+            write_csv(out_dir / filename, table)
     json_path = write_json(report, out_dir / f"{subcommand}_report.json")
-    for filename, header, rows in csvs:
-        write_csv(out_dir / filename, header, rows)
 
     for a in asserts:
         status = "PASS" if a["passed"] else "FAIL"

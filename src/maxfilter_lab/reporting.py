@@ -12,7 +12,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -58,25 +58,22 @@ def write_json(obj: Any, path: Path | str) -> Path:
     return path
 
 
-def _cell(v: Any) -> str:
-    if isinstance(v, (np.floating, float)):
-        # repr keeps full double precision and is deterministic
-        return repr(float(v))
-    if isinstance(v, (np.integer, int)):
-        return str(int(v))
-    if isinstance(v, (np.bool_, bool)):
-        return str(bool(v))
-    return str(v)
+def write_csv(path: Path | str, table: Mapping[str, Any]) -> Path:
+    """Write a table of named columns, one entry per row in each, as CSV.
 
-
-def write_csv(path: Path | str, header: Sequence[str],
-              rows: Iterable[Sequence[Any]]) -> Path:
+    The header is the column names.  Each column goes through
+    ``np.asarray(col).tolist()`` once, and each cell is the ``str`` of the
+    builtin that gives: a float prints as Python's shortest round-trip
+    repr (``nan``, ``inf`` and ``-0.0`` included), a bool as True or False.
+    Rows are streamed to the file, not joined first.  Returns ``path``.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    columns = [np.asarray(col).tolist() for col in table.values()]
+    row = ",".join(["%s"] * len(columns)) + "\n"
+    with path.open("w") as fh:
+        fh.write(",".join(table) + "\n")
+        fh.writelines(row % cells for cells in zip(*columns))
     return path
 
 

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from maxfilter_lab import (FAMILIES, FiniteGroup, build_family, cli, generate_gr
 from maxfilter_lab.cli import (ExperimentConfig, build_parser, load_config,
                                main, run)
 from maxfilter_lab.errors import BUDGETS, ConfigError
+from maxfilter_lab.reporting import write_csv
 from maxfilter_lab.streams import STREAMS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -107,6 +109,7 @@ def test_subcommands_small_runs(tmp_path, sub, payload, csvname):
     assert report["passed"] is True
     written = {p.name for p in (tmp_path / "out").iterdir()}
     assert written == {f"{sub}_report.json"} | ({csvname} if csvname else set())
+    assert "write_csv" in report["timings"]
 
 
 def test_distortion_small_run(tmp_path):
@@ -208,6 +211,60 @@ def test_diff_reports_gives_the_size_of_a_number_difference(tmp_path, capsys):
     (b / "trials.csv").write_text("trial,alpha_tilde\n0,0.25\n")
     assert diff_reports.main([str(a), str(b)]) == 1
     assert "trials.csv: bytes differ" in capsys.readouterr().out
+
+
+def test_injectivity_scan_with_no_separated_pair(tmp_path, monkeypatch):
+    # every pair is closer than the scan's quotient distance, so none is scanned
+    monkeypatch.setattr(cli, "_MIN_QUOTIENT_DISTANCE", 1e9)
+    payload = {"group_spec": {"family": "cyclic_rotation_2d", "param": 5},
+               "chi": 2, "n_pairs": 200, "seed": 1}
+    cfg = write_config(tmp_path, payload)
+    assert run("injectivity", cfg, out=str(tmp_path / "out")) == 0
+    report = json.loads((tmp_path / "out" / "injectivity_report.json").read_text())
+    runs = report["results"]["runs"]
+    assert list(runs) == ["n=3", "n=4"]
+    for summary in runs.values():
+        assert (summary["separated_pairs"], summary["collisions"]) == (0, 0)
+        assert summary["min_image_distance"] == summary["min_ratio"] == "inf"
+    assert (tmp_path / "out" / "injectivity_pairs.csv").read_text() == (
+        "n_templates,pair,quotient_distance,image_distance,ratio\n")
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer
+
+
+def test_write_csv_prints_each_cell_as_its_builtin(tmp_path):
+    # a float is its shortest round-trip repr, signed zero and the
+    # non-finite values included; whether a column is an array or a list
+    # of builtins does not change a byte
+    floats = [0.1, 1 / 3, 1e-05, 1e16, -0.0, math.nan, math.inf, -math.inf]
+    table = {"i": np.array([7], dtype=np.int64), "b": np.array([True]),
+             **{f"f{k}": np.array([v]) for k, v in enumerate(floats)}}
+    expected = ("i,b,f0,f1,f2,f3,f4,f5,f6,f7\n"
+                "7,True,0.1,0.3333333333333333,1e-05,1e+16,-0.0,nan,inf,-inf\n")
+    path = tmp_path / "new" / "t.csv"
+    assert write_csv(path, table) == path
+    assert path.read_text() == expected
+    lists = tmp_path / "lists.csv"
+    write_csv(lists, {k: col.tolist() for k, col in table.items()})
+    assert lists.read_text() == expected
+
+
+def test_write_csv_streams_its_rows(tmp_path):
+    # the traced peak stays within a small multiple of the columns' bytes;
+    # a writer that joined every line before writing read 8.1x
+    rng = np.random.default_rng(0)
+    n = 200_000
+    table = {"pair": np.arange(n), **{f"x{k}": rng.standard_normal(n) for k in range(4)}}
+    nbytes = sum(col.nbytes for col in table.values())
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +580,7 @@ OUTSIDE_FILES = {
     pytest.param({"lambda0": True}, [], id="lambda0_bool"),
     pytest.param({"dims": [True, 4]}, [], id="dims_bool"),
     pytest.param({"dims": 4}, [], id="dims_not_a_list"),
+    pytest.param({"dims": [4, 4]}, [], id="dims_repeated"),
     pytest.param({"expected_chi": "1"}, [], id="expected_chi_string"),
     pytest.param({"expected_saturated": "no"}, [], id="expected_saturated_string"),
     pytest.param({"group_spec": {"path": "no_generators.json"}}, [],
@@ -530,6 +588,10 @@ OUTSIDE_FILES = {
     pytest.param({"group_spec": {"path": "c3_tagged_as_c4.json"}}, [],
                  id="group_file_differs_from_its_family"),
     pytest.param({"templates": {"path": "missing.csv"}}, [], id="template_file_missing"),
+    pytest.param({"templates": {"path": 5}}, [], id="template_path_int"),
+    pytest.param({"templates": {"path": ["a"]}}, [], id="template_path_list"),
+    pytest.param({"group_spec": {"path": 5}}, [], id="group_path_int"),
+    pytest.param({"group_spec": {"path": ["a"]}}, [], id="group_path_list"),
     pytest.param({"templates": {"path": "not_numeric.csv"}}, [], id="template_file_not_numeric"),
     pytest.param({"templates": {"path": "not_finite.csv"}, "group_spec":
                   {"family": "cyclic_rotation_2d", "param": 3}}, [], id="template_file_not_finite"),
