@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import groups
 from .errors import BudgetExceeded, ConfigError, DomainError, MaxFilterError
 from .filtering import (MaxFilterBank, _pair_distances, apply_bank_batch,
                         load_templates, max_filter_circular_brute,
@@ -55,6 +56,19 @@ def _require_int(name: str, value, least: int) -> None:
     """Raise ConfigError unless value is an integer >= least (not a bool)."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _require_source(name: str, spec, other: str) -> bool:
+    """Raise ConfigError unless spec is an object with exactly one of
+    ``other`` and 'path', the path a string; return whether it has a path."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be an object")
+    has_path = "path" in spec
+    if has_path == (other in spec):
+        raise ConfigError(f"{name} needs exactly one of '{other}' or 'path'")
+    if has_path and not isinstance(spec["path"], str):
+        raise ConfigError(f"{name}.path must be a string, got {spec['path']!r}")
+    return has_path
 
 
 @dataclass(frozen=True)
@@ -102,37 +116,23 @@ class ExperimentConfig:
             raise ConfigError("dims must be a nonempty list of positive integers")
         for i, d in enumerate(self.dims):
             _require_int(f"dims[{i}]", d, 1)
+            if d > groups.MAX_ORDER:
+                raise ConfigError(f"dims[{i}] must be <= MAX_ORDER={groups.MAX_ORDER}, got {d}")
         if len(set(self.dims)) != len(self.dims):
             raise ConfigError(f"dims must not repeat an entry, got {list(self.dims)}")
-        if not isinstance(self.group_spec, dict):
-            raise ConfigError("group_spec must be an object")
-        has_family = "family" in self.group_spec
-        has_path = "path" in self.group_spec
-        if has_family == has_path:
-            raise ConfigError(
-                "group_spec needs exactly one of 'family' or 'path'")
-        if has_family and self.group_spec["family"] not in FAMILIES:
-            raise ConfigError(
-                f"unknown family {self.group_spec['family']!r}; "
-                f"known: {sorted(FAMILIES)}")
-        if has_family:
-            _require_int("group_spec.param", self.group_spec.get("param"), 1)
-        if has_path and not isinstance(self.group_spec["path"], str):
-            raise ConfigError(f"group_spec.path must be a string, got {self.group_spec['path']!r}")
-        if self.templates is not None:
-            t_path = "path" in self.templates
-            t_sampler = "sampler" in self.templates
-            if t_path == t_sampler:
+        if not _require_source("group_spec", self.group_spec, "family"):
+            if self.group_spec["family"] not in FAMILIES:
                 raise ConfigError(
-                    "templates needs exactly one of 'path' or 'sampler'")
-            if t_path and not isinstance(self.templates["path"], str):
-                raise ConfigError(f"templates.path must be a string, got {self.templates['path']!r}")
-            if t_sampler:
-                if self.templates["sampler"] != "gaussian":
-                    raise ConfigError("only the 'gaussian' sampler is supported")
-                _require_int("templates.n", self.templates.get("n"), 1)
-                if self.templates.get("seed") is not None:
-                    _require_int("templates.seed", self.templates["seed"], 0)
+                    f"unknown family {self.group_spec['family']!r}; "
+                    f"known: {sorted(FAMILIES)}")
+            _require_int("group_spec.param", self.group_spec.get("param"), 1)
+        if self.templates is not None and not _require_source(
+                "templates", self.templates, "sampler"):
+            if self.templates["sampler"] != "gaussian":
+                raise ConfigError("only the 'gaussian' sampler is supported")
+            _require_int("templates.n", self.templates.get("n"), 1)
+            if self.templates.get("seed") is not None:
+                _require_int("templates.seed", self.templates["seed"], 0)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

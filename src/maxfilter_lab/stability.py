@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,8 +250,9 @@ def alpha_tilde(bank: MaxFilterBank, chi: int) -> float:
     by Rayleigh-Ritz it is the min over unit u of the sum of the k
     smallest min_{p in orbit i} <p, u>^2.  In higher dimensions a subset
     search finds it.  Assignments are deduplicated by the rank-1 summand
-    they induce (p and -p agree; see ``groups._first_seen``), and the
-    search shares partial-sum tensors along combination prefixes, pruning
+    they induce (p and -p agree; see ``groups._first_seen``).  The search
+    shares partial sums along subset prefixes, builds the children of
+    its live prefixes at most _BLOCK entries at a time, and prunes
     branches whose partial lambda_min already meets the incumbent
     (adding PSD terms never lowers lambda_min).  The first template of
     every subset is pinned to its first representative: left-multiplying
@@ -260,10 +262,10 @@ def alpha_tilde(bank: MaxFilterBank, chi: int) -> float:
     child of smallest lambda_min; it is attained by a real assignment.
 
     BUDGETS["alpha_tilde_evals"] counts every lambda_min evaluation: the
-    sweep's pieces at d = 2, and the search's partial sums, the dive's
-    included.  BudgetExceeded is raised before the count would pass the
-    cap.  The sweep's has no ``partial``; the search's is the incumbent,
-    None if the cap runs out inside the dive (always so at caps 0 and 1).
+    sweep's pieces and the search's partial sums, the dive's included.
+    BudgetExceeded is raised before the count would pass the cap, with
+    the incumbent as ``partial``: None before the sweep's first block or
+    inside the dive (always so at caps 0 and 1).
     """
     if chi < 1:
         raise ValueError("chi must be >= 1")
@@ -271,15 +273,6 @@ def alpha_tilde(bank: MaxFilterBank, chi: int) -> float:
     k = math.ceil(n / chi)
     if k <= d - 1:
         return 0.0
-    if d == 2:
-        return math.sqrt(max(_circle_sweep(bank.orbits, k), 0.0))
-
-    outers: list[np.ndarray] = []
-    for orb in bank.orbits:
-        signed = np.stack([orb.points, -orb.points], axis=1).reshape(-1, d)
-        kept = _first_seen(signed, DEFAULT_TOL.eq_tol * (1.0 + np.linalg.norm(signed, axis=1)))
-        R = signed[kept[kept % 2 == 0]]
-        outers.append(np.einsum("rd,re->rde", R, R))
 
     best = math.inf
     used = 0
@@ -288,10 +281,22 @@ def alpha_tilde(bank: MaxFilterBank, chi: int) -> float:
         nonlocal used
         if used + partial.shape[0] > BUDGETS["alpha_tilde_evals"]:
             raise BudgetExceeded(
-                "alpha_tilde assignment budget exhausted",
+                "alpha_tilde evaluation budget exhausted",
                 partial=None if best == math.inf else float(math.sqrt(max(best, 0.0))))
         used += partial.shape[0]
         return _lam_min_batch(partial)
+
+    if d == 2:
+        for S in _circle_sweep(bank.orbits, k):
+            best = min(best, float(evaluate(S).min()))
+        return float(math.sqrt(max(best, 0.0)))
+
+    outers: list[np.ndarray] = []
+    for orb in bank.orbits:
+        signed = np.stack([orb.points, -orb.points], axis=1).reshape(-1, d)
+        kept = _first_seen(signed, DEFAULT_TOL.eq_tol * (1.0 + np.linalg.norm(signed, axis=1)))
+        R = signed[kept[kept % 2 == 0]]
+        outers.append(np.einsum("rd,re->rde", R, R))
 
     def terms(nxt: int, left: int) -> np.ndarray:
         return outers[nxt][:1] if left == k else outers[nxt]
@@ -303,11 +308,12 @@ def alpha_tilde(bank: MaxFilterBank, chi: int) -> float:
             best = min(best, float(lam.min()))
             return
         live = partial[lam < best]
-        if live.shape[0] == 0:
-            return
         for nxt in range(start, n - left + 1):
-            child = (live[:, None, :, :] + terms(nxt, left)[None, :, :, :]).reshape(-1, d, d)
-            descend(nxt + 1, left - 1, child)
+            term = terms(nxt, left)
+            step = max(1, _BLOCK // term.size)
+            # built inline, so a block is freed before the next one is built
+            for lo in range(0, live.shape[0], step):
+                descend(nxt + 1, left - 1, (live[lo:lo + step, None] + term).reshape(-1, d, d))
 
     # the greedy dive: (template, summand) children of the one kept prefix
     start, acc = 0, np.zeros((d, d))
@@ -323,9 +329,10 @@ def alpha_tilde(bank: MaxFilterBank, chi: int) -> float:
     return float(math.sqrt(max(best, 0.0)))
 
 
-def _circle_sweep(orbits, k: int) -> float:
-    """alpha_tilde^2 of a planar bank: the min over u = (cos t, sin t) of
-    s_k(t), the sum of the k smallest c_i(t) = min_{p in orbit i} <p, u>^2.
+def _circle_sweep(orbits, k: int) -> Iterator[np.ndarray]:
+    """Subset sums S of a planar bank whose least lambda_min is alpha_tilde^2,
+    the min over u = (cos t, sin t) of s_k(t), the sum of the k smallest
+    c_i(t) = min_{p in orbit i} <p, u>^2.
 
     As <p, u>^2 = |p|^2 sin^2(t - psi_p) with psi_p the angle of p plus
     pi/2, and all points of an orbit share one norm, c_i takes the point
@@ -336,9 +343,7 @@ def _circle_sweep(orbits, k: int) -> float:
     and their points are fixed, so s_k(t) = u^T S u for one real subset
     sum S, read at the piece's midpoint.  Every lambda_min(S) is at least
     alpha_tilde^2, and the piece holding a minimizer of s_k attains it.
-    Pieces are evaluated a block of switches at a time, each block's
-    count checked against BUDGETS["alpha_tilde_evals"] before its pieces
-    are built.
+    Yields one (pieces, 2, 2) array of S per block of switches.
     """
     n = len(orbits)
     pts, bis = [], []
@@ -355,7 +360,6 @@ def _circle_sweep(orbits, k: int) -> float:
     ii, jj = np.triu_indices(n, 1)
     # switch intervals per block: each cuts into at most 2*pairs + 1 pieces of n points
     step = max(1, _BLOCK // (2 * n * (2 * ii.size + 1)))
-    best, used = math.inf, 0
     for lo in range(0, edges.size - 1, step):
         hi = min(lo + step, edges.size - 1)
         a, b = edges[lo:hi], edges[lo + 1:hi + 1]
@@ -365,16 +369,11 @@ def _circle_sweep(orbits, k: int) -> float:
         inner = np.where((cross > a[:, None]) & (cross < b[:, None]), cross, b[:, None])
         cuts = np.sort(np.concatenate((a[:, None], inner, b[:, None]), axis=1), axis=1)
         piece = np.diff(cuts, axis=1) > 0
-        count = int(piece.sum())
-        if used + count > BUDGETS["alpha_tilde_evals"]:
-            raise BudgetExceeded("alpha_tilde piece budget exhausted", partial=None)
-        used += count
         t = ((cuts[:, :-1] + cuts[:, 1:]) / 2)[piece]
         V = act[np.nonzero(piece)[0]]
         c = np.einsum("mnd,md->mn", V, np.stack((np.cos(t), np.sin(t)), axis=1)) ** 2
         V = np.take_along_axis(V, np.argpartition(c, k - 1, axis=1)[:, :k, None], axis=1)
-        best = min(best, float(_lam_min_batch(np.einsum("mki,mkj->mij", V, V)).min()))
-    return best
+        yield np.einsum("mki,mkj->mij", V, V)
 
 
 @dataclass(frozen=True)

@@ -581,6 +581,7 @@ OUTSIDE_FILES = {
     pytest.param({"dims": [True, 4]}, [], id="dims_bool"),
     pytest.param({"dims": 4}, [], id="dims_not_a_list"),
     pytest.param({"dims": [4, 4]}, [], id="dims_repeated"),
+    pytest.param({"dims": [4, 1_000_000_000]}, [], id="dims_above_max_order"),
     pytest.param({"expected_chi": "1"}, [], id="expected_chi_string"),
     pytest.param({"expected_saturated": "no"}, [], id="expected_saturated_string"),
     pytest.param({"group_spec": {"path": "no_generators.json"}}, [],
@@ -626,6 +627,12 @@ def test_config_rejects_non_gaussian_sampler():
     bad = dict(SF2_BOUNDS, templates={"sampler": "uniform", "n": 3})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize("templates", [5, ["path"]], ids=["int", "list"])
+def test_config_rejects_templates_not_an_object(templates):
+    with pytest.raises(ConfigError, match="templates must be an object"):
+        ExperimentConfig.from_dict(dict(SF2_BOUNDS, templates=templates))
 
 
 def test_config_rejects_group_spec_without_source():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,13 +363,17 @@ ALPHA_REFEREE_BANKS = [("cyclic_rotation_2d", 3, 16, 2, 1), ("sign_flips", 3, 6,
 
 
 @pytest.mark.parametrize("spec", ALPHA_REFEREE_BANKS)
-def test_alpha_tilde_matches_depth_first_referee(spec):
+def test_alpha_tilde_matches_depth_first_referee(spec, monkeypatch):
     # the sweep and the pinned, seeded search against the unpinned search;
     # absolute, since near alpha_tilde = 0 rounding in lambda_min alone
-    # moves sqrt(lambda_min) by far more than 1e-12 relative
+    # moves sqrt(lambda_min) by far more than 1e-12 relative.  Small blocks
+    # split every search level and every sweep block.
     *bank_spec, chi, seed = spec
     bank = referee_bank(*bank_spec, seed)
-    assert abs(alpha_tilde(bank, chi) - dfs_alpha_tilde(bank, chi)) < 1e-10
+    want = dfs_alpha_tilde(bank, chi)
+    for block in (stability._BLOCK, 64, 1):
+        monkeypatch.setattr(stability, "_BLOCK", block)
+        assert abs(alpha_tilde(bank, chi) - want) < 1e-10
 
 
 def test_alpha_tilde_sweep_needs_no_family_tag(monkeypatch):
@@ -436,6 +441,41 @@ def test_alpha_tilde_budget_edge(spec, monkeypatch):
         with pytest.raises(BudgetExceeded) as e:
             alpha_tilde(bank, chi)
         assert e.value.partial is None
+
+
+def test_alpha_tilde_sweep_miss_keeps_its_incumbent(monkeypatch):
+    # every subset sum the sweep yields has lambda_min >= alpha_tilde^2,
+    # so a miss after its first block leaves a valid upper estimate
+    bank = referee_bank("cyclic_rotation_2d", 3, 16, 1)
+    want = alpha_tilde(bank, 2)
+    monkeypatch.setattr(stability, "_BLOCK", 4096)
+    evaluated = []
+    real = stability._lam_min_batch
+
+    def counting(S):
+        evaluated.append(S.shape[0])
+        return real(S)
+
+    monkeypatch.setattr(stability, "_lam_min_batch", counting)
+    assert alpha_tilde(bank, 2) == want
+    assert len(evaluated) > 1
+    monkeypatch.setitem(BUDGETS, "alpha_tilde_evals", evaluated[0])
+    with pytest.raises(BudgetExceeded) as e:
+        alpha_tilde(bank, 2)
+    assert e.value.partial is not None and e.value.partial >= want - 1e-10
+
+
+def test_alpha_tilde_memory_stays_within_blocks():
+    # a d = 4 search whose levels hold far more children than one block;
+    # its traced peak stays below 8 blocks of float64 entries (64 MiB)
+    bank = referee_bank("sign_flips", 4, 8, 4)
+    tracemalloc.start()
+    try:
+        alpha_tilde(bank, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * stability._BLOCK * 8
 
 
 def test_alpha_tilde_zero_when_subsets_small(golden_bank):
