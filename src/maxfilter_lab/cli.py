@@ -58,14 +58,18 @@ def _require_int(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _require_source(name: str, spec, other: str) -> bool:
+def _require_source(name: str, spec, other: str, count: str) -> bool:
     """Raise ConfigError unless spec is an object with exactly one of
-    ``other`` and 'path', the path a string; return whether it has a path."""
+    ``other`` and 'path', the path a string, and no key but the path or
+    ``other`` and its ``count``; return whether it has a path."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{name} must be an object")
     has_path = "path" in spec
     if has_path == (other in spec):
         raise ConfigError(f"{name} needs exactly one of '{other}' or 'path'")
+    unknown = set(spec) - ({"path"} if has_path else {other, count})
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
     if has_path and not isinstance(spec["path"], str):
         raise ConfigError(f"{name}.path must be a string, got {spec['path']!r}")
     return has_path
@@ -77,12 +81,12 @@ class ExperimentConfig:
 
     ``group_spec`` is either {"family": name, "param": int} or
     {"path": "group.json"}.  ``templates`` is either {"path": "z.csv"} or
-    {"sampler": "gaussian", "n": int, "seed": optional int}; subcommands
-    that draw their own templates ignore it.  Only the chi subcommand
-    reads ``chi_samples``, ``expected_chi`` and ``expected_saturated``;
-    the others take a proven chi (_resolve_chi).  Search caps, tolerances
-    and the report directory are not config keys: the caps are fixed in
-    errors.BUDGETS, and reports go to ``--out``.
+    {"sampler": "gaussian", "n": int}; subcommands that draw their own
+    templates ignore it.  Only the chi subcommand reads ``chi_samples``,
+    ``expected_chi`` and ``expected_saturated``; the others derive a
+    proven chi from the group (_resolve_chi).  Search caps, tolerances,
+    chi and the report directory are not config keys: the caps are fixed
+    in errors.BUDGETS, and reports go to ``--out``.
     """
 
     group_spec: dict
@@ -90,7 +94,6 @@ class ExperimentConfig:
     n_pairs: int = 1000
     n_trials: int = 50
     lambda0: float = 4.0
-    chi: int | None = None
     chi_samples: int = 300
     dims: tuple[int, ...] = (4, 16, 64, 256)
     points_per_trial: int = 6
@@ -101,9 +104,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("n_pairs", "n_trials", "chi_samples", "points_per_trial"):
             _require_int(name, getattr(self, name), 1)
-        for name in ("chi", "expected_chi"):
-            if getattr(self, name) is not None:
-                _require_int(name, getattr(self, name), 1)
+        if self.expected_chi is not None:
+            _require_int("expected_chi", self.expected_chi, 1)
         if self.expected_saturated is not None and not isinstance(self.expected_saturated, bool):
             raise ConfigError(
                 f"expected_saturated must be true or false, got {self.expected_saturated!r}")
@@ -120,19 +122,17 @@ class ExperimentConfig:
                 raise ConfigError(f"dims[{i}] must be <= MAX_ORDER={groups.MAX_ORDER}, got {d}")
         if len(set(self.dims)) != len(self.dims):
             raise ConfigError(f"dims must not repeat an entry, got {list(self.dims)}")
-        if not _require_source("group_spec", self.group_spec, "family"):
+        if not _require_source("group_spec", self.group_spec, "family", "param"):
             if self.group_spec["family"] not in FAMILIES:
                 raise ConfigError(
                     f"unknown family {self.group_spec['family']!r}; "
                     f"known: {sorted(FAMILIES)}")
             _require_int("group_spec.param", self.group_spec.get("param"), 1)
         if self.templates is not None and not _require_source(
-                "templates", self.templates, "sampler"):
+                "templates", self.templates, "sampler", "n"):
             if self.templates["sampler"] != "gaussian":
                 raise ConfigError("only the 'gaussian' sampler is supported")
             _require_int("templates.n", self.templates.get("n"), 1)
-            if self.templates.get("seed") is not None:
-                _require_int("templates.seed", self.templates["seed"], 0)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -193,9 +193,7 @@ def resolve_templates(config: ExperimentConfig, group: FiniteGroup,
         if not np.isfinite(Z).all():
             raise ConfigError(f"template file {config.templates['path']}: non-finite entry")
         return Z
-    sampler_seed = config.templates.get("seed")
-    entropy = (sampler_seed,) if sampler_seed is not None else (seed, STREAMS["template_sampler"])
-    rng = np.random.default_rng(entropy)
+    rng = np.random.default_rng((seed, STREAMS["template_sampler"]))
     return rng.standard_normal((config.templates["n"], group.dim))
 
 
@@ -215,23 +213,29 @@ class StageTimer:
                 time.perf_counter() - t0)
 
 
-def _resolve_chi(config: ExperimentConfig, group: FiniteGroup) -> tuple[int, dict]:
-    """An upper bound on chi and its report block, by the first rule that
-    applies: the configured chi, taken as given; 1 for a reflection group,
-    whose open chambers are its generic cells; 2 for the planar rotation
-    families, since an open sector of width 2*pi/m meets at most two
-    sectors of another orbit's partition into m; else |G|, since
-    chi <= |G| always.  alpha_tilde needs only an upper bound: a larger
-    chi makes the pigeonhole subsets smaller, which can only lower it."""
-    if config.chi is not None:
-        chi, source = config.chi, "config"
-    elif is_reflection_group(group):
+def _resolve_chi(group: FiniteGroup) -> tuple[int, dict]:
+    """A proven upper bound on chi and its report block, by the first rule
+    that applies: 1 for a reflection group, whose open chambers are its
+    generic cells; 2 for the planar rotation families, since an open
+    sector of width 2*pi/m meets at most two sectors of another orbit's
+    partition into m; else |G|, since chi <= |G| always.  alpha_tilde
+    needs only an upper bound: a larger chi makes the pigeonhole subsets
+    smaller, which can only lower it; a smaller one would certify too much."""
+    if is_reflection_group(group):
         chi, source = 1, "reflection_group"
     elif group.family in _PLANAR_FAMILIES:
         chi, source = 2, "planar_sectors"
     else:
         chi, source = group.order, "order_bound"
     return chi, {"chi": chi, "source": source}
+
+
+def _sandwich_lower(name: str, at: float, distances, image_distances, which: str) -> dict:
+    """The check that a certified alpha_tilde is below every pair's ratio:
+    the least image distance - at * quotient distance, inf without pairs."""
+    margin = float((image_distances - at * distances).min(initial=math.inf))
+    return assertion(name, f"alpha_tilde * d <= image distance on every {which} pair",
+                     margin >= -_AUDIT_SLACK, margin, _AUDIT_SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +251,7 @@ def cmd_bounds(config: ExperimentConfig, seed: int, timer: StageTimer):
     Z = resolve_templates(config, group, seed)
     bank = MaxFilterBank(group, Z)
     with timer.stage("chi"):
-        chi, chi_info = _resolve_chi(config, group)
+        chi, chi_info = _resolve_chi(group)
     with timer.stage("bounds"):
         stab, emp = compute_stability_report(
             bank, chi, n_pairs=config.n_pairs, seed=seed)
@@ -272,10 +276,8 @@ def cmd_bounds(config: ExperimentConfig, seed: int, timer: StageTimer):
             name, f"{name.replace('_', ' ')} (within slack)", passed,
             {"lhs": lhs, "rhs": rhs}, _AUDIT_SLACK))
     if prov["alpha_tilde_certified"]:
-        low_margin = float((emp.image_distances - stab.alpha_tilde * emp.distances).min())
-        asserts.append(assertion(
-            "sandwich_lower", "alpha_tilde * d <= image distance on every sampled pair",
-            low_margin >= -_AUDIT_SLACK, low_margin, _AUDIT_SLACK))
+        asserts.append(_sandwich_lower("sandwich_lower", stab.alpha_tilde, emp.distances,
+                                       emp.image_distances, "sampled"))
     if prov["beta_exact_certified"]:
         high_margin = float((stab.beta_exact * emp.distances - emp.image_distances).min())
         asserts.append(assertion(
@@ -310,7 +312,7 @@ def cmd_distortion(config: ExperimentConfig, seed: int, timer: StageTimer):
         raise ConfigError("distortion requires templates drawn by a sampler")
     n = int(config.templates["n"])
     with timer.stage("chi"):
-        chi, chi_info = _resolve_chi(config, group)
+        chi, chi_info = _resolve_chi(group)
     params = DistortionBoundParams(m=group.order, chi=chi, d=group.dim,
                                    n=n, lambda0=config.lambda0)
     bound = theoretical_distortion_bound(params)  # DomainError -> exit 2
@@ -400,7 +402,7 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
     group = build_group_from_spec(config.group_spec)
     d = group.dim
     with timer.stage("chi"):
-        chi, chi_info = _resolve_chi(config, group)
+        chi, chi_info = _resolve_chi(group)
     threshold_n = chi * (d - 1) + 1
     run_ns = sorted({2 * d, threshold_n})
 
@@ -428,6 +430,9 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
                 "certified lower constant is positive at the generic "
                 "bilipschitz template count",
                 at > 0, at, 0.0))
+        if at_ok:
+            asserts.append(_sandwich_lower(f"sandwich_lower_n{n}", at, pairs["quotient_distance"],
+                                           pairs["image_distance"], "separated"))
 
     results = {"chi": chi_info, "runs": runs,
                "min_quotient_distance": _MIN_QUOTIENT_DISTANCE,

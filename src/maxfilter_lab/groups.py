@@ -182,15 +182,14 @@ class FiniteGroup:
 
 @dataclass(frozen=True, eq=False)
 class Orbit:
-    """Deduplicated orbit of ``base``; ``rep_elements[k]`` is the index of
-    one group element sending base to ``points[k]``."""
+    """Deduplicated orbit of a point x; ``rep_elements[k]`` is the index of
+    one group element sending x to ``points[k]``."""
 
-    base: np.ndarray
     points: np.ndarray
     rep_elements: np.ndarray
 
     def __post_init__(self):
-        for name in ("base", "points", "rep_elements"):
+        for name in ("points", "rep_elements"):
             arr = getattr(self, name)
             arr.setflags(write=False)
 
@@ -356,7 +355,7 @@ def orbit_of(group: FiniteGroup, x) -> Orbit:
     x = np.asarray(x, dtype=float)
     images = group.apply_all(x)
     reps = _first_seen(images, DEFAULT_TOL.eq_tol * (1.0 + float(np.linalg.norm(x))))
-    return Orbit(base=x.copy(), points=images[reps], rep_elements=reps)
+    return Orbit(points=images[reps], rep_elements=reps)
 
 
 def stabilizer_order(group: FiniteGroup, x) -> int:

@@ -16,6 +16,8 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+_CSV_ROWS = 4096    # rows per tolist() slice of write_csv
+
 
 def sanitize(obj: Any) -> Any:
     """Convert dataclasses to dicts of their fields, numpy scalars/arrays to
@@ -62,18 +64,22 @@ def write_csv(path: Path | str, table: Mapping[str, Any]) -> Path:
     """Write a table of named columns, one entry per row in each, as CSV.
 
     The header is the column names.  Each column goes through
-    ``np.asarray(col).tolist()`` once, and each cell is the ``str`` of the
-    builtin that gives: a float prints as Python's shortest round-trip
+    ``np.asarray(col)`` and ``tolist()``, and each cell is the ``str`` of
+    the builtin that gives: a float prints as Python's shortest round-trip
     repr (``nan``, ``inf`` and ``-0.0`` included), a bool as True or False.
-    Rows are streamed to the file, not joined first.  Returns ``path``.
+    Rows are converted and streamed to the file _CSV_ROWS at a time, so
+    no whole column of builtins is held.  Returns ``path``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    columns = [np.asarray(col).tolist() for col in table.values()]
+    columns = [np.asarray(col) for col in table.values()]
+    n_rows = min((len(col) for col in columns), default=0)
     row = ",".join(["%s"] * len(columns)) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(table) + "\n")
-        fh.writelines(row % cells for cells in zip(*columns))
+        for lo in range(0, n_rows, _CSV_ROWS):
+            block = [col[lo:lo + _CSV_ROWS].tolist() for col in columns]
+            fh.writelines(row % cells for cells in zip(*block))
     return path
 
 

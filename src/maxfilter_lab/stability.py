@@ -244,7 +244,8 @@ def alpha_tilde(bank: MaxFilterBank, chi: int) -> float:
     """Pigeonhole lower bound: exact min of sqrt(lambda_min) of
     sum_{i in I} (g_i z_i)(g_i z_i)^T over subsets of size k = ceil(n/chi)
     and all assignments.  Larger subsets cannot do better since
-    lambda_min is superadditive over PSD sums.
+    lambda_min is superadditive over PSD sums.  It is certified only when
+    ``chi`` is an upper bound on the Voronoi characteristic chi(G).
 
     At d = 2 the minimum is read off the unit circle (``_circle_sweep``):
     by Rayleigh-Ritz it is the min over unit u of the sum of the k
@@ -485,11 +486,16 @@ class DistortionBoundParams:
 
 
 def theoretical_distortion_bound(params: DistortionBoundParams) -> float:
-    """(C chi^{3/2} m log^{1/2}(e m))^{1 + c/sqrt(lam)}."""
+    """(C chi^{3/2} m log^{1/2}(e m))^{1 + c/sqrt(lam)}; DomainError when
+    lam is below lambda0 or the bound passes the float range."""
     if params.lam < params.lambda0:
         raise DomainError(f"lam = {params.lam:.6g} below lambda0 = {params.lambda0:.6g}")
     base = params.C * params.chi ** 1.5 * params.m * math.sqrt(math.log(math.e * params.m))
-    return base ** (1.0 + params.c / math.sqrt(params.lam))
+    try:
+        return base ** (1.0 + params.c / math.sqrt(params.lam))
+    except OverflowError:
+        raise DomainError(f"the bound passes the float range at lam = {params.lam!r}, "
+                          f"lambda0 = {params.lambda0!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +641,8 @@ def compute_stability_report(
 ) -> tuple[StabilityReport, EmpiricalLipschitz]:
     """All bounds for one bank, plus the raw empirical sample so callers
     can dump per-pair ratios without recomputation; alpha_sharp samples
-    min(n_pairs, 200) nice pairs.  Budget misses against errors.BUDGETS
+    min(n_pairs, 200) nice pairs.  alpha_tilde is certified only when
+    ``chi`` is an upper bound on chi(G).  Budget misses against errors.BUDGETS
     do not raise here; they are recorded as certified=False flags with the
     partial values (alpha_sharp has none: NaN, and no witness pair)."""
     ub, exact_ok = _within_budget(upper_bound_exact, bank)

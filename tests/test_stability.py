@@ -663,6 +663,10 @@ def test_distortion_bound_domain_errors():
         DistortionBoundParams(m=0, chi=1, d=2, n=8, lambda0=4.0)
     with pytest.raises(DomainError):
         DistortionBoundParams(m=2, chi=1, d=2, n=8, lambda0=1.0)
+    # lambda0 just above 1 makes c, and so the exponent, about 2e5
+    with pytest.raises(DomainError, match="float range"):
+        theoretical_distortion_bound(
+            DistortionBoundParams(m=3, chi=2, d=2, n=1000, lambda0=1.000001))
 
 
 def test_success_probability_formula():
