@@ -32,7 +32,7 @@ from .stability import (AlphaSharp, DistortionBoundParams, EmpiricalLipschitz,
 from .tolerances import DEFAULT_TOL
 from .voronoi import (ChiEstimate, ChoiceEnumeration, SSet, VoronoiCellSpec,
                       cell_of, choice_assignments, in_Q, is_principal,
-                      s_set, sample_nice, sample_principal,
+                      proven_chi, s_set, sample_nice, sample_principal,
                       strict_cones_feasible, voronoi_characteristic)
 
 __version__ = "0.1.0"
@@ -53,7 +53,7 @@ __all__ = [
     "is_reflection_group", "load_group", "load_templates",
     "lower_bound_sharp", "max_filter", "max_filter_circular_brute",
     "max_filter_circular_fft", "max_filter_pairs", "optimality_witness",
-    "orbit_of", "ordering_audit", "quotient_distance", "s_set",
+    "orbit_of", "ordering_audit", "proven_chi", "quotient_distance", "s_set",
     "sample_nice", "sample_principal", "save_group", "save_templates",
     "search_psd_violation", "stabilizer_order", "strict_cones_feasible",
     "theoretical_distortion_bound", "theoretical_sigma", "upper_bound_exact",

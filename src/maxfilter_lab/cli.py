@@ -46,7 +46,7 @@ from .stability import (_AUDIT_SLACK, DistortionBoundParams, _within_budget,
                         theoretical_distortion_bound, upper_bound_exact)
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
-from .voronoi import _PLANAR_FAMILIES, voronoi_characteristic
+from .voronoi import proven_chi, voronoi_characteristic
 
 _FRACTION_SLACK = 0.05          # distortion: allowed shortfall below the success probability
 _MIN_QUOTIENT_DISTANCE = 1e-3   # injectivity: pairs closer in the quotient are not scanned
@@ -83,10 +83,10 @@ class ExperimentConfig:
     {"path": "group.json"}.  ``templates`` is either {"path": "z.csv"} or
     {"sampler": "gaussian", "n": int}; subcommands that draw their own
     templates ignore it.  Only the chi subcommand reads ``chi_samples``,
-    ``expected_chi`` and ``expected_saturated``; the others derive a
-    proven chi from the group (_resolve_chi).  Search caps, tolerances,
-    chi and the report directory are not config keys: the caps are fixed
-    in errors.BUDGETS, and reports go to ``--out``.
+    ``expected_chi`` and ``expected_saturated``; the others take the chi
+    that voronoi.proven_chi proves from the group's elements.  Search
+    caps, tolerances, chi and the report directory are not config keys:
+    the caps are fixed in errors.BUDGETS, and reports go to ``--out``.
     """
 
     group_spec: dict
@@ -213,23 +213,6 @@ class StageTimer:
                 time.perf_counter() - t0)
 
 
-def _resolve_chi(group: FiniteGroup) -> tuple[int, dict]:
-    """A proven upper bound on chi and its report block, by the first rule
-    that applies: 1 for a reflection group, whose open chambers are its
-    generic cells; 2 for the planar rotation families, since an open
-    sector of width 2*pi/m meets at most two sectors of another orbit's
-    partition into m; else |G|, since chi <= |G| always.  alpha_tilde
-    needs only an upper bound: a larger chi makes the pigeonhole subsets
-    smaller, which can only lower it; a smaller one would certify too much."""
-    if is_reflection_group(group):
-        chi, source = 1, "reflection_group"
-    elif group.family in _PLANAR_FAMILIES:
-        chi, source = 2, "planar_sectors"
-    else:
-        chi, source = group.order, "order_bound"
-    return chi, {"chi": chi, "source": source}
-
-
 def _sandwich_lower(name: str, at: float, distances, image_distances, which: str) -> dict:
     """The check that a certified alpha_tilde is below every pair's ratio:
     the least image distance - at * quotient distance, inf without pairs."""
@@ -251,10 +234,9 @@ def cmd_bounds(config: ExperimentConfig, seed: int, timer: StageTimer):
     Z = resolve_templates(config, group, seed)
     bank = MaxFilterBank(group, Z)
     with timer.stage("chi"):
-        chi, chi_info = _resolve_chi(group)
+        chi, rule = proven_chi(group)
     with timer.stage("bounds"):
-        stab, emp = compute_stability_report(
-            bank, chi, n_pairs=config.n_pairs, seed=seed)
+        stab, emp = compute_stability_report(bank, n_pairs=config.n_pairs, seed=seed)
 
     try:
         params = DistortionBoundParams(
@@ -293,7 +275,7 @@ def cmd_bounds(config: ExperimentConfig, seed: int, timer: StageTimer):
 
     results = {
         "stability": stab,
-        "chi": chi_info,
+        "chi": {"chi": chi, "source": rule},
         "theoretical_bound": bound_info,
         "n_templates": bank.n_templates,
         "dim": group.dim,
@@ -312,7 +294,7 @@ def cmd_distortion(config: ExperimentConfig, seed: int, timer: StageTimer):
         raise ConfigError("distortion requires templates drawn by a sampler")
     n = int(config.templates["n"])
     with timer.stage("chi"):
-        chi, chi_info = _resolve_chi(group)
+        chi, rule = proven_chi(group)
     params = DistortionBoundParams(m=group.order, chi=chi, d=group.dim,
                                    n=n, lambda0=config.lambda0)
     bound = theoretical_distortion_bound(params)  # DomainError -> exit 2
@@ -359,7 +341,7 @@ def cmd_distortion(config: ExperimentConfig, seed: int, timer: StageTimer):
                   emp_ok.all(), int(emp_ok.sum()), 1e-6),
     ]
     results = {
-        "chi": chi_info,
+        "chi": {"chi": chi, "source": rule},
         "bound": bound,
         "lam": params.lam,
         "success_probability": params.success_probability,
@@ -402,7 +384,7 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
     group = build_group_from_spec(config.group_spec)
     d = group.dim
     with timer.stage("chi"):
-        chi, chi_info = _resolve_chi(group)
+        chi, rule = proven_chi(group)
     threshold_n = chi * (d - 1) + 1
     run_ns = sorted({2 * d, threshold_n})
 
@@ -434,7 +416,7 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
             asserts.append(_sandwich_lower(f"sandwich_lower_n{n}", at, pairs["quotient_distance"],
                                            pairs["image_distance"], "separated"))
 
-    results = {"chi": chi_info, "runs": runs,
+    results = {"chi": {"chi": chi, "source": rule}, "runs": runs,
                "min_quotient_distance": _MIN_QUOTIENT_DISTANCE,
                "dim": d, "group_order": group.order}
     table = {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}

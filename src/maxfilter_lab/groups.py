@@ -389,14 +389,18 @@ def load_group(path) -> FiniteGroup:
     family's filter routes, and its stored elements must equal the
     constructor's within eq_tol.  An untagged file is closed again from
     its stored elements.  Either way the order is capped at MAX_ORDER.
+    ``dim``, and ``param`` in a tagged file, must be integers, not bools.
     """
     payload = json.loads(Path(path).read_text())
-    dim = int(payload["dim"])
-    gens = np.array(payload["generators"], dtype=float).reshape(-1, dim, dim)
     family = payload.get("family")
+    for key in ("dim",) if family is None else ("dim", "param"):
+        if not isinstance(payload[key], int) or isinstance(payload[key], bool):
+            raise ValueError(f"{key} must be an integer, got {payload[key]!r}")
+    dim = payload["dim"]
+    gens = np.array(payload["generators"], dtype=float).reshape(-1, dim, dim)
     if family is None:
         return generate_group(gens)
-    group = build_family(family, int(payload["param"]))
+    group = build_family(family, payload["param"])
     if gens.shape != group.stack.shape or np.abs(gens - group.stack).max() > DEFAULT_TOL.eq_tol:
         raise ValueError(
             f"stored elements differ from {family}({payload['param']}) beyond eq_tol")

@@ -30,6 +30,7 @@ from .voronoi import (
     _margin_lps,
     cell_of,
     choice_assignments,
+    proven_chi,
     sample_nice,
 )
 
@@ -635,19 +636,19 @@ def _within_budget(search, *args, **kwargs):
 
 def compute_stability_report(
     bank: MaxFilterBank,
-    chi: int,
     n_pairs: int = 200,
     seed: int = 0,
 ) -> tuple[StabilityReport, EmpiricalLipschitz]:
     """All bounds for one bank, plus the raw empirical sample so callers
     can dump per-pair ratios without recomputation; alpha_sharp samples
-    min(n_pairs, 200) nice pairs.  alpha_tilde is certified only when
-    ``chi`` is an upper bound on chi(G).  Budget misses against errors.BUDGETS
-    do not raise here; they are recorded as certified=False flags with the
-    partial values (alpha_sharp has none: NaN, and no witness pair)."""
+    min(n_pairs, 200) nice pairs; alpha_tilde takes ``proven_chi`` of the
+    group.  Budget misses against errors.BUDGETS do not raise here; they
+    are recorded as certified=False flags with the partial values
+    (alpha_sharp has none: NaN, and no witness pair)."""
     ub, exact_ok = _within_budget(upper_bound_exact, bank)
     beta_exact = ub.beta if exact_ok else ub
     beta_relaxed, relaxed_ok = _within_budget(upper_bound_relaxed, bank)
+    chi, _ = proven_chi(bank.group)
     a_tilde, tilde_ok = _within_budget(alpha_tilde, bank, chi)
 
     a_pairs = min(n_pairs, 200)

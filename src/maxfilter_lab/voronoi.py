@@ -16,6 +16,8 @@ variables and rows, so each block's optimum, and its verdict, is the
 one the block would have alone.
 ``strict_cones_feasible`` is the one-problem case; the S-set pairs of a χ run
 share one lazy stream (``_s_sets``), and β's LP route sends one batch per level.
+``proven_chi`` is the one proof of an upper bound on χ, read off the
+group's elements; ``voronoi_characteristic`` only samples a lower bound.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_array
 
 from .errors import BUDGETS, BudgetExceeded, LpNumericalFailure, NotNicePoint
 from .filtering import _CHAMBERS, MaxFilterBank
 from .groups import FiniteGroup, Orbit, orbit_of, stabilizer_order
+from .kernels import is_reflection_group
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
 
@@ -53,6 +54,7 @@ __all__ = [
     "sample_nice",
     "s_set",
     "choice_assignments",
+    "proven_chi",
     "voronoi_characteristic",
 ]
 
@@ -209,6 +211,9 @@ def _solve_blocks(pending: list, results: list) -> None:
     LP and store each verdict at its slot of ``results``."""
     if not pending:
         return
+    from scipy.optimize import linprog    # here, so a run without an LP never imports scipy
+    from scipy.sparse import csr_array
+
     R = np.concatenate([rows for _, rows in pending])
     d = R.shape[1]
     w = d + 1                     # unknowns per block: y_k then t_k
@@ -387,6 +392,21 @@ def choice_assignments(bank: MaxFilterBank, x, y) -> ChoiceEnumeration:
         raise BudgetExceeded(f"choice_assignments: {total} assignments exceed the cap of {cap}")
     return ChoiceEnumeration(aligned=aligned, members=orbit_y.points[inside],
                              assignments=np.array(list(itertools.product(*candidates))))
+
+
+def proven_chi(group: FiniteGroup) -> tuple[int, str]:
+    """A proven upper bound on chi(G) and its rule, read off the elements:
+    1, "reflection_group", if ``is_reflection_group`` holds, the chambers
+    being the cells; else 2, "planar_sectors", if G moves at most a plane
+    (the mean element projects onto the fixed space, so the mean trace is
+    its dimension): a finite subgroup of O(2) not generated by reflections
+    is cyclic, and an open sector of width 2*pi/|G| meets at most two of
+    another orbit's; else |G|, "order_bound".  A larger chi only lowers alpha_tilde."""
+    if is_reflection_group(group):
+        return 1, "reflection_group"
+    if group.dim - round(float(np.trace(group.stack, axis1=1, axis2=2).mean())) <= 2:
+        return 2, "planar_sectors"
+    return group.order, "order_bound"
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from maxfilter_lab import (MaxFilterBank, alpha_tilde, apply_bank_batch,
                            upper_bound_exact, upper_bound_relaxed,
                            voronoi_characteristic, DistortionBoundParams,
                            direct_quadratic_form, is_reflection_group)
-from maxfilter_lab.cli import _resolve_chi, run as cli_run
+from maxfilter_lab.cli import run as cli_run
+from maxfilter_lab.voronoi import proven_chi
 from oracles import brute_orbit_min_distance
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -113,10 +114,10 @@ def test_acceptance_chi_values():
         if want_sat is not None:
             good = good and est.saturated is want_sat
         # the runs' proven chi is the table's wherever its rule is exact
-        chi, block = _resolve_chi(g)
-        if block["source"] != "order_bound":
+        chi, rule = proven_chi(g)
+        if rule != "order_bound":
             good = good and chi == want_chi
-        details.append((name, param, est.chi_lower, est.saturated, block, good))
+        details.append((name, param, est.chi_lower, est.saturated, rule, good))
         ok = ok and good
     assert _emit("chi_values", ok), details
 

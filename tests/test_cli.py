@@ -13,7 +13,7 @@ import pytest
 
 import maxfilter_lab
 from maxfilter_lab import (FAMILIES, FiniteGroup, build_family, cli, generate_group,
-                          save_group, voronoi_characteristic)
+                          proven_chi, save_group, voronoi_characteristic)
 from maxfilter_lab.cli import (ExperimentConfig, build_parser, load_config,
                                main, run)
 from maxfilter_lab.errors import BUDGETS, ConfigError
@@ -235,13 +235,31 @@ def test_injectivity_scan_with_no_separated_pair(tmp_path, monkeypatch):
 def test_injectivity_checks_alpha_tilde_against_its_scan(tmp_path, monkeypatch):
     # C5 has chi = 2; a chi of 1 makes the pigeonhole subsets too large,
     # and the scan finds pairs that contract below that alpha_tilde
-    monkeypatch.setattr(cli, "_resolve_chi", lambda *a: (1, {"chi": 1, "source": "reflection_group"}))
+    monkeypatch.setattr(cli, "proven_chi", lambda *a: (1, "reflection_group"))
     payload = dict(json.loads((CONFIGS / "injectivity_c5.json").read_text()), n_pairs=20000)
     assert run("injectivity", write_config(tmp_path, payload), out=str(tmp_path / "out")) == 1
     report = json.loads((tmp_path / "out" / "injectivity_report.json").read_text())
     checks = {a["name"]: a["passed"] for a in report["assertions"]}
     assert checks["sandwich_lower_n2"] is checks["sandwich_lower_n4"] is False
     assert checks["alpha_tilde_positive_n2"] is True
+
+
+def test_injectivity_on_an_untagged_group_matches_the_tagged_run(tmp_path):
+    # chi is proven from the elements, so C5 loaded without its tag keeps
+    # chi = 2 and its threshold run at n = 3, where the order bound chi = 5 gave n = 6
+    payload = dict(json.loads((CONFIGS / "injectivity_c5.json").read_text()), n_pairs=2000)
+    results = {}
+    for name, spec in (("tagged", payload["group_spec"]),
+                       ("untagged", untagged_group_spec(tmp_path, "cyclic_rotation_2d", 5))):
+        cfg = write_config(tmp_path, dict(payload, group_spec=spec), name=f"{name}.json")
+        assert run("injectivity", cfg, out=str(tmp_path / name)) == 0
+        report = json.loads((tmp_path / name / "injectivity_report.json").read_text())
+        results[name] = report["results"]
+    tagged, untagged = results["tagged"], results["untagged"]
+    assert untagged["chi"] == tagged["chi"] == {"chi": 2, "source": "planar_sectors"}
+    alphas = {k: r["alpha_tilde"] for k, r in tagged["runs"].items()}
+    assert {k: r["alpha_tilde"] for k, r in untagged["runs"].items()} == alphas
+    assert list(alphas) == ["n=3", "n=4"] and None not in alphas.values()
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +403,10 @@ def test_exit_three_tiny_lp_budget(tmp_path, monkeypatch, capsys):
 
 def test_exit_three_distortion_budget_keeps_the_report(tmp_path, monkeypatch, capsys):
     # each trial's exact search needs more than 5 LPs, so both trials
-    # stop with a partial (here absent) beta and count as not within; the
-    # untagged C3 takes the order bound chi = 3, so lam = 16/6 needs a lambda0 below it
+    # stop with a partial (here absent) beta and count as not within
     monkeypatch.setitem(BUDGETS, "lp_solves", 5)
     cfg = write_config(tmp_path, dict(
-        C3_DISTORTION, lambda0=2.0,
-        group_spec=untagged_group_spec(tmp_path, "cyclic_rotation_2d", 3)))
+        C3_DISTORTION, group_spec=untagged_group_spec(tmp_path, "cyclic_rotation_2d", 3)))
     assert run("distortion", cfg, out=str(tmp_path / "run")) == 3
     assert main(["distortion", "--config", cfg,
                  "--out", str(tmp_path / "main")]) == 3
@@ -488,6 +504,9 @@ NO_CHI_RUNS = [
     # S3 closed from two transpositions and loaded by path carries no family tag
     pytest.param("bounds", dict(P3_BOUNDS, group_spec={"path": "s3.json"}),
                  1, "reflection_group", id="untagged_reflection_group"),
+    # so does C3 stored without its tag; the rule reads that it moves one plane
+    pytest.param("bounds", dict(P3_BOUNDS, group_spec={"path": "c3.json"}),
+                 2, "planar_sectors", id="untagged_planar_group"),
 ]
 
 
@@ -499,6 +518,7 @@ def test_only_a_proven_chi_certifies_alpha_tilde(tmp_path, monkeypatch, sub, pay
     monkeypatch.setattr(cli, "voronoi_characteristic", no_sampling)
     monkeypatch.chdir(tmp_path)
     save_group(generate_group([np.eye(3)[[1, 0, 2]], np.eye(3)[[0, 2, 1]]]), "s3.json")
+    save_group(FiniteGroup.from_matrices(build_family("cyclic_rotation_2d", 3).stack), "c3.json")
     assert run(sub, write_config(tmp_path, payload), out="out") == 0
     results = json.loads((tmp_path / "out" / f"{sub}_report.json").read_text())["results"]
     assert results["chi"] == {"chi": chi, "source": source}
@@ -514,19 +534,27 @@ def _chi_rule_cases():
     for name in FAMILIES:
         for param in range(1, 7 if name in ("cyclic_rotation_2d", "axis_rotation_3d",
                                             "dihedral_2d") else 5):
-            yield name, param
+            yield pytest.param(build_family(name, param), id=f"{name}-{param}")
+    # the rules read the elements only, so untagged closures take the tagged rules
+    for name, param in [("cyclic_rotation_2d", 3), ("cyclic_rotation_2d", 7),
+                        ("axis_rotation_3d", 4), ("dihedral_2d", 4)]:
+        yield pytest.param(FiniteGroup.from_matrices(build_family(name, param).stack),
+                           id=f"untagged_{name}-{param}")
+    # C5 conjugated by a random rotation of R^3, so its axis is no coordinate axis
+    Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
+    stack = Q @ build_family("axis_rotation_3d", 5).stack @ Q.T
+    yield pytest.param(FiniteGroup.from_matrices(stack), id="untagged_rotated_axis_rotation_3d-5")
 
 
-@pytest.mark.parametrize("name,param", list(_chi_rule_cases()))
-def test_no_sample_exceeds_the_resolved_chi(name, param):
-    # a sampled S-set is a lower bound on chi, so one above the resolved
+@pytest.mark.parametrize("g", list(_chi_rule_cases()))
+def test_no_sample_exceeds_the_resolved_chi(g):
+    # a sampled S-set is a lower bound on chi, so one above the proven
     # value would disprove its rule; the rules for reflection groups and
     # planar rotations are exact, so there the samples reach them
-    g = build_family(name, param)
-    chi, block = cli._resolve_chi(g)
+    chi, rule = proven_chi(g)
     est = voronoi_characteristic(g, 50, seed=11)
-    assert est.chi_lower <= chi, (block, est.witness_x, est.witness_y)
-    if block["source"] != "order_bound":
+    assert est.chi_lower <= chi, (rule, est.witness_x, est.witness_y)
+    if rule != "order_bound":
         assert est.chi_lower == chi
 
 
@@ -583,12 +611,16 @@ def test_settable_value_count_ratchet():
 
 
 # outside files a config may name, malformed; every case below runs among them
+C3_FILE = {"dim": 2, "family": "cyclic_rotation_2d", "param": 3,
+           "generators": build_family("cyclic_rotation_2d", 3).stack.reshape(3, -1).tolist()}
 OUTSIDE_FILES = {
     "no_generators.json": '{"dim": 2}',
     # C3's three elements stored under the tag of C4
-    "c3_tagged_as_c4.json": json.dumps({
-        "dim": 2, "family": "cyclic_rotation_2d", "param": 4,
-        "generators": build_family("cyclic_rotation_2d", 3).stack.reshape(3, -1).tolist()}),
+    "c3_tagged_as_c4.json": json.dumps(dict(C3_FILE, param=4)),
+    # numbers that int() would truncate or take as 1, loading C3, a 2-D or a 1-D group
+    "param_float.json": json.dumps(dict(C3_FILE, param=3.7)),
+    "dim_float.json": json.dumps(dict(C3_FILE, dim=2.9)),
+    "dim_bool.json": json.dumps({"dim": True, "generators": [[-1.0]]}),
     "not_numeric.csv": "1.0,x\n",
     "not_finite.csv": "1.0,nan\n0.5,0.25\n",
     "nan_generator.json": json.dumps({"dim": 2, "generators": [[math.nan, 0.0, 0.0, 1.0]]}),
@@ -631,6 +663,9 @@ OUTSIDE_FILES = {
     pytest.param({"templates": {"path": "not_finite.csv"}, "group_spec":
                   {"family": "cyclic_rotation_2d", "param": 3}}, [], id="template_file_not_finite"),
     pytest.param({"group_spec": {"path": "nan_generator.json"}}, [], id="group_file_nan_generator"),
+    pytest.param({"group_spec": {"path": "param_float.json"}}, [], id="group_file_param_float"),
+    pytest.param({"group_spec": {"path": "dim_float.json"}}, [], id="group_file_dim_float"),
+    pytest.param({"group_spec": {"path": "dim_bool.json"}}, [], id="group_file_dim_bool"),
 ])
 def test_exit_two_on_malformed_config_value(tmp_path, monkeypatch, capsys, change, flags):
     monkeypatch.chdir(tmp_path)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, strategies as st
 
 from maxfilter_lab import (BudgetExceeded, CaseMismatch, DistortionBoundParams,
@@ -298,13 +299,13 @@ def test_geometric_s_set_matches_the_lp_s_set(name, param):
 def test_sharp_bound_solves_no_lp_on_tagged_groups(name, param, monkeypatch):
     bank = referee_bank(name, param, 5, 12)
     calls = []
-    real = voronoi.linprog
+    real = scipy.optimize.linprog
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(voronoi, "linprog", counting)
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
     want = lower_bound_sharp(lp_route(bank), 20, seed=3)
     assert calls
     calls.clear()
@@ -548,7 +549,7 @@ def test_lp_budget_does_not_bind_the_geometric_route(name, param, monkeypatch):
     want = upper_bound_exact(bank)
     monkeypatch.setitem(BUDGETS, "lp_solves", 0)
     assert upper_bound_exact(bank) == want
-    report, _ = compute_stability_report(bank, chi=1, n_pairs=20, seed=1)
+    report, _ = compute_stability_report(bank, n_pairs=20, seed=1)
     assert report.provenance["beta_exact_certified"]
     assert report.beta_exact == want.beta
 
@@ -747,14 +748,14 @@ def test_witness_case_mismatch():
 
 
 def test_stability_report_golden(golden_bank):
-    report, emp = compute_stability_report(golden_bank, chi=2, n_pairs=200,
-                                           seed=5)
+    report, emp = compute_stability_report(golden_bank, n_pairs=200, seed=5)
     assert abs(report.beta_exact - math.sqrt(1.5)) < 1e-12
     assert abs(report.beta_relaxed - math.sqrt(2.0)) < 1e-12
     assert report.alpha_tilde == 0.0
     assert report.kappa_certified == math.inf
     prov = report.provenance
     assert prov["beta_exact_certified"] and prov["alpha_tilde_certified"]
+    assert prov["chi"] == 2    # proven for C3 by voronoi.proven_chi, not passed in
     assert len(emp.ratios) == 200
     audit = ordering_audit(report)
     assert all(ok for _, ok, _, _ in audit)
@@ -764,7 +765,7 @@ def test_stability_report_budget_flags(rng, monkeypatch):
     g = build_family("sign_flips", 2)
     bank = lp_route(MaxFilterBank(g, rng.standard_normal((5, 2))))
     monkeypatch.setitem(BUDGETS, "lp_solves", 2)
-    report, _ = compute_stability_report(bank, chi=1, n_pairs=20, seed=1)
+    report, _ = compute_stability_report(bank, n_pairs=20, seed=1)
     assert not report.provenance["beta_exact_certified"]
     assert report.provenance["beta_relaxed_certified"]
     # the provenance reads the caps in force when the report is made
