@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from .errors import BUDGETS, BudgetExceeded, LpNumericalFailure, NotNicePoint
 from .filtering import _CHAMBERS, MaxFilterBank
@@ -211,9 +213,6 @@ def _solve_blocks(pending: list, results: list) -> None:
     LP and store each verdict at its slot of ``results``."""
     if not pending:
         return
-    from scipy.optimize import linprog    # here, so a run without an LP never imports scipy
-    from scipy.sparse import csr_array
-
     R = np.concatenate([rows for _, rows in pending])
     d = R.shape[1]
     w = d + 1                     # unknowns per block: y_k then t_k

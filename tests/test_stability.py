@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, strategies as st
 
 from maxfilter_lab import (BudgetExceeded, CaseMismatch, DistortionBoundParams,
@@ -299,13 +298,13 @@ def test_geometric_s_set_matches_the_lp_s_set(name, param):
 def test_sharp_bound_solves_no_lp_on_tagged_groups(name, param, monkeypatch):
     bank = referee_bank(name, param, 5, 12)
     calls = []
-    real = scipy.optimize.linprog
+    real = voronoi.linprog
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    monkeypatch.setattr(voronoi, "linprog", counting)
     want = lower_bound_sharp(lp_route(bank), 20, seed=3)
     assert calls
     calls.clear()

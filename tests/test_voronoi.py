@@ -1,14 +1,9 @@
 import itertools
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, strategies as st
 
 from maxfilter_lab import (DEFAULT_TOL, BudgetExceeded, MaxFilterBank, NotNicePoint,
@@ -229,14 +224,14 @@ def test_chunk_split_keeps_verdicts(bound, monkeypatch, rng):
     whole = list(voronoi._margin_lps(s_set_problems(g, np.random.default_rng(1))))
 
     calls = []
-    real = scipy.optimize.linprog
+    real = voronoi.linprog
 
     def counting(*args, **kwargs):
         calls.append(kwargs["A_ub"].nnz)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(voronoi, "_LP_NNZ", bound)
-    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    monkeypatch.setattr(voronoi, "linprog", counting)
     split = list(voronoi._margin_lps(s_set_problems(g, np.random.default_rng(1))))
     assert len(calls) > 1
     # a call exceeds the bound only when one problem does alone
@@ -468,13 +463,13 @@ def test_chi_stream_matches_one_pair_s_sets(name, param):
 
 def test_chi_run_is_one_lp_stream(c5, monkeypatch):
     calls = []
-    real = scipy.optimize.linprog
+    real = voronoi.linprog
 
     def counting(*args, **kwargs):
         calls.append(kwargs["A_ub"].shape[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    monkeypatch.setattr(voronoi, "linprog", counting)
     est = voronoi_characteristic(c5, 25, seed=7)
     assert len(calls) == 1
     # 25 pairs, 5 two-cell problems each, 4 + 4 rows per problem
@@ -522,25 +517,3 @@ def test_voronoi_characteristic_saturation(pm2):
 def test_voronoi_characteristic_rejects_bad_counts(c5):
     with pytest.raises(ValueError):
         voronoi_characteristic(c5, 0, seed=1)
-
-
-def test_scipy_is_imported_by_the_first_lp_only():
-    # a fresh interpreter: the CLI, the geometric route of the exact bound
-    # and the chi proof solve no LP, so they leave scipy unimported
-    code = """
-import sys
-import numpy as np
-import maxfilter_lab.cli
-from maxfilter_lab import MaxFilterBank, build_family, proven_chi, s_set, upper_bound_exact
-g = build_family("cyclic_rotation_2d", 5)
-upper_bound_exact(MaxFilterBank(g, np.random.default_rng(0).standard_normal((4, 2))))
-assert proven_chi(g) == (2, "planar_sectors")
-assert "scipy.optimize" not in sys.modules
-rng = np.random.default_rng(1)
-assert s_set(g, rng.standard_normal(2), rng.standard_normal(2)).size == 2
-assert "scipy.optimize" in sys.modules
-"""
-    src = str(Path(voronoi.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
