@@ -10,7 +10,6 @@ optimality witness constructions round out the module.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -24,15 +23,7 @@ from .groups import _BLOCK, _first_seen
 from .kernels import is_reflection_group
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
-from .voronoi import (
-    VoronoiCellSpec,
-    _geometric_leaves,
-    _margin_lps,
-    cell_of,
-    choice_assignments,
-    proven_chi,
-    sample_nice,
-)
+from .voronoi import _pinned_leaves, cell_of, choice_assignments, proven_chi, sample_nice
 
 __all__ = [
     "UpperBound",
@@ -90,76 +81,41 @@ def upper_bound_exact(bank: MaxFilterBank) -> UpperBound:
 
     One template is pinned to a single orbit point: left-multiplying a
     whole tuple by any group element maps feasible tuples to feasible
-    tuples and preserves the spectral norm.  The family tag selects the
-    geometric route, ``voronoi._geometric_leaves`` pinned at that point,
-    which solves no LP; every other bank, and every bank that route
-    hands back, takes the LP route.  Both supply the same
-    feasible leaves, and ties in beta go to the first in lexicographic
-    order.  ``lp_solves`` counts the LP route's problems (0 on the
-    geometric route), and only the LP route is bound by
-    BUDGETS["lp_solves"]: it raises BudgetExceeded
-    exactly when it needs more LPs, after solving that many and no more.
-    Its ``partial`` is the best leaf scored so far, so it is None unless
-    the budget runs out on the last level.
+    tuples and preserves the spectral norm.  The pinned template's orbit
+    goes first, the others follow in template order, and
+    ``voronoi._pinned_leaves`` supplies the feasible leaves in
+    lexicographic order: from the cell geometry for the tagged families,
+    which solves no LP, else, and whenever that geometry hands a bank
+    back, from the margin-LP search.  Ties in beta go to the first leaf.
+    ``lp_solves`` counts the LP problems (0 on the geometric route), and
+    only the LP search is bound by BUDGETS["lp_solves"]: BudgetExceeded
+    is raised exactly when it needs more LPs, after solving that many and
+    no more.  Its ``partial`` is the best leaf scored so far, so it is
+    None unless the budget runs out on the last level.
     """
     n = bank.n_templates
-    orbits = bank.orbits
-    pin = int(np.argmax([orb.size for orb in orbits]))
+    pin = int(np.argmax([orb.size for orb in bank.orbits]))
     visit = [pin] + [i for i in range(n) if i != pin]
-
-    leaves, solves = _geometric_leaves(bank.group, [orbits[t] for t in visit], 0), 0
-    if leaves is None:
-        leaves, solves = _lp_leaves(orbits, visit)
-    if not leaves:
+    orbits = [bank.orbits[t] for t in visit]
+    leaves, solves, finished = _pinned_leaves(bank.group, orbits)
+    sigma = _spectral_norms(orbits, np.array(leaves)) if leaves else None
+    if not finished:
+        raise BudgetExceeded("upper_bound_exact LP budget exhausted",
+                             partial=None if sigma is None else float(sigma.max()))
+    if sigma is None:
         raise RuntimeError("no feasible tuple found; tolerances are inconsistent")
-    beta, key = _best_leaf(orbits, visit, leaves)
-    choice = dict(zip(visit, key))
-    elems = tuple(int(orbits[i].rep_elements[choice[i]]) for i in range(n))
-    return UpperBound(beta=beta, argmax_tuple=elems,
+    i = int(np.argmax(sigma))
+    choice = dict(zip(visit, leaves[i]))
+    elems = tuple(int(bank.orbits[t].rep_elements[choice[t]]) for t in range(n))
+    return UpperBound(beta=float(sigma[i]), argmax_tuple=elems,
                       lp_solves=solves, feasible_tuples=len(leaves))
 
 
-def _lp_leaves(orbits, visit) -> tuple[list[tuple[int, ...]], int]:
-    """Feasible leaves in lexicographic order, and the LP problems solved.
-
-    Level-synchronous search over per-template orbit points.  Level k
-    extends every jointly feasible k-tuple by each orbit point of the
-    next template, in lexicographic order; the children of a level are
-    decided together by block-diagonal margin LPs, and only the feasible
-    ones form the next level.  Pruning is safe because adding a cell only
-    shrinks the intersection.  Every child's verdict depends on its own
-    tuple alone, so the LPs solved, the feasible tuples and the leaf
-    order are exactly those of a depth-first search with the same child
-    order.  Tuples hold orbit-point indices in visit order, and each cell
-    is built on first use, looked up by (template, index).
-    """
-    cell = functools.cache(lambda t, c: VoronoiCellSpec(orbits[t], c))
-    frontier: list[tuple[int, ...]] = [()]
-    solves = 0
-    for pos, t in enumerate(visit):
-        n_cand = 1 if pos == 0 else orbits[t].size
-        needed = len(frontier) * n_cand
-        take = min(needed, max(BUDGETS["lp_solves"] - solves, 0))
-        kids = [frontier[i // n_cand] + (i % n_cand,) for i in range(take)]
-        verdicts = _margin_lps([cell(*tc) for tc in zip(visit, kid)] for kid in kids)
-        frontier = [kid for kid, v in zip(kids, verdicts) if v.feasible]
-        solves += take
-        if take < needed:
-            partial = _best_leaf(orbits, visit, frontier)[0] if pos == len(visit) - 1 else None
-            raise BudgetExceeded("upper_bound_exact LP budget exhausted", partial=partial)
-    return frontier, solves
-
-
-def _best_leaf(orbits, visit, leaves) -> tuple[float | None, tuple[int, ...] | None]:
-    """Largest spectral norm over full tuples, columns in visit order, and
-    the first tuple attaining it; (None, None) without leaves."""
-    if not leaves:
-        return None, None
-    cols = np.stack([np.stack([orbits[t].points[c] for t, c in zip(visit, key)], axis=1)
-                     for key in leaves])
-    sigma = np.linalg.svd(cols, compute_uv=False)[:, 0]
-    i = int(np.argmax(sigma))
-    return float(sigma[i]), leaves[i]
+def _spectral_norms(orbits, idx: np.ndarray) -> np.ndarray:
+    """Spectral norm of each tuple of an (L, n) index array: row l takes
+    point idx[l, i] of orbits[i] as column i."""
+    cols = np.stack([orb.points[idx[:, i]] for i, orb in enumerate(orbits)], axis=2)
+    return np.linalg.svd(cols, compute_uv=False)[:, 0]
 
 
 def upper_bound_relaxed(bank: MaxFilterBank) -> float:
@@ -179,9 +135,8 @@ def upper_bound_relaxed(bank: MaxFilterBank) -> float:
         if hi > BUDGETS["tuple_leaves"]:
             raise BudgetExceeded("upper_bound_relaxed tuple budget exhausted",
                                  partial=None if best == -math.inf else best)
-        idx = np.unravel_index(np.arange(lo, hi), sizes)
-        cols = np.stack([orbits[i].points[idx[i]] for i in range(len(orbits))], axis=2)
-        best = max(best, float(np.linalg.svd(cols, compute_uv=False)[:, 0].max()))
+        idx = np.stack(np.unravel_index(np.arange(lo, hi), sizes), axis=1)
+        best = max(best, float(_spectral_norms(orbits, idx).max()))
     return float(best)
 
 

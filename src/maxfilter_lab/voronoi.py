@@ -28,7 +28,7 @@ import warnings
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -151,6 +151,44 @@ def _geometric_leaves(group: FiniteGroup, orbits, pin: int) -> list[tuple[int, .
     if (keys[:, 0] != pin).any() or not strictly_inside(scores, keys, probes).all():
         return None
     return sorted(set(map(tuple, keys.tolist())))
+
+
+def _pinned_leaves(group: FiniteGroup, orbits) -> tuple[list[tuple[int, ...]], int, bool]:
+    """Feasible leaves of the orbits in lexicographic order, orbit 0 pinned
+    at its point 0; the margin-LP problems solved; and whether the search
+    finished within BUDGETS["lp_solves"].
+
+    ``_geometric_leaves`` answers first and solves no LP.  Otherwise a
+    level-synchronous search runs over the orbits in the order given.
+    Level k extends every jointly feasible k-tuple by each point of the
+    next orbit, in lexicographic order; the children of a level are
+    decided together by block-diagonal margin LPs, and only the feasible
+    ones form the next level.  Pruning is safe because adding a cell only
+    shrinks the intersection.  Every child's verdict depends on its own
+    tuple alone, so the LPs solved, the feasible tuples and the leaf
+    order are exactly those of a depth-first search with the same child
+    order.  Each cell is built on first use, looked up by (orbit, index).
+    When a level would pass the budget, exactly that many problems are
+    solved; the leaves returned are then the feasible children decided
+    so far if that level is the last, and none otherwise.
+    """
+    leaves = _geometric_leaves(group, orbits, 0)
+    if leaves is not None:
+        return leaves, 0, True
+    cell = cache(lambda t, c: VoronoiCellSpec(orbits[t], c))
+    frontier: list[tuple[int, ...]] = [()]
+    solves = 0
+    for t, orb in enumerate(orbits):
+        n_cand = 1 if t == 0 else orb.size
+        needed = len(frontier) * n_cand
+        take = min(needed, max(BUDGETS["lp_solves"] - solves, 0))
+        kids = [frontier[i // n_cand] + (i % n_cand,) for i in range(take)]
+        verdicts = _margin_lps([cell(*tc) for tc in enumerate(kid)] for kid in kids)
+        frontier = [kid for kid, v in zip(kids, verdicts) if v.feasible]
+        solves += take
+        if take < needed:
+            return (frontier if t == len(orbits) - 1 else []), solves, False
+    return frontier, solves, True
 
 
 def cell_of(group: FiniteGroup, x) -> VoronoiCellSpec:

@@ -101,7 +101,7 @@ def test_geometric_route_solves_no_lp(name, param, monkeypatch):
 
     bank = referee_bank(name, param, 6, 12)
     assert all(orb.size == bank.group.order for orb in bank.orbits)
-    monkeypatch.setattr(stability, "_margin_lps", no_lp)
+    monkeypatch.setattr(voronoi, "_margin_lps", no_lp)
     ub = upper_bound_exact(bank)
     assert ub.lp_solves == 0 and ub.feasible_tuples >= 1
 
@@ -168,14 +168,14 @@ def test_lp_budget_edge(spec, monkeypatch):
     assert upper_bound_exact(bank) == full
 
     solved = []
-    real = stability._margin_lps
+    real = voronoi._margin_lps
 
     def counting(problems):
         for r in real(problems):
             solved.append(r)
             yield r
 
-    monkeypatch.setattr(stability, "_margin_lps", counting)
+    monkeypatch.setattr(voronoi, "_margin_lps", counting)
     for budget in (need - 1, need // 2, 1, 0):
         solved.clear()
         monkeypatch.setitem(BUDGETS, "lp_solves", budget)
