@@ -16,7 +16,7 @@ class ClosureOverflow(MaxFilterError):
 
 
 class SizeOverflow(MaxFilterError):
-    """A requested family would exceed the order cap, groups.MAX_ORDER."""
+    """A requested group would exceed groups.MAX_ORDER or groups.MAX_DIM."""
 
 
 class LengthMismatch(MaxFilterError):

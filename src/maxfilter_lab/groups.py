@@ -36,6 +36,7 @@ __all__ = [
     "load_group",
     "FAMILIES",
     "MAX_ORDER",
+    "MAX_DIM",
 ]
 
 
@@ -65,6 +66,17 @@ def _canonical_order(stack: np.ndarray) -> np.ndarray:
 _BLOCK = 1 << 20
 # largest group order any constructor builds or any closure reaches
 MAX_ORDER = 100_000
+# largest dimension of a group's matrices, checked before any is built: an
+# element holds d^2 entries and the canonical sort takes d^2 keys of the
+# whole stack, so with MAX_ORDER every family's stack stays within 2^24
+# entries (sign_flips(16) and circular_shifts(256) reach it)
+MAX_DIM = 256
+
+
+def _check_dim(dim: int) -> None:
+    """Raise SizeOverflow past MAX_DIM, read at call time."""
+    if dim > MAX_DIM:
+        raise SizeOverflow(f"dimension {dim} exceeds MAX_DIM={MAX_DIM}")
 
 
 def _projection(k: int) -> np.ndarray:
@@ -166,6 +178,7 @@ class FiniteGroup:
     @classmethod
     def from_matrices(cls, mats: np.ndarray) -> "FiniteGroup":
         stack = np.asarray(mats, dtype=float)
+        _check_dim(stack.shape[-1])
         stack = stack[_canonical_order(stack)]
         stack.setflags(write=False)
         return cls(stack)
@@ -208,7 +221,8 @@ def generate_group(generators) -> FiniteGroup:
     found so far, in slices of frontier rows; the rule only looks back, so
     slicing keeps the elements and their order.  Each slice re-reads the
     elements, so it holds up to _BLOCK entries or as many as they have.
-    Raises ClosureOverflow past MAX_ORDER elements, read at call time.
+    Raises ClosureOverflow past MAX_ORDER elements and SizeOverflow past
+    MAX_DIM, before any product is formed; both caps are read at call time.
     The group is untagged, so its filter takes the dense route even when
     it equals a named family; build a family with its constructor to get
     that route.
@@ -217,6 +231,7 @@ def generate_group(generators) -> FiniteGroup:
     if not gens:
         raise ValueError("need at least one generator")
     dim = gens[0].shape[0]
+    _check_dim(dim)
     for g in gens:
         _as_matrix(g, dim)
         _check_orthogonal(g)
@@ -251,10 +266,11 @@ def _rotation_2d(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _family_cap(name: str, param: int, factors) -> None:
-    """A family parameter must be positive and give an order within MAX_ORDER.
-    The order is the product of ``factors``, multiplied only until it
-    passes the cap, so a huge order is never built or printed."""
+def _family_cap(name: str, param: int, dim: int, factors) -> None:
+    """A family parameter must be positive and give an order within
+    MAX_ORDER and a dimension ``dim`` within MAX_DIM.  The order is the
+    product of ``factors``, multiplied only until it passes the cap, so a
+    huge order is never built or printed."""
     if param < 1:
         raise ValueError(f"{name} needs a parameter >= 1, got {param}")
     order = 1
@@ -262,18 +278,19 @@ def _family_cap(name: str, param: int, factors) -> None:
         order *= f
         if order > MAX_ORDER:
             raise SizeOverflow(f"{name}({param}) would have order > MAX_ORDER={MAX_ORDER}")
+    _check_dim(dim)
 
 
 def cyclic_rotation_2d(m: int) -> FiniteGroup:
     """Planar rotations by multiples of 2*pi/m."""
-    _family_cap("cyclic_rotation_2d", m, (m,))
+    _family_cap("cyclic_rotation_2d", m, 2, (m,))
     mats = np.stack([_rotation_2d(2 * math.pi * k / m) for k in range(m)])
     return FiniteGroup._from_stack(mats, "cyclic_rotation_2d", m)
 
 
 def axis_rotation_3d(m: int) -> FiniteGroup:
     """Rotations about the e3 axis by multiples of 2*pi/m; e3 is fixed."""
-    _family_cap("axis_rotation_3d", m, (m,))
+    _family_cap("axis_rotation_3d", m, 3, (m,))
     mats = []
     for k in range(m):
         M = np.eye(3)
@@ -284,7 +301,7 @@ def axis_rotation_3d(m: int) -> FiniteGroup:
 
 def dihedral_2d(m: int) -> FiniteGroup:
     """Order-2m dihedral group: m rotations and m reflections."""
-    _family_cap("dihedral_2d", m, (2, m))
+    _family_cap("dihedral_2d", m, 2, (2, m))
     flip = np.diag([1.0, -1.0])
     rots = [_rotation_2d(2 * math.pi * k / m) for k in range(m)]
     mats = np.stack(rots + [R @ flip for R in rots])
@@ -293,7 +310,7 @@ def dihedral_2d(m: int) -> FiniteGroup:
 
 def sign_flips(d: int) -> FiniteGroup:
     """All 2^d diagonal matrices with +-1 entries."""
-    _family_cap("sign_flips", d, itertools.repeat(2, d))
+    _family_cap("sign_flips", d, d, itertools.repeat(2, d))
     mats = np.stack([np.diag(np.array(s, dtype=float))
                      for s in itertools.product((1.0, -1.0), repeat=d)])
     return FiniteGroup._from_stack(mats, "sign_flips", d)
@@ -301,7 +318,7 @@ def sign_flips(d: int) -> FiniteGroup:
 
 def permutations(d: int) -> FiniteGroup:
     """All d! coordinate-permutation matrices."""
-    _family_cap("permutations", d, range(2, d + 1))
+    _family_cap("permutations", d, d, range(2, d + 1))
     mats = []
     for p in itertools.permutations(range(d)):
         M = np.zeros((d, d))
@@ -312,13 +329,13 @@ def permutations(d: int) -> FiniteGroup:
 
 def plus_minus_id(d: int) -> FiniteGroup:
     """The two-element group {I, -I} on R^d."""
-    _family_cap("plus_minus_id", d, (2,))
+    _family_cap("plus_minus_id", d, d, (2,))
     return FiniteGroup._from_stack(np.stack([np.eye(d), -np.eye(d)]), "plus_minus_id", d)
 
 
 def circular_shifts(d: int) -> FiniteGroup:
     """Cyclic shifts of coordinates; max filtering runs as an FFT cross-correlation."""
-    _family_cap("circular_shifts", d, (d,))
+    _family_cap("circular_shifts", d, d, (d,))
     shift = np.zeros((d, d))
     shift[np.arange(d), (np.arange(d) - 1) % d] = 1.0  # (S x)[i] = x[i-1]
     mats = [np.eye(d)]
@@ -340,7 +357,8 @@ FAMILIES = {
 
 def build_family(name: str, param: int) -> FiniteGroup:
     """Build a named family; ``param`` is m for the rotation families and
-    d for the coordinate families.  Raises SizeOverflow past MAX_ORDER."""
+    d for the coordinate families.  Raises SizeOverflow past MAX_ORDER
+    or MAX_DIM."""
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILIES)}")
     return FAMILIES[name](param)
@@ -388,7 +406,8 @@ def load_group(path) -> FiniteGroup:
     A tagged file is rebuilt by its family constructor, which keeps the
     family's filter routes, and its stored elements must equal the
     constructor's within eq_tol.  An untagged file is closed again from
-    its stored elements.  Either way the order is capped at MAX_ORDER.
+    its stored elements.  Either way the order is capped at MAX_ORDER and
+    the dimension at MAX_DIM.
     ``dim``, and ``param`` in a tagged file, must be integers, not bools.
     """
     payload = json.loads(Path(path).read_text())

@@ -523,25 +523,19 @@ def _reflection_witness(bank: MaxFilterBank, seed: int) -> WitnessPair:
     return WitnessPair(x=x, y=y, achieved_ratio=dphi / dq, target_alpha=target, case="reflection")
 
 
-def optimality_witness(
-    bank: MaxFilterBank,
-    case: str,
-    seed: int = 0,
-) -> WitnessPair:
-    """Construct a pair whose ratio attains the case's closed-form sharp
-    lower constant: 'pm_id' for G = {+I, -I}, 'reflection' for a group
-    generated by its reflections (``kernels.is_reflection_group``)."""
+def optimality_witness(bank: MaxFilterBank, seed: int = 0) -> WitnessPair:
+    """Construct a pair whose ratio attains the closed-form sharp lower
+    constant of the bank's group, the case read off its elements: 'pm_id'
+    when G = {+I, -I}, else 'reflection' when G is generated by its
+    reflections (``kernels.is_reflection_group``), else CaseMismatch.
+    On R^1, {+1, -1} is both, and both give the norm of the templates."""
     group = bank.group
-    if case == "pm_id":
-        eye = np.eye(group.dim)
-        if group.order != 2 or not group.contains(-eye) or not group.contains(eye):
-            raise CaseMismatch("pm_id witness requires the group {+I, -I}")
+    eye = np.eye(group.dim)
+    if group.order == 2 and group.contains(-eye) and group.contains(eye):
         return _pm_id_witness(bank)
-    if case == "reflection":
-        if not is_reflection_group(group):
-            raise CaseMismatch("reflection witness requires a group generated by its reflections")
+    if is_reflection_group(group):
         return _reflection_witness(bank, seed)
-    raise CaseMismatch(f"unknown witness case {case!r}")
+    raise CaseMismatch("a witness needs the group {+I, -I} or a group generated by its reflections")
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,17 @@ meet a pinned cell is read off the closed-form cell geometry of the
 tagged reflection and planar rotation families (``_geometric_leaves``)
 for β and the sharp bound's S-sets; every other group, every question
 that geometry hands back, and ``s_set`` and χ, which check the rules
-that geometry rests on, ask a small margin LP.  A cell is named by its
-orbit and its centre's index there (``VoronoiCellSpec``); ``cell_of``
-alone looks a centre up from a point.  Independent margin LPs are
-solved together as one block-diagonal LP: every block keeps its own
-variables and rows, so each block's optimum, and its verdict, is the
-one the block would have alone.
-``strict_cones_feasible`` is the one-problem case; the S-set pairs of a χ run
-share one lazy stream (``_s_sets``), and β's LP route sends one batch per level.
-``proven_chi`` is the one proof of an upper bound on χ, read off the
-group's elements; ``voronoi_characteristic`` only samples a lower bound.
+that geometry rests on, ask a small margin LP.  Every margin LP starts
+here: β's LP route is the level search of ``_pinned_leaves``, one batch
+per level, and the S-set pairs of a χ run share one lazy stream
+(``_s_sets``).  A cell is named by its orbit and its centre's index
+there (``VoronoiCellSpec``); ``cell_of`` alone looks a centre up from a
+point.  Independent margin LPs are solved together as one
+block-diagonal LP: every block keeps its own variables and rows, so each
+block's optimum, and its verdict, is the one the block would have alone;
+``strict_cones_feasible`` is the one-problem case.  ``proven_chi`` is
+the one proof of an upper bound on χ, read off the group's elements;
+``voronoi_characteristic`` only samples a lower bound.
 """
 
 from __future__ import annotations
@@ -107,20 +108,16 @@ def strictly_inside(scores: np.ndarray, centers: np.ndarray, probes: np.ndarray)
     return margins > DEFAULT_TOL.lp_tol * np.abs(probes).max(axis=-1)
 
 
-# Families whose open cells are known in closed form at principal points:
-# the open chamber of a reflection group, one per key of
-# filtering._CHAMBERS (Humphreys, Reflection Groups and Coxeter Groups,
-# 1990, ch. 1), and for a planar rotation the open sector of width 2*pi/m
-# centred on the point, times the axis in 3-D.
-_PLANAR_FAMILIES = ("cyclic_rotation_2d", "axis_rotation_3d")
-
-
 def _geometric_leaves(group: FiniteGroup, orbits, pin: int) -> list[tuple[int, ...]] | None:
     """Sorted feasible leaves from the cell geometry, or None to fall back.
 
     A leaf holds one point index per orbit, orbit 0 pinned at ``pin``.
-    Applies to the families above when every orbit has size |G|.
-    One probe lies in each jointly feasible intersection: the pinned point
+    Applies when every orbit has size |G| and the family's open cells are
+    known in closed form at principal points: the open chamber of a
+    reflection group, one per key of filtering._CHAMBERS (Humphreys,
+    Reflection Groups and Coxeter Groups, 1990, ch. 1), and for a planar
+    rotation the open sector of width 2*pi/m centred on the point, times
+    the axis in 3-D.  One probe lies in each jointly feasible intersection: the pinned point
     itself for a reflection group, whose chamber meets one chamber of
     every orbit; for a planar rotation, the midpoint of each arc that the
     other orbits' sector cuts make inside the sector centred on the
@@ -130,7 +127,7 @@ def _geometric_leaves(group: FiniteGroup, orbits, pin: int) -> list[tuple[int, .
     the leaf by ``strictly_inside``, the margin LP's own rule.  No cell
     is built.
     """
-    if (group.family not in (*_CHAMBERS, *_PLANAR_FAMILIES)
+    if (group.family not in (*_CHAMBERS, "cyclic_rotation_2d", "axis_rotation_3d")
             or any(orb.size != group.order for orb in orbits)):
         return None
     firsts = np.stack([orbits[0].points[pin]] + [orb.points[0] for orb in orbits[1:]])

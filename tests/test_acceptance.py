@@ -180,7 +180,8 @@ def test_acceptance_optimality_witnesses(pm2, sf2):
         for trial in range(5):
             rng = np.random.default_rng((9, trial))
             bank = MaxFilterBank(g, rng.standard_normal((n, g.dim)))
-            w = optimality_witness(bank, case, seed=trial)
+            w = optimality_witness(bank, seed=trial)
+            ok = ok and w.case == case
             scale = max(w.target_alpha, 1e-12)
             ok = ok and abs(w.achieved_ratio - w.target_alpha) <= 1e-6 * scale
     assert _emit("optimality_witnesses", ok)

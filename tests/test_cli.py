@@ -603,7 +603,7 @@ def test_settable_value_count_ratchet():
             callables = [obj] if callable(obj) else []
         count += sum(p not in ("self", "cls")
                      for f in callables for p in inspect.signature(f).parameters)
-    assert count <= 164
+    assert count <= 163
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +633,8 @@ OUTSIDE_FILES = {
     pytest.param({"group_spec": {"family": "sign_flips"}}, [], id="param_missing"),
     pytest.param({"group_spec": {"family": "permutations", "param": 2000}}, [],
                  id="param_order_too_large"),
+    pytest.param({"group_spec": {"family": "circular_shifts", "param": 1000}}, [],
+                 id="param_dim_too_large"),
     pytest.param({"seed": -1}, [], id="seed_negative"),
     pytest.param({"seed": 1.5}, [], id="seed_float"),
     pytest.param({"templates": {"sampler": "gaussian", "n": 3, "seed": 4}}, [],

@@ -282,8 +282,9 @@ def test_backend_blocks_long_batches(rng):
         for b in (0, 299, 599):
             for i in (0, 150, 299):
                 assert abs(img[b, i] - _dense(g, Z[i], X[b])) < 1e-10
-    g = build_family("plus_minus_id", 300)
-    X, Y = rng.standard_normal((2, 30, 300))
+    # at MAX_DIM a block holds 15 paired rows, so 40 rows take three blocks
+    g = build_family("plus_minus_id", 256)
+    X, Y = rng.standard_normal((2, 40, 256))
     vals = max_filter_pairs(g, X, Y)
     assert np.allclose(vals, np.abs((X * Y).sum(axis=1)), rtol=1e-12, atol=1e-10)
 

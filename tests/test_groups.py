@@ -101,6 +101,36 @@ def test_family_size_cap():
         build_family("sign_flips", 20000)
 
 
+@pytest.mark.parametrize("make,args", [
+    (build_family, ("circular_shifts", 1000)),
+    (build_family, ("plus_minus_id", 300)),
+    (generate_group, ([-np.eye(300)],)),
+    (FiniteGroup.from_matrices, (np.stack([np.eye(300), -np.eye(300)]),)),
+], ids=["circular_shifts_1000", "plus_minus_id_300", "generate_group_300", "from_matrices_300"])
+def test_dimension_cap_raises_before_building(make, args):
+    # plus_minus_id(300) alone would sort 2 x 90000 keys: over 200 MiB
+    assert groups.MAX_DIM == 256
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeOverflow, match="MAX_DIM=256"):
+            make(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_dimension_cap_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_DIM", 3)
+    assert build_family("sign_flips", 3).dim == 3
+    assert generate_group([np.diag([-1.0, 1.0, 1.0])]).order == 2
+    for make in (lambda: build_family("sign_flips", 4),
+                 lambda: generate_group([np.diag([-1.0, 1.0, 1.0, 1.0])]),
+                 lambda: FiniteGroup.from_matrices(np.eye(4)[None])):
+        with pytest.raises(SizeOverflow, match="MAX_DIM=3"):
+            make()
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         build_family("frieze", 3)

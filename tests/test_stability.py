@@ -682,7 +682,7 @@ def test_success_probability_formula():
 def test_pm_id_witness_rank_one_partition():
     pm2 = build_family("plus_minus_id", 2)
     bank = MaxFilterBank(pm2, np.array([[1.0, 0.0], [0.0, 1.0]]))
-    w = optimality_witness(bank, "pm_id")
+    w = optimality_witness(bank)
     assert w.target_alpha == 0.0
     assert abs(w.achieved_ratio) < 1e-9
 
@@ -691,7 +691,7 @@ def test_pm_id_witness_achieves_target(rng):
     pm2 = build_family("plus_minus_id", 2)
     for _ in range(3):
         bank = MaxFilterBank(pm2, rng.standard_normal((4, 2)))
-        w = optimality_witness(bank, "pm_id")
+        w = optimality_witness(bank)
         assert w.target_alpha > 0
         assert abs(w.achieved_ratio - w.target_alpha) <= 1e-6 * w.target_alpha
 
@@ -701,18 +701,18 @@ def test_pm_id_witness_partition_cap_edge(monkeypatch):
     # all, one below it raises before enumerating any
     bank = MaxFilterBank(build_family("plus_minus_id", 2),
                          np.random.default_rng(5).standard_normal((4, 2)))
-    want = optimality_witness(bank, "pm_id")
+    want = optimality_witness(bank)
     monkeypatch.setitem(BUDGETS, "pm_id_partitions", 16)
-    assert optimality_witness(bank, "pm_id").target_alpha == want.target_alpha
+    assert optimality_witness(bank).target_alpha == want.target_alpha
     monkeypatch.setitem(BUDGETS, "pm_id_partitions", 15)
     with pytest.raises(BudgetExceeded, match="16 partitions"):
-        optimality_witness(bank, "pm_id")
+        optimality_witness(bank)
 
 
 def test_reflection_witness_rank_one():
     sf2 = build_family("sign_flips", 2)
     bank = MaxFilterBank(sf2, np.array([[1.0, 1.0]]))
-    w = optimality_witness(bank, "reflection", seed=2)
+    w = optimality_witness(bank, seed=2)
     assert w.target_alpha == 0.0
     assert abs(w.achieved_ratio) < 1e-9
 
@@ -720,7 +720,7 @@ def test_reflection_witness_rank_one():
 def test_reflection_witness_two_template_value():
     sf2 = build_family("sign_flips", 2)
     bank = MaxFilterBank(sf2, np.array([[2.0, 1.0], [1.0, 2.0]]))
-    w = optimality_witness(bank, "reflection", seed=2)
+    w = optimality_witness(bank, seed=2)
     # lambda_min of [[5,4],[4,5]] is 1
     assert abs(w.target_alpha - 1.0) < 1e-12
     assert abs(w.achieved_ratio - 1.0) <= 1e-6
@@ -728,18 +728,22 @@ def test_reflection_witness_two_template_value():
     assert abs(emp.alpha_emp - w.target_alpha) < 1e-3
 
 
+def test_witness_case_is_read_off_the_group():
+    # {+1, -1} on R^1 is also generated by its reflection: pm_id goes first,
+    # and both constructions give the norm of the templates there
+    bank = MaxFilterBank(build_family("plus_minus_id", 1), np.array([[0.5], [-1.2], [2.0]]))
+    w = optimality_witness(bank)
+    assert w.case == "pm_id"
+    assert abs(w.target_alpha - np.linalg.norm(bank.templates)) < 1e-12
+    sf2 = build_family("sign_flips", 2)
+    assert optimality_witness(MaxFilterBank(sf2, np.eye(2))).case == "reflection"
+
+
 def test_witness_case_mismatch():
     c5 = build_family("cyclic_rotation_2d", 5)
     bank = MaxFilterBank(c5, np.array([[1.0, 0.0]]))
     with pytest.raises(CaseMismatch):
-        optimality_witness(bank, "pm_id")
-    with pytest.raises(CaseMismatch):
-        optimality_witness(bank, "reflection")
-    with pytest.raises(CaseMismatch):
-        optimality_witness(bank, "rotation")
-    sf2 = build_family("sign_flips", 2)
-    with pytest.raises(CaseMismatch):
-        optimality_witness(MaxFilterBank(sf2, np.eye(2)), "pm_id")
+        optimality_witness(bank)
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +805,7 @@ def test_each_template_orbit_is_built_once(monkeypatch):
     upper_bound_exact(bank)
     upper_bound_relaxed(bank)
     alpha_tilde(bank, chi=1)
-    optimality_witness(bank, "reflection")
+    optimality_witness(bank)
     assert [builds(z) for z in bank.templates] == [1, 1, 1, 1]
 
 
