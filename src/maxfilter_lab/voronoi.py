@@ -117,11 +117,11 @@ def _geometric_leaves(group: FiniteGroup, orbits, pin: int) -> list[tuple[int, .
     reflection group, one per key of filtering._CHAMBERS (Humphreys,
     Reflection Groups and Coxeter Groups, 1990, ch. 1), and for a planar
     rotation the open sector of width 2*pi/m centred on the point, times
-    the axis in 3-D.  One probe lies in each jointly feasible intersection: the pinned point
-    itself for a reflection group, whose chamber meets one chamber of
-    every orbit; for a planar rotation, the midpoint of each arc that the
-    other orbits' sector cuts make inside the sector centred on the
-    pinned point.  One product scores every probe against every orbit; a
+    the axis in 3-D.  One probe lies in each jointly feasible
+    intersection: the pinned point itself for a reflection group, whose
+    chamber meets one chamber of every orbit; for a planar rotation, the
+    midpoint of each arc that the other orbits' sector cuts make inside
+    the sector centred on the pinned point.  One product scores every probe against every orbit; a
     probe's leaf is its argmax point per orbit.  It stands only if the
     probe keeps ``pin`` and, by those same scores, lies in every cell of
     the leaf by ``strictly_inside``, the margin LP's own rule.  No cell
