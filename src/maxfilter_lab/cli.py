@@ -197,20 +197,14 @@ def resolve_templates(config: ExperimentConfig, group: FiniteGroup,
     return rng.standard_normal((config.templates["n"], group.dim))
 
 
-class StageTimer:
-    """Collects wall-clock seconds per named stage."""
-
-    def __init__(self):
-        self.timings: dict[str, float] = {}
-
-    @contextmanager
-    def stage(self, name: str):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.timings[name] = self.timings.get(name, 0.0) + (
-                time.perf_counter() - t0)
+@contextmanager
+def _stage(timings: dict[str, float], name: str):
+    """Add the wall-clock seconds of the with-block to timings[name]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = timings.get(name, 0.0) + (time.perf_counter() - t0)
 
 
 def _sandwich_lower(name: str, at: float, distances, image_distances, which: str) -> dict:
@@ -222,20 +216,21 @@ def _sandwich_lower(name: str, at: float, distances, image_distances, which: str
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each takes (config, seed, timer) and returns
+# subcommands; each takes (config, group, seed, timings), the group built
+# by `run` from config.group_spec (maxfilter checks it but filters without
+# it) and timings the stage seconds `_stage` adds to, and returns
 # (results, assertions, csv_files, certified), where csv_files is a list of
 # (filename, table) and a table maps each column name to its column, one
 # entry per row (reporting.write_csv); certified is False on a budget miss
 
 
-def cmd_bounds(config: ExperimentConfig, seed: int, timer: StageTimer):
+def cmd_bounds(config: ExperimentConfig, group: FiniteGroup, seed: int, timings: dict):
     """exact/relaxed upper and certified/sampled lower Lipschitz bounds"""
-    group = build_group_from_spec(config.group_spec)
     Z = resolve_templates(config, group, seed)
     bank = MaxFilterBank(group, Z)
-    with timer.stage("chi"):
+    with _stage(timings, "chi"):
         chi, rule = proven_chi(group)
-    with timer.stage("bounds"):
+    with _stage(timings, "bounds"):
         stab, emp = compute_stability_report(bank, n_pairs=config.n_pairs, seed=seed)
 
     try:
@@ -287,13 +282,12 @@ def cmd_bounds(config: ExperimentConfig, seed: int, timer: StageTimer):
     return results, asserts, csvs, certified
 
 
-def cmd_distortion(config: ExperimentConfig, seed: int, timer: StageTimer):
+def cmd_distortion(config: ExperimentConfig, group: FiniteGroup, seed: int, timings: dict):
     """random-template distortion vs the closed-form bound"""
-    group = build_group_from_spec(config.group_spec)
     if config.templates is None or "sampler" not in config.templates:
         raise ConfigError("distortion requires templates drawn by a sampler")
     n = int(config.templates["n"])
-    with timer.stage("chi"):
+    with _stage(timings, "chi"):
         chi, rule = proven_chi(group)
     params = DistortionBoundParams(m=group.order, chi=chi, d=group.dim,
                                    n=n, lambda0=config.lambda0)
@@ -303,7 +297,7 @@ def cmd_distortion(config: ExperimentConfig, seed: int, timer: StageTimer):
              "kappa_certified": [], "kappa_empirical": [], "within_bound": [],
              "empirical_le_certified": []}
     uncertified = []
-    with timer.stage("trials"):
+    with _stage(timings, "trials"):
         for t in range(config.n_trials):
             rng = np.random.default_rng((seed, STREAMS["distortion_trials"], t))
             bank = MaxFilterBank(group, rng.standard_normal((n, group.dim)))
@@ -379,11 +373,10 @@ def _collision_scan(bank: MaxFilterBank, n_pairs: int, seed: int, n_tag: int):
                      "image_distance": dphi, "ratio": ratio}
 
 
-def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
+def cmd_injectivity(config: ExperimentConfig, group: FiniteGroup, seed: int, timings: dict):
     """collision search at the injectivity template counts"""
-    group = build_group_from_spec(config.group_spec)
     d = group.dim
-    with timer.stage("chi"):
+    with _stage(timings, "chi"):
         chi, rule = proven_chi(group)
     threshold_n = chi * (d - 1) + 1
     run_ns = sorted({2 * d, threshold_n})
@@ -393,7 +386,7 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
     blocks = []
     certified = True
     for n in run_ns:
-        with timer.stage(f"scan_n{n}"):
+        with _stage(timings, f"scan_n{n}"):
             rng = np.random.default_rng((seed, STREAMS["injectivity_templates"], n))
             bank = MaxFilterBank(group, rng.standard_normal((n, d)))
             at, at_ok = _within_budget(alpha_tilde, bank, chi)
@@ -423,11 +416,10 @@ def cmd_injectivity(config: ExperimentConfig, seed: int, timer: StageTimer):
     return results, asserts, [("injectivity_pairs.csv", table)], certified
 
 
-def cmd_kernel(config: ExperimentConfig, seed: int, timer: StageTimer):
+def cmd_kernel(config: ExperimentConfig, group: FiniteGroup, seed: int, timings: dict):
     """kernel positive-semidefiniteness audit"""
-    group = build_group_from_spec(config.group_spec)
     reflection = is_reflection_group(group)
-    with timer.stage("psd_search"):
+    with _stage(timings, "psd_search"):
         search = search_psd_violation(group, config.n_trials,
                                       config.points_per_trial, seed)
 
@@ -455,7 +447,7 @@ def cmd_kernel(config: ExperimentConfig, seed: int, timer: StageTimer):
     return results, asserts, [], True
 
 
-def cmd_maxfilter(config: ExperimentConfig, seed: int, timer: StageTimer):
+def cmd_maxfilter(config: ExperimentConfig, group: FiniteGroup, seed: int, timings: dict):
     """FFT vs brute-force circular max filtering"""
     results = {}
     asserts = []
@@ -464,10 +456,10 @@ def cmd_maxfilter(config: ExperimentConfig, seed: int, timer: StageTimer):
         rng = np.random.default_rng((seed, STREAMS["maxfilter_pairs"], d))
         F = rng.standard_normal((config.n_pairs, d))
         G = rng.standard_normal((config.n_pairs, d))
-        with timer.stage(f"fft_d{d}"):
+        with _stage(timings, f"fft_d{d}"):
             fft_vals = np.array([max_filter_circular_fft(F[k], G[k])
                                  for k in range(config.n_pairs)])
-        with timer.stage(f"brute_d{d}"):
+        with _stage(timings, f"brute_d{d}"):
             brute_vals = np.array([max_filter_circular_brute(F[k], G[k])
                                    for k in range(config.n_pairs)])
         gap = np.abs(fft_vals - brute_vals)
@@ -489,10 +481,9 @@ def cmd_maxfilter(config: ExperimentConfig, seed: int, timer: StageTimer):
     return {"per_dim": results}, asserts, [("maxfilter_pairs.csv", table)], True
 
 
-def cmd_chi(config: ExperimentConfig, seed: int, timer: StageTimer):
+def cmd_chi(config: ExperimentConfig, group: FiniteGroup, seed: int, timings: dict):
     """sampled cell-crossing count of the group"""
-    group = build_group_from_spec(config.group_spec)
-    with timer.stage("chi"):
+    with _stage(timings, "chi"):
         est = voronoi_characteristic(group, config.chi_samples, seed)
     counts = np.bincount(est.sizes, minlength=group.order + 1)
     asserts = []
@@ -557,10 +548,11 @@ def run(subcommand: str, config_path: str, seed: int | None = None,
         run_seed, seed_source = config.seed, "config"
     else:
         raise ConfigError("a seed is required: pass --seed or set it in the config")
+    group = build_group_from_spec(config.group_spec)
     out_dir = Path(out or "reports")
 
-    timer = StageTimer()
-    results, asserts, csvs, certified = _DISPATCH[subcommand](config, run_seed, timer)
+    timings: dict[str, float] = {}
+    results, asserts, csvs, certified = _DISPATCH[subcommand](config, group, run_seed, timings)
     passed = all_passed(asserts)
     report = {
         "subcommand": subcommand,
@@ -570,10 +562,10 @@ def run(subcommand: str, config_path: str, seed: int | None = None,
         "results": results,
         "assertions": asserts,
         "passed": passed,
-        "timings": timer.timings,
+        "timings": timings,
     }
     code = 3 if not certified else 0 if passed else 1
-    with timer.stage("write_csv"):
+    with _stage(timings, "write_csv"):
         for filename, table in csvs:
             write_csv(out_dir / filename, table)
     json_path = write_json(report, out_dir / f"{subcommand}_report.json")

@@ -336,12 +336,9 @@ def plus_minus_id(d: int) -> FiniteGroup:
 def circular_shifts(d: int) -> FiniteGroup:
     """Cyclic shifts of coordinates; max filtering runs as an FFT cross-correlation."""
     _family_cap("circular_shifts", d, d, (d,))
-    shift = np.zeros((d, d))
-    shift[np.arange(d), (np.arange(d) - 1) % d] = 1.0  # (S x)[i] = x[i-1]
-    mats = [np.eye(d)]
-    for _ in range(d - 1):
-        mats.append(shift @ mats[-1])
-    return FiniteGroup._from_stack(np.stack(mats), "circular_shifts", d)
+    # the k-th element maps x to x shifted by k: (S^k x)[i] = x[i-k]
+    mats = np.stack([np.roll(np.eye(d), k, axis=0) for k in range(d)])
+    return FiniteGroup._from_stack(mats, "circular_shifts", d)
 
 
 FAMILIES = {

@@ -467,23 +467,36 @@ class WitnessPair:
     case: str
 
 
+def _best_partition(Z: np.ndarray) -> int:
+    """Mask (bit i: template i in I) of the first partition I | J, in mask
+    order, least in lambda_min(sum_I z z^T) + lambda_min(sum_J z z^T).  A
+    mask and its complement score alike, so only masks below 2^(n-1) are
+    scored, in blocks of at most _BLOCK entries."""
+    n, d = Z.shape
+    outer = np.einsum("ni,nj->nij", Z, Z).reshape(n, d * d)
+    step = max(1, _BLOCK // (n + 2 * d * d))
+    best = (math.inf, 0)
+    for lo in range(0, 2 ** (n - 1), step):
+        masks = np.arange(lo, min(lo + step, 2 ** (n - 1)))
+        bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+        score = (_lam_min_batch((bits @ outer).reshape(-1, d, d))
+                 + _lam_min_batch(((1.0 - bits) @ outer).reshape(-1, d, d)))
+        j = int(np.argmin(score))
+        best = min(best, (float(score[j]), lo + j))   # a tie keeps the earlier mask
+    return best[1]
+
+
 def _pm_id_witness(bank: MaxFilterBank) -> WitnessPair:
     """Best partition I | J of the templates; x = u + v, y = u - v with u, v
     unit bottom eigenvectors of the two partial Gram sums."""
     Z = bank.templates
-    n, d = Z.shape
+    n = Z.shape[0]
     if 2 ** n > BUDGETS["pm_id_partitions"]:
         raise BudgetExceeded(f"pm_id witness: {2 ** n} partitions exceed the cap of "
                              f"{BUDGETS['pm_id_partitions']}")
-    best = (math.inf, None)
-    for mask in range(2 ** n):
-        sel = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
-        A = Z[sel].T @ Z[sel] if sel.any() else np.zeros((d, d))
-        B = Z[~sel].T @ Z[~sel] if (~sel).any() else np.zeros((d, d))
-        val = float(_lam_min_batch(np.stack([A, B])).sum())
-        if val < best[0]:
-            best = (val, (A, B))
-    delta_sq, (A, B) = best
+    sel = ((_best_partition(Z) >> np.arange(n)) & 1).astype(bool)
+    A, B = (Z[part].T @ Z[part] for part in (sel, ~sel))
+    delta_sq = float(_lam_min_batch(np.stack([A, B])).sum())
     u = np.linalg.eigh(A)[1][:, 0]
     v = np.linalg.eigh(B)[1][:, 0]
     x, y = u + v, u - v

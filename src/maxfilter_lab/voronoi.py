@@ -221,57 +221,52 @@ def _margin_lps(problems: Iterable[Sequence[VoronoiCellSpec]]) -> Iterator[ConeF
     an LP.  Problems are read lazily and solved in groups of at most
     _LP_NNZ nonzeros, so a long iterable is never held at once.
     """
-    pending: list[tuple[int, np.ndarray]] = []
-    results: list[ConeFeasibility | None] = []
+    blocks: list[np.ndarray] = []
     nnz = 0
     for cells in problems:
-        rows = [c.rows for c in cells if c.rows.shape[0] > 0]
-        if rows:
-            R = np.concatenate(rows)
-            size = R.shape[0] * (R.shape[1] + 1)
-            if pending and nnz + size > _LP_NNZ:
-                _solve_blocks(pending, results)
-                yield from results
-                pending, results, nnz = [], [], 0
-            pending.append((len(results), R))
-            results.append(None)
-            nnz += size
-        else:
-            d = cells[0].center.shape[0] if cells else 0
-            results.append(ConeFeasibility(feasible=True, witness=np.zeros(d), margin=np.inf))
-    _solve_blocks(pending, results)
-    yield from results
+        R = np.concatenate([c.rows for c in cells]) if cells else np.zeros((0, 0))
+        size = R.shape[0] * (R.shape[1] + 1)
+        if blocks and nnz + size > _LP_NNZ:
+            yield from _solve_blocks(blocks)
+            blocks, nnz = [], 0
+        blocks.append(R)
+        nnz += size
+    yield from _solve_blocks(blocks)
 
 
-def _solve_blocks(pending: list, results: list) -> None:
-    """Solve the (slot, rows) problems of ``pending`` as one block-diagonal
-    LP and store each verdict at its slot of ``results``."""
-    if not pending:
-        return
-    R = np.concatenate([rows for _, rows in pending])
-    d = R.shape[1]
-    w = d + 1                     # unknowns per block: y_k then t_k
-    counts = [rows.shape[0] for _, rows in pending]
-    k = len(pending)
-    block = np.repeat(np.arange(k), counts)
-    # row r of block b: -R[r] in columns b*w .. b*w+d-1, +1 in column b*w+d
-    data = np.hstack([-R, np.ones((R.shape[0], 1))])
-    indices = (block * w)[:, None] + np.arange(w)
-    A = csr_array((data.ravel(), indices.ravel(), np.arange(0, data.size + 1, w)),
-                  shape=(R.shape[0], k * w))
-    cost = np.zeros(k * w)
-    cost[d::w] = -1.0
-    bounds = np.tile([-1.0, 1.0], (k * w, 1))
-    bounds[d::w] = (-np.inf, np.inf)
-    res = linprog(cost, A_ub=A, b_ub=np.zeros(R.shape[0]), bounds=bounds, method="highs")
-    if res.status != 0 or res.x is None:
-        raise LpNumericalFailure(f"margin LP failed with status {res.status}: {res.message}")
-    x = res.x.reshape(k, w)
-    for (slot, _), xk in zip(pending, x):
+def _solve_blocks(blocks: list[np.ndarray]) -> list[ConeFeasibility]:
+    """One verdict per block of rows: the blocks with rows are solved as
+    one block-diagonal LP, and a rowless block gets margin inf without one."""
+    solved = [R for R in blocks if R.shape[0] > 0]
+    if solved:
+        R = np.concatenate(solved)
+        d = R.shape[1]
+        w = d + 1                     # unknowns per block: y_k then t_k
+        k = len(solved)
+        block = np.repeat(np.arange(k), [rows.shape[0] for rows in solved])
+        # row r of block b: -R[r] in columns b*w .. b*w+d-1, +1 in column b*w+d
+        data = np.hstack([-R, np.ones((R.shape[0], 1))])
+        indices = (block * w)[:, None] + np.arange(w)
+        A = csr_array((data.ravel(), indices.ravel(), np.arange(0, data.size + 1, w)),
+                      shape=(R.shape[0], k * w))
+        cost = np.zeros(k * w)
+        cost[d::w] = -1.0
+        bounds = np.tile([-1.0, 1.0], (k * w, 1))
+        bounds[d::w] = (-np.inf, np.inf)
+        res = linprog(cost, A_ub=A, b_ub=np.zeros(R.shape[0]), bounds=bounds, method="highs")
+        if res.status != 0 or res.x is None:
+            raise LpNumericalFailure(f"margin LP failed with status {res.status}: {res.message}")
+        solutions = iter(res.x.reshape(k, w))
+    verdicts = []
+    for R in blocks:
+        d = R.shape[1]
+        # a rowless block bounds no t_k: margin inf at y_k = 0
+        xk = next(solutions) if R.shape[0] > 0 else np.append(np.zeros(d), np.inf)
         margin = float(xk[d])
         feasible = margin > DEFAULT_TOL.lp_tol
         witness = xk[:d].copy() if feasible else None
-        results[slot] = ConeFeasibility(feasible=feasible, witness=witness, margin=margin)
+        verdicts.append(ConeFeasibility(feasible=feasible, witness=witness, margin=margin))
+    return verdicts
 
 
 def strict_cones_feasible(

@@ -16,7 +16,7 @@ import numpy as np
 from maxfilter_lab.errors import BudgetExceeded
 from maxfilter_lab.filtering import MaxFilterBank
 from maxfilter_lab.groups import FiniteGroup, orbit_of
-from maxfilter_lab.stability import UpperBound
+from maxfilter_lab.stability import UpperBound, _lam_min_batch
 from maxfilter_lab.tolerances import DEFAULT_TOL
 from maxfilter_lab.voronoi import VoronoiCellSpec, strict_cones_feasible
 
@@ -355,6 +355,24 @@ def loop_pm_representatives(points: np.ndarray) -> np.ndarray:
         if not any(np.linalg.norm(p + q) <= thresh for q in reps):
             reps.append(p)
     return np.stack(reps)
+
+
+def loop_pm_id_witness(Z: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, float]:
+    """(mask, x, y, target_alpha) of the pm_id witness, one partition at a
+    time over all 2^n masks; the first strictly least mask wins."""
+    n, d = Z.shape
+    best = (math.inf, None, None)
+    for mask in range(2 ** n):
+        sel = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
+        A = Z[sel].T @ Z[sel] if sel.any() else np.zeros((d, d))
+        B = Z[~sel].T @ Z[~sel] if (~sel).any() else np.zeros((d, d))
+        val = float(_lam_min_batch(np.stack([A, B])).sum())
+        if val < best[0]:
+            best = (val, mask, (A, B))
+    delta_sq, mask, (A, B) = best
+    u = np.linalg.eigh(A)[1][:, 0]
+    v = np.linalg.eigh(B)[1][:, 0]
+    return mask, u + v, u - v, math.sqrt(max(delta_sq, 0.0))
 
 
 def dense_closure_defect(stack: np.ndarray) -> float:

@@ -680,6 +680,23 @@ def test_exit_two_on_malformed_config_value(tmp_path, monkeypatch, capsys, chang
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("group_spec", [
+    pytest.param({"family": "circular_shifts", "param": 1000}, id="dim_too_large"),
+    pytest.param({"path": "missing.json"}, id="group_file_missing"),
+])
+def test_maxfilter_exits_two_on_a_group_spec_that_fails_to_build(
+        tmp_path, monkeypatch, capsys, group_spec):
+    # maxfilter filters its signals without the group, but run builds the
+    # config's group for every subcommand, so a bad group_spec is an error
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"group_spec": group_spec, "dims": [4], "n_pairs": 5,
+                                  "seed": 3})
+    assert main(["maxfilter", "--config", cfg, "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_rejects_bad_counts():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(dict(SF2_BOUNDS, n_pairs=0))

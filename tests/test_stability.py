@@ -19,7 +19,8 @@ from maxfilter_lab.errors import BUDGETS
 from maxfilter_lab.stability import pair_lower_value
 from oracles import (brute_alpha_tilde, brute_beta_exact_sampled,
                      brute_beta_relaxed, dfs_alpha_tilde, dfs_upper_bound_exact,
-                     distortion_bound_mpmath, grid_alpha_tilde, lp_route, sigma_mpmath)
+                     distortion_bound_mpmath, grid_alpha_tilde, loop_pm_id_witness, lp_route,
+                     sigma_mpmath)
 
 GOLDEN_Z = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 
@@ -707,6 +708,46 @@ def test_pm_id_witness_partition_cap_edge(monkeypatch):
     monkeypatch.setitem(BUDGETS, "pm_id_partitions", 15)
     with pytest.raises(BudgetExceeded, match="16 partitions"):
         optimality_witness(bank)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_pm_id_witness_matches_the_partition_loop(d):
+    # where the best partition is unique, the blocked scoring picks the
+    # loop's mask and the witness carries the loop's bits.  At d = 1 every
+    # partition scores |Z|^2, and at n <= 2d - 2 some split leaves both
+    # parts rank-deficient, so the least score is 0 up to rounding: there
+    # the tie may break on another mask, and target_alpha^2 agrees within
+    # rounding (target_alpha, its root, only within about 1e-8)
+    g = build_family("plus_minus_id", d)
+    for n in range(1, 11):
+        for seed in range(2):
+            Z = np.random.default_rng((seed, d, n)).standard_normal((n, d))
+            mask, x, y, target = loop_pm_id_witness(Z)
+            w = optimality_witness(MaxFilterBank(g, Z))
+            if d == 1 or n <= 2 * d - 2:
+                assert abs(w.target_alpha ** 2 - target ** 2) <= 1e-12 * (1 + (Z ** 2).sum())
+            else:
+                assert stability._best_partition(Z) == mask
+                assert w.x.tobytes() == x.tobytes() and w.y.tobytes() == y.tobytes()
+                assert w.target_alpha == target
+
+
+def test_pm_id_witness_memory_stays_within_blocks(monkeypatch):
+    # 2^15 scored masks of 16 templates; unblocked, their bits alone would
+    # take 4 MiB.  With blocks of 4096 entries the traced peak stays below
+    # 8 blocks, and the best partition is the one found in a single block
+    bank = MaxFilterBank(build_family("plus_minus_id", 2),
+                         np.random.default_rng(3).standard_normal((16, 2)))
+    want = stability._best_partition(bank.templates), optimality_witness(bank).target_alpha
+    monkeypatch.setattr(stability, "_BLOCK", 4096)
+    tracemalloc.start()
+    try:
+        got = stability._best_partition(bank.templates), optimality_witness(bank).target_alpha
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 8 * stability._BLOCK * 8
 
 
 def test_reflection_witness_rank_one():
