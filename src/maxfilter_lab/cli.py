@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import groups
 from .errors import BudgetExceeded, ConfigError, DomainError, MaxFilterError
 from .filtering import (MaxFilterBank, _pair_distances, apply_bank_batch,
                         load_templates, max_filter_circular_brute,
@@ -50,6 +49,9 @@ from .voronoi import proven_chi, voronoi_characteristic
 
 _FRACTION_SLACK = 0.05          # distortion: allowed shortfall below the success probability
 _MIN_QUOTIENT_DISTANCE = 1e-3   # injectivity: pairs closer in the quotient are not scanned
+_LAMBDA0 = 4.0                  # bounds, distortion: the lambda0 of the closed-form bound
+_DIMS = (4, 16, 64, 256)        # maxfilter: the signal lengths it filters
+_CHI_SAMPLES = 1000             # chi: the (x, y) pairs it samples
 
 
 def _require_int(name: str, value, least: int) -> None:
@@ -82,27 +84,25 @@ class ExperimentConfig:
     ``group_spec`` is either {"family": name, "param": int} or
     {"path": "group.json"}.  ``templates`` is either {"path": "z.csv"} or
     {"sampler": "gaussian", "n": int}; subcommands that draw their own
-    templates ignore it.  Only the chi subcommand reads ``chi_samples``,
-    ``expected_chi`` and ``expected_saturated``; the others take the chi
-    that voronoi.proven_chi proves from the group's elements.  Search
-    caps, tolerances, chi and the report directory are not config keys:
-    the caps are fixed in errors.BUDGETS, and reports go to ``--out``.
+    templates ignore it.  Only the chi subcommand reads ``expected_chi``
+    and ``expected_saturated``; the others take the chi that
+    voronoi.proven_chi proves from the group's elements.  Search caps,
+    tolerances, chi, lambda0, sizes and the report directory are not
+    config keys: the caps are fixed in errors.BUDGETS, lambda0 and the
+    sizes in module constants here and in kernels, and reports go to
+    ``--out``.
     """
 
     group_spec: dict
     templates: dict | None = None
     n_pairs: int = 1000
     n_trials: int = 50
-    lambda0: float = 4.0
-    chi_samples: int = 300
-    dims: tuple[int, ...] = (4, 16, 64, 256)
-    points_per_trial: int = 6
     expected_chi: int | None = None
     expected_saturated: bool | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        for name in ("n_pairs", "n_trials", "chi_samples", "points_per_trial"):
+        for name in ("n_pairs", "n_trials"):
             _require_int(name, getattr(self, name), 1)
         if self.expected_chi is not None:
             _require_int("expected_chi", self.expected_chi, 1)
@@ -111,17 +111,6 @@ class ExperimentConfig:
                 f"expected_saturated must be true or false, got {self.expected_saturated!r}")
         if self.seed is not None:
             _require_int("seed", self.seed, 0)
-        if (not isinstance(self.lambda0, (int, float)) or isinstance(self.lambda0, bool)
-                or not math.isfinite(self.lambda0)):
-            raise ConfigError(f"lambda0 must be a finite number, got {self.lambda0!r}")
-        if not self.dims:
-            raise ConfigError("dims must be a nonempty list of positive integers")
-        for i, d in enumerate(self.dims):
-            _require_int(f"dims[{i}]", d, 1)
-            if d > groups.MAX_ORDER:
-                raise ConfigError(f"dims[{i}] must be <= MAX_ORDER={groups.MAX_ORDER}, got {d}")
-        if len(set(self.dims)) != len(self.dims):
-            raise ConfigError(f"dims must not repeat an entry, got {list(self.dims)}")
         if not _require_source("group_spec", self.group_spec, "family", "param"):
             if self.group_spec["family"] not in FAMILIES:
                 raise ConfigError(
@@ -142,11 +131,8 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
         try:
-            if "dims" in kwargs:
-                kwargs["dims"] = tuple(kwargs["dims"])
-            return cls(**kwargs)
+            return cls(**raw)
         except TypeError as e:
             raise ConfigError(str(e)) from e
 
@@ -236,7 +222,7 @@ def cmd_bounds(config: ExperimentConfig, group: FiniteGroup, seed: int, timings:
     try:
         params = DistortionBoundParams(
             m=group.order, chi=chi, d=group.dim, n=bank.n_templates,
-            lambda0=config.lambda0)
+            lambda0=_LAMBDA0)
         bound_info = {"value": theoretical_distortion_bound(params),
                       "reason": None,
                       "lam": params.lam,
@@ -260,7 +246,8 @@ def cmd_bounds(config: ExperimentConfig, group: FiniteGroup, seed: int, timings:
         asserts.append(assertion(
             "sandwich_upper", "image distance <= beta_exact * d on every sampled pair",
             high_margin >= -_AUDIT_SLACK, high_margin, _AUDIT_SLACK))
-    if math.isfinite(stab.kappa_certified) and math.isfinite(stab.kappa_empirical):
+    if (prov["alpha_tilde_certified"] and prov["beta_exact_certified"]
+            and math.isfinite(stab.kappa_certified) and math.isfinite(stab.kappa_empirical)):
         asserts.append(assertion(
             "kappa_empirical_le_certified",
             "empirical distortion is bounded by the certified ratio",
@@ -290,7 +277,7 @@ def cmd_distortion(config: ExperimentConfig, group: FiniteGroup, seed: int, timi
     with _stage(timings, "chi"):
         chi, rule = proven_chi(group)
     params = DistortionBoundParams(m=group.order, chi=chi, d=group.dim,
-                                   n=n, lambda0=config.lambda0)
+                                   n=n, lambda0=_LAMBDA0)
     bound = theoretical_distortion_bound(params)  # DomainError -> exit 2
 
     table = {"trial": np.arange(config.n_trials), "beta_exact": [], "alpha_tilde": [],
@@ -420,8 +407,7 @@ def cmd_kernel(config: ExperimentConfig, group: FiniteGroup, seed: int, timings:
     """kernel positive-semidefiniteness audit"""
     reflection = is_reflection_group(group)
     with _stage(timings, "psd_search"):
-        search = search_psd_violation(group, config.n_trials,
-                                      config.points_per_trial, seed)
+        search = search_psd_violation(group, config.n_trials, seed)
 
     consistent = reflection != search.found
     asserts = [assertion(
@@ -452,7 +438,7 @@ def cmd_maxfilter(config: ExperimentConfig, group: FiniteGroup, seed: int, timin
     results = {}
     asserts = []
     blocks = []
-    for d in config.dims:
+    for d in _DIMS:
         rng = np.random.default_rng((seed, STREAMS["maxfilter_pairs"], d))
         F = rng.standard_normal((config.n_pairs, d))
         G = rng.standard_normal((config.n_pairs, d))
@@ -484,7 +470,7 @@ def cmd_maxfilter(config: ExperimentConfig, group: FiniteGroup, seed: int, timin
 def cmd_chi(config: ExperimentConfig, group: FiniteGroup, seed: int, timings: dict):
     """sampled cell-crossing count of the group"""
     with _stage(timings, "chi"):
-        est = voronoi_characteristic(group, config.chi_samples, seed)
+        est = voronoi_characteristic(group, _CHI_SAMPLES, seed)
     counts = np.bincount(est.sizes, minlength=group.order + 1)
     asserts = []
     if config.expected_chi is not None:
@@ -502,7 +488,7 @@ def cmd_chi(config: ExperimentConfig, group: FiniteGroup, seed: int, timings: di
         "chi_lower": est.chi_lower,
         "saturated": est.saturated,
         "group_order": group.order,
-        "n_samples": config.chi_samples,
+        "n_samples": _CHI_SAMPLES,
         "witness_x": est.witness_x,
         "witness_y": est.witness_y,
         "size_histogram": {str(s): int(counts[s])

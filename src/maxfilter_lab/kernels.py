@@ -28,6 +28,8 @@ from .groups import FiniteGroup, generate_group
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
 
+_POINTS_PER_TRIAL = 6   # search_psd_violation: the points, so the Gram size, of one trial
+
 
 @dataclass(frozen=True)
 class GramAudit:
@@ -115,20 +117,19 @@ class PsdSearchResult:
 def search_psd_violation(
     group: FiniteGroup,
     n_trials: int,
-    points_per_trial: int,
     seed: int,
 ) -> PsdSearchResult:
     """Search Gaussian point sets for a Gram matrix with a negative eigenvalue.
 
-    Trial t draws from default_rng((seed, tag, t)), so results are
-    reproducible and prefix-stable in n_trials.  Stops at the first
-    certificate.
+    Trial t draws _POINTS_PER_TRIAL points from default_rng((seed, tag,
+    t)), so results are reproducible and prefix-stable in n_trials.
+    Stops at the first certificate.
     """
-    if n_trials < 1 or points_per_trial < 1:
-        raise ValueError("n_trials and points_per_trial must be >= 1")
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
     for trial in range(n_trials):
         rng = np.random.default_rng((seed, STREAMS["psd_search"], trial))
-        X = rng.standard_normal((points_per_trial, group.dim))
+        X = rng.standard_normal((_POINTS_PER_TRIAL, group.dim))
         audit = gram_audit(group, X)
         if audit.verdict == "not_psd":
             return PsdSearchResult(found=True, certificate=audit,

@@ -190,14 +190,14 @@ def test_acceptance_optimality_witnesses(pm2, sf2):
 def test_acceptance_kernel_dichotomy(c5, pm2, perm3, sf3, dih4):
     ok = True
     for g in (c5, pm2):
-        res = search_psd_violation(g, n_trials=200, points_per_trial=6, seed=5)
+        res = search_psd_violation(g, n_trials=200, seed=5)
         ok = ok and res.found and is_reflection_group(g) is (not res.found)
         if res.found:
             q = direct_quadratic_form(g, res.certificate.points,
                                       res.certificate.coeffs)
             ok = ok and q < -1e-6
     for g in (perm3, sf3, dih4):
-        res = search_psd_violation(g, n_trials=500, points_per_trial=6, seed=5)
+        res = search_psd_violation(g, n_trials=500, seed=5)
         ok = ok and not res.found and is_reflection_group(g) is (not res.found)
     assert _emit("kernel_dichotomy", ok)
 

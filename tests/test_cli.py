@@ -39,7 +39,7 @@ SF2_BOUNDS = {
 C3_DISTORTION = {
     "group_spec": {"family": "cyclic_rotation_2d", "param": 3},
     "templates": {"sampler": "gaussian", "n": 16},
-    "lambda0": 4.0, "n_trials": 2, "n_pairs": 50, "seed": 3,
+    "n_trials": 2, "n_pairs": 50, "seed": 3,
 }
 
 # the top-level keys every report carries, whatever the subcommand
@@ -88,13 +88,13 @@ def test_seed_flag_overrides_config(tmp_path):
 @pytest.mark.parametrize("sub,payload,csvname", [
     # kernel writes no CSV: it samples nothing per pair or trial
     ("kernel", {"group_spec": {"family": "cyclic_rotation_2d", "param": 5},
-                "n_trials": 20, "points_per_trial": 5, "seed": 3}, None),
+                "n_trials": 20, "seed": 3}, None),
     ("maxfilter", {"group_spec": {"family": "circular_shifts", "param": 4},
-                   "dims": [4, 8], "n_pairs": 10, "seed": 3},
+                   "n_pairs": 10, "seed": 3},
      "maxfilter_pairs.csv"),
     ("chi", {"group_spec": {"family": "permutations", "param": 3},
-             "chi_samples": 100, "expected_chi": 1,
-             "expected_saturated": False, "seed": 3}, "chi_samples.csv"),
+             "expected_chi": 1, "expected_saturated": False, "seed": 3},
+     "chi_samples.csv"),
     ("injectivity", {"group_spec": {"family": "cyclic_rotation_2d",
                                     "param": 5},
                      "n_pairs": 2000, "seed": 3},
@@ -126,7 +126,7 @@ def test_distortion_small_run(tmp_path):
 def test_stream_tags_are_unique_and_recorded(tmp_path):
     assert len(set(STREAMS.values())) == len(STREAMS)
     payload = {"group_spec": {"family": "circular_shifts", "param": 4},
-               "dims": [4], "n_pairs": 5, "seed": 3}
+               "n_pairs": 5, "seed": 3}
     cfg = write_config(tmp_path, payload)
     assert run("maxfilter", cfg, out=str(tmp_path / "out")) == 0
     report = json.loads((tmp_path / "out" / "maxfilter_report.json").read_text())
@@ -135,7 +135,7 @@ def test_stream_tags_are_unique_and_recorded(tmp_path):
 
 def test_reports_are_deterministic(tmp_path):
     payload = {"group_spec": {"family": "cyclic_rotation_2d", "param": 5},
-               "n_trials": 20, "points_per_trial": 5, "seed": 3}
+               "n_trials": 20, "seed": 3}
     cfg = write_config(tmp_path, payload)
     for d in ("r1", "r2"):
         assert run("kernel", cfg, out=str(tmp_path / d)) == 0
@@ -151,6 +151,8 @@ def test_run_all_runs_every_shipped_config():
     script = (CONFIGS.parent / "scripts" / "run_all.sh").read_text()
     listed = set(re.findall(r"configs/(\w+\.json)", script))
     assert listed == {p.name for p in CONFIGS.glob("*.json")}
+    for name in sorted(listed):
+        load_config(CONFIGS / name)   # a key the config no longer takes raises
 
 
 def _load_diff_reports():
@@ -306,7 +308,7 @@ def test_write_csv_streams_its_rows(tmp_path):
 
 def test_exit_one_on_failed_assertion(tmp_path, capsys):
     payload = {"group_spec": {"family": "permutations", "param": 3},
-               "chi_samples": 100, "expected_chi": 3, "seed": 3}
+               "expected_chi": 3, "seed": 3}
     cfg = write_config(tmp_path, payload)
     assert run("chi", cfg, out=str(tmp_path / "out")) == 1
     assert "[FAIL]" in capsys.readouterr().out
@@ -358,29 +360,25 @@ def test_exit_two_unreadable_config(tmp_path, capsys, make):
     assert not (tmp_path / "out").exists()
 
 
-def test_exit_two_lambda_below_floor(tmp_path):
-    # n=4 templates with chi=2, d=2 gives lambda=1 < lambda0
-    payload = {
-        "group_spec": {"family": "cyclic_rotation_2d", "param": 3},
-        "templates": {"sampler": "gaussian", "n": 4},
-        "lambda0": 4.0, "n_trials": 1, "n_pairs": 20, "seed": 3,
-    }
-    cfg = write_config(tmp_path, payload)
-    assert main(["distortion", "--config", cfg]) == 2
+# n=4 templates with chi=2, d=2 gives lambda=1 < lambda0 = 4
+C3_BELOW_LAMBDA0 = dict(C3_DISTORTION, templates={"sampler": "gaussian", "n": 4},
+                        n_trials=1, n_pairs=20)
 
 
-def test_overflowing_distortion_bound_is_a_domain_error(tmp_path, capsys):
-    # lambda0 just above 1 sends the bound's exponent past the float range
-    payload = dict(C3_DISTORTION, templates={"sampler": "gaussian", "n": 8},
-                   lambda0=1.000001)
-    cfg = write_config(tmp_path, payload)
+def test_exit_two_lambda_below_floor(tmp_path, capsys):
+    cfg = write_config(tmp_path, C3_BELOW_LAMBDA0)
     assert main(["distortion", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "float range" in err and "Traceback" not in err
+    assert err.startswith("error: ") and "below lambda0" in err and "Traceback" not in err
+
+
+def test_bounds_reports_a_bound_out_of_its_domain_as_null(tmp_path):
+    # bounds keeps its report when the closed-form bound has no value
+    cfg = write_config(tmp_path, C3_BELOW_LAMBDA0)
     assert run("bounds", cfg, out=str(tmp_path / "b")) == 0
     report = json.loads((tmp_path / "b" / "bounds_report.json").read_text())
     bound = report["results"]["theoretical_bound"]
-    assert bound["value"] is None and "float range" in bound["reason"]
+    assert bound["value"] is None and "below lambda0" in bound["reason"]
 
 
 def untagged_group_spec(tmp_path, family, param):
@@ -487,6 +485,21 @@ def test_exit_three_on_each_exhaustible_budget(tmp_path, monkeypatch, sub, key, 
         assert all(r.split(",")[2] == "nan" for r in rows[1:])   # no partial alpha_tilde
 
 
+def test_bounds_checks_kappa_only_when_both_factors_are_certified(tmp_path, monkeypatch):
+    # 30 evaluations stop alpha_tilde on this bank with a finite partial
+    # value, so kappa_certified is finite but certifies nothing
+    monkeypatch.setitem(BUDGETS, "alpha_tilde_evals", 30)
+    cfg = write_config(tmp_path, {"group_spec": {"family": "sign_flips", "param": 3},
+                                  "templates": {"sampler": "gaussian", "n": 5},
+                                  "n_pairs": 50, "seed": 1})
+    assert run("bounds", cfg, out=str(tmp_path / "out")) == 3
+    report = json.loads((tmp_path / "out" / "bounds_report.json").read_text())
+    stab = report["results"]["stability"]
+    assert stab["provenance"]["alpha_tilde_certified"] is False
+    assert math.isfinite(stab["alpha_tilde"]) and math.isfinite(stab["kappa_certified"])
+    assert "kappa_empirical_le_certified" not in {a["name"] for a in report["assertions"]}
+
+
 # each run takes the first rule that proves a chi
 P3_BOUNDS = {"group_spec": {"family": "permutations", "param": 3},
              "templates": {"sampler": "gaussian", "n": 3}, "n_pairs": 50, "seed": 7}
@@ -559,7 +572,8 @@ def test_no_sample_exceeds_the_resolved_chi(g):
 
 
 @pytest.mark.parametrize("name", ["fraction_slack", "min_quotient_distance", "tolerances",
-                                  "budgets", "out", "chi"])
+                                  "budgets", "out", "chi", "lambda0", "dims",
+                                  "chi_samples", "points_per_trial"])
 def test_former_config_constants_are_unknown_keys(tmp_path, capsys, name):
     cfg = write_config(tmp_path, dict(SF2_BOUNDS, **{name: 0.1}))
     assert main(["bounds", "--config", cfg]) == 2
@@ -603,7 +617,7 @@ def test_settable_value_count_ratchet():
             callables = [obj] if callable(obj) else []
         count += sum(p not in ("self", "cls")
                      for f in callables for p in inspect.signature(f).parameters)
-    assert count <= 163
+    assert count <= 158
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +658,6 @@ OUTSIDE_FILES = {
     pytest.param({"templates": {"path": str(CONFIGS / "golden_templates.csv"), "n": 3}}, [],
                  id="template_path_with_count"),
     pytest.param({}, ["--seed", "-1"], id="seed_flag_negative"),
-    pytest.param({"lambda0": "x"}, [], id="lambda0_string"),
-    pytest.param({"lambda0": True}, [], id="lambda0_bool"),
-    pytest.param({"dims": [True, 4]}, [], id="dims_bool"),
-    pytest.param({"dims": 4}, [], id="dims_not_a_list"),
-    pytest.param({"dims": [4, 4]}, [], id="dims_repeated"),
-    pytest.param({"dims": [4, 1_000_000_000]}, [], id="dims_above_max_order"),
     pytest.param({"expected_chi": "1"}, [], id="expected_chi_string"),
     pytest.param({"expected_saturated": "no"}, [], id="expected_saturated_string"),
     pytest.param({"group_spec": {"path": "no_generators.json"}}, [],
@@ -689,8 +697,7 @@ def test_maxfilter_exits_two_on_a_group_spec_that_fails_to_build(
     # maxfilter filters its signals without the group, but run builds the
     # config's group for every subcommand, so a bad group_spec is an error
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, {"group_spec": group_spec, "dims": [4], "n_pairs": 5,
-                                  "seed": 3})
+    cfg = write_config(tmp_path, {"group_spec": group_spec, "n_pairs": 5, "seed": 3})
     assert main(["maxfilter", "--config", cfg, "--out", "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
