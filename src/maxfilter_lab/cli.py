@@ -52,6 +52,7 @@ _MIN_QUOTIENT_DISTANCE = 1e-3   # injectivity: pairs closer in the quotient are 
 _LAMBDA0 = 4.0                  # bounds, distortion: the lambda0 of the closed-form bound
 _DIMS = (4, 16, 64, 256)        # maxfilter: the signal lengths it filters
 _CHI_SAMPLES = 1000             # chi: the (x, y) pairs it samples
+_MAX_PAIRS = 100_000            # largest n_pairs (injectivity_c5's); memory grows with it
 
 
 def _require_int(name: str, value, least: int) -> None:
@@ -104,6 +105,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("n_pairs", "n_trials"):
             _require_int(name, getattr(self, name), 1)
+        if self.n_pairs > _MAX_PAIRS:
+            raise ConfigError(f"n_pairs must be at most {_MAX_PAIRS}, got {self.n_pairs}")
         if self.expected_chi is not None:
             _require_int("expected_chi", self.expected_chi, 1)
         if self.expected_saturated is not None and not isinstance(self.expected_saturated, bool):

@@ -222,12 +222,15 @@ def max_filter_circular_fft(f, g) -> FilterValue:
 
 
 def max_filter_circular_brute(f, g) -> FilterValue:
-    """Shift-domain oracle for the FFT path: O(d^2) roll-and-dot."""
+    """Shift-domain oracle for the FFT path: O(d^2), one dot per shift.
+    ff[d - a:2d - a] is np.roll(f, a) element for element, so each dot
+    has the roll's bits without building it."""
     f, g = _check_signals(f, g)
     d = f.shape[0]
+    ff = np.concatenate([f, f])
     best = -np.inf
     for a in range(d):
-        best = max(best, float(np.roll(f, a) @ g))
+        best = max(best, float(ff[d - a:2 * d - a] @ g))
     return FilterValue(best)
 
 

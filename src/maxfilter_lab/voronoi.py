@@ -206,7 +206,8 @@ class ConeFeasibility:
 # Nonzeros of A_ub in one HiGHS call.  A batch of margin LPs is split at
 # problem boundaries below it, unless one problem exceeds it alone.  It caps
 # memory: HiGHS holds about 1.3 KB per row natively; `chi` benchmark peak RSS
-# at 1 << 16 / 14 / 13 was 102 / 91 / 86 MB (2 cores).  Re-measure to raise it.
+# without presolve at 1 << 15 / 14 / 13 was 94.2 / 86.7 / 84-86 MB (2 cores).
+# Re-measure to raise it.
 _LP_NNZ = 1 << 13
 _SAMPLE_TRIES = 100    # Gaussian draws per call of sample_principal and sample_nice
 
@@ -236,7 +237,13 @@ def _margin_lps(problems: Iterable[Sequence[VoronoiCellSpec]]) -> Iterator[ConeF
 
 def _solve_blocks(blocks: list[np.ndarray]) -> list[ConeFeasibility]:
     """One verdict per block of rows: the blocks with rows are solved as
-    one block-diagonal LP, and a rowless block gets margin inf without one."""
+    one block-diagonal LP, and a rowless block gets margin inf without one.
+
+    HiGHS runs without presolve, which on these small dense blocks costs
+    more than it saves.  The verdict cannot depend on it: the optimal t_k
+    of each block is unique, and presolve changes only the solver's route
+    to it.
+    """
     solved = [R for R in blocks if R.shape[0] > 0]
     if solved:
         R = np.concatenate(solved)
@@ -253,7 +260,8 @@ def _solve_blocks(blocks: list[np.ndarray]) -> list[ConeFeasibility]:
         cost[d::w] = -1.0
         bounds = np.tile([-1.0, 1.0], (k * w, 1))
         bounds[d::w] = (-np.inf, np.inf)
-        res = linprog(cost, A_ub=A, b_ub=np.zeros(R.shape[0]), bounds=bounds, method="highs")
+        res = linprog(cost, A_ub=A, b_ub=np.zeros(R.shape[0]), bounds=bounds, method="highs",
+                      options={"presolve": False})
         if res.status != 0 or res.x is None:
             raise LpNumericalFailure(f"margin LP failed with status {res.status}: {res.message}")
         solutions = iter(res.x.reshape(k, w))

@@ -52,6 +52,17 @@ def brute_circular_max(f, g) -> float:
     return best
 
 
+def roll_circular_max(f, g) -> float:
+    """max over shifts a of np.roll(f, a) @ g, one rolled copy per shift:
+    the referee for the bits of max_filter_circular_brute."""
+    f = np.asarray(f, float)
+    g = np.asarray(g, float)
+    best = -math.inf
+    for a in range(f.shape[0]):
+        best = max(best, float(np.roll(f, a) @ g))
+    return best
+
+
 def brute_beta_relaxed(bank) -> float:
     """Full |G|^n enumeration of template-image tuples; no pinning."""
     stack = bank.group.stack

@@ -649,6 +649,7 @@ OUTSIDE_FILES = {
                  id="param_order_too_large"),
     pytest.param({"group_spec": {"family": "circular_shifts", "param": 1000}}, [],
                  id="param_dim_too_large"),
+    pytest.param({"n_pairs": cli._MAX_PAIRS + 1}, [], id="n_pairs_above_cap"),
     pytest.param({"seed": -1}, [], id="seed_negative"),
     pytest.param({"seed": 1.5}, [], id="seed_float"),
     pytest.param({"templates": {"sampler": "gaussian", "n": 3, "seed": 4}}, [],
@@ -701,6 +702,24 @@ def test_maxfilter_exits_two_on_a_group_spec_that_fails_to_build(
     assert main(["maxfilter", "--config", cfg, "--out", "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_maxfilter_exits_two_above_the_pair_cap_before_allocating(tmp_path, monkeypatch, capsys):
+    # the signals of cap + 1 pairs at d = 256 would take 410 MB
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"group_spec": {"family": "sign_flips", "param": 2},
+                                  "n_pairs": cli._MAX_PAIRS + 1, "seed": 3})
+    tracemalloc.start()
+    try:
+        status = main(["maxfilter", "--config", cfg, "--out", "out"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert peak < 2 ** 20
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_pairs" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +12,7 @@ from maxfilter_lab import (FAMILIES, FilterValue, FiniteGroup, LengthMismatch,
                            quotient_distance, save_templates)
 from maxfilter_lab import empirical_lipschitz, filtering
 from oracles import (BACKEND_CASES, brute_circular_max, brute_max_filter,
-                     brute_orbit_min_distance, degenerate_points)
+                     brute_orbit_min_distance, degenerate_points, roll_circular_max)
 
 GROUPS = [("cyclic_rotation_2d", 5), ("dihedral_2d", 3), ("sign_flips", 3),
           ("permutations", 3), ("plus_minus_id", 2), ("circular_shifts", 6)]
@@ -141,6 +143,18 @@ def test_fft_equals_brute_and_pure_loop(d, rng):
         brute_v = max_filter_circular_brute(f, g)
         assert abs(fft_v - brute_v) < 1e-9
         assert abs(brute_v - brute_circular_max(f, g)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 16, 64, 256])
+def test_brute_has_the_bits_of_the_roll_loop(d, rng):
+    signs = rng.integers(0, 2, (2, d)).astype(bool)
+    signals = [rng.standard_normal((2, d)), np.zeros((2, d)),
+               np.where(signs, 0.0, -0.0)]
+    for f, g in signals:
+        brute_v = max_filter_circular_brute(f, g)
+        roll_v = roll_circular_max(f, g)
+        assert brute_v == roll_v
+        assert math.copysign(1.0, brute_v) == math.copysign(1.0, roll_v)
 
 
 def test_circular_bank_batch_matches_brute(rng):

@@ -477,6 +477,63 @@ def test_chi_run_is_one_lp_stream(c5, monkeypatch):
     assert est.chi_lower == 2
 
 
+# the groups of the chi benchmark workload, and three banks sent down the LP route
+CHI_GROUPS = [("permutations", 3), ("permutations", 4), ("sign_flips", 3), ("dihedral_2d", 4),
+              ("plus_minus_id", 2), ("plus_minus_id", 3), ("cyclic_rotation_2d", 3),
+              ("cyclic_rotation_2d", 5), ("cyclic_rotation_2d", 7)]
+LP_ROUTE_BANKS = [("cyclic_rotation_2d", 3, 8), ("sign_flips", 3, 6), ("permutations", 3, 5)]
+
+
+def run_every_lp_path():
+    """chi sampling, one-pair S-sets and the LP route of beta."""
+    for name, param in CHI_GROUPS:
+        voronoi_characteristic(build_family(name, param), 8, seed=1)
+    rng = np.random.default_rng(2)
+    for name, param in [("cyclic_rotation_2d", 5), ("plus_minus_id", 3), ("permutations", 4)]:
+        g = build_family(name, param)
+        s_set(g, sample_principal(g, rng), sample_principal(g, rng))
+    for name, param, n in LP_ROUTE_BANKS:
+        g = build_family(name, param)
+        upper_bound_exact(lp_route(MaxFilterBank(
+            g, np.random.default_rng(0).standard_normal((n, g.dim)))))
+
+
+def test_margin_lp_verdicts_do_not_depend_on_presolve(monkeypatch):
+    # each call is solved again with presolve on: block k's optimal t_k is
+    # unique, so the verdicts agree and the margins agree within rounding
+    real = voronoi.linprog
+    margins = []
+
+    def twice(cost, **kwargs):
+        res = real(cost, **kwargs)
+        ref = real(cost, **dict(kwargs, options={"presolve": True}))
+        t = cost == -1.0
+        margins.append((res.x[t], ref.x[t]))
+        return res
+
+    monkeypatch.setattr(voronoi, "linprog", twice)
+    run_every_lp_path()
+    off, on = (np.concatenate(m) for m in zip(*margins))
+    feasible = off > DEFAULT_TOL.lp_tol
+    assert off.size > 500 and feasible.any() and not feasible.all()
+    assert np.array_equal(feasible, on > DEFAULT_TOL.lp_tol)
+    assert np.abs(off - on).max() <= 1e-12
+
+
+def test_every_margin_lp_runs_without_presolve(monkeypatch):
+    options = []
+    real = voronoi.linprog
+
+    def recording(*args, **kwargs):
+        options.append(kwargs.get("options"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(voronoi, "linprog", recording)
+    run_every_lp_path()
+    assert options
+    assert all(o is not None and o.get("presolve") is False for o in options)
+
+
 def test_s_sets_reads_pairs_lazily(c5):
     drawn = []
 
