@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,16 @@ class FiniteGroup:
     def contains(self, matrix) -> bool:
         M = _as_matrix(matrix, self.dim)
         return bool(np.abs(self.stack - M).max(axis=(1, 2)).min() <= DEFAULT_TOL.eq_tol)
+
+    @cached_property
+    def _reflection_generated(self) -> bool:
+        """The verdict of ``kernels.is_reflection_group``, which documents
+        the rule; cached, so its closure runs once per group."""
+        stack, eq_tol = self.stack, DEFAULT_TOL.eq_tol
+        symmetric = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) <= eq_tol
+        hyperplane = np.abs(np.trace(stack, axis1=1, axis2=2) - (self.dim - 2)) <= eq_tol
+        reflections = stack[symmetric & hyperplane]
+        return generate_group([np.eye(self.dim), *reflections]).order == self.order
 
     @classmethod
     def from_matrices(cls, mats: np.ndarray) -> "FiniteGroup":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtering import _filter_values, max_filter
-from .groups import FiniteGroup, generate_group
+from .groups import FiniteGroup
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
 
@@ -145,10 +145,7 @@ def is_reflection_group(group: FiniteGroup) -> bool:
     both within eq_tol: orthogonal involutions with a single eigenvalue
     -1.  G is a reflection group exactly when they close to all |G|
     elements; the trivial group, generated by no reflection, is one.
-    Exact and deterministic: no sampling.
+    Exact and deterministic: no sampling.  The group caches the verdict,
+    so the closure runs once per group.
     """
-    stack, eq_tol = group.stack, DEFAULT_TOL.eq_tol
-    symmetric = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) <= eq_tol
-    hyperplane = np.abs(np.trace(stack, axis1=1, axis2=2) - (group.dim - 2)) <= eq_tol
-    reflections = stack[symmetric & hyperplane]
-    return generate_group([np.eye(group.dim), *reflections]).order == group.order
+    return group._reflection_generated

@@ -13,12 +13,16 @@ here: β's LP route is the level search of ``_pinned_leaves``, one batch
 per level, and the S-set pairs of a χ run share one lazy stream
 (``_s_sets``).  A cell is named by its orbit and its centre's index
 there (``VoronoiCellSpec``); ``cell_of`` alone looks a centre up from a
-point.  Independent margin LPs are solved together as one
-block-diagonal LP: every block keeps its own variables and rows, so each
-block's optimum, and its verdict, is the one the block would have alone;
-``strict_cones_feasible`` is the one-problem case.  ``proven_chi`` is
-the one proof of an upper bound on χ, read off the group's elements;
-``voronoi_characteristic`` only samples a lower bound.
+point.  No LP solver runs: each margin LP's verdict is read off a
+certificate that is checked with a few flops, a witness point in the box
+or Gordan weights on its rows (``ConeFeasibility``).  A vectorized screen
+over the blocks of one shape finds most of them, and Wolfe's
+minimum-norm point the rest; a block that neither settles raises
+LpNumericalFailure.  Each verdict reads its block alone, so it is the
+one the block would have by itself; ``strict_cones_feasible`` is the
+one-problem case.  ``proven_chi`` is the one proof of an upper bound on
+χ, read off the group's elements; ``voronoi_characteristic`` only
+samples a lower bound.
 """
 
 from __future__ import annotations
@@ -32,12 +36,10 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_array
 
 from .errors import BUDGETS, BudgetExceeded, LpNumericalFailure, NotNicePoint
 from .filtering import _CHAMBERS, MaxFilterBank
-from .groups import FiniteGroup, Orbit, orbit_of, stabilizer_order
+from .groups import _BLOCK, FiniteGroup, Orbit, orbit_of, stabilizer_order
 from .kernels import is_reflection_group
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
@@ -159,7 +161,7 @@ def _pinned_leaves(group: FiniteGroup, orbits) -> tuple[list[tuple[int, ...]], i
     level-synchronous search runs over the orbits in the order given.
     Level k extends every jointly feasible k-tuple by each point of the
     next orbit, in lexicographic order; the children of a level are
-    decided together by block-diagonal margin LPs, and only the feasible
+    decided together as one stream of margin LPs, and only the feasible
     ones form the next level.  Pruning is safe because adding a cell only
     shrinks the intersection.  Every child's verdict depends on its own
     tuple alone, so the LPs solved, the feasible tuples and the leaf
@@ -198,83 +200,177 @@ def cell_of(group: FiniteGroup, x) -> VoronoiCellSpec:
 
 @dataclass(frozen=True)
 class ConeFeasibility:
+    """The verdict on one margin LP, max t subject to R y >= t and
+    |y|_inf <= 1 with R the stacked rows of its cells, and the checked
+    certificate it rests on (``_certify``).  The LP's optimum t* is at
+    least 0 (y = 0), and the verdict is t* > lp_tol.
+
+    Feasible: ``witness`` is a y with |y|_inf <= 1, and ``margin`` =
+    min R y > lp_tol is a lower bound on t*.  Infeasible: ``weights`` is
+    a lambda >= 0 with sum 1, one entry per row of R, and ``margin`` =
+    -|R^T lambda|_1 >= -lp_tol; by weak duality, t* <= |R^T lambda|_1
+    (Gordan's alternative with a tolerance).  A problem without rows is
+    feasible at y = 0 with margin inf.
+    """
+
     feasible: bool
     witness: np.ndarray | None
     margin: float
+    weights: np.ndarray | None = None
 
 
-# Nonzeros of A_ub in one HiGHS call.  A batch of margin LPs is split at
-# problem boundaries below it, unless one problem exceeds it alone.  It caps
-# memory: HiGHS holds about 1.3 KB per row natively; `chi` benchmark peak RSS
-# without presolve at 1 << 15 / 14 / 13 was 94.2 / 86.7 / 84-86 MB (2 cores).
-# Re-measure to raise it.
-_LP_NNZ = 1 << 13
+# Entries of one chunk of margin LPs, m * (m + d) per problem of m rows in
+# R^d: its rows and the pair screen's cosines.  It bounds how many pairs a
+# chi run holds at once: 8 sign_flips(3) pairs, where _BLOCK would hold 550.
+# On a 2-core host a `chi` benchmark op took 21.3 ms at this value, 23.4 ms
+# at 1 << 13 and 19.7 ms at _BLOCK.
+_LP_CHUNK = 1 << 14
 _SAMPLE_TRIES = 100    # Gaussian draws per call of sample_principal and sample_nice
+_WOLFE_STEPS = 1000    # major cycles of one _wolfe call; the test banks need at most 11
 
 
 def _margin_lps(problems: Iterable[Sequence[VoronoiCellSpec]]) -> Iterator[ConeFeasibility]:
     """One ConeFeasibility per list of cells, in input order.
 
-    Problem k has its own unknowns (y_k, t_k), rows -R_k y_k + t_k <= 0
-    and box |y_k|_inf <= 1; the batch maximizes sum_k t_k.  The blocks
-    share no variable, so an optimum of the sum is optimal in every
-    block.  A problem whose cells have no rows gets margin inf without
-    an LP.  Problems are read lazily and solved in groups of at most
-    _LP_NNZ nonzeros, so a long iterable is never held at once.
+    Problems are read lazily and decided in chunks of at most _LP_CHUNK
+    entries, unless one problem exceeds it alone, so a long iterable is
+    never held at once.
     """
     blocks: list[np.ndarray] = []
-    nnz = 0
+    size = 0
     for cells in problems:
         R = np.concatenate([c.rows for c in cells]) if cells else np.zeros((0, 0))
-        size = R.shape[0] * (R.shape[1] + 1)
-        if blocks and nnz + size > _LP_NNZ:
+        entries = R.shape[0] * sum(R.shape)
+        if blocks and size + entries > _LP_CHUNK:
             yield from _solve_blocks(blocks)
-            blocks, nnz = [], 0
+            blocks, size = [], 0
         blocks.append(R)
-        nnz += size
+        size += entries
     yield from _solve_blocks(blocks)
 
 
 def _solve_blocks(blocks: list[np.ndarray]) -> list[ConeFeasibility]:
-    """One verdict per block of rows: the blocks with rows are solved as
-    one block-diagonal LP, and a rowless block gets margin inf without one.
+    """One verdict per block of rows, each read off a certificate that
+    ``_certify`` checks.
 
-    HiGHS runs without presolve, which on these small dense blocks costs
-    more than it saves.  The verdict cannot depend on it: the optimal t_k
-    of each block is unique, and presolve changes only the solver's route
-    to it.
+    The blocks of one shape are screened as one stack (``_screen``), and
+    Wolfe's minimum-norm point (``_wolfe``) is tried on each block the
+    screen leaves.  A block that neither certificate settles raises
+    LpNumericalFailure, before any verdict of its chunk is given.  Every
+    step reads its block alone, so a verdict does not depend on the
+    chunk.
     """
-    solved = [R for R in blocks if R.shape[0] > 0]
-    if solved:
-        R = np.concatenate(solved)
-        d = R.shape[1]
-        w = d + 1                     # unknowns per block: y_k then t_k
-        k = len(solved)
-        block = np.repeat(np.arange(k), [rows.shape[0] for rows in solved])
-        # row r of block b: -R[r] in columns b*w .. b*w+d-1, +1 in column b*w+d
-        data = np.hstack([-R, np.ones((R.shape[0], 1))])
-        indices = (block * w)[:, None] + np.arange(w)
-        A = csr_array((data.ravel(), indices.ravel(), np.arange(0, data.size + 1, w)),
-                      shape=(R.shape[0], k * w))
-        cost = np.zeros(k * w)
-        cost[d::w] = -1.0
-        bounds = np.tile([-1.0, 1.0], (k * w, 1))
-        bounds[d::w] = (-np.inf, np.inf)
-        res = linprog(cost, A_ub=A, b_ub=np.zeros(R.shape[0]), bounds=bounds, method="highs",
-                      options={"presolve": False})
-        if res.status != 0 or res.x is None:
-            raise LpNumericalFailure(f"margin LP failed with status {res.status}: {res.message}")
-        solutions = iter(res.x.reshape(k, w))
-    verdicts = []
-    for R in blocks:
-        d = R.shape[1]
-        # a rowless block bounds no t_k: margin inf at y_k = 0
-        xk = next(solutions) if R.shape[0] > 0 else np.append(np.zeros(d), np.inf)
-        margin = float(xk[d])
-        feasible = margin > DEFAULT_TOL.lp_tol
-        witness = xk[:d].copy() if feasible else None
-        verdicts.append(ConeFeasibility(feasible=feasible, witness=witness, margin=margin))
+    verdicts: list = [None] * len(blocks)
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, R in enumerate(blocks):
+        shapes.setdefault(R.shape, []).append(i)
+    for (m, d), idx in shapes.items():
+        if m == 0:
+            for i in idx:
+                verdicts[i] = ConeFeasibility(feasible=True, witness=np.zeros(d), margin=math.inf)
+            continue
+        stack = np.stack([blocks[i] for i in idx])
+        Y, L, margins, gaps = _certify(stack, *_screen(stack))
+        for b, i in enumerate(idx):
+            y, lam, margin, gap = Y[b], L[b], margins[b], gaps[b]
+            if not (margin > DEFAULT_TOL.lp_tol or gap <= DEFAULT_TOL.lp_tol):
+                lam = _wolfe(stack[b])
+                (y,), (lam,), (margin,), (gap,) = _certify(stack[b:b + 1], (lam @ stack[b])[None],
+                                                           lam[None])
+            if margin > DEFAULT_TOL.lp_tol:
+                verdicts[i] = ConeFeasibility(feasible=True, witness=y, margin=float(margin))
+            elif gap <= DEFAULT_TOL.lp_tol:
+                verdicts[i] = ConeFeasibility(feasible=False, witness=None, margin=-float(gap),
+                                              weights=lam)
+            else:
+                raise LpNumericalFailure(
+                    f"margin LP undecided: witness margin {margin:.3g} and Gordan gap {gap:.3g} "
+                    f"both miss lp_tol {DEFAULT_TOL.lp_tol:.3g}")
     return verdicts
+
+
+def _certify(stack: np.ndarray, Y: np.ndarray, L: np.ndarray):
+    """Check candidate certificates for a (k, m, d) stack of blocks, one
+    witness row of Y and one weight row of L per block, whatever found
+    them.  Returns (Y, L, margins, gaps): each nonzero y scaled to
+    |y|_inf = 1, each lambda scaled to sum 1, margins = min R y and
+    gaps = |R^T lambda|_1; a lambda with a negative entry or zero sum
+    gets gap inf, so it certifies nothing."""
+    top = np.abs(Y).max(axis=1, keepdims=True)
+    Y = np.divide(Y, top, out=np.zeros_like(Y), where=top > 0)
+    total = L.sum(axis=1, keepdims=True)
+    simplex = (L >= 0).all(axis=1) & (total[:, 0] > 0)
+    L = np.divide(L, total, out=np.zeros_like(L), where=total > 0)
+    margins = np.einsum("kmd,kd->km", stack, Y).min(axis=1)
+    gaps = np.where(simplex, np.abs(np.einsum("km,kmd->kd", L, stack)).sum(axis=1), np.inf)
+    return Y, L, margins, gaps
+
+
+def _screen(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate certificates for a (k, m, d) stack of blocks, found
+    together: the witness is the mean of each block's unit rows; lambda
+    sits on its most antiparallel pair of rows i and j, in proportion
+    |r_j| to |r_i|, so R^T lambda vanishes when the two rows are
+    opposite.  In a reflection group two cells on opposite sides of a
+    mirror carry such rows.  A lone block whose cosines would pass _BLOCK
+    entries gets lambda on its first row, which certifies nothing, and
+    goes to Wolfe."""
+    k, m, _ = stack.shape
+    norms = np.linalg.norm(stack, axis=2)
+    unit = stack / norms[..., None]
+    i = j = np.zeros(k, dtype=np.intp)
+    if k * m * m <= _BLOCK:
+        i, j = np.divmod(np.matmul(unit, unit.transpose(0, 2, 1)).reshape(k, -1).argmin(axis=1), m)
+    b = np.arange(k)
+    L = np.zeros((k, m))
+    L[b, i] = norms[b, j]
+    L[b, j] += norms[b, i]
+    return unit.mean(axis=1), L
+
+
+def _wolfe(R: np.ndarray) -> np.ndarray:
+    """Convex weights over the rows of R of Wolfe's minimum-norm point of
+    their hull (P. Wolfe, "Finding the nearest point in a polytope",
+    Math. Programming 11, 1976), stopped as soon as its point p = R^T w
+    gives a certificate: min R p > lp_tol * |p|_inf, so y = p / |p|_inf
+    is a witness, or |p|_1 <= lp_tol.  At the minimum-norm point,
+    <r, p> >= |p|^2 for every row r, so min R y >= |p|; and t* <= |p|_1.
+    It also stops when the most violating row is already in the corral
+    or after _WOLFE_STEPS major cycles; ``_solve_blocks`` checks what
+    it returns either way.
+    """
+    tol = DEFAULT_TOL.lp_tol
+    corral = [int(np.argmin(np.einsum("md,md->m", R, R)))]
+    w = np.ones(1)
+    for _ in range(_WOLFE_STEPS):
+        p = w @ R[corral]
+        v = R @ p
+        j = int(np.argmin(v))
+        if (v[j] > tol * np.abs(p).max() or np.abs(p).sum() <= tol
+                or v[j] >= p @ p or j in corral):
+            break
+        corral.append(j)
+        w = np.append(w, 0.0)
+        while True:
+            # the point of least norm on the affine hull of the corral
+            P = R[corral]
+            a = np.linalg.lstsq((P[1:] - P[0]).T, -P[0], rcond=None)[0]
+            alpha = np.concatenate(([1.0 - a.sum()], a))
+            if (alpha > 0).all():
+                w = alpha
+                break
+            # step from w toward alpha until a weight reaches 0, and drop it
+            neg = np.flatnonzero(alpha <= 0)
+            drop = w[neg] - alpha[neg]
+            ratios = np.divide(w[neg], drop, out=np.zeros(neg.size), where=drop > 0)
+            w = w + ratios.min() * (alpha - w)
+            w[neg[np.argmin(ratios)]] = 0.0
+            keep = w > 0
+            corral = [c for c, k in zip(corral, keep) if k]
+            w = w[keep]
+    lam = np.zeros(R.shape[0])
+    lam[corral] = w
+    return lam
 
 
 def strict_cones_feasible(
@@ -282,13 +378,14 @@ def strict_cones_feasible(
 ) -> ConeFeasibility:
     """Decide whether the open cells intersect.
 
-    Solves  max t  s.t.  <c_k - p, y> >= t  for every cell k and every
-    non-center orbit point p of that cell, with |y|_inf <= 1.  The zero
-    point is always feasible at t = 0, so the LP is bounded and feasible;
-    the intersection is nonempty iff the optimum exceeds lp_tol.  This is
-    the one-problem case of the block-diagonal margin LP that ``s_set``
-    and the LP route of ``upper_bound_exact`` solve in batches; every
-    path shares its assembly.
+    The margin LP is  max t  s.t.  <c_k - p, y> >= t  for every cell k
+    and every non-center orbit point p of that cell, with |y|_inf <= 1.
+    The zero point is always feasible at t = 0, so the LP is bounded and
+    feasible; the intersection is nonempty iff the optimum exceeds
+    lp_tol.  The verdict comes with the certificate that decides it
+    (``ConeFeasibility``).  This is the one-problem case of the margin
+    LPs that ``s_set`` and the LP route of ``upper_bound_exact`` decide
+    in chunks; every path shares one decision.
     """
     return next(_margin_lps([cells]))
 
@@ -364,8 +461,8 @@ def s_set(group: FiniteGroup, x, y) -> SSet:
 
     V_x is ``cell_of(group, x)``, centred on the orbit point within eq_tol
     of x if x is not principal.  The one-pair case of ``_s_sets``: the
-    |[y]| questions "does V_q meet V_x" are independent blocks of one
-    margin LP, so the verdicts are those of one LP each.
+    |[y]| questions "does V_q meet V_x" are independent margin LPs, each
+    decided on its own.
     """
     for name, pt in (("x", x), ("y", y)):
         if not is_principal(group, pt):

@@ -12,13 +12,15 @@ import math
 
 import mpmath
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from maxfilter_lab.errors import BudgetExceeded
 from maxfilter_lab.filtering import MaxFilterBank
 from maxfilter_lab.groups import FiniteGroup, orbit_of
 from maxfilter_lab.stability import UpperBound, _lam_min_batch
 from maxfilter_lab.tolerances import DEFAULT_TOL
-from maxfilter_lab.voronoi import VoronoiCellSpec, strict_cones_feasible
+from maxfilter_lab.voronoi import ConeFeasibility, VoronoiCellSpec, strict_cones_feasible
 
 
 def brute_max_filter(stack: np.ndarray, x, y) -> float:
@@ -142,6 +144,45 @@ def dfs_upper_bound_exact(bank, max_lp_solves: int = 500_000) -> UpperBound:
     elems = tuple(int(orbits[i].rep_elements[best_choice[i]]) for i in range(n))
     return UpperBound(beta=float(best), argmax_tuple=elems,
                       lp_solves=solves, feasible_tuples=leaves)
+
+
+def highs_margin_lps(blocks: list[np.ndarray]) -> list[ConeFeasibility]:
+    """Referee for the margin-LP verdicts: the blocks of rows solved by
+    HiGHS as one block-diagonal LP, without presolve.  Block k has its own
+    unknowns (y_k, t_k), rows -R_k y_k + t_k <= 0 and box |y_k|_inf <= 1;
+    the LP maximizes sum_k t_k, and the blocks share no variable, so each
+    t_k is its own block's optimum.  The margin is that optimum, and the
+    witness its y_k when the margin exceeds lp_tol; a rowless block gets
+    margin inf at y = 0 without an LP."""
+    solved = [R for R in blocks if R.shape[0] > 0]
+    if solved:
+        R = np.concatenate(solved)
+        d = R.shape[1]
+        w = d + 1                     # unknowns per block: y_k then t_k
+        k = len(solved)
+        block = np.repeat(np.arange(k), [rows.shape[0] for rows in solved])
+        # row r of block b: -R[r] in columns b*w .. b*w+d-1, +1 in column b*w+d
+        data = np.hstack([-R, np.ones((R.shape[0], 1))])
+        indices = (block * w)[:, None] + np.arange(w)
+        A = csr_array((data.ravel(), indices.ravel(), np.arange(0, data.size + 1, w)),
+                      shape=(R.shape[0], k * w))
+        cost = np.zeros(k * w)
+        cost[d::w] = -1.0
+        bounds = np.tile([-1.0, 1.0], (k * w, 1))
+        bounds[d::w] = (-np.inf, np.inf)
+        res = linprog(cost, A_ub=A, b_ub=np.zeros(R.shape[0]), bounds=bounds, method="highs",
+                      options={"presolve": False})
+        assert res.status == 0 and res.x is not None, res.message
+        solutions = iter(res.x.reshape(k, w))
+    verdicts = []
+    for R in blocks:
+        d = R.shape[1]
+        xk = next(solutions) if R.shape[0] > 0 else np.append(np.zeros(d), np.inf)
+        margin = float(xk[d])
+        feasible = margin > DEFAULT_TOL.lp_tol
+        witness = xk[:d].copy() if feasible else None
+        verdicts.append(ConeFeasibility(feasible=feasible, witness=witness, margin=margin))
+    return verdicts
 
 
 def lp_route(bank) -> MaxFilterBank:

@@ -4,7 +4,10 @@ import importlib.util
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +16,7 @@ import pytest
 
 import maxfilter_lab
 from maxfilter_lab import (FAMILIES, FiniteGroup, build_family, cli, generate_group,
-                          proven_chi, save_group, voronoi_characteristic)
+                          proven_chi, save_group, voronoi, voronoi_characteristic)
 from maxfilter_lab.cli import (ExperimentConfig, build_parser, load_config,
                                main, run)
 from maxfilter_lab.errors import BUDGETS, ConfigError
@@ -153,6 +156,16 @@ def test_run_all_runs_every_shipped_config():
     assert listed == {p.name for p in CONFIGS.glob("*.json")}
     for name in sorted(listed):
         load_config(CONFIGS / name)   # a key the config no longer takes raises
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency, for the HiGHS referee in oracles.py
+    src = Path(maxfilter_lab.__file__).resolve().parents[1]
+    code = ("import sys, maxfilter_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 def _load_diff_reports():
@@ -397,6 +410,18 @@ def test_exit_three_tiny_lp_budget(tmp_path, monkeypatch, capsys):
     report = json.loads((tmp_path / "out" / "bounds_report.json").read_text())
     prov = report["results"]["stability"]["provenance"]
     assert prov["beta_exact_certified"] is False
+
+
+def test_exit_two_when_a_margin_lp_is_undecided(tmp_path, monkeypatch, capsys):
+    # Wolfe's weights settle no block of the untagged C3 bank's LP route, so
+    # the run stops before any report: beta_exact is never reported, let
+    # alone as certified
+    monkeypatch.setattr(voronoi, "_wolfe", lambda R: np.eye(R.shape[0])[0])
+    cfg = write_config(tmp_path, dict(
+        SF2_BOUNDS, group_spec=untagged_group_spec(tmp_path, "cyclic_rotation_2d", 3)))
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "margin LP undecided" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_three_distortion_budget_keeps_the_report(tmp_path, monkeypatch, capsys):

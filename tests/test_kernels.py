@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maxfilter_lab import (FAMILIES, build_family, direct_quadratic_form,
-                           generate_group, gram_audit, gram_matrix,
-                           is_reflection_group, max_filter, search_psd_violation,
-                           voronoi_characteristic)
+from maxfilter_lab import (FAMILIES, MaxFilterBank, build_family, cli, direct_quadratic_form,
+                           generate_group, gram_audit, gram_matrix, groups,
+                           is_reflection_group, max_filter, optimality_witness, proven_chi,
+                           search_psd_violation, voronoi_characteristic)
 from maxfilter_lab.reporting import sanitize
 from oracles import BACKEND_CASES, brute_max_filter, degenerate_points
 
@@ -128,6 +128,31 @@ def test_trivial_group_is_reflection_case(trivial2, rng):
     assert is_reflection_group(trivial2)
     X = rng.standard_normal((5, 2))
     assert gram_audit(trivial2, X).verdict == "psd"
+
+
+def test_one_reflection_closure_per_group(tmp_path, monkeypatch, rng):
+    # proven_chi, optimality_witness and a bounds run, which proves chi
+    # twice, all ask; the group keeps its verdict after the first closure
+    closures = []
+    real = groups.generate_group
+
+    def counting(gens):
+        closures.append(len(gens))
+        return real(gens)
+
+    g = build_family("permutations", 4)
+    monkeypatch.setattr(groups, "generate_group", counting)
+    assert proven_chi(g) == (1, "reflection_group")
+    assert optimality_witness(MaxFilterBank(g, rng.standard_normal((5, 4)))).case == "reflection"
+    assert is_reflection_group(g)
+    assert len(closures) == 1
+    closures.clear()
+    cfg = tmp_path / "bounds.json"
+    cfg.write_text(json.dumps({"group_spec": {"family": "permutations", "param": 3},
+                               "templates": {"sampler": "gaussian", "n": 4},
+                               "n_pairs": 20, "seed": 1}))
+    assert cli.run("bounds", str(cfg), out=str(tmp_path / "out")) == 0
+    assert len(closures) == 1
 
 
 def test_audit_sanitize_round_trip(c5, rng):

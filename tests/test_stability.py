@@ -299,13 +299,13 @@ def test_geometric_s_set_matches_the_lp_s_set(name, param):
 def test_sharp_bound_solves_no_lp_on_tagged_groups(name, param, monkeypatch):
     bank = referee_bank(name, param, 5, 12)
     calls = []
-    real = voronoi.linprog
+    real = voronoi._solve_blocks
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(blocks):
+        calls.append(len(blocks))
+        return real(blocks)
 
-    monkeypatch.setattr(voronoi, "linprog", counting)
+    monkeypatch.setattr(voronoi, "_solve_blocks", counting)
     want = lower_bound_sharp(lp_route(bank), 20, seed=3)
     assert calls
     calls.clear()

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maxfilter_lab import (DEFAULT_TOL, BudgetExceeded, MaxFilterBank, NotNicePoint,
-                           VoronoiCellSpec, build_family, cell_of,
+import oracles
+from maxfilter_lab import (DEFAULT_TOL, BudgetExceeded, LpNumericalFailure, MaxFilterBank,
+                           NotNicePoint, VoronoiCellSpec, build_family, cell_of,
                            choice_assignments, generate_group, in_Q,
                            is_principal, orbit_of, s_set, sample_nice,
                            sample_principal, strict_cones_feasible,
@@ -16,7 +17,7 @@ from maxfilter_lab import voronoi
 from maxfilter_lab.errors import BUDGETS
 from maxfilter_lab.stability import pair_lower_value
 from maxfilter_lab.streams import STREAMS
-from oracles import brute_s_members, lp_route, rows_strictly_inside
+from oracles import brute_s_members, highs_margin_lps, lp_route, rows_strictly_inside
 
 GOLDEN_Z = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 # the groups of the acceptance chi table
@@ -27,7 +28,7 @@ CHI_GROUPS = [("permutations", 3), ("permutations", 4), ("sign_flips", 3),
 
 
 def assert_batch_matches_single(problems):
-    """Margins of one block-diagonal batch against one LP per problem."""
+    """Margins of one batch of margin LPs against one call per problem."""
     batched = list(voronoi._margin_lps(problems))
     assert len(batched) == len(problems)
     for cells, got in zip(problems, batched):
@@ -223,20 +224,21 @@ def test_chunk_split_keeps_verdicts(bound, monkeypatch, rng):
     whole_ub = upper_bound_exact(bank)
     whole = list(voronoi._margin_lps(s_set_problems(g, np.random.default_rng(1))))
 
-    calls = []
-    real = voronoi.linprog
+    chunks = []
+    real = voronoi._solve_blocks
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["A_ub"].nnz)
-        return real(*args, **kwargs)
+    def counting(blocks):
+        chunks.append(sum(R.shape[0] * sum(R.shape) for R in blocks))
+        return real(blocks)
 
-    monkeypatch.setattr(voronoi, "_LP_NNZ", bound)
-    monkeypatch.setattr(voronoi, "linprog", counting)
+    monkeypatch.setattr(voronoi, "_LP_CHUNK", bound)
+    monkeypatch.setattr(voronoi, "_solve_blocks", counting)
     split = list(voronoi._margin_lps(s_set_problems(g, np.random.default_rng(1))))
-    assert len(calls) > 1
-    # a call exceeds the bound only when one problem does alone
-    one_problem = 2 * (g.order - 1) * (g.dim + 1)
-    assert max(calls) <= max(bound, one_problem)
+    assert len(chunks) > 1
+    # a chunk exceeds the bound only when one problem does alone
+    rows = 2 * (g.order - 1)
+    one_problem = rows * (rows + g.dim)
+    assert max(chunks) <= max(bound, one_problem)
     assert [r.feasible for r in split] == [r.feasible for r in whole]
     assert max(abs(a.margin - b.margin) for a, b in zip(split, whole)) <= 1e-12
     again = s_set(g, x, y)
@@ -244,6 +246,26 @@ def test_chunk_split_keeps_verdicts(bound, monkeypatch, rng):
     assert upper_bound_exact(bank) == whole_ub
 
 
+@pytest.mark.parametrize("weights", [lambda m: np.eye(m)[0], np.zeros, lambda m: -np.ones(m)],
+                         ids=["one_row", "zero", "negative"])
+def test_undecided_block_raises_and_certifies_nothing(weights, monkeypatch, c5, rng):
+    # the infeasible two-cell blocks of C5 need a three-row lambda, which
+    # only Wolfe finds; weights that settle nothing must raise, not decide
+    problems = s_set_problems(c5, rng)
+    called = []
+
+    def unsettled(R):
+        called.append(R.shape)
+        return weights(R.shape[0])
+
+    monkeypatch.setattr(voronoi, "_wolfe", unsettled)
+    yielded = []
+    with pytest.raises(LpNumericalFailure, match="undecided"):
+        for r in voronoi._margin_lps(problems):
+            yielded.append(r)
+    assert called and yielded == []
+    with pytest.raises(LpNumericalFailure):
+        voronoi_characteristic(c5, 4, seed=1)
 def test_distinct_cells_of_one_orbit_never_intersect(c5, rng):
     x = rng.standard_normal(2)
     orb = orbit_of(c5, x)
@@ -462,18 +484,17 @@ def test_chi_stream_matches_one_pair_s_sets(name, param):
 
 
 def test_chi_run_is_one_lp_stream(c5, monkeypatch):
-    calls = []
-    real = voronoi.linprog
+    chunks = []
+    real = voronoi._solve_blocks
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["A_ub"].shape[0])
-        return real(*args, **kwargs)
+    def counting(blocks):
+        chunks.append([R.shape for R in blocks])
+        return real(blocks)
 
-    monkeypatch.setattr(voronoi, "linprog", counting)
+    monkeypatch.setattr(voronoi, "_solve_blocks", counting)
     est = voronoi_characteristic(c5, 25, seed=7)
-    assert len(calls) == 1
-    # 25 pairs, 5 two-cell problems each, 4 + 4 rows per problem
-    assert calls == [25 * 5 * 8]
+    # 25 pairs, 5 two-cell problems each, 4 + 4 rows per problem, one chunk
+    assert chunks == [[(8, 2)] * (25 * 5)]
     assert est.chi_lower == 2
 
 
@@ -498,38 +519,61 @@ def run_every_lp_path():
             g, np.random.default_rng(0).standard_normal((n, g.dim)))))
 
 
-def test_margin_lp_verdicts_do_not_depend_on_presolve(monkeypatch):
-    # each call is solved again with presolve on: block k's optimal t_k is
-    # unique, so the verdicts agree and the margins agree within rounding
-    real = voronoi.linprog
-    margins = []
+def decided_chunks(monkeypatch):
+    """(blocks, verdicts) of every chunk run_every_lp_path decides."""
+    chunks = []
+    real = voronoi._solve_blocks
 
-    def twice(cost, **kwargs):
-        res = real(cost, **kwargs)
-        ref = real(cost, **dict(kwargs, options={"presolve": True}))
-        t = cost == -1.0
-        margins.append((res.x[t], ref.x[t]))
-        return res
+    def recording(blocks):
+        verdicts = real(blocks)
+        chunks.append((blocks, verdicts))
+        return verdicts
 
-    monkeypatch.setattr(voronoi, "linprog", twice)
+    monkeypatch.setattr(voronoi, "_solve_blocks", recording)
     run_every_lp_path()
-    off, on = (np.concatenate(m) for m in zip(*margins))
-    feasible = off > DEFAULT_TOL.lp_tol
-    assert off.size > 500 and feasible.any() and not feasible.all()
-    assert np.array_equal(feasible, on > DEFAULT_TOL.lp_tol)
-    assert np.abs(off - on).max() <= 1e-12
+    return chunks
+
+
+def test_margin_lp_verdicts_equal_highs(monkeypatch):
+    # every verdict is HiGHS's, and each rests on a certificate that holds:
+    # a witness in the box whose margin is min R y > lp_tol, at most the
+    # LP optimum, or simplex weights with |R^T lambda|_1 = -margin <= lp_tol,
+    # at least the LP optimum (weak duality)
+    tol = DEFAULT_TOL.lp_tol
+    got, want = [], []
+    for blocks, verdicts in decided_chunks(monkeypatch):
+        for R, v, ref in zip(blocks, verdicts, highs_margin_lps(blocks)):
+            got.append(v.feasible)
+            want.append(ref.feasible)
+            if R.shape[0] == 0:
+                assert v.feasible and v.margin == ref.margin == np.inf
+            elif v.feasible:
+                assert np.abs(v.witness).max() <= 1
+                assert abs((R @ v.witness).min() - v.margin) <= 1e-12
+                assert tol < v.margin <= ref.margin + 1e-12
+            else:
+                lam = v.weights
+                assert lam.shape == (R.shape[0],) and (lam >= 0).all()
+                assert abs(lam.sum() - 1) <= 1e-12
+                assert abs(np.abs(R.T @ lam).sum() + v.margin) <= 1e-12
+                assert -v.margin <= tol and ref.margin <= -v.margin + 1e-12
+    assert len(got) > 500 and any(got) and not all(got)
+    assert got == want
 
 
 def test_every_margin_lp_runs_without_presolve(monkeypatch):
+    # the HiGHS referee solves every captured chunk without presolve
     options = []
-    real = voronoi.linprog
+    real = oracles.linprog
 
     def recording(*args, **kwargs):
         options.append(kwargs.get("options"))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(voronoi, "linprog", recording)
-    run_every_lp_path()
+    chunks = decided_chunks(monkeypatch)
+    monkeypatch.setattr(oracles, "linprog", recording)
+    for blocks, _ in chunks:
+        highs_margin_lps(blocks)
     assert options
     assert all(o is not None and o.get("presolve") is False for o in options)
 
@@ -549,8 +593,8 @@ def test_s_sets_reads_pairs_lazily(c5):
 
 
 def test_chi_memory_does_not_grow_with_samples():
-    # 20 sign_flips(3) pairs already fill one LP chunk; holding every
-    # pair's cells at once would raise the traced peak about 1.8x
+    # 8 sign_flips(3) pairs fill one LP chunk; holding every pair's
+    # blocks at once would raise the traced peak about 17x
     g = build_family("sign_flips", 3)
 
     def peak(n):
