@@ -36,8 +36,8 @@ from .errors import BudgetExceeded, ConfigError, DomainError, MaxFilterError
 from .filtering import (MaxFilterBank, _pair_distances, apply_bank_batch,
                         load_templates, max_filter_circular_brute,
                         max_filter_circular_fft)
-from .groups import FAMILIES, FiniteGroup, build_family, load_group
-from .kernels import direct_quadratic_form, is_reflection_group, search_psd_violation
+from .groups import FAMILIES, FiniteGroup, build_family, is_reflection_group, load_group
+from .kernels import direct_quadratic_form, search_psd_violation
 from .reporting import all_passed, assertion, sanitize, write_csv, write_json
 from .stability import (_AUDIT_SLACK, DistortionBoundParams, _within_budget,
                         alpha_tilde, compute_stability_report,

@@ -16,7 +16,8 @@ class ClosureOverflow(MaxFilterError):
 
 
 class SizeOverflow(MaxFilterError):
-    """A requested group would exceed groups.MAX_ORDER or groups.MAX_DIM."""
+    """A requested group would exceed groups.MAX_ORDER or groups.MAX_DIM,
+    or a closure's element stack groups.MAX_STACK entries."""
 
 
 class LengthMismatch(MaxFilterError):
@@ -28,7 +29,8 @@ class NegativeRadicand(MaxFilterError):
 
 
 class LpNumericalFailure(MaxFilterError):
-    """The cone-interior LP did not return a clean optimum."""
+    """A margin LP was settled by neither checked certificate: no witness
+    point in the box and no Gordan weights on its rows."""
 
 
 class NotNicePoint(MaxFilterError):

@@ -17,7 +17,6 @@ from .groups import _BLOCK, FiniteGroup, Orbit, orbit_of
 from .tolerances import DEFAULT_TOL
 
 __all__ = [
-    "FilterValue",
     "MaxFilterBank",
     "max_filter",
     "quotient_distance",
@@ -29,13 +28,6 @@ __all__ = [
     "save_templates",
     "load_templates",
 ]
-
-
-class FilterValue(float):
-    """A realized max-filter value.  Plain float with a named type; always
-    at least the unrotated inner product of its arguments."""
-
-    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -73,7 +65,7 @@ class MaxFilterBank:
         return tuple(orbit_of(self.group, z) for z in self.templates)
 
 
-def max_filter(group: FiniteGroup, x, y, allow_fft: bool = True) -> FilterValue:
+def max_filter(group: FiniteGroup, x, y, allow_fft: bool = True) -> float:
     """max over g in G of <g.x, y>.
 
     The value comes from the family-keyed backend: a chamber projection,
@@ -87,8 +79,8 @@ def max_filter(group: FiniteGroup, x, y, allow_fft: bool = True) -> FilterValue:
     if x.shape != (group.dim,) or y.shape != (group.dim,):
         raise ValueError("x and y must be vectors of the group dimension")
     if not allow_fft:
-        return FilterValue(float((group.apply_all(x) @ y).max()))
-    return FilterValue(float(_filter_values(group, x[None, :], y[None, :], paired=True)[0]))
+        return float((group.apply_all(x) @ y).max())
+    return float(_filter_values(group, x[None, :], y[None, :], paired=True)[0])
 
 
 def quotient_distance(group: FiniteGroup, x, y) -> float:
@@ -215,13 +207,13 @@ def _check_signals(f, g) -> tuple[np.ndarray, np.ndarray]:
     return f, g
 
 
-def max_filter_circular_fft(f, g) -> FilterValue:
+def max_filter_circular_fft(f, g) -> float:
     """max over shifts a of sum_x f(x) g(x - a), length-d DFT, no padding."""
     f, g = _check_signals(f, g)
-    return FilterValue(float(_circular_values(None, f[None, :], g[None, :], paired=True)[0]))
+    return float(_circular_values(None, f[None, :], g[None, :], paired=True)[0])
 
 
-def max_filter_circular_brute(f, g) -> FilterValue:
+def max_filter_circular_brute(f, g) -> float:
     """Shift-domain oracle for the FFT path: O(d^2), one dot per shift.
     ff[d - a:2d - a] is np.roll(f, a) element for element, so each dot
     has the roll's bits without building it."""
@@ -231,7 +223,7 @@ def max_filter_circular_brute(f, g) -> FilterValue:
     best = -np.inf
     for a in range(d):
         best = max(best, float(ff[d - a:2 * d - a] @ g))
-    return FilterValue(best)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -244,5 +236,4 @@ def save_templates(templates, path) -> None:
 
 
 def load_templates(path) -> np.ndarray:
-    Z = np.loadtxt(Path(path), delimiter=",", ndmin=2)
-    return np.asarray(Z, dtype=float)
+    return np.loadtxt(Path(path), delimiter=",", ndmin=2)

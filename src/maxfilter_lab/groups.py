@@ -38,6 +38,8 @@ __all__ = [
     "FAMILIES",
     "MAX_ORDER",
     "MAX_DIM",
+    "MAX_STACK",
+    "is_reflection_group",
 ]
 
 
@@ -69,9 +71,11 @@ _BLOCK = 1 << 20
 MAX_ORDER = 100_000
 # largest dimension of a group's matrices, checked before any is built: an
 # element holds d^2 entries and the canonical sort takes d^2 keys of the
-# whole stack, so with MAX_ORDER every family's stack stays within 2^24
-# entries (sign_flips(16) and circular_shifts(256) reach it)
+# whole stack
 MAX_DIM = 256
+# largest element stack, in entries, that a closure may grow: the largest any
+# family builds within MAX_ORDER and MAX_DIM (sign_flips(16), circular_shifts(256))
+MAX_STACK = 1 << 24
 
 
 def _check_dim(dim: int) -> None:
@@ -178,8 +182,8 @@ class FiniteGroup:
 
     @cached_property
     def _reflection_generated(self) -> bool:
-        """The verdict of ``kernels.is_reflection_group``, which documents
-        the rule; cached, so its closure runs once per group."""
+        """The verdict of ``is_reflection_group``, which documents the
+        rule; cached, so its closure runs once per group."""
         stack, eq_tol = self.stack, DEFAULT_TOL.eq_tol
         symmetric = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) <= eq_tol
         hyperplane = np.abs(np.trace(stack, axis1=1, axis2=2) - (self.dim - 2)) <= eq_tol
@@ -202,6 +206,19 @@ class FiniteGroup:
         object.__setattr__(group, "family", family)
         object.__setattr__(group, "param", param)
         return group
+
+
+def is_reflection_group(group: FiniteGroup) -> bool:
+    """Whether G is generated by its reflections (Humphreys 1990, 1.1).
+
+    The reflections in G are its symmetric elements with trace d - 2,
+    both within eq_tol: orthogonal involutions with a single eigenvalue
+    -1.  G is a reflection group exactly when they close to all |G|
+    elements; the trivial group, generated by no reflection, is one.
+    Exact and deterministic: no sampling.  The group caches the verdict,
+    so the closure runs once per group.
+    """
+    return group._reflection_generated
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +249,9 @@ def generate_group(generators) -> FiniteGroup:
     found so far, in slices of frontier rows; the rule only looks back, so
     slicing keeps the elements and their order.  Each slice re-reads the
     elements, so it holds up to _BLOCK entries or as many as they have.
-    Raises ClosureOverflow past MAX_ORDER elements and SizeOverflow past
-    MAX_DIM, before any product is formed; both caps are read at call time.
+    Raises ClosureOverflow past MAX_ORDER elements, SizeOverflow past
+    MAX_DIM before any product is formed, and SizeOverflow once the stack
+    passes MAX_STACK entries; every cap is read at call time.
     The group is untagged, so its filter takes the dense route even when
     it equals a named family; build a family with its constructor to get
     that route.
@@ -260,6 +278,8 @@ def generate_group(generators) -> FiniteGroup:
             elements = np.concatenate([elements, cands[kept[kept >= n] - n]])
             if len(elements) > MAX_ORDER:
                 raise ClosureOverflow(f"closure exceeded MAX_ORDER={MAX_ORDER}")
+            if elements.size > MAX_STACK:
+                raise SizeOverflow(f"closure stack exceeded MAX_STACK={MAX_STACK} entries")
         if len(elements) == start:
             return FiniteGroup.from_matrices(elements)
         frontier = elements[start:].copy()    # a view would keep this level's whole array alive
@@ -415,7 +435,7 @@ def load_group(path) -> FiniteGroup:
     family's filter routes, and its stored elements must equal the
     constructor's within eq_tol.  An untagged file is closed again from
     its stored elements.  Either way the order is capped at MAX_ORDER and
-    the dimension at MAX_DIM.
+    the dimension at MAX_DIM, and a closure's stack at MAX_STACK entries.
     ``dim``, and ``param`` in a tagged file, must be integers, not bools.
     """
     payload = json.loads(Path(path).read_text())

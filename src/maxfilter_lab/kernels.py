@@ -5,8 +5,8 @@ This module builds Gram matrices of that kernel on finite point sets,
 checks them for negative eigenvalues, and searches for certificates that
 the kernel fails to be positive semidefinite.  For reflection groups
 no such certificate exists; for every other group a random search finds
-one quickly at small dimension.  ``is_reflection_group`` decides which
-case a group is in, exactly, from its element stack.
+one quickly at small dimension.  ``groups.is_reflection_group`` decides
+which case a group is in, exactly, from its element stack.
 
 The Gram matrix comes from the family-keyed filter backend in
 ``filtering``.  For a reflection family it is pi(P) pi(P)^T, with pi the
@@ -76,7 +76,7 @@ def gram_audit(group: FiniteGroup, points: np.ndarray) -> GramAudit:
     gram = gram_matrix(group, X)
     eigvals, eigvecs = np.linalg.eigh(gram)
     min_eig = float(eigvals[0])
-    scale = 1.0 + float(np.max(np.diag(gram))) if gram.size else 1.0
+    scale = 1.0 + float(np.max(np.diag(gram)))
     verdict = "not_psd" if min_eig < -DEFAULT_TOL.psd_tol * scale else "psd"
     return GramAudit(points=X.copy(), gram=gram, min_eig=min_eig,
                      verdict=verdict, coeffs=eigvecs[:, 0].copy())
@@ -136,16 +136,3 @@ def search_psd_violation(
                                    trials_run=trial + 1, seed=seed)
     return PsdSearchResult(found=False, certificate=None,
                            trials_run=n_trials, seed=seed)
-
-
-def is_reflection_group(group: FiniteGroup) -> bool:
-    """Whether G is generated by its reflections (Humphreys 1990, 1.1).
-
-    The reflections in G are its symmetric elements with trace d - 2,
-    both within eq_tol: orthogonal involutions with a single eigenvalue
-    -1.  G is a reflection group exactly when they close to all |G|
-    elements; the trivial group, generated by no reflection, is one.
-    Exact and deterministic: no sampling.  The group caches the verdict,
-    so the closure runs once per group.
-    """
-    return group._reflection_generated

@@ -19,8 +19,7 @@ import numpy as np
 from .errors import BUDGETS, BudgetExceeded, CaseMismatch, DomainError, NotNicePoint
 from .filtering import (MaxFilterBank, _pair_distances, apply_bank, apply_bank_batch,
                         quotient_distance)
-from .groups import _BLOCK, _first_seen
-from .kernels import is_reflection_group
+from .groups import _BLOCK, _first_seen, is_reflection_group
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
 from .voronoi import _pinned_leaves, cell_of, choice_assignments, proven_chi, sample_nice
@@ -540,7 +539,7 @@ def optimality_witness(bank: MaxFilterBank, seed: int = 0) -> WitnessPair:
     """Construct a pair whose ratio attains the closed-form sharp lower
     constant of the bank's group, the case read off its elements: 'pm_id'
     when G = {+I, -I}, else 'reflection' when G is generated by its
-    reflections (``kernels.is_reflection_group``), else CaseMismatch.
+    reflections (``groups.is_reflection_group``), else CaseMismatch.
     On R^1, {+1, -1} is both, and both give the norm of the templates."""
     group = bank.group
     eye = np.eye(group.dim)

@@ -87,6 +87,49 @@ def test_generate_group_overflow_on_irrational_rotation(monkeypatch):
         generate_group([M])
 
 
+def _symmetric_group_on(k: int, d: int) -> list[np.ndarray]:
+    """A transposition and a k-cycle: generators of S_k on the first k of d coordinates."""
+    swap, cycle = np.eye(d), np.eye(d)
+    swap[:2] = swap[[1, 0]]
+    cycle[:k] = cycle[np.roll(np.arange(k), -1)]
+    return [swap, cycle]
+
+
+def test_closure_stack_cap_is_read_at_call_time(monkeypatch):
+    # S3 on 3 of 40 coordinates: 6 elements of 1600 entries each
+    assert groups.MAX_STACK == 1 << 24
+    gens, entries = _symmetric_group_on(3, 40), 6 * 40 * 40
+    monkeypatch.setattr(groups, "MAX_STACK", entries)
+    assert generate_group(gens).order == 6      # a stack at the cap closes
+    monkeypatch.setattr(groups, "MAX_STACK", entries - 1)
+    with pytest.raises(SizeOverflow, match=f"MAX_STACK={entries - 1}"):
+        generate_group(gens)
+
+
+def test_closure_stack_cap_bounds_memory(monkeypatch):
+    # S6 on 6 of 256 coordinates would close to a 360 MiB stack; it stops
+    # within a few stacks' worth of an 8 MiB cap
+    cap = 1 << 20
+    gens = _symmetric_group_on(6, 256)
+    monkeypatch.setattr(groups, "MAX_STACK", cap)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeOverflow):
+            generate_group(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * cap
+
+
+def test_default_tolerances_are_positive_and_ordered():
+    # the thresholds are constants of the source, so their invariants are checked here
+    tol = DEFAULT_TOL
+    assert min(tol.eq_tol, tol.psd_tol, tol.lp_tol, tol.sample_tol) > 0
+    # argmax gaps may not be tighter than exact-equality resolution
+    assert tol.eq_tol <= tol.sample_tol
+
+
 def test_family_size_cap():
     # 2^17 = 131072 and 9! = 362880 both exceed MAX_ORDER
     assert groups.MAX_ORDER == 100_000

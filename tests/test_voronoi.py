@@ -11,9 +11,10 @@ from maxfilter_lab import (DEFAULT_TOL, BudgetExceeded, LpNumericalFailure, MaxF
                            NotNicePoint, VoronoiCellSpec, build_family, cell_of,
                            choice_assignments, generate_group, in_Q,
                            is_principal, orbit_of, s_set, sample_nice,
-                           sample_principal, strict_cones_feasible,
-                           upper_bound_exact, voronoi_characteristic)
+                           sample_principal, upper_bound_exact,
+                           voronoi_characteristic)
 from maxfilter_lab import voronoi
+from maxfilter_lab.voronoi import strict_cones_feasible
 from maxfilter_lab.errors import BUDGETS
 from maxfilter_lab.stability import pair_lower_value
 from maxfilter_lab.streams import STREAMS
