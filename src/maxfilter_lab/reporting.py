@@ -16,7 +16,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-_CSV_ROWS = 4096    # rows per tolist() slice of write_csv
+_CSV_ROWS = 1024    # rows per block of write_csv; its str cells are held at once
 
 
 def sanitize(obj: Any) -> Any:
@@ -67,19 +67,19 @@ def write_csv(path: Path | str, table: Mapping[str, Any]) -> Path:
     ``np.asarray(col)`` and ``tolist()``, and each cell is the ``str`` of
     the builtin that gives: a float prints as Python's shortest round-trip
     repr (``nan``, ``inf`` and ``-0.0`` included), a bool as True or False.
-    Rows are converted and streamed to the file _CSV_ROWS at a time, so
-    no whole column of builtins is held.  Returns ``path``.
+    Rows are converted and streamed to the file _CSV_ROWS at a time, as
+    one joined string per block, so no whole column of builtins is held.
+    Returns ``path``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.asarray(col) for col in table.values()]
     n_rows = min((len(col) for col in columns), default=0)
-    row = ",".join(["%s"] * len(columns)) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(table) + "\n")
         for lo in range(0, n_rows, _CSV_ROWS):
-            block = [col[lo:lo + _CSV_ROWS].tolist() for col in columns]
-            fh.writelines(row % cells for cells in zip(*block))
+            block = [list(map(str, col[lo:lo + _CSV_ROWS].tolist())) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
     return path
 
 

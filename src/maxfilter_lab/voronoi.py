@@ -15,14 +15,16 @@ per level, and the S-set pairs of a χ run share one lazy stream
 there (``VoronoiCellSpec``); ``cell_of`` alone looks a centre up from a
 point.  No LP solver runs: each margin LP's verdict is read off a
 certificate that is checked with a few flops, a witness point in the box
-or Gordan weights on its rows (``ConeFeasibility``).  A vectorized screen
-over the blocks of one shape finds most of them, and Wolfe's
-minimum-norm point the rest; a block that neither settles raises
-LpNumericalFailure.  Each verdict reads its block alone, so it is the
-one the block would have by itself; ``strict_cones_feasible`` is the
-one-problem case.  ``proven_chi`` is the one proof of an upper bound on
-χ, read off the group's elements; ``voronoi_characteristic`` only
-samples a lower bound.
+or Gordan weights on its rows (``ConeFeasibility``).  They are tried in
+order: a vectorized screen over the blocks of one shape (a witness and a
+pair of rows), then, on the blocks it leaves, a vectorized pass that
+adds a third row to that pair, which in the plane settles every block
+whose rows surround the origin, then Wolfe's minimum-norm point, one
+block at a time; a block that none settles raises LpNumericalFailure.
+Each verdict reads its block alone, so it is the one the block would
+have by itself; ``strict_cones_feasible`` is the one-problem case.
+``proven_chi`` is the one proof of an upper bound on χ, read off the
+group's elements; ``voronoi_characteristic`` only samples a lower bound.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ class VoronoiCellSpec:
     def rows(self) -> np.ndarray:
         """Constraint normals center - p, one per non-center orbit point;
         built once per cell and read-only."""
-        rows = self.center[None, :] - np.delete(self.orbit.points, self.index, axis=0)
+        pts, i = self.orbit.points, self.index
+        rows = self.center - np.concatenate((pts[:i], pts[i + 1:]))
         rows.setflags(write=False)
         return rows
 
@@ -220,8 +223,8 @@ class ConeFeasibility:
 # Entries of one chunk of margin LPs, m * (m + d) per problem of m rows in
 # R^d: its rows and the pair screen's cosines.  It bounds how many pairs a
 # chi run holds at once: 8 sign_flips(3) pairs, where _BLOCK would hold 550.
-# On a 2-core host a `chi` benchmark op took 21.3 ms at this value, 23.4 ms
-# at 1 << 13 and 19.7 ms at _BLOCK.
+# On a 2-core host a `chi` benchmark op took 13.8 ms at this value, 15.9 ms
+# at 1 << 13 and 12.5 ms at _BLOCK (op p50 of three 15 s runs at seed 1).
 _LP_CHUNK = 1 << 14
 _SAMPLE_TRIES = 100    # Gaussian draws per call of sample_principal and sample_nice
 _WOLFE_STEPS = 1000    # major cycles of one _wolfe call; the test banks need at most 11
@@ -251,12 +254,14 @@ def _solve_blocks(blocks: list[np.ndarray]) -> list[ConeFeasibility]:
     """One verdict per block of rows, each read off a certificate that
     ``_certify`` checks.
 
-    The blocks of one shape are screened as one stack (``_screen``), and
-    Wolfe's minimum-norm point (``_wolfe``) is tried on each block the
-    screen leaves.  A block that neither certificate settles raises
-    LpNumericalFailure, before any verdict of its chunk is given.  Every
-    step reads its block alone, so a verdict does not depend on the
-    chunk.
+    The blocks of one shape are screened as one stack (``_screen``: a
+    witness and a pair of rows); the blocks it leaves get three-row
+    Gordan weights as one sub-stack (``_triples``); Wolfe's minimum-norm
+    point (``_wolfe``) is tried on each block still open.  Every
+    candidate goes through ``_certify``.  A block that no certificate
+    settles raises LpNumericalFailure, before any verdict of its chunk is
+    given.  Every step reads its block alone, so a verdict does not
+    depend on the chunk.
     """
     verdicts: list = [None] * len(blocks)
     shapes: dict[tuple[int, int], list[int]] = {}
@@ -268,7 +273,12 @@ def _solve_blocks(blocks: list[np.ndarray]) -> list[ConeFeasibility]:
                 verdicts[i] = ConeFeasibility(feasible=True, witness=np.zeros(d), margin=math.inf)
             continue
         stack = np.stack([blocks[i] for i in idx])
-        Y, L, margins, gaps = _certify(stack, *_screen(stack))
+        Y, L, pair = _screen(stack)
+        Y, L, margins, gaps = _certify(stack, Y, L)
+        left = np.flatnonzero(~((margins > DEFAULT_TOL.lp_tol) | (gaps <= DEFAULT_TOL.lp_tol)))
+        if left.size:
+            _, L[left], _, gaps[left] = _certify(stack[left], Y[left],
+                                                 _triples(stack[left], *pair[:, left]))
         for b, i in enumerate(idx):
             y, lam, margin, gap = Y[b], L[b], margins[b], gaps[b]
             if not (margin > DEFAULT_TOL.lp_tol or gap <= DEFAULT_TOL.lp_tol):
@@ -304,15 +314,17 @@ def _certify(stack: np.ndarray, Y: np.ndarray, L: np.ndarray):
     return Y, L, margins, gaps
 
 
-def _screen(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _screen(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate certificates for a (k, m, d) stack of blocks, found
-    together: the witness is the mean of each block's unit rows; lambda
-    sits on its most antiparallel pair of rows i and j, in proportion
-    |r_j| to |r_i|, so R^T lambda vanishes when the two rows are
-    opposite.  In a reflection group two cells on opposite sides of a
-    mirror carry such rows.  A lone block whose cosines would pass _BLOCK
-    entries gets lambda on its first row, which certifies nothing, and
-    goes to Wolfe."""
+    together, and the pair they rest on: the witness is the mean of each
+    block's unit rows; lambda sits on its most antiparallel pair of rows
+    i and j, in proportion |r_j| to |r_i|, so R^T lambda vanishes when
+    the two rows are opposite.  In a reflection group two cells on
+    opposite sides of a mirror carry such rows.  The pair, as a (2, k)
+    array, is where ``_triples`` starts on the blocks this leaves.  A lone
+    block whose cosines would pass _BLOCK entries gets lambda on its
+    first row and the pair (0, 0), which certify nothing, and goes to
+    Wolfe."""
     k, m, _ = stack.shape
     norms = np.linalg.norm(stack, axis=2)
     unit = stack / norms[..., None]
@@ -323,7 +335,43 @@ def _screen(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     L = np.zeros((k, m))
     L[b, i] = norms[b, j]
     L[b, j] += norms[b, i]
-    return unit.mean(axis=1), L
+    return unit.mean(axis=1), L, np.stack((i, j))
+
+
+def _triples(stack: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Candidate Gordan weights on three rows for a (k, m, d) stack of
+    blocks, found together, each keeping its block's screen pair i, j.
+    For every third row r_k, the point of least norm on the plane through
+    r_i, r_j and r_k, p = r_i + mu (r_j - r_i) + nu (r_k - r_i), comes
+    from a 2x2 system solved by Cramer's rule, with barycentric weights
+    (1 - mu - nu, mu, nu).  The k whose three weights are all >= 0 and
+    whose p has the least |p|_1 is kept.  In R^2, three rows suffice
+    when the block's rows surround the origin (Caratheodory), and one
+    set of three holds the screen's pair: as it is the most antiparallel
+    pair, some r_k then lies in the cone opposite r_i and r_j, and the
+    triangle holds the origin, p = 0.  A block with no such k gets zero
+    weights, which certify nothing."""
+    b = np.arange(stack.shape[0])
+    ri = stack[b, i]
+    a = stack[b, j] - ri
+    B = stack - ri[:, None]
+    aa = np.einsum("kd,kd->k", a, a)[:, None]
+    ar = np.einsum("kd,kd->k", a, ri)[:, None]
+    ab = np.einsum("kmd,kd->km", B, a)
+    bb = np.einsum("kmd,kmd->km", B, B)
+    br = np.einsum("kmd,kd->km", B, ri)
+    det = aa * bb - ab * ab
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = (ab * br - ar * bb) / det
+        nu = (ab * ar - aa * br) / det
+        p = ri[:, None] + mu[..., None] * a[:, None] + nu[..., None] * B
+    w = np.stack((1.0 - mu - nu, mu, nu))
+    norm1 = np.where((det > 0) & (w >= 0).all(axis=0), np.abs(p).sum(axis=2), np.inf)
+    k = norm1.argmin(axis=1)
+    ok = np.flatnonzero(np.isfinite(norm1[b, k]))
+    L = np.zeros(stack.shape[:2])
+    L[ok, i[ok]], L[ok, j[ok]], L[ok, k[ok]] = w[:, ok, k[ok]]
+    return L
 
 
 def _wolfe(R: np.ndarray) -> np.ndarray:

@@ -162,6 +162,15 @@ def test_trivial_group_cell_is_everything(trivial2, rng):
     assert cell.contains(-rng.standard_normal(2))
 
 
+def test_cell_rows_equal_the_delete_form_bit_for_bit(rng):
+    g = build_family("permutations", 4)
+    orb = orbit_of(g, rng.standard_normal(4))
+    for index in (0, orb.size // 2, orb.size - 1):
+        rows = VoronoiCellSpec(orb, index).rows
+        want = orb.points[index][None, :] - np.delete(orb.points, index, axis=0)
+        assert rows.tobytes() == want.tobytes() and not rows.flags.writeable
+
+
 def test_golden_instance_has_six_feasible_pairs(c3):
     # two order-3 template orbits tile the plane into cones; exactly six
     # of the nine cell pairs overlap
@@ -251,20 +260,24 @@ def test_chunk_split_keeps_verdicts(bound, monkeypatch, rng):
                          ids=["one_row", "zero", "negative"])
 def test_undecided_block_raises_and_certifies_nothing(weights, monkeypatch, c5, rng):
     # the infeasible two-cell blocks of C5 need a three-row lambda, which
-    # only Wolfe finds; weights that settle nothing must raise, not decide
+    # the screen's pair cannot give; with both the three-row candidate
+    # and Wolfe handing back weights that settle nothing, such a block
+    # must raise, not decide
     problems = s_set_problems(c5, rng)
     called = []
 
-    def unsettled(R):
+    def unsettled(R, *pair):
         called.append(R.shape)
-        return weights(R.shape[0])
+        return np.broadcast_to(weights(R.shape[-2]), R.shape[:-1]).copy()
 
+    monkeypatch.setattr(voronoi, "_triples", unsettled)
     monkeypatch.setattr(voronoi, "_wolfe", unsettled)
     yielded = []
     with pytest.raises(LpNumericalFailure, match="undecided"):
         for r in voronoi._margin_lps(problems):
             yielded.append(r)
-    assert called and yielded == []
+    # both the (k, m, d) sub-stack and a lone (m, d) block were asked
+    assert {len(shape) for shape in called} == {2, 3} and yielded == []
     with pytest.raises(LpNumericalFailure):
         voronoi_characteristic(c5, 4, seed=1)
 def test_distinct_cells_of_one_orbit_never_intersect(c5, rng):
@@ -577,6 +590,30 @@ def test_every_margin_lp_runs_without_presolve(monkeypatch):
         highs_margin_lps(blocks)
     assert options
     assert all(o is not None and o.get("presolve") is False for o in options)
+
+
+def test_planar_blocks_settle_without_wolfe(monkeypatch):
+    # the screen's pair and the three-row candidate settle every block of
+    # planar chi sampling (Caratheodory in R^2), where Wolfe used to run
+    # 72 times per chi benchmark op; over every LP path it is left with
+    # the 10 feasible blocks of beta's LP route (134 blocks before)
+    calls = []
+    real = voronoi._wolfe
+
+    def counting(R):
+        calls.append(R.shape)
+        return real(R)
+
+    monkeypatch.setattr(voronoi, "_wolfe", counting)
+    for name, param in [("cyclic_rotation_2d", 3), ("cyclic_rotation_2d", 5),
+                        ("cyclic_rotation_2d", 7), ("plus_minus_id", 2)]:
+        voronoi_characteristic(build_family(name, param), 8, seed=1)
+    assert calls == []
+    planar = [np.count_nonzero(v.weights)
+              for blocks, verdicts in decided_chunks(monkeypatch)
+              for R, v in zip(blocks, verdicts) if R.shape[1] == 2 and not v.feasible]
+    assert len(calls) <= 10
+    assert max(planar) == 3 and 2 in planar
 
 
 def test_s_sets_reads_pairs_lazily(c5):
