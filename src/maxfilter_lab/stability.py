@@ -121,20 +121,27 @@ def upper_bound_relaxed(bank: MaxFilterBank) -> float:
     """Max spectral norm over ALL tuples, no cell-feasibility filter.
 
     Same pinning symmetry as the exact search; enumeration is vectorized
-    over chunks of the remaining index product.  Raises BudgetExceeded
-    before any chunk that would pass BUDGETS["tuple_leaves"] tuples.
+    over chunks of the remaining index product, last orbit fastest.  The
+    count is exact however large, and a chunk's rows are decoded digit by
+    digit, so no array shape holds the whole product.  Raises
+    BudgetExceeded before any chunk that would pass
+    BUDGETS["tuple_leaves"] tuples.
     """
     orbits = bank.orbits
     pin = int(np.argmax([orb.size for orb in orbits]))
     sizes = [1 if i == pin else orbits[i].size for i in range(len(orbits))]
-    total = int(np.prod(sizes))
+    total = math.prod(sizes)
     best = -math.inf
     for lo in range(0, total, _RELAXED_CHUNK):
         hi = min(lo + _RELAXED_CHUNK, total)
         if hi > BUDGETS["tuple_leaves"]:
             raise BudgetExceeded("upper_bound_relaxed tuple budget exhausted",
                                  partial=None if best == -math.inf else best)
-        idx = np.stack(np.unravel_index(np.arange(lo, hi), sizes), axis=1)
+        rest, digits = np.arange(lo, hi), []
+        for size in reversed(sizes):
+            rest, digit = np.divmod(rest, size)
+            digits.append(digit)
+        idx = np.stack(digits[::-1], axis=1)
         best = max(best, float(_spectral_norms(orbits, idx).max()))
     return float(best)
 

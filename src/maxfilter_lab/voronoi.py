@@ -15,14 +15,15 @@ per level, and the S-set pairs of a χ run share one lazy stream
 there (``VoronoiCellSpec``); ``cell_of`` alone looks a centre up from a
 point.  No LP solver runs: each margin LP's verdict is read off a
 certificate that is checked with a few flops, a witness point in the box
-or Gordan weights on its rows (``ConeFeasibility``).  They are tried in
-order: a vectorized screen over the blocks of one shape (a witness and a
-pair of rows), then, on the blocks it leaves, a vectorized pass that
-adds a third row to that pair, which in the plane settles every block
-whose rows surround the origin, then Wolfe's minimum-norm point, one
-block at a time; a block that none settles raises LpNumericalFailure.
-Each verdict reads its block alone, so it is the one the block would
-have by itself; ``strict_cones_feasible`` is the one-problem case.
+or Gordan weights on its rows (``ConeFeasibility``).  A chunk holds
+blocks of one shape, and one loop runs the finders of ``_FINDERS`` in
+turn on its blocks still open, all checked at one ``_certify`` call: a
+vectorized screen (a witness and a pair of rows), a vectorized pass
+adding a third row to that pair, which in the plane settles every block
+whose rows surround the origin, and Wolfe's minimum-norm point, one
+block at a time; a block none settles raises LpNumericalFailure.  Each
+verdict reads its block alone, so it is the one the block would have by
+itself; ``strict_cones_feasible`` is the one-problem case.
 ``proven_chi`` is the one proof of an upper bound on χ, read off the
 group's elements; ``voronoi_characteristic`` only samples a lower bound.
 """
@@ -227,74 +228,61 @@ class ConeFeasibility:
 # at 1 << 13 and 12.5 ms at _BLOCK (op p50 of three 15 s runs at seed 1).
 _LP_CHUNK = 1 << 14
 _SAMPLE_TRIES = 100    # Gaussian draws per call of sample_principal and sample_nice
-_WOLFE_STEPS = 1000    # major cycles of one _wolfe call; the test banks need at most 11
+_WOLFE_STEPS = 1000    # major cycles per block in _wolfe; the test banks need at most 11
 
 
 def _margin_lps(problems: Iterable[Sequence[VoronoiCellSpec]]) -> Iterator[ConeFeasibility]:
     """One ConeFeasibility per list of cells, in input order.
 
-    Problems are read lazily and decided in chunks of at most _LP_CHUNK
-    entries, unless one problem exceeds it alone, so a long iterable is
-    never held at once.
+    Problems are read lazily and decided in chunks of one block shape and
+    at most _LP_CHUNK entries, unless one problem exceeds it alone, so a
+    long iterable is never held at once.  A new shape closes the chunk.
     """
     blocks: list[np.ndarray] = []
     size = 0
     for cells in problems:
         R = np.concatenate([c.rows for c in cells]) if cells else np.zeros((0, 0))
         entries = R.shape[0] * sum(R.shape)
-        if blocks and size + entries > _LP_CHUNK:
+        if blocks and (size + entries > _LP_CHUNK or R.shape != blocks[0].shape):
             yield from _solve_blocks(blocks)
             blocks, size = [], 0
         blocks.append(R)
         size += entries
-    yield from _solve_blocks(blocks)
+    if blocks:
+        yield from _solve_blocks(blocks)
 
 
 def _solve_blocks(blocks: list[np.ndarray]) -> list[ConeFeasibility]:
-    """One verdict per block of rows, each read off a certificate that
-    ``_certify`` checks.
+    """One verdict per block of rows, all of one shape, each read off a
+    certificate that ``_certify`` checks.
 
-    The blocks of one shape are screened as one stack (``_screen``: a
-    witness and a pair of rows); the blocks it leaves get three-row
-    Gordan weights as one sub-stack (``_triples``); Wolfe's minimum-norm
-    point (``_wolfe``) is tried on each block still open.  Every
-    candidate goes through ``_certify``.  A block that no certificate
-    settles raises LpNumericalFailure, before any verdict of its chunk is
-    given.  Every step reads its block alone, so a verdict does not
-    depend on the chunk.
+    The finders of _FINDERS run in turn, each on the sub-stack of the
+    blocks still open, and ``_certify`` checks what each returns.  A block
+    is settled by a witness margin > lp_tol or a Gordan gap <= lp_tol; a
+    block without rows starts settled, feasible at y = 0 with margin inf.
+    A block that no finder settles raises LpNumericalFailure, before any
+    verdict of its chunk is given.  Every step reads its block alone, so
+    a verdict does not depend on the chunk.
     """
-    verdicts: list = [None] * len(blocks)
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for i, R in enumerate(blocks):
-        shapes.setdefault(R.shape, []).append(i)
-    for (m, d), idx in shapes.items():
-        if m == 0:
-            for i in idx:
-                verdicts[i] = ConeFeasibility(feasible=True, witness=np.zeros(d), margin=math.inf)
-            continue
-        stack = np.stack([blocks[i] for i in idx])
-        Y, L, pair = _screen(stack)
-        Y, L, margins, gaps = _certify(stack, Y, L)
-        left = np.flatnonzero(~((margins > DEFAULT_TOL.lp_tol) | (gaps <= DEFAULT_TOL.lp_tol)))
-        if left.size:
-            _, L[left], _, gaps[left] = _certify(stack[left], Y[left],
-                                                 _triples(stack[left], *pair[:, left]))
-        for b, i in enumerate(idx):
-            y, lam, margin, gap = Y[b], L[b], margins[b], gaps[b]
-            if not (margin > DEFAULT_TOL.lp_tol or gap <= DEFAULT_TOL.lp_tol):
-                lam = _wolfe(stack[b])
-                (y,), (lam,), (margin,), (gap,) = _certify(stack[b:b + 1], (lam @ stack[b])[None],
-                                                           lam[None])
-            if margin > DEFAULT_TOL.lp_tol:
-                verdicts[i] = ConeFeasibility(feasible=True, witness=y, margin=float(margin))
-            elif gap <= DEFAULT_TOL.lp_tol:
-                verdicts[i] = ConeFeasibility(feasible=False, witness=None, margin=-float(gap),
-                                              weights=lam)
-            else:
-                raise LpNumericalFailure(
-                    f"margin LP undecided: witness margin {margin:.3g} and Gordan gap {gap:.3g} "
-                    f"both miss lp_tol {DEFAULT_TOL.lp_tol:.3g}")
-    return verdicts
+    tol = DEFAULT_TOL.lp_tol
+    stack = np.stack(blocks)
+    k, m, d = stack.shape
+    Y, L = np.zeros((k, d)), np.zeros((k, m))
+    # the margin of y = 0, min R y: 0 with rows, inf (an empty min) without
+    margins, gaps = np.zeros((k, m)).min(axis=1, initial=np.inf), np.full(k, np.inf)
+    b = np.flatnonzero(margins <= tol)
+    for find in _FINDERS:
+        if not b.size:
+            break
+        Y[b], L[b], margins[b], gaps[b] = _certify(stack[b], *find(stack[b]))
+        b = b[(margins[b] <= tol) & (gaps[b] > tol)]
+    if b.size:
+        raise LpNumericalFailure(
+            f"margin LP undecided: witness margin {margins[b[0]]:.3g} and Gordan gap "
+            f"{gaps[b[0]]:.3g} both miss lp_tol {tol:.3g}")
+    return [ConeFeasibility(feasible=True, witness=y, margin=float(t)) if t > tol else
+            ConeFeasibility(feasible=False, witness=None, margin=-float(g), weights=lam)
+            for y, lam, t, g in zip(Y, L, margins, gaps)]
 
 
 def _certify(stack: np.ndarray, Y: np.ndarray, L: np.ndarray):
@@ -314,43 +302,48 @@ def _certify(stack: np.ndarray, Y: np.ndarray, L: np.ndarray):
     return Y, L, margins, gaps
 
 
-def _screen(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate certificates for a (k, m, d) stack of blocks, found
-    together, and the pair they rest on: the witness is the mean of each
-    block's unit rows; lambda sits on its most antiparallel pair of rows
-    i and j, in proportion |r_j| to |r_i|, so R^T lambda vanishes when
-    the two rows are opposite.  In a reflection group two cells on
-    opposite sides of a mirror carry such rows.  The pair, as a (2, k)
-    array, is where ``_triples`` starts on the blocks this leaves.  A lone
-    block whose cosines would pass _BLOCK entries gets lambda on its
-    first row and the pair (0, 0), which certify nothing, and goes to
-    Wolfe."""
-    k, m, _ = stack.shape
+def _pair(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each block's most antiparallel pair of rows (i, j), from a (k, m, d)
+    stack of unit rows.  When the stack's cosines would pass _BLOCK
+    entries, every pair is (0, 0), which certifies nothing."""
+    k, m, _ = unit.shape
+    if k * m * m > _BLOCK:
+        return np.zeros(k, dtype=np.intp), np.zeros(k, dtype=np.intp)
+    return np.divmod(np.matmul(unit, unit.transpose(0, 2, 1)).reshape(k, -1).argmin(axis=1), m)
+
+
+def _screen(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate certificates (Y, L) for a (k, m, d) stack of blocks, found
+    together: the witness is the mean of each block's unit rows; lambda
+    sits on its most antiparallel pair of rows i and j (``_pair``), in
+    proportion |r_j| to |r_i|, so R^T lambda vanishes when the two rows
+    are opposite.  In a reflection group two cells on opposite sides of a
+    mirror carry such rows."""
     norms = np.linalg.norm(stack, axis=2)
     unit = stack / norms[..., None]
-    i = j = np.zeros(k, dtype=np.intp)
-    if k * m * m <= _BLOCK:
-        i, j = np.divmod(np.matmul(unit, unit.transpose(0, 2, 1)).reshape(k, -1).argmin(axis=1), m)
-    b = np.arange(k)
-    L = np.zeros((k, m))
+    i, j = _pair(unit)
+    b = np.arange(stack.shape[0])
+    L = np.zeros(stack.shape[:2])
     L[b, i] = norms[b, j]
     L[b, j] += norms[b, i]
-    return unit.mean(axis=1), L, np.stack((i, j))
+    return unit.mean(axis=1), L
 
 
-def _triples(stack: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _triples(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Candidate Gordan weights on three rows for a (k, m, d) stack of
-    blocks, found together, each keeping its block's screen pair i, j.
-    For every third row r_k, the point of least norm on the plane through
-    r_i, r_j and r_k, p = r_i + mu (r_j - r_i) + nu (r_k - r_i), comes
-    from a 2x2 system solved by Cramer's rule, with barycentric weights
-    (1 - mu - nu, mu, nu).  The k whose three weights are all >= 0 and
-    whose p has the least |p|_1 is kept.  In R^2, three rows suffice
-    when the block's rows surround the origin (Caratheodory), and one
-    set of three holds the screen's pair: as it is the most antiparallel
-    pair, some r_k then lies in the cone opposite r_i and r_j, and the
-    triangle holds the origin, p = 0.  A block with no such k gets zero
-    weights, which certify nothing."""
+    blocks, found together, with zero witnesses.  Each block keeps the
+    screen's pair i, j (``_pair``).  For every third row r_k, the point
+    of least norm on the plane through r_i, r_j and r_k,
+    p = r_i + mu (r_j - r_i) + nu (r_k - r_i), comes from a 2x2 system
+    solved by Cramer's rule, with barycentric weights (1 - mu - nu, mu,
+    nu).  The k whose three weights are all >= 0 and whose p has the
+    least |p|_1 is kept.  In R^2, three rows suffice when the block's
+    rows surround the origin (Caratheodory), and one set of three holds
+    the screen's pair: as it is the most antiparallel pair, some r_k
+    then lies in the cone opposite r_i and r_j, and the triangle holds
+    the origin, p = 0.  A block with no such k gets zero weights, which
+    certify nothing."""
+    i, j = _pair(stack / np.linalg.norm(stack, axis=2, keepdims=True))
     b = np.arange(stack.shape[0])
     ri = stack[b, i]
     a = stack[b, j] - ri
@@ -371,52 +364,58 @@ def _triples(stack: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     ok = np.flatnonzero(np.isfinite(norm1[b, k]))
     L = np.zeros(stack.shape[:2])
     L[ok, i[ok]], L[ok, j[ok]], L[ok, k[ok]] = w[:, ok, k[ok]]
-    return L
+    return np.zeros((stack.shape[0], stack.shape[2])), L
 
 
-def _wolfe(R: np.ndarray) -> np.ndarray:
-    """Convex weights over the rows of R of Wolfe's minimum-norm point of
-    their hull (P. Wolfe, "Finding the nearest point in a polytope",
-    Math. Programming 11, 1976), stopped as soon as its point p = R^T w
-    gives a certificate: min R p > lp_tol * |p|_inf, so y = p / |p|_inf
-    is a witness, or |p|_1 <= lp_tol.  At the minimum-norm point,
-    <r, p> >= |p|^2 for every row r, so min R y >= |p|; and t* <= |p|_1.
-    It also stops when the most violating row is already in the corral
-    or after _WOLFE_STEPS major cycles; ``_solve_blocks`` checks what
-    it returns either way.
+def _wolfe(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate certificates (Y, L) for a (k, m, d) stack, one block at a
+    time: convex weights over a block's rows R of Wolfe's minimum-norm
+    point of their hull (P. Wolfe, "Finding the nearest point in a
+    polytope", Math. Programming 11, 1976), and p = R^T w as the witness.
+    A block stops as soon as p gives a certificate: min R p > lp_tol *
+    |p|_inf, so y = p / |p|_inf is a witness, or |p|_1 <= lp_tol.  At the
+    minimum-norm point, <r, p> >= |p|^2 for every row r, so min R y >= |p|;
+    and t* <= |p|_1.  It also stops when the most violating row is already
+    in the corral or after _WOLFE_STEPS major cycles; ``_certify`` checks
+    what it returns either way.
     """
     tol = DEFAULT_TOL.lp_tol
-    corral = [int(np.argmin(np.einsum("md,md->m", R, R)))]
-    w = np.ones(1)
-    for _ in range(_WOLFE_STEPS):
-        p = w @ R[corral]
-        v = R @ p
-        j = int(np.argmin(v))
-        if (v[j] > tol * np.abs(p).max() or np.abs(p).sum() <= tol
-                or v[j] >= p @ p or j in corral):
-            break
-        corral.append(j)
-        w = np.append(w, 0.0)
-        while True:
-            # the point of least norm on the affine hull of the corral
-            P = R[corral]
-            a = np.linalg.lstsq((P[1:] - P[0]).T, -P[0], rcond=None)[0]
-            alpha = np.concatenate(([1.0 - a.sum()], a))
-            if (alpha > 0).all():
-                w = alpha
+    L = np.zeros(stack.shape[:2])
+    for R, lam in zip(stack, L):
+        corral = [int(np.argmin(np.einsum("md,md->m", R, R)))]
+        w = np.ones(1)
+        for _ in range(_WOLFE_STEPS):
+            p = w @ R[corral]
+            v = R @ p
+            j = int(np.argmin(v))
+            if (v[j] > tol * np.abs(p).max() or np.abs(p).sum() <= tol
+                    or v[j] >= p @ p or j in corral):
                 break
-            # step from w toward alpha until a weight reaches 0, and drop it
-            neg = np.flatnonzero(alpha <= 0)
-            drop = w[neg] - alpha[neg]
-            ratios = np.divide(w[neg], drop, out=np.zeros(neg.size), where=drop > 0)
-            w = w + ratios.min() * (alpha - w)
-            w[neg[np.argmin(ratios)]] = 0.0
-            keep = w > 0
-            corral = [c for c, k in zip(corral, keep) if k]
-            w = w[keep]
-    lam = np.zeros(R.shape[0])
-    lam[corral] = w
-    return lam
+            corral.append(j)
+            w = np.append(w, 0.0)
+            while True:
+                # the point of least norm on the affine hull of the corral
+                P = R[corral]
+                a = np.linalg.lstsq((P[1:] - P[0]).T, -P[0], rcond=None)[0]
+                alpha = np.concatenate(([1.0 - a.sum()], a))
+                if (alpha > 0).all():
+                    w = alpha
+                    break
+                # step from w toward alpha until a weight reaches 0, and drop it
+                neg = np.flatnonzero(alpha <= 0)
+                drop = w[neg] - alpha[neg]
+                ratios = np.divide(w[neg], drop, out=np.zeros(neg.size), where=drop > 0)
+                w = w + ratios.min() * (alpha - w)
+                w[neg[np.argmin(ratios)]] = 0.0
+                keep = w > 0
+                corral = [c for c, k in zip(corral, keep) if k]
+                w = w[keep]
+        lam[corral] = w
+    return np.stack([lam @ R for R, lam in zip(stack, L)]), L
+
+
+# the order in which _solve_blocks asks for candidates: the cheapest first
+_FINDERS = (_screen, _triples, _wolfe)
 
 
 def strict_cones_feasible(

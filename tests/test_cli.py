@@ -437,7 +437,13 @@ def test_exit_two_when_a_margin_lp_is_undecided(tmp_path, monkeypatch, capsys):
     # Wolfe's weights settle no block of the untagged C3 bank's LP route, so
     # the run stops before any report: beta_exact is never reported, let
     # alone as certified
-    monkeypatch.setattr(voronoi, "_wolfe", lambda R: np.eye(R.shape[0])[0])
+    def first_row(stack):
+        # lambda on each block's first row, and lambda @ R as the witness
+        L = np.zeros(stack.shape[:2])
+        L[:, 0] = 1.0
+        return stack[:, 0], L
+
+    monkeypatch.setattr(voronoi, "_FINDERS", (*voronoi._FINDERS[:2], first_row))
     cfg = write_config(tmp_path, dict(
         SF2_BOUNDS, group_spec=untagged_group_spec(tmp_path, "cyclic_rotation_2d", 3)))
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -517,6 +518,24 @@ def test_alpha_tilde_rejects_bad_chi(golden_bank):
 
 # ---------------------------------------------------------------------------
 # budgets
+
+
+def test_relaxed_budget_holds_past_int64_tuples(monkeypatch):
+    # 5040^6 ~ 1.6e22 tuples: the count and the index rows must not wrap,
+    # and the partial is the max over the leading tuples, last orbit fastest
+    g = build_family("permutations", 7)
+    bank = MaxFilterBank(g, np.random.default_rng(0).standard_normal((7, 7)))
+    scored = 2 * stability._RELAXED_CHUNK
+    monkeypatch.setitem(BUDGETS, "tuple_leaves", scored + 1)
+    with pytest.raises(BudgetExceeded) as e:
+        upper_bound_relaxed(bank)
+    leading = itertools.islice(itertools.product(*(range(o.size) for o in bank.orbits[1:])),
+                               scored)
+    cols = np.stack([np.stack([bank.orbits[0].points[0]]
+                              + [o.points[k] for o, k in zip(bank.orbits[1:], t)], axis=1)
+                     for t in leading])
+    assert math.isfinite(e.value.partial)
+    assert e.value.partial == float(np.linalg.svd(cols, compute_uv=False)[:, 0].max())
 
 
 def test_budget_exceeded_carries_partial(rng, monkeypatch):

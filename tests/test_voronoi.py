@@ -21,7 +21,7 @@ from maxfilter_lab.streams import STREAMS
 from oracles import brute_s_members, highs_margin_lps, lp_route, rows_strictly_inside
 
 GOLDEN_Z = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-# the groups of the acceptance chi table
+# the groups of the acceptance chi table and of the chi benchmark workload
 CHI_GROUPS = [("permutations", 3), ("permutations", 4), ("sign_flips", 3),
               ("dihedral_2d", 4), ("plus_minus_id", 2), ("plus_minus_id", 3),
               ("cyclic_rotation_2d", 3), ("cyclic_rotation_2d", 5),
@@ -224,6 +224,29 @@ def test_batch_with_empty_and_rowless_problems(trivial2, c5, rng):
     assert out[1].feasible and out[2].witness.shape == (0,)
 
 
+def test_mixed_shapes_reach_solve_blocks_one_shape_per_call(trivial2, c5, monkeypatch, rng):
+    free = cell_of(trivial2, np.array([1.0, 2.0]))
+    a, b = (cell_of(c5, rng.standard_normal(2)) for _ in range(2))
+    problems = [[free], [a], [a, b], [], [b], [b, a], [free, free], [b, a], [a, a]]
+    want = [strict_cones_feasible(cells) for cells in problems]
+    shapes = []
+    real = voronoi._solve_blocks
+
+    def recording(blocks):
+        shapes.append({R.shape for R in blocks})
+        return real(blocks)
+
+    monkeypatch.setattr(voronoi, "_solve_blocks", recording)
+    got = list(voronoi._margin_lps(problems))
+    # a new shape closes the chunk; equal shapes in a row share one
+    assert shapes == [{(0, 2)}, {(4, 2)}, {(8, 2)}, {(0, 0)}, {(4, 2)}, {(8, 2)}, {(0, 2)},
+                      {(8, 2)}]
+    for g, w in zip(got, want, strict=True):
+        assert g.feasible == w.feasible and g.margin == w.margin
+        for x, y in ((g.witness, w.witness), (g.weights, w.weights)):
+            assert (x is None and y is None) or x.tobytes() == y.tobytes()
+
+
 @pytest.mark.parametrize("bound", [1, 200, 1000])
 def test_chunk_split_keeps_verdicts(bound, monkeypatch, rng):
     g = build_family("permutations", 4)
@@ -266,18 +289,19 @@ def test_undecided_block_raises_and_certifies_nothing(weights, monkeypatch, c5, 
     problems = s_set_problems(c5, rng)
     called = []
 
-    def unsettled(R, *pair):
-        called.append(R.shape)
-        return np.broadcast_to(weights(R.shape[-2]), R.shape[:-1]).copy()
+    def unsettled(stack):
+        called.append(stack.shape)
+        k, m, d = stack.shape
+        return np.zeros((k, d)), np.broadcast_to(weights(m), (k, m)).copy()
 
-    monkeypatch.setattr(voronoi, "_triples", unsettled)
-    monkeypatch.setattr(voronoi, "_wolfe", unsettled)
+    monkeypatch.setattr(voronoi, "_FINDERS", (voronoi._screen, unsettled, unsettled))
     yielded = []
     with pytest.raises(LpNumericalFailure, match="undecided"):
         for r in voronoi._margin_lps(problems):
             yielded.append(r)
-    # both the (k, m, d) sub-stack and a lone (m, d) block were asked
-    assert {len(shape) for shape in called} == {2, 3} and yielded == []
+    # both finders were asked, each with the (k, m, d) sub-stack still open
+    assert len(called) == 2 and called[0] == called[1] and len(called[0]) == 3
+    assert yielded == []
     with pytest.raises(LpNumericalFailure):
         voronoi_characteristic(c5, 4, seed=1)
 def test_distinct_cells_of_one_orbit_never_intersect(c5, rng):
@@ -512,10 +536,7 @@ def test_chi_run_is_one_lp_stream(c5, monkeypatch):
     assert est.chi_lower == 2
 
 
-# the groups of the chi benchmark workload, and three banks sent down the LP route
-CHI_GROUPS = [("permutations", 3), ("permutations", 4), ("sign_flips", 3), ("dihedral_2d", 4),
-              ("plus_minus_id", 2), ("plus_minus_id", 3), ("cyclic_rotation_2d", 3),
-              ("cyclic_rotation_2d", 5), ("cyclic_rotation_2d", 7)]
+# three banks sent down the LP route
 LP_ROUTE_BANKS = [("cyclic_rotation_2d", 3, 8), ("sign_flips", 3, 6), ("permutations", 3, 5)]
 
 
@@ -597,23 +618,48 @@ def test_planar_blocks_settle_without_wolfe(monkeypatch):
     # planar chi sampling (Caratheodory in R^2), where Wolfe used to run
     # 72 times per chi benchmark op; over every LP path it is left with
     # the 10 feasible blocks of beta's LP route (134 blocks before)
-    calls = []
-    real = voronoi._wolfe
+    blocks = []
+    screen, triples, wolfe = voronoi._FINDERS
 
-    def counting(R):
-        calls.append(R.shape)
-        return real(R)
+    def counting(stack):
+        blocks.append(len(stack))
+        return wolfe(stack)
 
-    monkeypatch.setattr(voronoi, "_wolfe", counting)
+    monkeypatch.setattr(voronoi, "_FINDERS", (screen, triples, counting))
     for name, param in [("cyclic_rotation_2d", 3), ("cyclic_rotation_2d", 5),
                         ("cyclic_rotation_2d", 7), ("plus_minus_id", 2)]:
         voronoi_characteristic(build_family(name, param), 8, seed=1)
-    assert calls == []
+    assert blocks == []
     planar = [np.count_nonzero(v.weights)
-              for blocks, verdicts in decided_chunks(monkeypatch)
-              for R, v in zip(blocks, verdicts) if R.shape[1] == 2 and not v.feasible]
-    assert len(calls) <= 10
+              for chunk, verdicts in decided_chunks(monkeypatch)
+              for R, v in zip(chunk, verdicts) if R.shape[1] == 2 and not v.feasible]
+    assert sum(blocks) <= 10
     assert max(planar) == 3 and 2 in planar
+
+
+def test_chi_chunks_are_one_shape_and_finders_see_only_open_blocks(monkeypatch):
+    # the nine chi groups at 8 samples: each chunk is one stack, the screen
+    # settles all but 72 of its blocks, and the three-row pass the rest
+    chunks, asked = [], {}
+    real = voronoi._solve_blocks
+
+    def recording(blocks):
+        chunks.append({R.shape for R in blocks})
+        return real(blocks)
+
+    def counted(find):
+        def wrapper(stack):
+            asked[find.__name__] += len(stack)
+            return find(stack)
+        asked[find.__name__] = 0
+        return wrapper
+
+    monkeypatch.setattr(voronoi, "_solve_blocks", recording)
+    monkeypatch.setattr(voronoi, "_FINDERS", tuple(map(counted, voronoi._FINDERS)))
+    for name, param in CHI_GROUPS:
+        voronoi_characteristic(build_family(name, param), 8, seed=1)
+    assert len(chunks) == 36 and all(len(shapes) == 1 for shapes in chunks)
+    assert asked == {"_screen": 520, "_triples": 72, "_wolfe": 0}
 
 
 def test_s_sets_reads_pairs_lazily(c5):
