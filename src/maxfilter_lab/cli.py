@@ -471,11 +471,16 @@ def cmd_maxfilter(config: ExperimentConfig, group: FiniteGroup, seed: int, timin
 
 
 def cmd_chi(config: ExperimentConfig, group: FiniteGroup, seed: int, timings: dict):
-    """sampled cell-crossing count of the group"""
+    """sampled cell-crossing count of the group, checked against the proven chi"""
     with _stage(timings, "chi"):
         est = voronoi_characteristic(group, _CHI_SAMPLES, seed)
+        chi, rule = proven_chi(group)
     counts = np.bincount(est.sizes, minlength=group.order + 1)
-    asserts = []
+    # the sample rests on margin-LP certificates, the proof on the elements:
+    # a sample above the proof exposes a fault in one of them
+    asserts = [assertion(
+        "chi_lower_within_proven", f"sampled cell-crossing count is at most the proven chi {chi}",
+        est.chi_lower <= chi, {"chi_lower": est.chi_lower, "chi": chi}, None)]
     if config.expected_chi is not None:
         asserts.append(assertion(
             "chi_matches_expected",
@@ -489,6 +494,7 @@ def cmd_chi(config: ExperimentConfig, group: FiniteGroup, seed: int, timings: di
 
     results = {
         "chi_lower": est.chi_lower,
+        "chi": {"chi": chi, "source": rule},
         "saturated": est.saturated,
         "group_order": group.order,
         "n_samples": _CHI_SAMPLES,

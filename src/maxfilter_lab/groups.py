@@ -141,13 +141,14 @@ class FiniteGroup:
     array, copied in the order given; ``from_matrices`` sorts them into
     canonical order first, and its sorted copy, read-only and owning its
     memory, is taken without a second copy.  ``family`` names the
-    constructor in FAMILIES that built the group, and it alone enables
-    the structure-specific filter routes: the chamber projections of the
-    reflection families and the circular-shift FFT.  ``param`` is that
+    constructor in FAMILIES that built the group, and it selects the
+    filter routes only: the chamber projections of the reflection
+    families and the circular-shift FFT.  ``param`` is that
     constructor's parameter, m for the rotation families and d for the
     coordinate families.  Only those constructors set the two, through
-    ``_from_stack``; every other group is untagged and takes the dense
-    route.
+    ``_from_stack``; every other group is untagged and its filter takes
+    the dense route.  The cell geometry (``_cells``) and chi are read
+    off the elements, tagged or not.
     """
 
     stack: np.ndarray = field(repr=False)
@@ -181,14 +182,24 @@ class FiniteGroup:
         return bool(np.abs(self.stack - M).max(axis=(1, 2)).min() <= DEFAULT_TOL.eq_tol)
 
     @cached_property
-    def _reflection_generated(self) -> bool:
-        """The verdict of ``is_reflection_group``, which documents the
-        rule; cached, so its closure runs once per group."""
+    def _cells(self) -> tuple[str | None, np.ndarray | None]:
+        """The shape of a principal orbit's open cells, read off the elements
+        and cached, so the closure runs once per group: ("reflection",
+        None), chambers, when ``is_reflection_group`` holds; else
+        ("planar", B), sectors, when G moves at most a plane, where it acts
+        as a cyclic group: I minus the mean element projects onto that
+        plane, so its trace is at most 2, and its top two eigenvectors are
+        the orthonormal basis B; else (None, None)."""
         stack, eq_tol = self.stack, DEFAULT_TOL.eq_tol
         symmetric = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) <= eq_tol
         hyperplane = np.abs(np.trace(stack, axis1=1, axis2=2) - (self.dim - 2)) <= eq_tol
         reflections = stack[symmetric & hyperplane]
-        return generate_group([np.eye(self.dim), *reflections]).order == self.order
+        if generate_group([np.eye(self.dim), *reflections]).order == self.order:
+            return "reflection", None
+        moving = np.eye(self.dim) - stack.mean(axis=0)
+        if round(float(np.trace(moving))) > 2:
+            return None, None
+        return "planar", np.linalg.eigh(moving)[1][:, -2:]
 
     @classmethod
     def from_matrices(cls, mats: np.ndarray) -> "FiniteGroup":
@@ -215,10 +226,10 @@ def is_reflection_group(group: FiniteGroup) -> bool:
     both within eq_tol: orthogonal involutions with a single eigenvalue
     -1.  G is a reflection group exactly when they close to all |G|
     elements; the trivial group, generated by no reflection, is one.
-    Exact and deterministic: no sampling.  The group caches the verdict,
-    so the closure runs once per group.
+    Exact and deterministic: no sampling.  The group caches the verdict
+    with the rest of its cell classification (``FiniteGroup._cells``).
     """
-    return group._reflection_generated
+    return group._cells[0] == "reflection"
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +265,8 @@ def generate_group(generators) -> FiniteGroup:
     passes MAX_STACK entries; every cap is read at call time.
     The group is untagged, so its filter takes the dense route even when
     it equals a named family; build a family with its constructor to get
-    that route.
+    that route.  Its cell geometry and chi are those of its elements, as
+    for a tagged group.
     """
     gens = [_as_matrix(g) for g in generators]
     if not gens:

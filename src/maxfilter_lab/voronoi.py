@@ -4,11 +4,12 @@ characteristic chi.
 The open cell V_x collects the points whose best orbit representative is
 x itself and nobody else, so whether a point lies in it is read off its
 orbit scores (``strictly_inside``).  Which open cells of several orbits
-meet a pinned cell is read off the closed-form cell geometry of the
-tagged reflection and planar rotation families (``_geometric_leaves``)
-for β and the sharp bound's S-sets; every other group, every question
-that geometry hands back, and ``s_set`` and χ, which check the rules
-that geometry rests on, ask a small margin LP.  Every margin LP starts
+meet a pinned cell is read off the closed-form cell geometry of
+reflection groups and planar rotation groups, read off the elements
+(``_geometric_leaves``), for β and the sharp bound's S-sets; every
+other group, every question that geometry hands back, and ``s_set``
+and χ, which check the rules that geometry rests on, ask a small
+margin LP.  Every margin LP starts
 here: β's LP route is the level search of ``_pinned_leaves``, one batch
 per level, and the S-set pairs of a χ run share one lazy stream
 (``_s_sets``).  A cell is named by its orbit and its centre's index
@@ -41,8 +42,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import BUDGETS, BudgetExceeded, LpNumericalFailure, NotNicePoint
-from .filtering import _CHAMBERS, MaxFilterBank
-from .groups import _BLOCK, FiniteGroup, Orbit, is_reflection_group, orbit_of, stabilizer_order
+from .filtering import MaxFilterBank
+from .groups import _BLOCK, FiniteGroup, Orbit, orbit_of, stabilizer_order
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
 
@@ -116,37 +117,40 @@ def _geometric_leaves(group: FiniteGroup, orbits, pin: int) -> list[tuple[int, .
     """Sorted feasible leaves from the cell geometry, or None to fall back.
 
     A leaf holds one point index per orbit, orbit 0 pinned at ``pin``.
-    Applies when every orbit has size |G| and the family's open cells are
-    known in closed form at principal points: the open chamber of a
-    reflection group, one per key of filtering._CHAMBERS (Humphreys,
-    Reflection Groups and Coxeter Groups, 1990, ch. 1), and for a planar
-    rotation the open sector of width 2*pi/m centred on the point, times
-    the axis in 3-D.  One probe lies in each jointly feasible
-    intersection: the pinned point itself for a reflection group, whose
-    chamber meets one chamber of every orbit; for a planar rotation, the
-    midpoint of each arc that the other orbits' sector cuts make inside
-    the sector centred on the pinned point.  One product scores every probe against every orbit; a
+    Applies when every orbit has size |G| and the group's classification
+    (``FiniteGroup._cells``, read off its elements) knows its open cells
+    in closed form at principal points: the open chamber of a reflection
+    group (Humphreys, Reflection Groups and Coxeter Groups, 1990, ch. 1),
+    and for a group that moves one plane, where it acts as a cyclic
+    group, the open sector of width 2*pi/|G| centred on the point's
+    shadow in that plane, times the fixed space.  One probe lies in each
+    jointly feasible intersection: the pinned point itself for a
+    reflection group, whose chamber meets one chamber of every orbit;
+    for a planar group, in the plane, the midpoint of each arc that the
+    other orbits' sector cuts make inside the sector centred on the
+    pinned point.  One product scores every probe against every orbit; a
     probe's leaf is its argmax point per orbit.  It stands only if the
     probe keeps ``pin`` and, by those same scores, lies in every cell of
     the leaf by ``strictly_inside``, the margin LP's own rule.  No cell
     is built.
     """
-    if (group.family not in (*_CHAMBERS, "cyclic_rotation_2d", "axis_rotation_3d")
-            or any(orb.size != group.order for orb in orbits)):
+    if any(orb.size != group.order for orb in orbits) or group._cells[0] is None:
         return None
+    kind, plane = group._cells
     firsts = np.stack([orbits[0].points[pin]] + [orb.points[0] for orb in orbits[1:]])
-    if group.family in _CHAMBERS:
+    if kind == "reflection":
         probes = firsts[:1]
     else:
-        # the cut of orbit t lies at theta_t + w/2 (mod w); offsets from
-        # the pinned sector's lower edge, then the arc midpoints between them
+        # angles in the plane's basis; the cut of orbit t lies at theta_t +
+        # w/2 (mod w); offsets from the pinned sector's lower edge, then the
+        # arc midpoints between them
         w = 2.0 * np.pi / group.order
-        theta = np.arctan2(firsts[:, 1], firsts[:, 0])
+        shadow = firsts @ plane
+        theta = np.arctan2(shadow[:, 1], shadow[:, 0])
         low = theta[0] - w / 2
         edges = np.concatenate(([0.0], np.sort(np.mod(theta[1:] + w / 2 - low, w)), [w]))
         phi = low + (edges[:-1] + edges[1:]) / 2
-        probes = np.zeros((phi.shape[0], group.dim))
-        probes[:, 0], probes[:, 1] = np.cos(phi), np.sin(phi)
+        probes = np.stack((np.cos(phi), np.sin(phi)), axis=1) @ plane.T
     scores = np.einsum("md,kgd->mkg", probes, np.stack([orb.points for orb in orbits]))
     keys = scores.argmax(axis=-1)
     if (keys[:, 0] != pin).any() or not strictly_inside(scores, keys, probes).all():
@@ -535,8 +539,8 @@ def choice_assignments(bank: MaxFilterBank, x, y) -> ChoiceEnumeration:
     score of v_i(x) against the orbit of y, up to a sample_tol tie.
 
     Only the cells of those points of [y] are decided: by the cell
-    geometry of ``_geometric_leaves``, pinned at V_x, for the tagged
-    families, else by one margin LP each.  Requires x
+    geometry of ``_geometric_leaves``, pinned at V_x, for reflection and
+    planar groups, else by one margin LP each.  Requires x
     principal with a unique best representative in every template orbit;
     raises NotNicePoint otherwise, and warns if y is not principal.
     |F(x, y)| is the product of the per-template candidate counts; when
@@ -576,16 +580,17 @@ def choice_assignments(bank: MaxFilterBank, x, y) -> ChoiceEnumeration:
 
 
 def proven_chi(group: FiniteGroup) -> tuple[int, str]:
-    """A proven upper bound on chi(G) and its rule, read off the elements:
-    1, "reflection_group", if ``is_reflection_group`` holds, the chambers
-    being the cells; else 2, "planar_sectors", if G moves at most a plane
-    (the mean element projects onto the fixed space, so the mean trace is
-    its dimension): a finite subgroup of O(2) not generated by reflections
-    is cyclic, and an open sector of width 2*pi/|G| meets at most two of
+    """A proven upper bound on chi(G) and its rule, read off the group's
+    cell classification (``FiniteGroup._cells``), as ``_geometric_leaves``
+    reads it: 1, "reflection_group", if ``is_reflection_group`` holds, the
+    chambers being the cells; else 2, "planar_sectors", if G moves at most
+    a plane: a finite subgroup of O(2) not generated by reflections is
+    cyclic, and an open sector of width 2*pi/|G| meets at most two of
     another orbit's; else |G|, "order_bound".  A larger chi only lowers alpha_tilde."""
-    if is_reflection_group(group):
+    kind, _ = group._cells
+    if kind == "reflection":
         return 1, "reflection_group"
-    if group.dim - round(float(np.trace(group.stack, axis1=1, axis2=2).mean())) <= 2:
+    if kind == "planar":
         return 2, "planar_sectors"
     return group.order, "order_bound"
 

@@ -7,6 +7,7 @@ allowed to import from this module.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
@@ -16,7 +17,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_array
 
 from maxfilter_lab.errors import BudgetExceeded
-from maxfilter_lab.filtering import MaxFilterBank
+from maxfilter_lab import voronoi
 from maxfilter_lab.groups import FiniteGroup, orbit_of
 from maxfilter_lab.stability import UpperBound, _lam_min_batch
 from maxfilter_lab.tolerances import DEFAULT_TOL
@@ -185,13 +186,27 @@ def highs_margin_lps(blocks: list[np.ndarray]) -> list[ConeFeasibility]:
     return verdicts
 
 
-def lp_route(bank) -> MaxFilterBank:
-    """The same bank on an untagged copy of its group, which sends
-    upper_bound_exact down the LP route.  The copy keeps the element
-    order, so element indices mean the same in both banks."""
-    group = FiniteGroup.from_matrices(bank.group.stack)
-    assert group.family is None and np.array_equal(group.stack, bank.group.stack)
-    return MaxFilterBank(group, bank.templates)
+@contextlib.contextmanager
+def lp_route():
+    """Within the block the cell geometry is off: ``_geometric_leaves``
+    answers None for every group, so the exact bound runs its margin-LP
+    search and the sharp bound decides its S-sets by margin LP, whatever
+    the group's elements are."""
+    real = voronoi._geometric_leaves
+    voronoi._geometric_leaves = lambda group, orbits, pin: None
+    try:
+        yield
+    finally:
+        voronoi._geometric_leaves = real
+
+
+def untagged(group: FiniteGroup) -> FiniteGroup:
+    """A copy of the group without its family tag, so its filter takes the
+    dense route.  The copy keeps the element order, so element indices
+    mean the same in both groups."""
+    copy = FiniteGroup.from_matrices(group.stack)
+    assert copy.family is None and np.array_equal(copy.stack, group.stack)
+    return copy
 
 
 def brute_alpha_tilde(bank, chi: int) -> float:

@@ -23,6 +23,7 @@ from maxfilter_lab.cli import (ExperimentConfig, build_parser, load_config,
 from maxfilter_lab.errors import BUDGETS, ConfigError
 from maxfilter_lab.reporting import write_csv
 from maxfilter_lab.streams import STREAMS
+from oracles import lp_route
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -350,6 +351,23 @@ def test_exit_one_on_failed_assertion(tmp_path, capsys):
     assert report["passed"] is False
 
 
+@pytest.mark.parametrize("family,param,proof,passed", [
+    ("permutations", 3, None, True),
+    # a proof below the sample, as a faulty rule would give, fails the run
+    ("cyclic_rotation_2d", 5, (1, "reflection_group"), False),
+])
+def test_chi_run_checks_its_sample_against_the_proof(tmp_path, monkeypatch,
+                                                     family, param, proof, passed):
+    if proof is not None:
+        monkeypatch.setattr(cli, "proven_chi", lambda group: proof)
+    cfg = write_config(tmp_path, {"group_spec": {"family": family, "param": param}, "seed": 1})
+    assert run("chi", cfg, out=str(tmp_path / "out")) == (0 if passed else 1)
+    results = json.loads((tmp_path / "out" / "chi_report.json").read_text())["results"]
+    chi, source = proof or proven_chi(build_family(family, param))
+    assert results["chi"] == {"chi": chi, "source": source}
+    assert (results["chi_lower"] <= chi) is passed
+
+
 def test_exit_two_missing_seed(tmp_path):
     payload = {k: v for k, v in SF2_BOUNDS.items() if k != "seed"}
     cfg = write_config(tmp_path, payload)
@@ -416,27 +434,27 @@ def test_bounds_reports_a_bound_out_of_its_domain_as_null(tmp_path):
 
 
 def untagged_group_spec(tmp_path, family, param):
-    """group_spec naming a file of the family's elements without its tag,
-    so the exact bound takes the LP route that the lp_solves cap binds."""
+    """group_spec naming a file of the family's elements without its tag."""
     path = tmp_path / f"{family}_{param}_untagged.json"
     save_group(FiniteGroup.from_matrices(build_family(family, param).stack), path)
     return {"path": str(path)}
 
 
 def test_exit_three_tiny_lp_budget(tmp_path, monkeypatch, capsys):
+    # with the cell geometry off, the exact bound's LP search meets the cap
     monkeypatch.setitem(BUDGETS, "lp_solves", 2)
-    cfg = write_config(tmp_path, dict(
-        SF2_BOUNDS, group_spec=untagged_group_spec(tmp_path, "sign_flips", 2)))
-    assert run("bounds", cfg, out=str(tmp_path / "out")) == 3
+    cfg = write_config(tmp_path, SF2_BOUNDS)
+    with lp_route():
+        assert run("bounds", cfg, out=str(tmp_path / "out")) == 3
     report = json.loads((tmp_path / "out" / "bounds_report.json").read_text())
     prov = report["results"]["stability"]["provenance"]
     assert prov["beta_exact_certified"] is False
 
 
 def test_exit_two_when_a_margin_lp_is_undecided(tmp_path, monkeypatch, capsys):
-    # Wolfe's weights settle no block of the untagged C3 bank's LP route, so
-    # the run stops before any report: beta_exact is never reported, let
-    # alone as certified
+    # Wolfe's weights settle no block of the C3 bank's LP route, taken with
+    # the cell geometry off, so the run stops before any report: beta_exact
+    # is never reported, let alone as certified
     def first_row(stack):
         # lambda on each block's first row, and lambda @ R as the witness
         L = np.zeros(stack.shape[:2])
@@ -444,22 +462,23 @@ def test_exit_two_when_a_margin_lp_is_undecided(tmp_path, monkeypatch, capsys):
         return stack[:, 0], L
 
     monkeypatch.setattr(voronoi, "_FINDERS", (*voronoi._FINDERS[:2], first_row))
-    cfg = write_config(tmp_path, dict(
-        SF2_BOUNDS, group_spec=untagged_group_spec(tmp_path, "cyclic_rotation_2d", 3)))
-    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    cfg = write_config(tmp_path, dict(SF2_BOUNDS, group_spec={"family": "cyclic_rotation_2d", "param": 3}))
+    with lp_route():
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "margin LP undecided" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_exit_three_distortion_budget_keeps_the_report(tmp_path, monkeypatch, capsys):
-    # each trial's exact search needs more than 5 LPs, so both trials
-    # stop with a partial (here absent) beta and count as not within
+    # with the cell geometry off, each trial's exact search needs more than
+    # 5 LPs, so both trials stop with a partial (here absent) beta and
+    # count as not within
     monkeypatch.setitem(BUDGETS, "lp_solves", 5)
-    cfg = write_config(tmp_path, dict(
-        C3_DISTORTION, group_spec=untagged_group_spec(tmp_path, "cyclic_rotation_2d", 3)))
-    assert run("distortion", cfg, out=str(tmp_path / "run")) == 3
-    assert main(["distortion", "--config", cfg,
-                 "--out", str(tmp_path / "main")]) == 3
+    cfg = write_config(tmp_path, C3_DISTORTION)
+    with lp_route():
+        assert run("distortion", cfg, out=str(tmp_path / "run")) == 3
+        assert main(["distortion", "--config", cfg,
+                     "--out", str(tmp_path / "main")]) == 3
     assert "budget exceeded" in capsys.readouterr().err
     for d in ("run", "main"):
         report = json.loads(

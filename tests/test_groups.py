@@ -202,6 +202,51 @@ def test_family_tags_come_only_from_constructors(rng):
             assert abs(max_filter(g, x, y) - max_filter(g, x, y, allow_fft=False)) < 1e-12
 
 
+def _turned(group, seed):
+    """The group conjugated by a fixed random rotation, untagged."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((group.dim, group.dim)))
+    return FiniteGroup.from_matrices(Q @ group.stack @ Q.T)
+
+
+def _double_turn():
+    """C5 turning two planes of R^4 at once, by 2*pi/5 and 4*pi/5."""
+    g = np.zeros((4, 4))
+    g[:2, :2] = build_family("cyclic_rotation_2d", 5).stack[1]
+    g[2:, 2:] = g[:2, :2] @ g[:2, :2]
+    return generate_group([g])
+
+
+# group -> the kind of its cells, by test id
+CELL_CASES = {
+    **{f"{name}-{param}": (build_family(name, param), kind) for name, param, kind in [
+        ("cyclic_rotation_2d", 5, "planar"), ("cyclic_rotation_2d", 2, "planar"),
+        ("axis_rotation_3d", 4, "planar"), ("circular_shifts", 3, "planar"),
+        ("plus_minus_id", 2, "planar"), ("cyclic_rotation_2d", 1, "reflection"),
+        ("dihedral_2d", 4, "reflection"), ("sign_flips", 3, "reflection"),
+        ("permutations", 4, "reflection"), ("circular_shifts", 2, "reflection"),
+        ("plus_minus_id", 1, "reflection"), ("plus_minus_id", 3, None),
+        ("circular_shifts", 4, None)]},
+    "turned_axis_rotation_3d-5": (_turned(build_family("axis_rotation_3d", 5), 3), "planar"),
+    "turned_permutations-3": (_turned(build_family("permutations", 3), 5), "reflection"),
+    "c5_turning_two_planes": (_double_turn(), None),
+}
+
+
+@pytest.mark.parametrize("g,kind", CELL_CASES.values(), ids=CELL_CASES.keys())
+def test_cell_classification_reads_the_elements(g, kind):
+    got, plane = g._cells
+    assert got == kind
+    assert FiniteGroup.from_matrices(g.stack)._cells[0] == kind
+    assert (plane is not None) == (kind == "planar")
+    if plane is not None:
+        # an orthonormal basis of the plane G turns: G fixes its orthogonal
+        # complement, and only the identity fixes a point of the plane
+        assert np.abs(plane.T @ plane - np.eye(2)).max() < 1e-12
+        rest = np.eye(g.dim) - plane @ plane.T
+        assert np.abs(g.stack @ rest - rest).max() < 1e-12
+        assert stabilizer_order(g, plane[:, 0]) == stabilizer_order(g, plane[:, 1]) == 1
+
+
 @pytest.mark.parametrize("name,param", [(n, p) for n, p, _, _ in FAMILY_CASES])
 def test_orbit_stabilizer_product(name, param, rng):
     g = build_family(name, param)

@@ -5,12 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from maxfilter_lab import (BudgetExceeded, CaseMismatch, DistortionBoundParams,
                            DomainError, MaxFilterBank, alpha_tilde,
                            build_family, compute_stability_report,
-                           empirical_lipschitz, lower_bound_sharp,
+                           empirical_lipschitz, generate_group, lower_bound_sharp,
                            optimality_witness, ordering_audit,
                            quotient_distance, theoretical_distortion_bound,
                            theoretical_sigma, upper_bound_exact,
@@ -21,7 +21,7 @@ from maxfilter_lab.stability import pair_lower_value
 from oracles import (brute_alpha_tilde, brute_beta_exact_sampled,
                      brute_beta_relaxed, dfs_alpha_tilde, dfs_upper_bound_exact,
                      distortion_bound_mpmath, grid_alpha_tilde, loop_pm_id_witness, lp_route,
-                     sigma_mpmath)
+                     sigma_mpmath, untagged)
 
 GOLDEN_Z = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 
@@ -56,14 +56,33 @@ REFEREE_BANKS = [("cyclic_rotation_2d", 3, 16, 1), ("cyclic_rotation_2d", 3, 5, 
                  ("dihedral_2d", 4, 8, 9), ("cyclic_rotation_2d", 5, 10, 10),
                  ("cyclic_rotation_2d", 7, 8, 11)]
 
-# the families whose exact bound takes the geometric route, one group each
-GEOMETRIC_GROUPS = [("cyclic_rotation_2d", 5), ("axis_rotation_3d", 4), ("sign_flips", 3),
-                    ("permutations", 3), ("dihedral_2d", 4)]
+def _geometric_groups():
+    """The groups whose exact bound takes the geometric route, by test id:
+    one of each family the cell geometry serves, its untagged copy, the
+    signed permutations B3 closed from three reflections, and C5 turned
+    into R^4 by a fixed rotation, so its moving plane is off the axes."""
+    groups = {f"{name}-{param}": build_family(name, param) for name, param in [
+        ("cyclic_rotation_2d", 5), ("axis_rotation_3d", 4), ("sign_flips", 3),
+        ("permutations", 3), ("dihedral_2d", 4), ("circular_shifts", 3), ("plus_minus_id", 2)]}
+    groups.update({f"untagged_{key}": untagged(g) for key, g in groups.items()})
+    groups["B3"] = generate_group([np.eye(3)[[1, 0, 2]], np.eye(3)[[0, 2, 1]],
+                                   np.diag([1.0, 1.0, -1.0])])
+    Q, _ = np.linalg.qr(np.random.default_rng(22).standard_normal((4, 4)))
+    turn = np.eye(4)
+    turn[:2, :2] = build_family("cyclic_rotation_2d", 5).stack[1]
+    groups["C5_rotated_into_R4"] = generate_group([Q @ turn @ Q.T])
+    return groups
+
+
+GEOMETRIC_GROUPS = _geometric_groups()
+
+
+def group_bank(g, n, seed):
+    return MaxFilterBank(g, np.random.default_rng(seed).standard_normal((n, g.dim)))
 
 
 def referee_bank(name, param, n, seed):
-    g = build_family(name, param)
-    return MaxFilterBank(g, np.random.default_rng(seed).standard_normal((n, g.dim)))
+    return group_bank(build_family(name, param), n, seed)
 
 
 def leaf_summary(ub):
@@ -77,7 +96,8 @@ def assert_routes_match_referee(bank):
     got = upper_bound_exact(bank)
     assert leaf_summary(got) == leaf_summary(want)
     assert got.lp_solves == 0
-    assert upper_bound_exact(lp_route(bank)) == want
+    with lp_route():
+        assert upper_bound_exact(bank) == want
 
 
 @pytest.mark.parametrize("spec", REFEREE_BANKS)
@@ -89,19 +109,34 @@ def test_golden_exact_bound_matches_referee(golden_bank):
     assert_routes_match_referee(golden_bank)
 
 
-@given(st.sampled_from(GEOMETRIC_GROUPS), st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
-def test_geometric_route_agrees_with_lp_route(group, seed, n):
-    bank = referee_bank(*group, n, seed)
-    assert leaf_summary(upper_bound_exact(bank)) == leaf_summary(upper_bound_exact(lp_route(bank)))
+def every_geometric_group(test):
+    """Every group of GEOMETRIC_GROUPS as an explicit example, at two seeds
+    and two template counts, besides the examples hypothesis draws."""
+    for name, seed, n in itertools.product(GEOMETRIC_GROUPS, (0, 1), (3, 6)):
+        test = example(name, seed, n)(test)
+    return test
 
 
-@pytest.mark.parametrize("name,param", GEOMETRIC_GROUPS)
-def test_geometric_route_solves_no_lp(name, param, monkeypatch):
+@given(st.sampled_from(list(GEOMETRIC_GROUPS)), st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+@every_geometric_group
+def test_geometric_route_agrees_with_lp_route(name, seed, n):
+    # the same bits and the same leaf set; a leaf set missing a feasible
+    # tuple would certify a beta that is too low
+    bank = group_bank(GEOMETRIC_GROUPS[name], n, seed)
+    got = upper_bound_exact(bank), voronoi._pinned_leaves(bank.group, bank.orbits)[0]
+    with lp_route():
+        want = upper_bound_exact(bank), voronoi._pinned_leaves(bank.group, bank.orbits)[0]
+    assert leaf_summary(got[0]) == leaf_summary(want[0])
+    assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("g", GEOMETRIC_GROUPS.values(), ids=GEOMETRIC_GROUPS.keys())
+def test_geometric_route_solves_no_lp(g, monkeypatch):
     # a work count, not a time: a silent fall back to the LP search fails here
     def no_lp(problems):
         raise AssertionError("margin LP on the geometric route")
 
-    bank = referee_bank(name, param, 6, 12)
+    bank = group_bank(g, 6, 12)
     assert all(orb.size == bank.group.order for orb in bank.orbits)
     monkeypatch.setattr(voronoi, "_margin_lps", no_lp)
     ub = upper_bound_exact(bank)
@@ -138,14 +173,30 @@ def _near_tie_c3():
                          np.stack([np.cos(angles), np.sin(angles)], axis=1))
 
 
+def _no_geometry(g):
+    # principal orbits of a group neither generated by reflections nor
+    # turning one plane: a leaf set read off some geometry could miss
+    # feasible tuples and certify a beta that is too low
+    def build():
+        bank = group_bank(g, 5, 12)
+        assert all(orb.size == g.order for orb in bank.orbits)
+        return bank
+    return build
+
+
 @pytest.mark.parametrize("build", [
     _mirror_template("sign_flips", 3, [0.7, 0.0, -1.3]),
     _mirror_template("permutations", 3, [0.4, 0.4, -1.1]),
     _mirror_template("axis_rotation_3d", 4, [0.0, 0.0, 1.5]),
     _near_tie_c3,
+    *(_no_geometry(g) for g in (build_family("plus_minus_id", 3), build_family("circular_shifts", 4),
+                                untagged(build_family("plus_minus_id", 3)),
+                                untagged(build_family("circular_shifts", 4)))),
 ], ids=["sign_flips_zero_coordinate", "permutations_equal_coordinates",
-        "axis_rotation_on_the_axis", "c3_near_tie_cuts"])
+        "axis_rotation_on_the_axis", "c3_near_tie_cuts", "plus_minus_id-3", "circular_shifts-4",
+        "untagged_plus_minus_id-3", "untagged_circular_shifts-4"])
 def test_exact_bound_falls_back_to_the_lp_route(build):
+    # lp_solves > 0: _geometric_leaves answered None
     bank = build()
     got = upper_bound_exact(bank)
     assert got.lp_solves > 0
@@ -163,32 +214,33 @@ def test_failed_cell_check_falls_back_to_the_lp_route(monkeypatch):
 
 @pytest.mark.parametrize("spec", REFEREE_BANKS[1:])
 def test_lp_budget_edge(spec, monkeypatch):
-    bank = lp_route(referee_bank(*spec))
-    full = upper_bound_exact(bank)
-    need = full.lp_solves
-    monkeypatch.setitem(BUDGETS, "lp_solves", need)
-    assert upper_bound_exact(bank) == full
+    bank = referee_bank(*spec)
+    with lp_route():
+        full = upper_bound_exact(bank)
+        need = full.lp_solves
+        monkeypatch.setitem(BUDGETS, "lp_solves", need)
+        assert upper_bound_exact(bank) == full
 
-    solved = []
-    real = voronoi._margin_lps
+        solved = []
+        real = voronoi._margin_lps
 
-    def counting(problems):
-        for r in real(problems):
-            solved.append(r)
-            yield r
+        def counting(problems):
+            for r in real(problems):
+                solved.append(r)
+                yield r
 
-    monkeypatch.setattr(voronoi, "_margin_lps", counting)
-    for budget in (need - 1, need // 2, 1, 0):
-        solved.clear()
-        monkeypatch.setitem(BUDGETS, "lp_solves", budget)
-        with pytest.raises(BudgetExceeded) as e:
-            upper_bound_exact(bank)
-        assert len(solved) == budget
-        with pytest.raises(BudgetExceeded) as want:
-            dfs_upper_bound_exact(bank, max_lp_solves=budget)
-        if e.value.partial is not None:
-            assert want.value.partial is not None
-            assert e.value.partial <= want.value.partial
+        monkeypatch.setattr(voronoi, "_margin_lps", counting)
+        for budget in (need - 1, need // 2, 1, 0):
+            solved.clear()
+            monkeypatch.setitem(BUDGETS, "lp_solves", budget)
+            with pytest.raises(BudgetExceeded) as e:
+                upper_bound_exact(bank)
+            assert len(solved) == budget
+            with pytest.raises(BudgetExceeded) as want:
+                dfs_upper_bound_exact(bank, max_lp_solves=budget)
+            if e.value.partial is not None:
+                assert want.value.partial is not None
+                assert e.value.partial <= want.value.partial
 
 
 def test_golden_beta_relaxed_is_sqrt_two(golden_bank):
@@ -279,11 +331,10 @@ def test_sharp_witness_reproduces_alpha(rng):
     assert lower_bound_sharp(bank, 30, seed=9).alpha == sharp.alpha
 
 
-@pytest.mark.parametrize("name,param", GEOMETRIC_GROUPS)
-def test_geometric_s_set_matches_the_lp_s_set(name, param):
+@pytest.mark.parametrize("g", GEOMETRIC_GROUPS.values(), ids=GEOMETRIC_GROUPS.keys())
+def test_geometric_s_set_matches_the_lp_s_set(g):
     # S(x, y) read off the cell geometry pinned at V_x, against s_set's
     # margin LPs; the centre of V_x is rarely its orbit's point 0
-    g = build_family(name, param)
     rng = np.random.default_rng(21)
     pins = []
     for _ in range(20):
@@ -307,7 +358,8 @@ def test_sharp_bound_solves_no_lp_on_tagged_groups(name, param, monkeypatch):
         return real(blocks)
 
     monkeypatch.setattr(voronoi, "_solve_blocks", counting)
-    want = lower_bound_sharp(lp_route(bank), 20, seed=3)
+    with lp_route():
+        want = lower_bound_sharp(bank, 20, seed=3)
     assert calls
     calls.clear()
     got = lower_bound_sharp(bank, 20, seed=3)
@@ -383,7 +435,7 @@ def test_alpha_tilde_sweep_needs_no_family_tag(monkeypatch):
     bank = referee_bank("cyclic_rotation_2d", 3, 16, 1)
     want = alpha_tilde(bank, 2)
     monkeypatch.setattr(stability, "_first_seen", None)
-    assert alpha_tilde(lp_route(bank), 2) == want
+    assert alpha_tilde(MaxFilterBank(untagged(bank.group), bank.templates), 2) == want
     assert abs(want - dfs_alpha_tilde(bank, 2)) < 1e-10
 
 
@@ -540,13 +592,14 @@ def test_relaxed_budget_holds_past_int64_tuples(monkeypatch):
 
 def test_budget_exceeded_carries_partial(rng, monkeypatch):
     g = build_family("sign_flips", 2)
-    bank = lp_route(MaxFilterBank(g, rng.standard_normal((5, 2))))
-    true_beta = upper_bound_exact(bank).beta
+    bank = MaxFilterBank(g, rng.standard_normal((5, 2)))
+    with lp_route():
+        true_beta = upper_bound_exact(bank).beta
     relaxed = upper_bound_relaxed(bank)
     true_alpha = alpha_tilde(bank, 1)
 
     monkeypatch.setitem(BUDGETS, "lp_solves", 2)
-    with pytest.raises(BudgetExceeded) as e1:
+    with lp_route(), pytest.raises(BudgetExceeded) as e1:
         upper_bound_exact(bank)
     if e1.value.partial is not None:
         assert 0.0 <= e1.value.partial <= true_beta + 1e-9
@@ -826,9 +879,10 @@ def test_stability_report_golden(golden_bank):
 
 def test_stability_report_budget_flags(rng, monkeypatch):
     g = build_family("sign_flips", 2)
-    bank = lp_route(MaxFilterBank(g, rng.standard_normal((5, 2))))
+    bank = MaxFilterBank(g, rng.standard_normal((5, 2)))
     monkeypatch.setitem(BUDGETS, "lp_solves", 2)
-    report, _ = compute_stability_report(bank, n_pairs=20, seed=1)
+    with lp_route():
+        report, _ = compute_stability_report(bank, n_pairs=20, seed=1)
     assert not report.provenance["beta_exact_certified"]
     assert report.provenance["beta_relaxed_certified"]
     # the provenance reads the caps in force when the report is made

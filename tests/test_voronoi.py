@@ -445,8 +445,9 @@ def test_choice_assignments_golden(c3, rng):
 
 
 def test_choice_assignments_decides_only_candidates(monkeypatch, rng):
-    # the LP route's candidate rule; the tagged bank takes the cell geometry
-    bank = lp_route(MaxFilterBank(build_family("sign_flips", 3), rng.standard_normal((5, 3))))
+    # the LP route's candidate rule, with the cell geometry off; its value
+    # is the one the geometry gives
+    bank = MaxFilterBank(build_family("sign_flips", 3), rng.standard_normal((5, 3)))
     x = sample_nice(bank, rng)
     y = sample_nice(bank, rng)
     want = pair_lower_value(bank, x, y)
@@ -459,7 +460,8 @@ def test_choice_assignments_decides_only_candidates(monkeypatch, rng):
         return real(problems)
 
     monkeypatch.setattr(voronoi, "_margin_lps", spy)
-    assert pair_lower_value(bank, x, y) == want
+    with lp_route():
+        assert pair_lower_value(bank, x, y) == want
     # one problem per template at most, not one per point of [y] (8 here)
     assert 1 <= sum(sent) <= 5
 
@@ -550,8 +552,9 @@ def run_every_lp_path():
         s_set(g, sample_principal(g, rng), sample_principal(g, rng))
     for name, param, n in LP_ROUTE_BANKS:
         g = build_family(name, param)
-        upper_bound_exact(lp_route(MaxFilterBank(
-            g, np.random.default_rng(0).standard_normal((n, g.dim)))))
+        with lp_route():
+            upper_bound_exact(MaxFilterBank(
+                g, np.random.default_rng(0).standard_normal((n, g.dim))))
 
 
 def decided_chunks(monkeypatch):
