@@ -29,9 +29,9 @@ from .stability import (AlphaSharp, DistortionBoundParams, EmpiricalLipschitz,
                         theoretical_distortion_bound, theoretical_sigma,
                         upper_bound_exact, upper_bound_relaxed)
 from .tolerances import DEFAULT_TOL
-from .voronoi import (ChiEstimate, ChoiceEnumeration, SSet, VoronoiCellSpec,
-                      cell_of, choice_assignments, in_Q, is_principal,
-                      proven_chi, s_set, sample_nice, sample_principal,
+from .voronoi import (ChiEstimate, ChoiceEnumeration, SSet, cell_of,
+                      choice_assignments, in_Q, is_principal, proven_chi,
+                      s_set, sample_nice, sample_principal,
                       voronoi_characteristic)
 
 __version__ = "0.1.0"
@@ -43,7 +43,7 @@ __all__ = [
     "FiniteGroup", "GramAudit", "LengthMismatch", "LpNumericalFailure",
     "MaxFilterBank", "MaxFilterError", "NegativeRadicand", "NotNicePoint",
     "NotOrthogonal", "Orbit", "PsdSearchResult", "SSet", "SizeOverflow",
-    "StabilityReport", "UpperBound", "VoronoiCellSpec", "WitnessPair",
+    "StabilityReport", "UpperBound", "WitnessPair",
     "alpha_tilde", "apply_bank", "apply_bank_batch", "build_family", "cell_of",
     "choice_assignments", "compute_stability_report", "direct_quadratic_form",
     "empirical_lipschitz", "generate_group", "gram_audit", "gram_matrix",

@@ -451,6 +451,8 @@ def load_group(path) -> FiniteGroup:
     ``dim``, and ``param`` in a tagged file, must be integers, not bools.
     """
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"the JSON root must be an object, got {type(payload).__name__}")
     family = payload.get("family")
     for key in ("dim",) if family is None else ("dim", "param"):
         if not isinstance(payload[key], int) or isinstance(payload[key], bool):

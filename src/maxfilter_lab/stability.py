@@ -22,7 +22,8 @@ from .filtering import (MaxFilterBank, _pair_distances, apply_bank, apply_bank_b
 from .groups import _BLOCK, _first_seen, is_reflection_group
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
-from .voronoi import _pinned_leaves, cell_of, choice_assignments, proven_chi, sample_nice
+from .voronoi import (_cell_rows, _pinned_leaves, cell_of, choice_assignments, proven_chi,
+                      sample_nice, strictly_inside)
 
 __all__ = [
     "UpperBound",
@@ -524,19 +525,19 @@ def _reflection_witness(bank: MaxFilterBank, seed: int) -> WitnessPair:
     bottom = vecs[:, 0]
     target = math.sqrt(max(float(lam[0]), 0.0))
 
-    cell = cell_of(group, x)
-    rows = cell.rows
+    orbit, c = cell_of(group, x)
+    rows = _cell_rows(orbit.points, c)
     a = rows @ x
     b = rows @ bottom
     neg = b < 0
     t = 0.5 * float((a[neg] / -b[neg]).min()) if neg.any() else 0.5 * float(np.linalg.norm(x))
     for _ in range(60):
-        if cell.contains(x + t * bottom):
+        y = x + t * bottom
+        if strictly_inside((orbit.points @ y)[None, None], np.array([[c]]), y[None])[0]:
             break
         t *= 0.5
     else:
         raise NotNicePoint("could not place the witness inside the open cell")
-    y = x + t * bottom
     dq = quotient_distance(group, x, y)
     dphi = float(np.linalg.norm(apply_bank(bank, x) - apply_bank(bank, y)))
     return WitnessPair(x=x, y=y, achieved_ratio=dphi / dq, target_alpha=target, case="reflection")

@@ -13,8 +13,9 @@ margin LP.  Every margin LP starts
 here: β's LP route is the level search of ``_pinned_leaves``, one batch
 per level, and the S-set pairs of a χ run share one lazy stream
 (``_s_sets``).  A cell is named by its orbit and its centre's index
-there (``VoronoiCellSpec``); ``cell_of`` alone looks a centre up from a
-point.  No LP solver runs: each margin LP's verdict is read off a
+there, and ``cell_of`` alone looks a centre up from a point; a margin
+LP is one block of rows, its cells' ``_cell_rows`` stacked in turn.
+No LP solver runs: each margin LP's verdict is read off a
 certificate that is checked with a few flops, a witness point in the box
 or Gordan weights on its rows (``ConeFeasibility``).  A chunk holds
 blocks of one shape, and one loop runs the finders of ``_FINDERS`` in
@@ -24,7 +25,7 @@ adding a third row to that pair, which in the plane settles every block
 whose rows surround the origin, and Wolfe's minimum-norm point, one
 block at a time; a block none settles raises LpNumericalFailure.  Each
 verdict reads its block alone, so it is the one the block would have by
-itself; ``strict_cones_feasible`` is the one-problem case.
+itself; ``strict_cones_feasible`` is the one-block case.
 ``proven_chi`` is the one proof of an upper bound on χ, read off the
 group's elements; ``voronoi_characteristic`` only samples a lower bound.
 """
@@ -35,9 +36,8 @@ import itertools
 import math
 import warnings
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cache, cached_property
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
 
 __all__ = [
-    "VoronoiCellSpec",
     "strictly_inside",
     "ConeFeasibility",
     "SSet",
@@ -66,35 +65,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class VoronoiCellSpec:
-    """Open cell {y : <p, y> > <q, y> for all other orbit points q}, p = orbit.points[index]."""
-
-    orbit: Orbit
-    index: int
-
-    def __post_init__(self):
-        if not isinstance(self.index, (int, np.integer)) or not 0 <= self.index < self.orbit.size:
-            raise ValueError(f"cell index {self.index!r} is not in range({self.orbit.size})")
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.orbit.points[self.index]
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """Constraint normals center - p, one per non-center orbit point;
-        built once per cell and read-only."""
-        pts, i = self.orbit.points, self.index
-        rows = self.center - np.concatenate((pts[:i], pts[i + 1:]))
-        rows.setflags(write=False)
-        return rows
-
-    def contains(self, y) -> bool:
-        """``strictly_inside`` for the one probe y and this cell."""
-        y = np.asarray(y, dtype=float)
-        return bool(strictly_inside((self.orbit.points @ y)[None, None],
-                                    np.array([[self.index]]), y[None])[0])
+def _cell_rows(points: np.ndarray, i: int) -> np.ndarray:
+    """Margin-LP rows of the open cell {y : <p_i, y> > <p_j, y> for all
+    j != i} of the orbit ``points``: p_i - p_j for every j != i, in orbit
+    order, shape (|orbit| - 1, d)."""
+    return points[i] - np.concatenate((points[:i], points[i + 1:]))
 
 
 def strictly_inside(scores: np.ndarray, centers: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -131,8 +106,8 @@ def _geometric_leaves(group: FiniteGroup, orbits, pin: int) -> list[tuple[int, .
     pinned point.  One product scores every probe against every orbit; a
     probe's leaf is its argmax point per orbit.  It stands only if the
     probe keeps ``pin`` and, by those same scores, lies in every cell of
-    the leaf by ``strictly_inside``, the margin LP's own rule.  No cell
-    is built.
+    the leaf by ``strictly_inside``, the margin LP's own rule.  No row
+    block is built.
     """
     if any(orb.size != group.order for orb in orbits) or group._cells[0] is None:
         return None
@@ -172,7 +147,8 @@ def _pinned_leaves(group: FiniteGroup, orbits) -> tuple[list[tuple[int, ...]], i
     shrinks the intersection.  Every child's verdict depends on its own
     tuple alone, so the LPs solved, the feasible tuples and the leaf
     order are exactly those of a depth-first search with the same child
-    order.  Each cell is built on first use, looked up by (orbit, index).
+    order.  A child's block, its cells' rows in tuple order, is cut from
+    the orbit arrays when the stream reaches it; nothing is cached.
     When a level would pass the budget, exactly that many problems are
     solved; the leaves returned are then the feasible children decided
     so far if that level is the last, and none otherwise.
@@ -180,7 +156,6 @@ def _pinned_leaves(group: FiniteGroup, orbits) -> tuple[list[tuple[int, ...]], i
     leaves = _geometric_leaves(group, orbits, 0)
     if leaves is not None:
         return leaves, 0, True
-    cell = cache(lambda t, c: VoronoiCellSpec(orbits[t], c))
     frontier: list[tuple[int, ...]] = [()]
     solves = 0
     for t, orb in enumerate(orbits):
@@ -188,7 +163,9 @@ def _pinned_leaves(group: FiniteGroup, orbits) -> tuple[list[tuple[int, ...]], i
         needed = len(frontier) * n_cand
         take = min(needed, max(BUDGETS["lp_solves"] - solves, 0))
         kids = [frontier[i // n_cand] + (i % n_cand,) for i in range(take)]
-        verdicts = _margin_lps([cell(*tc) for tc in enumerate(kid)] for kid in kids)
+        verdicts = _margin_lps(
+            np.concatenate([_cell_rows(orb.points, c) for orb, c in zip(orbits, kid)])
+            for kid in kids)
         frontier = [kid for kid, v in zip(kids, verdicts) if v.feasible]
         solves += take
         if take < needed:
@@ -196,18 +173,19 @@ def _pinned_leaves(group: FiniteGroup, orbits) -> tuple[list[tuple[int, ...]], i
     return frontier, solves, True
 
 
-def cell_of(group: FiniteGroup, x) -> VoronoiCellSpec:
-    """Cell of the point of [x] nearest x: x itself, bit for bit, if x is principal
-    (its identity image is exact), else the orbit point within eq_tol of x."""
+def cell_of(group: FiniteGroup, x) -> tuple[Orbit, int]:
+    """(orbit, index) of the cell of the point of [x] nearest x: x itself,
+    bit for bit, if x is principal (its identity image is exact), else the
+    orbit point within eq_tol of x."""
     x = np.asarray(x, dtype=float)
     orbit = orbit_of(group, x)
-    return VoronoiCellSpec(orbit, int(np.argmin(np.linalg.norm(orbit.points - x, axis=1))))
+    return orbit, int(np.argmin(np.linalg.norm(orbit.points - x, axis=1)))
 
 
 @dataclass(frozen=True)
 class ConeFeasibility:
     """The verdict on one margin LP, max t subject to R y >= t and
-    |y|_inf <= 1 with R the stacked rows of its cells, and the checked
+    |y|_inf <= 1 with R its block of rows, and the checked
     certificate it rests on (``_certify``).  The LP's optimum t* is at
     least 0 (y = 0), and the verdict is t* > lp_tol.
 
@@ -235,17 +213,16 @@ _SAMPLE_TRIES = 100    # Gaussian draws per call of sample_principal and sample_
 _WOLFE_STEPS = 1000    # major cycles per block in _wolfe; the test banks need at most 11
 
 
-def _margin_lps(problems: Iterable[Sequence[VoronoiCellSpec]]) -> Iterator[ConeFeasibility]:
-    """One ConeFeasibility per list of cells, in input order.
+def _margin_lps(problems: Iterable[np.ndarray]) -> Iterator[ConeFeasibility]:
+    """One ConeFeasibility per (m, d) block of rows, in input order.
 
-    Problems are read lazily and decided in chunks of one block shape and
-    at most _LP_CHUNK entries, unless one problem exceeds it alone, so a
+    Blocks are read lazily and decided in chunks of one block shape and
+    at most _LP_CHUNK entries, unless one block exceeds it alone, so a
     long iterable is never held at once.  A new shape closes the chunk.
     """
     blocks: list[np.ndarray] = []
     size = 0
-    for cells in problems:
-        R = np.concatenate([c.rows for c in cells]) if cells else np.zeros((0, 0))
+    for R in problems:
         entries = R.shape[0] * sum(R.shape)
         if blocks and (size + entries > _LP_CHUNK or R.shape != blocks[0].shape):
             yield from _solve_blocks(blocks)
@@ -422,23 +399,21 @@ def _wolfe(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _FINDERS = (_screen, _triples, _wolfe)
 
 
-def strict_cones_feasible(
-    cells: list[VoronoiCellSpec] | tuple[VoronoiCellSpec, ...],
-) -> ConeFeasibility:
-    """Decide whether the open cells intersect.
+def strict_cones_feasible(R: np.ndarray) -> ConeFeasibility:
+    """Decide whether the open cells whose rows R stacks intersect.
 
-    The margin LP is  max t  s.t.  <c_k - p, y> >= t  for every cell k
-    and every non-center orbit point p of that cell, with |y|_inf <= 1.
-    The zero point is always feasible at t = 0, so the LP is bounded and
+    R is one (m, d) block, the ``_cell_rows`` of each cell in turn, and
+    the margin LP is  max t  s.t.  R y >= t,  |y|_inf <= 1.  The zero
+    point is always feasible at t = 0, so the LP is bounded and
     feasible; the intersection is nonempty iff the optimum exceeds
     lp_tol.  The verdict comes with the certificate that decides it
-    (``ConeFeasibility``).  This is the one-problem case of the margin
+    (``ConeFeasibility``).  This is the one-block case of the margin
     LPs that ``s_set`` and the LP route of ``upper_bound_exact`` decide
     in chunks; every path shares one decision.  Nothing in the package
     calls it and it is not exported; it stays because the benchmark
     tracer wraps it by name on install.
     """
-    return next(_margin_lps([cells]))
+    return next(_margin_lps([R]))
 
 
 def in_Q(orbit: Orbit, y) -> bool:
@@ -491,15 +466,19 @@ class SSet:
 
 def _s_sets(group: FiniteGroup, pairs: Iterable) -> Iterator[tuple[Orbit, list]]:
     """(orbit of y, verdicts "V_q meets V_x" for q in [y]) per (x, y) of
-    ``pairs``, from one lazy ``_margin_lps`` stream: a pair's cells are
-    built when the stream reaches them and dropped after their chunk."""
+    ``pairs``, from one lazy ``_margin_lps`` stream.  A pair's block for q
+    is the rows of V_q, then those of V_x, which are cut once per pair;
+    each block is built when the stream reaches it and dropped after its
+    chunk."""
     started: deque[Orbit] = deque()
 
     def problems():
         for x, y in pairs:
-            cell_x, orbit_y = cell_of(group, x), orbit_of(group, y)
+            (orbit_x, ix), orbit_y = cell_of(group, x), orbit_of(group, y)
+            rows_x = _cell_rows(orbit_x.points, ix)
             started.append(orbit_y)
-            yield from ([VoronoiCellSpec(orbit_y, k), cell_x] for k in range(orbit_y.size))
+            yield from (np.concatenate((_cell_rows(orbit_y.points, k), rows_x))
+                        for k in range(orbit_y.size))
 
     verdicts = _margin_lps(problems())
     for first in verdicts:
@@ -557,13 +536,15 @@ def choice_assignments(bank: MaxFilterBank, x, y) -> ChoiceEnumeration:
         warnings.warn("y is not principal; F(x, y) may be degenerate", stacklevel=2)
     aligned = np.stack([orb.points[int(np.argmax(orb.points @ x))] for orb in bank.orbits])
 
-    cell_x, orbit_y = cell_of(group, x), orbit_of(group, y)
+    (orbit_x, ix), orbit_y = cell_of(group, x), orbit_of(group, y)
     scores = orbit_y.points @ aligned.T
     near = scores >= scores.max(axis=0) - DEFAULT_TOL.sample_tol
     picks = np.flatnonzero(near.any(axis=1))
-    leaves = _geometric_leaves(group, (cell_x.orbit, orbit_y), cell_x.index)
+    leaves = _geometric_leaves(group, (orbit_x, orbit_y), ix)
     if leaves is None:
-        verdicts = _margin_lps([[VoronoiCellSpec(orbit_y, k), cell_x] for k in picks])
+        rows_x = _cell_rows(orbit_x.points, ix)
+        verdicts = _margin_lps(np.concatenate((_cell_rows(orbit_y.points, k), rows_x))
+                               for k in picks)
         inside = picks[[r.feasible for r in verdicts]]
     else:
         inside = picks[np.isin(picks, [k for _, k in leaves])]

@@ -21,7 +21,7 @@ from maxfilter_lab import voronoi
 from maxfilter_lab.groups import FiniteGroup, orbit_of
 from maxfilter_lab.stability import UpperBound, _lam_min_batch
 from maxfilter_lab.tolerances import DEFAULT_TOL
-from maxfilter_lab.voronoi import ConeFeasibility, VoronoiCellSpec, strict_cones_feasible
+from maxfilter_lab.voronoi import ConeFeasibility, strict_cones_feasible
 
 
 def brute_max_filter(stack: np.ndarray, x, y) -> float:
@@ -103,14 +103,20 @@ def brute_beta_exact_sampled(bank, n_samples: int, rng) -> float:
     return best
 
 
+def delete_rows(points: np.ndarray, i: int) -> np.ndarray:
+    """Rows of the open cell of points[i]: its centre minus every other
+    orbit point, the others taken by np.delete, in orbit order."""
+    return points[i][None, :] - np.delete(points, i, axis=0)
+
+
 def dfs_upper_bound_exact(bank, max_lp_solves: int = 500_000) -> UpperBound:
     """Referee for upper_bound_exact: recursive depth-first search with
     one strict_cones_feasible LP per child, same pinning, visit order
-    and child order.  Ties go to the first leaf reached."""
+    and child order.  A child's block is its parent's rows, then the new
+    cell's ``delete_rows``.  Ties go to the first leaf reached."""
     group = bank.group
     n = bank.n_templates
     orbits = [orbit_of(group, z) for z in bank.templates]
-    cells = [[VoronoiCellSpec(orb, c) for c in range(orb.size)] for orb in orbits]
     pin = int(np.argmax([orb.size for orb in orbits]))
     visit = [pin] + [i for i in range(n) if i != pin]
 
@@ -119,7 +125,7 @@ def dfs_upper_bound_exact(bank, max_lp_solves: int = 500_000) -> UpperBound:
     solves = 0
     leaves = 0
 
-    def extend(pos: int, cur_cells: list, choice: dict) -> None:
+    def extend(pos: int, rows: np.ndarray, choice: dict) -> None:
         nonlocal best, best_choice, solves, leaves
         if pos == n:
             leaves += 1
@@ -135,13 +141,13 @@ def dfs_upper_bound_exact(bank, max_lp_solves: int = 500_000) -> UpperBound:
                 raise BudgetExceeded("referee LP budget exhausted",
                                      partial=None if best == -math.inf else best)
             solves += 1
-            trial = cur_cells + [cells[t][c]]
+            trial = np.concatenate((rows, delete_rows(orbits[t].points, c)))
             if strict_cones_feasible(trial).feasible:
                 choice[t] = c
                 extend(pos + 1, trial, choice)
                 del choice[t]
 
-    extend(0, [], {})
+    extend(0, np.zeros((0, group.dim)), {})
     elems = tuple(int(orbits[i].rep_elements[best_choice[i]]) for i in range(n))
     return UpperBound(beta=float(best), argmax_tuple=elems,
                       lp_solves=solves, feasible_tuples=leaves)

@@ -688,7 +688,7 @@ def test_settable_value_count_ratchet():
             callables = [obj] if callable(obj) else []
         count += sum(p not in ("self", "cls")
                      for f in callables for p in inspect.signature(f).parameters)
-    assert count <= 157
+    assert count <= 154
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +709,7 @@ OUTSIDE_FILES = {
     "not_numeric.csv": "1.0,x\n",
     "not_finite.csv": "1.0,nan\n0.5,0.25\n",
     "nan_generator.json": json.dumps({"dim": 2, "generators": [[math.nan, 0.0, 0.0, 1.0]]}),
+    "list_root.json": "[1, 2]",
 }
 
 
@@ -748,6 +749,7 @@ OUTSIDE_FILES = {
     pytest.param({"group_spec": {"path": "param_float.json"}}, [], id="group_file_param_float"),
     pytest.param({"group_spec": {"path": "dim_float.json"}}, [], id="group_file_dim_float"),
     pytest.param({"group_spec": {"path": "dim_bool.json"}}, [], id="group_file_dim_bool"),
+    pytest.param({"group_spec": {"path": "list_root.json"}}, [], id="group_file_root_not_object"),
 ])
 def test_exit_two_on_malformed_config_value(tmp_path, monkeypatch, capsys, change, flags):
     monkeypatch.chdir(tmp_path)

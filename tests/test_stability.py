@@ -145,14 +145,14 @@ def test_geometric_route_solves_no_lp(g, monkeypatch):
 
 @pytest.mark.parametrize("spec", REFEREE_BANKS)
 def test_geometric_route_builds_no_cell(spec, monkeypatch):
-    # cell membership comes from the orbit scores alone
+    # cell membership comes from the orbit scores alone: no row block is cut
     bank = referee_bank(*spec)
     want = upper_bound_exact(bank)
 
-    def no_cell(self):
-        raise AssertionError("VoronoiCellSpec built on the geometric route")
+    def no_cell(points, i):
+        raise AssertionError("cell rows cut on the geometric route")
 
-    monkeypatch.setattr(voronoi.VoronoiCellSpec, "__post_init__", no_cell)
+    monkeypatch.setattr(voronoi, "_cell_rows", no_cell)
     assert upper_bound_exact(bank) == want
 
 
@@ -339,11 +339,11 @@ def test_geometric_s_set_matches_the_lp_s_set(g):
     pins = []
     for _ in range(20):
         x, y = voronoi.sample_principal(g, rng), voronoi.sample_principal(g, rng)
-        cell_x, orbit_y = voronoi.cell_of(g, x), groups.orbit_of(g, y)
-        leaves = voronoi._geometric_leaves(g, (cell_x.orbit, orbit_y), cell_x.index)
+        (orbit_x, ix), orbit_y = voronoi.cell_of(g, x), groups.orbit_of(g, y)
+        leaves = voronoi._geometric_leaves(g, (orbit_x, orbit_y), ix)
         assert leaves is not None
         assert np.array_equal(orbit_y.points[[k for _, k in leaves]], voronoi.s_set(g, x, y).members)
-        pins.append(cell_x.index)
+        pins.append(ix)
     assert any(pins)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from maxfilter_lab import (DEFAULT_TOL, BudgetExceeded, LpNumericalFailure, MaxFilterBank,
-                           NotNicePoint, VoronoiCellSpec, build_family, cell_of,
+                           NotNicePoint, build_family, cell_of,
                            choice_assignments, generate_group, in_Q,
                            is_principal, orbit_of, s_set, sample_nice,
                            sample_principal, upper_bound_exact,
@@ -18,7 +18,8 @@ from maxfilter_lab.voronoi import strict_cones_feasible
 from maxfilter_lab.errors import BUDGETS
 from maxfilter_lab.stability import pair_lower_value
 from maxfilter_lab.streams import STREAMS
-from oracles import brute_s_members, highs_margin_lps, lp_route, rows_strictly_inside
+from oracles import (brute_s_members, delete_rows, highs_margin_lps, lp_route,
+                     rows_strictly_inside)
 
 GOLDEN_Z = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 # the groups of the acceptance chi table and of the chi benchmark workload
@@ -29,27 +30,38 @@ CHI_GROUPS = [("permutations", 3), ("permutations", 4), ("sign_flips", 3),
 
 
 def assert_batch_matches_single(problems):
-    """Margins of one batch of margin LPs against one call per problem."""
+    """Margins of one batch of margin LPs against one call per block."""
     batched = list(voronoi._margin_lps(problems))
     assert len(batched) == len(problems)
-    for cells, got in zip(problems, batched):
-        want = strict_cones_feasible(cells)
+    for R, got in zip(problems, batched):
+        want = strict_cones_feasible(R)
         assert got.feasible == want.feasible
         if math.isinf(want.margin):
             assert got.margin == want.margin
         else:
             assert abs(got.margin - want.margin) <= 1e-12
         if got.feasible:
-            assert all(c.contains(got.witness) for c in cells)
+            assert rows_strictly_inside(R[None], got.witness[None])[0]
+
+
+def block(*cells):
+    """One margin-LP block: the delete_rows of each (orbit, index) in turn."""
+    return np.concatenate([delete_rows(orb.points, i) for orb, i in cells])
+
+
+def in_cell(orbit, index, y):
+    """strictly_inside for the one probe y and the one cell."""
+    return bool(voronoi.strictly_inside((orbit.points @ y)[None, None], np.array([[index]]),
+                                        y[None])[0])
 
 
 def s_set_problems(group, rng):
-    """The |G| two-cell problems s_set solves for a principal pair."""
+    """The |G| two-cell blocks s_set solves for a principal pair."""
     x = sample_principal(group, rng)
     y = sample_principal(group, rng)
     orb_y = orbit_of(group, y)
     cell_x = cell_of(group, x)
-    return [[VoronoiCellSpec(orb_y, k), cell_x] for k in range(orb_y.size)]
+    return [block((orb_y, k), cell_x) for k in range(orb_y.size)]
 
 
 def index_of(orbit, q):
@@ -57,23 +69,15 @@ def index_of(orbit, q):
     return int(np.argmin(np.linalg.norm(orbit.points - q, axis=1)))
 
 
-@pytest.mark.parametrize("index", [5, -1, 1.0, "0", None],
-                         ids=["past_end", "negative", "float", "str", "none"])
-def test_cell_index_must_be_an_int_in_range(c5, rng, index):
-    orb = orbit_of(c5, rng.standard_normal(2))
-    with pytest.raises(ValueError):
-        VoronoiCellSpec(orb, index)
-    assert np.array_equal(VoronoiCellSpec(orb, np.int64(4)).center, orb.points[4])
-
-
 def test_cells_on_equal_orbits_compare_and_hash(c5):
-    # numpy fields: a generated __eq__ or __hash__ would raise on them
+    # numpy fields: a generated __eq__ or __hash__ would raise on them, so
+    # two orbits of one point compare and hash by identity
     x = np.array([0.3, 1.1])
-    a, b = VoronoiCellSpec(orbit_of(c5, x), 2), VoronoiCellSpec(orbit_of(c5, x), 2)
-    assert a == a and a != b and a.orbit != b.orbit
-    keys = {a: "a", b: "b", a.orbit: "orbit"}
-    assert keys[a] == "a" and keys[b] == "b" and keys[a.orbit] == "orbit"
-    assert hash(a) == hash(a) and hash(b.orbit) == hash(b.orbit)
+    a, b = orbit_of(c5, x), orbit_of(c5, x)
+    assert a == a and a != b
+    keys = {a: "a", b: "b"}
+    assert keys[a] == "a" and keys[b] == "b"
+    assert hash(a) == hash(a) and hash(b) == hash(b)
 
 
 @pytest.mark.parametrize("name,param", CHI_GROUPS + [("axis_rotation_3d", 4)])
@@ -81,20 +85,18 @@ def test_cell_of_principal_point_is_centred_on_it(name, param, rng):
     group = build_family(name, param)
     for _ in range(5):
         x = sample_principal(group, rng)
-        cell = cell_of(group, x)
-        assert cell.center.tobytes() == x.tobytes()
-        assert cell.orbit.size == group.order
+        orbit, index = cell_of(group, x)
+        assert orbit.points[index].tobytes() == x.tobytes()
+        assert orbit.size == group.order
 
 
 def test_cell_contains_center_and_excludes_other_cells(c5, rng):
     x = rng.standard_normal(2)
-    cell = cell_of(c5, x)
-    assert cell.contains(x)
+    assert in_cell(*cell_of(c5, x), x)
     orb = orbit_of(c5, x)
     for k, q in enumerate(orb.points):
-        other = VoronoiCellSpec(orb, k)
         if np.linalg.norm(q - x) > 1e-9:
-            assert not other.contains(x)
+            assert not in_cell(orb, k, x)
 
 
 def near_wall_probes(rows, probes, lp_tol):
@@ -139,10 +141,12 @@ def test_stacked_cells_hold_a_probe_iff_each_cell_does(name, param, rng):
     centers[j, j % 3] = j % 2
 
     def check(probes, centers):
-        """The batch verdicts equal every cell's contains and the row rule."""
-        cells = [[VoronoiCellSpec(orb, c) for orb, c in zip(orbits, row)] for row in centers]
-        verdicts = [all(c.contains(y) for c in row) for row, y in zip(cells, probes)]
-        rows = np.stack([np.concatenate([c.rows for c in row]) for row in cells])
+        """The batch verdicts equal each cell's one-probe verdict and the
+        row rule on the stacked _cell_rows."""
+        verdicts = [all(in_cell(orb, c, y) for orb, c in zip(orbits, row))
+                    for row, y in zip(centers, probes)]
+        rows = np.stack([np.concatenate([voronoi._cell_rows(orb.points, c)
+                                         for orb, c in zip(orbits, row)]) for row in centers])
         scores = np.einsum("md,kgd->mkg", probes, points)
         assert voronoi.strictly_inside(scores, centers, probes).tolist() == verdicts
         assert rows_strictly_inside(rows, probes).tolist() == verdicts
@@ -156,19 +160,22 @@ def test_stacked_cells_hold_a_probe_iff_each_cell_does(name, param, rng):
 
 
 def test_trivial_group_cell_is_everything(trivial2, rng):
-    cell = cell_of(trivial2, rng.standard_normal(2))
-    assert cell.rows.shape[0] == 0
-    assert cell.contains(rng.standard_normal(2))
-    assert cell.contains(-rng.standard_normal(2))
+    orbit, index = cell_of(trivial2, rng.standard_normal(2))
+    assert voronoi._cell_rows(orbit.points, index).shape == (0, 2)
+    assert in_cell(orbit, index, rng.standard_normal(2))
+    assert in_cell(orbit, index, -rng.standard_normal(2))
 
 
-def test_cell_rows_equal_the_delete_form_bit_for_bit(rng):
-    g = build_family("permutations", 4)
-    orb = orbit_of(g, rng.standard_normal(4))
-    for index in (0, orb.size // 2, orb.size - 1):
-        rows = VoronoiCellSpec(orb, index).rows
-        want = orb.points[index][None, :] - np.delete(orb.points, index, axis=0)
-        assert rows.tobytes() == want.tobytes() and not rows.flags.writeable
+def test_cell_rows_equal_the_delete_form_bit_for_bit(trivial2, rng):
+    # the first, a middle and the last centre; a one-point orbit has no rows
+    groups = [build_family(*CHI_GROUPS[i]) for i in (0, 1, 2, 4, 7)] + [trivial2]
+    for g in groups:
+        orb = orbit_of(g, rng.standard_normal(g.dim))
+        for index in sorted({0, orb.size // 2, orb.size - 1}):
+            rows = voronoi._cell_rows(orb.points, index)
+            want = delete_rows(orb.points, index)
+            assert rows.shape == want.shape == (orb.size - 1, g.dim)
+            assert rows.tobytes() == want.tobytes()
 
 
 def test_golden_instance_has_six_feasible_pairs(c3):
@@ -179,13 +186,11 @@ def test_golden_instance_has_six_feasible_pairs(c3):
     feasible = 0
     for i in range(orb1.size):
         for j in range(orb2.size):
-            c1 = VoronoiCellSpec(orb1, i)
-            c2 = VoronoiCellSpec(orb2, j)
-            res = strict_cones_feasible([c1, c2])
+            res = strict_cones_feasible(block((orb1, i), (orb2, j)))
             if res.feasible:
                 feasible += 1
-                assert c1.contains(res.witness)
-                assert c2.contains(res.witness)
+                assert in_cell(orb1, i, res.witness)
+                assert in_cell(orb2, j, res.witness)
                 assert res.margin > 0
     assert feasible == 6
 
@@ -193,9 +198,9 @@ def test_golden_instance_has_six_feasible_pairs(c3):
 def test_golden_batch_matches_one_problem_solves(c3):
     orb1 = orbit_of(c3, GOLDEN_Z[0])
     orb2 = orbit_of(c3, GOLDEN_Z[1])
-    cells1 = [VoronoiCellSpec(orb1, i) for i in range(orb1.size)]
-    cells2 = [VoronoiCellSpec(orb2, j) for j in range(orb2.size)]
-    problems = [[a, b] for a in cells1 for b in cells2] + [[a] for a in cells1]
+    cells1 = [(orb1, i) for i in range(orb1.size)]
+    cells2 = [(orb2, j) for j in range(orb2.size)]
+    problems = [block(a, b) for a in cells1 for b in cells2] + [block(a) for a in cells1]
     assert_batch_matches_single(problems)
     assert sum(r.feasible for r in voronoi._margin_lps(problems)) == 6 + 3
 
@@ -211,15 +216,15 @@ def test_batch_matches_one_problem_solves_property(spec, seed, n_cells):
     g = build_family(*spec)
     rng = np.random.default_rng(seed)
     orbits = [orbit_of(g, rng.standard_normal(g.dim)) for _ in range(n_cells)]
-    problems = [[VoronoiCellSpec(o, int(rng.integers(o.size))) for o in orbits]
-                for _ in range(8)]
+    problems = [block(*[(o, int(rng.integers(o.size))) for o in orbits]) for _ in range(8)]
     assert_batch_matches_single(problems)
 
 
 def test_batch_with_empty_and_rowless_problems(trivial2, c5, rng):
     free = cell_of(trivial2, np.array([1.0, 2.0]))
     cell = cell_of(c5, rng.standard_normal(2))
-    out = list(voronoi._margin_lps([[free], [cell], [], [free, free]]))
+    out = list(voronoi._margin_lps([block(free), block(cell), np.zeros((0, 0)),
+                                    block(free, free)]))
     assert [r.margin for r in (out[0], out[2], out[3])] == [np.inf] * 3
     assert out[1].feasible and out[2].witness.shape == (0,)
 
@@ -227,8 +232,9 @@ def test_batch_with_empty_and_rowless_problems(trivial2, c5, rng):
 def test_mixed_shapes_reach_solve_blocks_one_shape_per_call(trivial2, c5, monkeypatch, rng):
     free = cell_of(trivial2, np.array([1.0, 2.0]))
     a, b = (cell_of(c5, rng.standard_normal(2)) for _ in range(2))
-    problems = [[free], [a], [a, b], [], [b], [b, a], [free, free], [b, a], [a, a]]
-    want = [strict_cones_feasible(cells) for cells in problems]
+    problems = [block(free), block(a), block(a, b), np.zeros((0, 0)), block(b), block(b, a),
+                block(free, free), block(b, a), block(a, a)]
+    want = [strict_cones_feasible(R) for R in problems]
     shapes = []
     real = voronoi._solve_blocks
 
@@ -307,14 +313,13 @@ def test_undecided_block_raises_and_certifies_nothing(weights, monkeypatch, c5, 
 def test_distinct_cells_of_one_orbit_never_intersect(c5, rng):
     x = rng.standard_normal(2)
     orb = orbit_of(c5, x)
-    cells = [VoronoiCellSpec(orb, k) for k in range(orb.size)]
-    assert strict_cones_feasible([cells[0], cells[0]]).feasible
+    assert strict_cones_feasible(block((orb, 0), (orb, 0))).feasible
     for a, b in itertools.combinations(range(5), 2):
-        assert not strict_cones_feasible([cells[a], cells[b]]).feasible
+        assert not strict_cones_feasible(block((orb, a), (orb, b))).feasible
 
 
 def test_strict_cones_accepts_empty_constraint_list(trivial2):
-    res = strict_cones_feasible([cell_of(trivial2, np.array([1.0, 2.0]))])
+    res = strict_cones_feasible(block(cell_of(trivial2, np.array([1.0, 2.0]))))
     assert res.feasible
     assert res.margin == np.inf
 
@@ -360,12 +365,12 @@ def test_s_set_generic_and_aligned_sizes(c5, rng):
     orb_y = orbit_of(c5, y)
     cell_x = cell_of(c5, x)
     for q, w in zip(s.members, s.witnesses):
-        assert cell_x.contains(w)
-        assert VoronoiCellSpec(orb_y, index_of(orb_y, q)).contains(w)
+        assert in_cell(*cell_x, w)
+        assert in_cell(orb_y, index_of(orb_y, q), w)
         for q2 in s.members:
             if np.linalg.norm(q2 - q) > 1e-9:
                 # w lies outside the closed cell of every other member
-                rows = VoronoiCellSpec(orb_y, index_of(orb_y, q2)).rows
+                rows = delete_rows(orb_y.points, index_of(orb_y, q2))
                 assert not (rows @ w >= -DEFAULT_TOL.lp_tol * np.linalg.norm(w)).all()
     # aligned pair: cells of y coincide with cells of x, one cover suffices
     aligned = s_set(c5, x, 2.5 * c5.stack[1] @ x)
@@ -509,14 +514,29 @@ def test_voronoi_characteristic_prefix_stability(c5):
 
 @pytest.mark.parametrize("name,param", [CHI_GROUPS[i] for i in (1, 2, 5, 7)],
                          ids=lambda v: str(v))
-def test_chi_stream_matches_one_pair_s_sets(name, param):
+def test_chi_stream_matches_one_pair_s_sets(name, param, monkeypatch):
     g = build_family(name, param)
+    blocks = []
+    real = voronoi._solve_blocks
+
+    def recording(chunk):
+        blocks.extend(chunk)
+        return real(chunk)
+
+    monkeypatch.setattr(voronoi, "_solve_blocks", recording)
     est = voronoi_characteristic(g, 12, seed=5)
-    pairs = []
+    stream = blocks[:]
+    pairs, want = [], []
     for k in range(12):
         rng = np.random.default_rng((5, STREAMS["chi_sampling"], k))
         pairs.append((sample_principal(g, rng), sample_principal(g, rng)))
         assert est.sizes[k] == s_set(g, *pairs[k]).size
+        # the pair's blocks: the rows of V_q, then those of V_x, q in orbit order
+        orb_x, orb_y = (orbit_of(g, p) for p in pairs[k])
+        cell_x = (orb_x, index_of(orb_x, pairs[k][0]))
+        want += [block((orb_y, q), cell_x) for q in range(orb_y.size)]
+    assert len(stream) == len(want)
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(stream, want))
     # the witness is the first pair of largest S-set
     first = int(np.argmax(est.sizes))
     assert np.array_equal(est.witness_x, pairs[first][0])
