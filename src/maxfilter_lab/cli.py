@@ -150,7 +150,7 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig, dict]:
         raise ConfigError(f"config file not found: {p}") from e
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"config file {p}: {type(e).__name__}: {e}") from e
-    except ValueError as e:    # JSONDecodeError, or an integer too long to parse
+    except (ValueError, RecursionError) as e:   # bad JSON, a long integer, or nesting too deep
         raise ConfigError(f"config is not valid JSON: {e}") from e
     return ExperimentConfig.from_dict(raw), raw
 
@@ -162,7 +162,7 @@ def build_group_from_spec(spec: dict) -> FiniteGroup:
         return build_family(spec["family"], spec["param"])
     try:
         return load_group(spec["path"])
-    except (OSError, KeyError, TypeError, ValueError) as e:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as e:
         raise ConfigError(f"group file {spec['path']}: {type(e).__name__}: {e}") from e
 
 

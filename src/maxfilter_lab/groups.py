@@ -417,11 +417,11 @@ def orbit_of(group: FiniteGroup, x) -> Orbit:
 
 
 def stabilizer_order(group: FiniteGroup, x) -> int:
-    """Number of elements fixing x, relative threshold eq_tol*(1+|x|)."""
+    """Number of elements fixing x, within eq_tol*(1+|x|).  The referee of
+    the principal rule: it is 1 exactly when ``orbit_of`` keeps |G| points."""
     x = np.asarray(x, dtype=float)
-    images = group.apply_all(x)
     thresh = DEFAULT_TOL.eq_tol * (1.0 + float(np.linalg.norm(x)))
-    return int((np.linalg.norm(images - x, axis=1) <= thresh).sum())
+    return int((np.linalg.norm(group.apply_all(x) - x, axis=1) <= thresh).sum())
 
 
 # ---------------------------------------------------------------------------

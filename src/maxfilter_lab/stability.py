@@ -22,7 +22,7 @@ from .filtering import (MaxFilterBank, _pair_distances, apply_bank, apply_bank_b
 from .groups import _BLOCK, _first_seen, is_reflection_group
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
-from .voronoi import (_cell_rows, _pinned_leaves, cell_of, choice_assignments, proven_chi,
+from .voronoi import (_cell_rows, _draw, _pinned_leaves, choice_assignments, proven_chi,
                       sample_nice, strictly_inside)
 
 __all__ = [
@@ -190,8 +190,7 @@ def lower_bound_sharp(bank: MaxFilterBank, n_pairs: int, seed: int) -> AlphaShar
         for attempt in range(_NICE_ATTEMPTS):
             rng = np.random.default_rng((seed, STREAMS["alpha_sharp"], k, attempt))
             try:
-                x = sample_nice(bank, rng)
-                y = sample_nice(bank, rng)
+                x, y = sample_nice(bank, rng), sample_nice(bank, rng)
                 val = pair_lower_value(bank, x, y)
                 break
             except NotNicePoint:
@@ -518,14 +517,12 @@ def _reflection_witness(bank: MaxFilterBank, seed: int) -> WitnessPair:
     bottom eigenvector v of sum v_i v_i^T and t small enough to stay in V_x."""
     group = bank.group
     rng = np.random.default_rng((seed, STREAMS["witness"]))
-    x = sample_nice(bank, rng)
+    x, (orbit, c) = _draw(group, rng, bank.orbits)
     V = np.stack([orb.points[int(np.argmax(orb.points @ x))] for orb in bank.orbits])
-    M = V.T @ V
-    lam, vecs = np.linalg.eigh(M)
+    lam, vecs = np.linalg.eigh(V.T @ V)
     bottom = vecs[:, 0]
     target = math.sqrt(max(float(lam[0]), 0.0))
 
-    orbit, c = cell_of(group, x)
     rows = _cell_rows(orbit.points, c)
     a = rows @ x
     b = rows @ bottom

@@ -9,12 +9,14 @@ reflection groups and planar rotation groups, read off the elements
 (``_geometric_leaves``), for β and the sharp bound's S-sets; every
 other group, every question that geometry hands back, and ``s_set``
 and χ, which check the rules that geometry rests on, ask a small
-margin LP.  Every margin LP starts
-here: β's LP route is the level search of ``_pinned_leaves``, one batch
-per level, and the S-set pairs of a χ run share one lazy stream
-(``_s_sets``).  A cell is named by its orbit and its centre's index
-there, and ``cell_of`` alone looks a centre up from a point; a margin
-LP is one block of rows, its cells' ``_cell_rows`` stacked in turn.
+margin LP.  Every margin LP starts here: β's LP route is the level
+search of ``_pinned_leaves``, one batch per level, and the S-set pairs
+of a χ run share one lazy stream (``_s_sets``).  A cell is named by its
+orbit and its centre's index there, and ``cell_of`` alone looks a
+centre up from a point; a margin LP is one block of rows, its cells'
+``_cell_rows`` stacked in turn.  A point is principal when its orbit
+keeps all |G| images (``is_principal``), so the samplers' one draw
+(``_draw``) keeps the cell it tests, and χ's stream takes those cells.
 No LP solver runs: each margin LP's verdict is read off a
 certificate that is checked with a few flops, a witness point in the box
 or Gordan weights on its rows (``ConeFeasibility``).  A chunk holds
@@ -43,7 +45,7 @@ import numpy as np
 
 from .errors import BUDGETS, BudgetExceeded, LpNumericalFailure, NotNicePoint
 from .filtering import MaxFilterBank
-from .groups import _BLOCK, FiniteGroup, Orbit, orbit_of, stabilizer_order
+from .groups import _BLOCK, FiniteGroup, Orbit, orbit_of
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
 
@@ -209,7 +211,7 @@ class ConeFeasibility:
 # On a 2-core host a `chi` benchmark op took 13.8 ms at this value, 15.9 ms
 # at 1 << 13 and 12.5 ms at _BLOCK (op p50 of three 15 s runs at seed 1).
 _LP_CHUNK = 1 << 14
-_SAMPLE_TRIES = 100    # Gaussian draws per call of sample_principal and sample_nice
+_SAMPLE_TRIES = 100    # Gaussian draws per call of _draw, which both samplers call
 _WOLFE_STEPS = 1000    # major cycles per block in _wolfe; the test banks need at most 11
 
 
@@ -429,27 +431,30 @@ def in_Q(orbit: Orbit, y) -> bool:
 
 
 def is_principal(group: FiniteGroup, x) -> bool:
-    """Trivial stabilizer, i.e. the orbit has full size |G|."""
-    return stabilizer_order(group, x) == 1
+    """The orbit keeps all |G| images; ``stabilizer_order(group, x) == 1`` referees it."""
+    return orbit_of(group, x).size == group.order
+
+
+def _draw(group: FiniteGroup, rng: np.random.Generator, orbits=()) -> tuple[np.ndarray, tuple]:
+    """(x, ``cell_of(group, x)``) for the first of _SAMPLE_TRIES Gaussian draws
+    whose orbit has |G| points and whose best point in each of ``orbits`` is unique."""
+    for _ in range(_SAMPLE_TRIES):
+        x = rng.standard_normal(group.dim)
+        cell = cell_of(group, x)
+        if cell[0].size == group.order and all(in_Q(o, x) for o in orbits):
+            return x, cell
+    raise NotNicePoint(f"no {'nice' if orbits else 'principal'} point found in "
+                       f"{_SAMPLE_TRIES} Gaussian draws")
 
 
 def sample_principal(group: FiniteGroup, rng: np.random.Generator) -> np.ndarray:
     """Standard Gaussian draw, rejected until the point is principal."""
-    for _ in range(_SAMPLE_TRIES):
-        x = rng.standard_normal(group.dim)
-        if is_principal(group, x):
-            return x
-    raise NotNicePoint(f"no principal point found in {_SAMPLE_TRIES} Gaussian draws")
+    return _draw(group, rng)[0]
 
 
 def sample_nice(bank: MaxFilterBank, rng: np.random.Generator) -> np.ndarray:
-    """Principal point that also has a unique best representative in every
-    template orbit."""
-    for _ in range(_SAMPLE_TRIES):
-        x = rng.standard_normal(bank.dim)
-        if is_principal(bank.group, x) and all(in_Q(o, x) for o in bank.orbits):
-            return x
-    raise NotNicePoint(f"no nice point found in {_SAMPLE_TRIES} Gaussian draws")
+    """Principal point with a unique best representative in every template orbit."""
+    return _draw(bank.group, rng, bank.orbits)[0]
 
 
 @dataclass(frozen=True)
@@ -464,17 +469,15 @@ class SSet:
         return self.members.shape[0]
 
 
-def _s_sets(group: FiniteGroup, pairs: Iterable) -> Iterator[tuple[Orbit, list]]:
-    """(orbit of y, verdicts "V_q meets V_x" for q in [y]) per (x, y) of
-    ``pairs``, from one lazy ``_margin_lps`` stream.  A pair's block for q
-    is the rows of V_q, then those of V_x, which are cut once per pair;
-    each block is built when the stream reaches it and dropped after its
-    chunk."""
+def _s_sets(pairs: Iterable) -> Iterator[tuple[Orbit, list]]:
+    """(orbit of y, verdicts "V_q meets V_x" for q in [y]) per pair of cells
+    (x's, y's) in ``pairs``, from one lazy ``_margin_lps`` stream.  A pair's
+    block for q is V_q's rows, then V_x's, cut once per pair; each block is
+    built when the stream reaches it and dropped after its chunk."""
     started: deque[Orbit] = deque()
 
     def problems():
-        for x, y in pairs:
-            (orbit_x, ix), orbit_y = cell_of(group, x), orbit_of(group, y)
+        for (orbit_x, ix), (orbit_y, _) in pairs:
             rows_x = _cell_rows(orbit_x.points, ix)
             started.append(orbit_y)
             yield from (np.concatenate((_cell_rows(orbit_y.points, k), rows_x))
@@ -494,11 +497,11 @@ def s_set(group: FiniteGroup, x, y) -> SSet:
     |[y]| questions "does V_q meet V_x" are independent margin LPs, each
     decided on its own.
     """
-    for name, pt in (("x", x), ("y", y)):
-        if not is_principal(group, pt):
-            warnings.warn(f"s_set: {name} is not principal; result may be degenerate",
-                          stacklevel=2)
-    orbit_y, verdicts = next(_s_sets(group, [(x, y)]))
+    cells = cell_of(group, x), cell_of(group, y)
+    for name, (orbit, _) in zip("xy", cells):
+        if orbit.size != group.order:
+            warnings.warn(f"s_set: {name} is not principal; result may be degenerate", stacklevel=2)
+    orbit_y, verdicts = next(_s_sets([cells]))
     return SSet(members=orbit_y.points[[r.feasible for r in verdicts]],
                 witnesses=np.stack([r.witness for r in verdicts if r.feasible]))
 
@@ -528,15 +531,15 @@ def choice_assignments(bank: MaxFilterBank, x, y) -> ChoiceEnumeration:
     """
     x = np.asarray(x, dtype=float)
     group = bank.group
-    if not is_principal(group, x):
+    (orbit_x, ix), orbit_y = cell_of(group, x), orbit_of(group, y)
+    if orbit_x.size != group.order:
         raise NotNicePoint("x is not principal")
     if not all(in_Q(orb, x) for orb in bank.orbits):
         raise NotNicePoint("x has a tied best representative for a template orbit")
-    if not is_principal(group, y):
+    if orbit_y.size != group.order:
         warnings.warn("y is not principal; F(x, y) may be degenerate", stacklevel=2)
     aligned = np.stack([orb.points[int(np.argmax(orb.points @ x))] for orb in bank.orbits])
 
-    (orbit_x, ix), orbit_y = cell_of(group, x), orbit_of(group, y)
     scores = orbit_y.points @ aligned.T
     near = scores >= scores.max(axis=0) - DEFAULT_TOL.sample_tol
     picks = np.flatnonzero(near.any(axis=1))
@@ -596,13 +599,13 @@ def voronoi_characteristic(group: FiniteGroup, n_samples: int, seed: int) -> Chi
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
 
-    def pair(k: int) -> tuple[np.ndarray, np.ndarray]:
+    def pair(k: int):
         rng = np.random.default_rng((seed, STREAMS["chi_sampling"], k))
-        return sample_principal(group, rng), sample_principal(group, rng)
+        return _draw(group, rng), _draw(group, rng)
 
-    sizes = np.array([sum(r.feasible for r in verdicts)
-                      for _, verdicts in _s_sets(group, map(pair, range(n_samples)))])
+    cells = ((cx, cy) for (_, cx), (_, cy) in map(pair, range(n_samples)))
+    sizes = np.array([sum(r.feasible for r in verdicts) for _, verdicts in _s_sets(cells)])
     k = int(np.argmax(sizes))
-    wx, wy = pair(k)
+    (wx, _), (wy, _) = pair(k)
     return ChiEstimate(chi_lower=int(sizes[k]), saturated=bool(sizes[k] == group.order),
                        witness_x=wx, witness_y=wy, sizes=sizes)

@@ -412,6 +412,19 @@ def test_exit_two_unreadable_config(tmp_path, capsys, make):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where", ["config", "group_file"])
+def test_exit_two_on_json_nested_too_deep(tmp_path, monkeypatch, capsys, where):
+    # json recurses once per nesting level, and raises RecursionError this deep
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    cfg = ("deep.json" if where == "config" else
+           write_config(tmp_path, dict(SF2_BOUNDS, group_spec={"path": "deep.json"})))
+    assert main(["bounds", "--config", cfg, "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # n=4 templates with chi=2, d=2 gives lambda=1 < lambda0 = 4
 C3_BELOW_LAMBDA0 = dict(C3_DISTORTION, templates={"sampler": "gaussian", "n": 4},
                         n_trials=1, n_pairs=20)

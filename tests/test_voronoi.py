@@ -13,10 +13,11 @@ from maxfilter_lab import (DEFAULT_TOL, BudgetExceeded, LpNumericalFailure, MaxF
                            is_principal, orbit_of, s_set, sample_nice,
                            sample_principal, upper_bound_exact,
                            voronoi_characteristic)
-from maxfilter_lab import voronoi
+from maxfilter_lab import groups, voronoi
+from maxfilter_lab.groups import FAMILIES, FiniteGroup, stabilizer_order
 from maxfilter_lab.voronoi import strict_cones_feasible
 from maxfilter_lab.errors import BUDGETS
-from maxfilter_lab.stability import pair_lower_value
+from maxfilter_lab.stability import lower_bound_sharp, pair_lower_value
 from maxfilter_lab.streams import STREAMS
 from oracles import (brute_s_members, delete_rows, highs_margin_lps, lp_route,
                      rows_strictly_inside)
@@ -337,6 +338,8 @@ def test_is_principal_and_samplers(rng):
     assert is_principal(ax, np.array([1.0, 0.2, 0.3]))
     sf = build_family("sign_flips", 2)
     assert not is_principal(sf, np.array([1.0, 0.0]))  # fixed by one flip
+    assert is_principal(sf, np.ones(2))
+    assert not is_principal(build_family("permutations", 4), np.ones(4))
     x = sample_principal(sf, rng)
     assert is_principal(sf, x)
     bank = MaxFilterBank(sf, np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -354,6 +357,86 @@ def test_sampler_failure_on_degenerate_group(monkeypatch):
     monkeypatch.setattr(voronoi, "_SAMPLE_TRIES", 0)
     with pytest.raises(NotNicePoint):
         sample_principal(c5, rng)
+
+
+# two parameters per family, for the referee of the principal rule
+FAMILY_PARAMS = {"cyclic_rotation_2d": (3, 7), "axis_rotation_3d": (4, 5),
+                 "dihedral_2d": (3, 4), "sign_flips": (2, 3), "permutations": (3, 4),
+                 "plus_minus_id": (2, 3), "circular_shifts": (3, 5)}
+REFEREE_GROUPS = [pytest.param(lambda name=name, m=m: build_family(name, m), id=f"{name}-{m}")
+                  for name in FAMILIES for m in FAMILY_PARAMS[name]] + [
+    pytest.param(lambda: generate_group(build_family("permutations", 3).stack), id="untagged_s3"),
+    pytest.param(lambda: generate_group([np.eye(3)]), id="trivial"),
+]
+
+
+@pytest.mark.parametrize("make", REFEREE_GROUPS)
+def test_is_principal_agrees_with_the_stabilizer(make):
+    # one rule, the orbit keeps all |G| images; the stabilizer count referees it
+    g = make()
+    assert set(FAMILY_PARAMS) == set(FAMILIES)
+    rng = np.random.default_rng((38, g.order, g.dim))
+    for x in rng.standard_normal((40, g.dim)):
+        assert is_principal(g, x) == (stabilizer_order(g, x) == 1)
+        if is_principal(g, x):
+            # a principal orbit is every image, in element order, bit for bit
+            assert orbit_of(g, x).points.tobytes() == g.apply_all(x).tobytes()
+    built = [np.zeros(g.dim), np.ones(g.dim), np.eye(g.dim)[-1]]
+    stack = g.stack
+    mirrors = stack[(np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) <= 1e-12)
+                    & np.isclose(np.trace(stack, axis1=1, axis2=2), g.dim - 2)]
+    built += [(x + r @ x) / 2 for r in mirrors[:2] for x in rng.standard_normal((2, g.dim))]
+    for x in built:
+        assert is_principal(g, x) == (stabilizer_order(g, x) == 1)
+    if g.order > 1:
+        assert not is_principal(g, np.zeros(g.dim))
+        assert all(not is_principal(g, x) for x in built[3:])
+
+
+class ImageCount:
+    """Counts the calls of FiniteGroup.apply_all, orbit_of and
+    stabilizer_order, the last two wherever ``groups`` or ``voronoi`` binds them."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {"apply_all": 0, "orbit_of": 0, "stabilizer_order": 0}
+        monkeypatch.setattr(FiniteGroup, "apply_all", self.wrap(FiniteGroup.apply_all))
+        for name in ("orbit_of", "stabilizer_order"):
+            real = getattr(groups, name)
+            for mod in (groups, voronoi):
+                if getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, self.wrap(real, name))
+
+    def wrap(self, real, name="apply_all"):
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("name,param", [CHI_GROUPS[i] for i in (0, 2, 4, 8)],
+                         ids=lambda v: str(v))
+def test_chi_computes_each_drawn_points_images_once(name, param, monkeypatch):
+    g = build_family(name, param)
+    count = ImageCount(monkeypatch)
+    voronoi_characteristic(g, 12, seed=5)
+    # 12 pairs, then the witness pair drawn again; Gaussian draws are
+    # principal, so each draw is one point
+    assert count.calls == {"apply_all": 26, "orbit_of": 26, "stabilizer_order": 0}
+
+
+def test_choice_assignments_builds_two_orbits(monkeypatch):
+    for name, param in (("sign_flips", 3), ("cyclic_rotation_2d", 5), ("plus_minus_id", 3)):
+        g = build_family(name, param)
+        bank = MaxFilterBank(g, np.random.default_rng(2).standard_normal((4, g.dim)))
+        x, y = (sample_nice(bank, np.random.default_rng(k)) for k in (3, 4))
+        count = ImageCount(monkeypatch)
+        choice_assignments(bank, x, y)
+        assert count.calls == {"apply_all": 2, "orbit_of": 2, "stabilizer_order": 0}
+        monkeypatch.undo()
+    # the sharp bound, which calls it on every sampled pair, tests no stabilizer
+    count = ImageCount(monkeypatch)
+    lower_bound_sharp(bank, 20, seed=1)
+    assert count.calls["stabilizer_order"] == 0
 
 
 def test_s_set_generic_and_aligned_sizes(c5, rng):
@@ -692,9 +775,9 @@ def test_s_sets_reads_pairs_lazily(c5):
         rng = np.random.default_rng(3)
         for k in range(200):
             drawn.append(k)
-            yield sample_principal(c5, rng), sample_principal(c5, rng)
+            yield voronoi._draw(c5, rng)[1], voronoi._draw(c5, rng)[1]
 
-    orbit_y, verdicts = next(voronoi._s_sets(c5, pairs()))
+    orbit_y, verdicts = next(voronoi._s_sets(pairs()))
     assert len(drawn) < 200
     assert len(verdicts) == orbit_y.size == 5
 
