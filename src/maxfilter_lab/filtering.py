@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import LengthMismatch, NegativeRadicand
-from .groups import _BLOCK, FiniteGroup, Orbit, orbit_of
+from .groups import _BLOCK, FiniteGroup, Orbit, _orbits
 from .tolerances import DEFAULT_TOL
 
 __all__ = [
@@ -61,8 +61,9 @@ class MaxFilterBank:
 
     @cached_property
     def orbits(self) -> tuple[Orbit, ...]:
-        """Template orbits ``orbit_of(group, z)``, built once per bank."""
-        return tuple(orbit_of(self.group, z) for z in self.templates)
+        """Template orbits, as ``orbit_of(group, z)`` keeps them, built once
+        per bank by one ``_orbits`` call."""
+        return tuple(_orbits(self.group, self.templates))
 
 
 def max_filter(group: FiniteGroup, x, y, allow_fft: bool = True) -> float:

@@ -89,6 +89,16 @@ def _projection(k: int) -> np.ndarray:
     return np.sin(np.arange(1.0, k + 1))
 
 
+def _window(u: np.ndarray, thresh, top, ord=2):
+    """The run window of ``_first_seen``: rows within ``thresh`` of each
+    other in the norm ``ord``, with no |entry| above ``top``, have
+    projections on u within it.  Elementwise over arrays of thresh and top."""
+    # a projection's rounding error is below (k+1)*eps*|u|_1*max|entry|;
+    # the factor 1.001 covers the rounding of the norms and of the gaps
+    rounding = 2 * (len(u) + 2) * np.finfo(float).eps * np.abs(u).sum() * top
+    return 1.001 * (np.linalg.norm(u, 1 if ord == np.inf else 2) * thresh + rounding)
+
+
 def _first_seen(rows: np.ndarray, thresh, ord=2) -> np.ndarray:
     """Indices of the rows kept by the tolerant first-seen rule, in input order.
 
@@ -96,10 +106,12 @@ def _first_seen(rows: np.ndarray, thresh, ord=2) -> np.ndarray:
     scalar, or one value per row i) of it in the norm ``ord``.  The rule
     is greedy, so the kept rows depend on the input order, which feeds
     the S-sets, argmax tuples and reports.  Every caller scales the fixed
-    DEFAULT_TOL.eq_tol: ``orbit_of`` passes the images g.x, Euclidean, at
-    eq_tol*(1+|x|); ``generate_group`` flattened matrices, max-abs
-    (ord=inf), at eq_tol; ``stability.alpha_tilde`` [p0, -p0, p1, -p1, ...]
-    over an orbit, Euclidean, at eq_tol*(1+|p|), keeping the even rows.
+    DEFAULT_TOL.eq_tol: ``_orbits`` passes the images g.x of one point,
+    Euclidean, at eq_tol*(1+|x|), when they fail the early return below,
+    which it tests on many points at once; ``generate_group`` flattened
+    matrices, max-abs (ord=inf), at eq_tol; ``stability.alpha_tilde``
+    [p0, -p0, p1, -p1, ...] over an orbit, Euclidean, at eq_tol*(1+|p|),
+    keeping the even rows.
 
     As |<u, a - b>| <= |u|_2 |a - b|_2 and <= |u|_1 |a - b|_inf for the
     fixed u = _projection(k), a pair the exact test accepts lies in one run
@@ -110,10 +122,7 @@ def _first_seen(rows: np.ndarray, thresh, ord=2) -> np.ndarray:
     n, k = rows.shape
     u = _projection(k)
     proj = rows @ u
-    # a projection's rounding error is below (k+1)*eps*|u|_1*max|entry|;
-    # the factor 1.001 covers the rounding of the norms and of the gaps
-    rounding = 2 * (k + 2) * np.finfo(float).eps * np.abs(u).sum() * max(rows.max(), -rows.min())
-    width = 1.001 * (np.linalg.norm(u, 1 if ord == np.inf else 2) * np.max(thresh) + rounding)
+    width = _window(u, np.max(thresh), max(rows.max(), -rows.min()), ord)
     order = np.argsort(proj, kind="stable")
     starts = np.concatenate(([True], np.diff(proj[order]) > width))
     if starts.all():              # every row alone in its run
@@ -408,12 +417,39 @@ def build_family(name: str, param: int) -> FiniteGroup:
 # orbits and stabilizers
 
 
+def _orbits(group: FiniteGroup, X) -> list[Orbit]:
+    """Deduplicated orbits of the rows of X, (N, d): ``_first_seen`` over the
+    images g.x of the canonical elements, as ``orbit_of`` keeps them.
+
+    One image product serves a slice of points, and ``_first_seen``'s early
+    return, every sorted projection more than its window from the next, is
+    tested on all of them at once with the same expressions.  A point that
+    passes keeps its |G| images, as ``_first_seen`` would; the images of a
+    point that fails go through ``_first_seen``.  A slice holds at least
+    one point and at most _BLOCK image entries, or one point's.
+    """
+    X = np.asarray(X, dtype=float)
+    order, d = group.order, group.dim
+    u = _projection(d)
+    step = max(1, _BLOCK // (order * d))
+    everyone = np.arange(order)
+    orbits = []
+    for lo in range(0, len(X), step):
+        xs = X[lo:lo + step]
+        images = np.matmul(group.stack[None], xs[:, None, :, None])[..., 0]
+        thresh = DEFAULT_TOL.eq_tol * (1.0 + np.linalg.norm(xs, axis=1))
+        width = _window(u, thresh, np.abs(images).max(axis=(1, 2)))
+        distinct = (np.diff(np.sort(images @ u, axis=1), axis=1) > width[:, None]).all(axis=1)
+        for x, rows, alone in zip(xs, images, distinct):
+            reps = everyone if alone else _first_seen(
+                rows, DEFAULT_TOL.eq_tol * (1.0 + float(np.linalg.norm(x))))
+            orbits.append(Orbit(points=rows if alone else rows[reps], rep_elements=reps))
+    return orbits
+
+
 def orbit_of(group: FiniteGroup, x) -> Orbit:
-    """Deduplicated orbit of x: ``_first_seen`` over the images g.x of the canonical elements."""
-    x = np.asarray(x, dtype=float)
-    images = group.apply_all(x)
-    reps = _first_seen(images, DEFAULT_TOL.eq_tol * (1.0 + float(np.linalg.norm(x))))
-    return Orbit(points=images[reps], rep_elements=reps)
+    """Deduplicated orbit of x, the one-point case of ``_orbits``."""
+    return _orbits(group, [x])[0]
 
 
 def stabilizer_order(group: FiniteGroup, x) -> int:

@@ -22,8 +22,8 @@ from .filtering import (MaxFilterBank, _pair_distances, apply_bank, apply_bank_b
 from .groups import _BLOCK, _first_seen, is_reflection_group
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
-from .voronoi import (_cell_rows, _draw, _pinned_leaves, choice_assignments, proven_chi,
-                      sample_nice, strictly_inside)
+from .voronoi import (ChoiceEnumeration, _cell_rows, _choices, _draw, _pinned_leaves,
+                      choice_assignments, proven_chi, strictly_inside)
 
 __all__ = [
     "UpperBound",
@@ -157,7 +157,11 @@ def pair_lower_value(bank: MaxFilterBank, x, y) -> float:
     sqrt( sum over S-members w of lambda_min( sum_{i in f^-1(w)} v_i v_i^T ) ).
     Raises BudgetExceeded when |F(x, y)| exceeds BUDGETS["choice_cap"].
     """
-    enum = choice_assignments(bank, x, y)
+    return _pair_value(choice_assignments(bank, x, y))
+
+
+def _pair_value(enum: ChoiceEnumeration) -> float:
+    """``pair_lower_value`` read off the pair's F(x, y)."""
     best = -math.inf
     for f in enum.assignments:
         blocks = [enum.aligned[f == w] for w in np.unique(f)]
@@ -177,8 +181,9 @@ def lower_bound_sharp(bank: MaxFilterBank, n_pairs: int, seed: int) -> AlphaShar
     """Sampled estimate of the sharp lower constant: min of pair_lower_value
     over seeded Gaussian nice pairs.  An upper estimate of the true inf;
     the certified lower bound is alpha_tilde.  Each pair's S-set members
-    come from ``choice_assignments``: the cell geometry for the tagged
-    families, which solves no LP, else the margin LP.  A pair with more
+    come from ``choice_assignments``' core, on the cells its two draws
+    built (``_draw``): the cell geometry for reflection and planar
+    groups, which solves no LP, else the margin LP.  A pair with more
     than BUDGETS["choice_cap"] choice assignments raises BudgetExceeded.
     """
     if n_pairs < 1:
@@ -190,8 +195,9 @@ def lower_bound_sharp(bank: MaxFilterBank, n_pairs: int, seed: int) -> AlphaShar
         for attempt in range(_NICE_ATTEMPTS):
             rng = np.random.default_rng((seed, STREAMS["alpha_sharp"], k, attempt))
             try:
-                x, y = sample_nice(bank, rng), sample_nice(bank, rng)
-                val = pair_lower_value(bank, x, y)
+                x, cell_x = _draw(bank.group, rng, bank.orbits)
+                y, (orbit_y, _) = _draw(bank.group, rng, bank.orbits)
+                val = _pair_value(_choices(bank, x, cell_x, orbit_y))
                 break
             except NotNicePoint:
                 continue

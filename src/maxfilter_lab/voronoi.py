@@ -16,7 +16,9 @@ orbit and its centre's index there, and ``cell_of`` alone looks a
 centre up from a point; a margin LP is one block of rows, its cells'
 ``_cell_rows`` stacked in turn.  A point is principal when its orbit
 keeps all |G| images (``is_principal``), so the samplers' one draw
-(``_draw``) keeps the cell it tests, and χ's stream takes those cells.
+(``_draw``) keeps the cell it tests.  χ's stream draws its pairs in
+batches, one image product per batch (``_chi_pairs``), takes their cells
+and keeps its witness pair as it passes.
 No LP solver runs: each margin LP's verdict is read off a
 certificate that is checked with a few flops, a witness point in the box
 or Gordan weights on its rows (``ConeFeasibility``).  A chunk holds
@@ -45,7 +47,7 @@ import numpy as np
 
 from .errors import BUDGETS, BudgetExceeded, LpNumericalFailure, NotNicePoint
 from .filtering import MaxFilterBank
-from .groups import _BLOCK, FiniteGroup, Orbit, orbit_of
+from .groups import _BLOCK, FiniteGroup, Orbit, _orbits, orbit_of
 from .streams import STREAMS
 from .tolerances import DEFAULT_TOL
 
@@ -180,7 +182,11 @@ def cell_of(group: FiniteGroup, x) -> tuple[Orbit, int]:
     bit for bit, if x is principal (its identity image is exact), else the
     orbit point within eq_tol of x."""
     x = np.asarray(x, dtype=float)
-    orbit = orbit_of(group, x)
+    return _cell(orbit_of(group, x), x)
+
+
+def _cell(orbit: Orbit, x: np.ndarray) -> tuple[Orbit, int]:
+    """(orbit, index of its point nearest x), the cell ``cell_of`` returns."""
     return orbit, int(np.argmin(np.linalg.norm(orbit.points - x, axis=1)))
 
 
@@ -531,13 +537,23 @@ def choice_assignments(bank: MaxFilterBank, x, y) -> ChoiceEnumeration:
     """
     x = np.asarray(x, dtype=float)
     group = bank.group
-    (orbit_x, ix), orbit_y = cell_of(group, x), orbit_of(group, y)
-    if orbit_x.size != group.order:
+    cell_x, orbit_y = cell_of(group, x), orbit_of(group, y)
+    if cell_x[0].size != group.order:
         raise NotNicePoint("x is not principal")
     if not all(in_Q(orb, x) for orb in bank.orbits):
         raise NotNicePoint("x has a tied best representative for a template orbit")
     if orbit_y.size != group.order:
         warnings.warn("y is not principal; F(x, y) may be degenerate", stacklevel=2)
+    return _choices(bank, x, cell_x, orbit_y)
+
+
+def _choices(bank: MaxFilterBank, x: np.ndarray, cell_x: tuple[Orbit, int],
+             orbit_y: Orbit) -> ChoiceEnumeration:
+    """``choice_assignments`` from x's cell and y's orbit, which the caller
+    has built and checked: x principal with a unique best representative
+    in every template orbit."""
+    orbit_x, ix = cell_x
+    group = bank.group
     aligned = np.stack([orb.points[int(np.argmax(orb.points @ x))] for orb in bank.orbits])
 
     scores = orbit_y.points @ aligned.T
@@ -590,22 +606,54 @@ class ChiEstimate:
     sizes: np.ndarray
 
 
+def _chi_pairs(group: FiniteGroup, seed: int, n_samples: int) -> Iterator[tuple]:
+    """The chi samples: pair k is (``_draw``, ``_draw``) on default_rng((seed,
+    tag, k)), drawn in batches of the pairs whose blocks one _LP_CHUNK
+    holds, at least one, so the stream holds about one chunk of pairs.  A
+    pair's |G| blocks have 2|G| - 2 rows of d entries.  The first x and y
+    draws of a batch share one ``_orbits`` call; a pair with a first draw
+    that is not principal is drawn again by ``_draw`` from a fresh
+    generator on its key, which repeats those draws."""
+    order, d = group.order, group.dim
+    m = 2 * order - 2
+    size = max(1, _LP_CHUNK // max(1, m * (m + d) * order))
+    for lo in range(0, n_samples, size):
+        keys = [(seed, STREAMS["chi_sampling"], k) for k in range(lo, min(lo + size, n_samples))]
+        firsts = []
+        for key in keys:
+            rng = np.random.default_rng(key)
+            firsts += [rng.standard_normal(d), rng.standard_normal(d)]
+        orbits = _orbits(group, firsts)
+        for key, x, y, orbit_x, orbit_y in zip(keys, firsts[::2], firsts[1::2],
+                                                orbits[::2], orbits[1::2]):
+            if orbit_x.size == orbit_y.size == order:
+                yield (x, _cell(orbit_x, x)), (y, _cell(orbit_y, y))
+            else:
+                rng = np.random.default_rng(key)
+                yield _draw(group, rng), _draw(group, rng)
+
+
 def voronoi_characteristic(group: FiniteGroup, n_samples: int, seed: int) -> ChiEstimate:
     """Monte Carlo lower bound on chi(G) over seeded Gaussian principal
     pairs.  Sample k is driven by default_rng((seed, tag, k)), so prefixes
-    of the sample stream agree across n_samples.  All pairs share one LP
-    stream; the witness pair, the first with the largest S-set, is drawn again.
+    of the sample stream agree across n_samples.  The pairs are drawn in
+    batches (``_chi_pairs``) and share one LP stream; the witness pair,
+    the first with the largest S-set, is kept as the stream passes it.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    drawn: deque[tuple[np.ndarray, np.ndarray]] = deque()
 
-    def pair(k: int):
-        rng = np.random.default_rng((seed, STREAMS["chi_sampling"], k))
-        return _draw(group, rng), _draw(group, rng)
+    def cells():
+        for (x, cell_x), (y, cell_y) in _chi_pairs(group, seed, n_samples):
+            drawn.append((x, y))
+            yield cell_x, cell_y
 
-    cells = ((cx, cy) for (_, cx), (_, cy) in map(pair, range(n_samples)))
-    sizes = np.array([sum(r.feasible for r in verdicts) for _, verdicts in _s_sets(cells)])
-    k = int(np.argmax(sizes))
-    (wx, _), (wy, _) = pair(k)
-    return ChiEstimate(chi_lower=int(sizes[k]), saturated=bool(sizes[k] == group.order),
-                       witness_x=wx, witness_y=wy, sizes=sizes)
+    sizes, best = [], -1
+    for _, verdicts in _s_sets(cells()):
+        sizes.append(sum(r.feasible for r in verdicts))
+        pair = drawn.popleft()
+        if sizes[-1] > best:
+            best, (wx, wy) = sizes[-1], pair
+    return ChiEstimate(chi_lower=int(best), saturated=bool(best == group.order),
+                       witness_x=wx, witness_y=wy, sizes=np.array(sizes))

@@ -18,10 +18,11 @@ from scipy.sparse import csr_array
 
 from maxfilter_lab.errors import BudgetExceeded
 from maxfilter_lab import voronoi
-from maxfilter_lab.groups import FiniteGroup, orbit_of
+from maxfilter_lab.groups import FiniteGroup, _first_seen, orbit_of
 from maxfilter_lab.stability import UpperBound, _lam_min_batch
+from maxfilter_lab.streams import STREAMS
 from maxfilter_lab.tolerances import DEFAULT_TOL
-from maxfilter_lab.voronoi import ConeFeasibility, strict_cones_feasible
+from maxfilter_lab.voronoi import ChiEstimate, ConeFeasibility, strict_cones_feasible
 
 
 def brute_max_filter(stack: np.ndarray, x, y) -> float:
@@ -382,6 +383,33 @@ def loop_orbit_of(group, x) -> tuple[np.ndarray, np.ndarray]:
             points.append(p)
             reps.append(gi)
     return np.stack(points), np.array(reps, dtype=int)
+
+
+def apply_all_orbit_of(group, x) -> tuple[np.ndarray, np.ndarray]:
+    """(points, rep_elements) of the orbit of x, one point at a time:
+    ``_first_seen`` over ``apply_all(x)`` at eq_tol*(1+|x|), the referee of
+    the batched ``groups._orbits``."""
+    x = np.asarray(x, dtype=float)
+    images = group.apply_all(x)
+    reps = _first_seen(images, DEFAULT_TOL.eq_tol * (1.0 + float(np.linalg.norm(x))))
+    return images[reps], reps
+
+
+def sequential_chi(group, n_samples: int, seed: int) -> ChiEstimate:
+    """voronoi_characteristic one pair at a time: pair k is two ``_draw``
+    calls on default_rng((seed, tag, k)), every pair feeds one ``_s_sets``
+    stream, and the witness pair, the first of largest S-set, is drawn again."""
+    def pair(k: int):
+        rng = np.random.default_rng((seed, STREAMS["chi_sampling"], k))
+        return voronoi._draw(group, rng), voronoi._draw(group, rng)
+
+    cells = ((cx, cy) for (_, cx), (_, cy) in map(pair, range(n_samples)))
+    sizes = np.array([sum(r.feasible for r in verdicts)
+                      for _, verdicts in voronoi._s_sets(cells)])
+    k = int(np.argmax(sizes))
+    (wx, _), (wy, _) = pair(k)
+    return ChiEstimate(chi_lower=int(sizes[k]), saturated=bool(sizes[k] == group.order),
+                       witness_x=wx, witness_y=wy, sizes=sizes)
 
 
 def loop_dedup_stack(stack: np.ndarray, eq_tol: float) -> np.ndarray:

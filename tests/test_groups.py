@@ -13,8 +13,8 @@ from maxfilter_lab import (DEFAULT_TOL, FAMILIES, ClosureOverflow,
                            max_filter, orbit_of, save_group, stabilizer_order)
 from maxfilter_lab import groups
 from maxfilter_lab.groups import _check_orthogonal, _first_seen
-from oracles import (BACKEND_CASES, degenerate_points, dense_closure_defect,
-                     loop_closure, loop_dedup_stack, loop_orbit_of,
+from oracles import (BACKEND_CASES, apply_all_orbit_of, degenerate_points,
+                     dense_closure_defect, loop_closure, loop_dedup_stack, loop_orbit_of,
                      loop_pm_representatives)
 
 FAMILY_CASES = [
@@ -438,6 +438,86 @@ def test_orbits_match_the_loop_on_every_family(name, param):
     points += list(rng.standard_normal((6, g.dim)) * rng.choice([1e-8, 1.0, 1e4], (6, 1)))
     for x in points:
         _assert_orbit_matches_loop(g, x)
+
+
+# ---------------------------------------------------------------------------
+# the batched orbits against one point at a time (tests/oracles.py)
+
+# every family at two parameters, and an untagged copy
+ORBIT_PARAMS = {"cyclic_rotation_2d": (3, 7), "axis_rotation_3d": (4, 5), "dihedral_2d": (1, 4),
+                "sign_flips": (2, 5), "permutations": (3, 4), "plus_minus_id": (2, 4),
+                "circular_shifts": (3, 6)}
+ORBIT_GROUPS = {f"{name}-{p}": (lambda name=name, p=p: build_family(name, p))
+                for name, params in ORBIT_PARAMS.items() for p in params}
+ORBIT_GROUPS["untagged_s3"] = lambda: generate_group(build_family("permutations", 3).stack)
+
+
+def _failing_points(g, rng) -> np.ndarray:
+    """Rows whose images are not all apart: zero, all-ones (fixed by every
+    permutation), e3 (the axis of axis_rotation_3d), the degenerate rows
+    of the backend tests, and Gaussian rows projected onto a mirror."""
+    stack = g.stack
+    mirrors = stack[(np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) <= 1e-12)
+                    & np.isclose(np.trace(stack, axis1=1, axis2=2), g.dim - 2)]
+    return np.stack([np.zeros(g.dim), np.ones(g.dim), np.eye(g.dim)[-1],
+                     *degenerate_points(g, rng),
+                     *[(x + r @ x) / 2 for r in mirrors[:3]
+                       for x in rng.standard_normal((2, g.dim))]])
+
+
+def _assert_orbits_match_referee(g, X):
+    orbits = groups._orbits(g, X)
+    assert len(orbits) == len(X)
+    for orb, x in zip(orbits, X):
+        points, reps = apply_all_orbit_of(g, x)
+        assert orb.points.shape == points.shape and orb.points.tobytes() == points.tobytes()
+        assert orb.rep_elements.dtype == reps.dtype
+        assert np.array_equal(orb.rep_elements, reps)
+    return orbits
+
+
+@pytest.mark.parametrize("make", ORBIT_GROUPS.values(), ids=ORBIT_GROUPS.keys())
+def test_batched_orbits_equal_one_point_at_a_time(make):
+    assert set(ORBIT_PARAMS) == set(FAMILIES)
+    g = make()
+    rng = np.random.default_rng(g.order * 31 + g.dim)
+    gauss = rng.standard_normal((16, g.dim))
+    for X in (gauss, gauss[:1], gauss[:0]):
+        _assert_orbits_match_referee(g, X)
+    failing = _failing_points(g, rng)
+    mixed = np.concatenate([failing, gauss])[rng.permutation(len(failing) + len(gauss))]
+    sizes = [orb.size for orb in _assert_orbits_match_referee(g, mixed)]
+    # the mixed batch holds points that fail the all-distinct test and points that pass it
+    assert g.order in sizes
+    if g.order > 1:
+        assert min(sizes) < g.order
+    for x in mixed[:4]:
+        orb = orbit_of(g, x)
+        assert orb.points.tobytes() == apply_all_orbit_of(g, x)[0].tobytes()
+
+
+@pytest.mark.parametrize("name,param", [("sign_flips", 3), ("permutations", 4),
+                                        ("cyclic_rotation_2d", 7), ("axis_rotation_3d", 4)])
+def test_sliced_orbits_equal_one_point_at_a_time(monkeypatch, name, param):
+    # with _BLOCK small, the images come in slices of one point, of three
+    # points, or of one point where _BLOCK holds less than its images
+    g = build_family(name, param)
+    rng = np.random.default_rng(param)
+    X = np.concatenate([_failing_points(g, rng), rng.standard_normal((7, g.dim))])
+    products = []
+    real = np.matmul
+
+    def counted(*args, **kwargs):
+        products.append(args[1].shape[0])
+        return real(*args, **kwargs)
+
+    for block, per_slice in ((g.order * g.dim, 1), (3 * g.order * g.dim, 3), (1, 1)):
+        monkeypatch.setattr(groups, "_BLOCK", block)
+        monkeypatch.setattr(groups.np, "matmul", counted)
+        products.clear()
+        _assert_orbits_match_referee(g, X)
+        monkeypatch.setattr(groups.np, "matmul", real)
+        assert products == [min(per_slice, len(X) - lo) for lo in range(0, len(X), per_slice)]
 
 
 def _window_direction(k: int, ord) -> np.ndarray:

@@ -902,14 +902,14 @@ def test_each_template_orbit_is_built_once(monkeypatch):
     bank = MaxFilterBank(build_family("sign_flips", 3),
                          np.random.default_rng(4).standard_normal((4, 3)))
     built = []
-    real = groups.orbit_of
+    real = groups._orbits
 
-    def counting(group, x):
-        built.append(np.array(x, dtype=float))
-        return real(group, x)
+    def counting(group, X):
+        built.extend(np.array(X, dtype=float))
+        return real(group, X)
 
     for module in (groups, filtering, voronoi):
-        monkeypatch.setattr(module, "orbit_of", counting)
+        monkeypatch.setattr(module, "_orbits", counting)
 
     def builds(z):
         return sum(np.array_equal(x, z) for x in built)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -394,13 +395,15 @@ def test_is_principal_agrees_with_the_stabilizer(make):
 
 
 class ImageCount:
-    """Counts the calls of FiniteGroup.apply_all, orbit_of and
-    stabilizer_order, the last two wherever ``groups`` or ``voronoi`` binds them."""
+    """Counts the image products (``groups._orbits`` calls) with the points
+    each takes, and the calls of FiniteGroup.apply_all, orbit_of and
+    stabilizer_order, wherever ``groups`` or ``voronoi`` binds them."""
 
     def __init__(self, monkeypatch):
-        self.calls = {"apply_all": 0, "orbit_of": 0, "stabilizer_order": 0}
+        self.calls = {"apply_all": 0, "_orbits": 0, "orbit_of": 0, "stabilizer_order": 0}
+        self.batches = []
         monkeypatch.setattr(FiniteGroup, "apply_all", self.wrap(FiniteGroup.apply_all))
-        for name in ("orbit_of", "stabilizer_order"):
+        for name in ("_orbits", "orbit_of", "stabilizer_order"):
             real = getattr(groups, name)
             for mod in (groups, voronoi):
                 if getattr(mod, name, None) is real:
@@ -409,19 +412,37 @@ class ImageCount:
     def wrap(self, real, name="apply_all"):
         def counted(*args, **kwargs):
             self.calls[name] += 1
+            if name == "_orbits":
+                self.batches.append(len(args[1]))
             return real(*args, **kwargs)
         return counted
+
+    @property
+    def points(self) -> int:
+        return sum(self.batches)
+
+
+# the points of each image product of 12 chi pairs: a batch holds the pairs
+# of one _LP_CHUNK = 16384 entries of blocks with m = 2|G| - 2 rows in R^d,
+# m(m + d) entries each, |G| blocks per pair
+CHI_BATCHES = {("permutations", 3): [24],         # 16384 // (10 * 13 * 6) = 21 pairs
+               ("sign_flips", 3): [16, 8],        # 16384 // (14 * 17 * 8) = 8 pairs
+               ("plus_minus_id", 2): [24],        # 16384 // (2 * 4 * 2) = 1024 pairs
+               ("cyclic_rotation_2d", 7): [24]}   # 16384 // (12 * 14 * 7) = 13 pairs
 
 
 @pytest.mark.parametrize("name,param", [CHI_GROUPS[i] for i in (0, 2, 4, 8)],
                          ids=lambda v: str(v))
 def test_chi_computes_each_drawn_points_images_once(name, param, monkeypatch):
     g = build_family(name, param)
+    batches = CHI_BATCHES[name, param]
     count = ImageCount(monkeypatch)
     voronoi_characteristic(g, 12, seed=5)
-    # 12 pairs, then the witness pair drawn again; Gaussian draws are
-    # principal, so each draw is one point
-    assert count.calls == {"apply_all": 26, "orbit_of": 26, "stabilizer_order": 0}
+    # 12 pairs of Gaussian draws, all principal at the first draw: 24 points
+    # in one image product per batch, and the witness pair is not drawn again
+    assert count.batches == batches and count.points == 24
+    assert count.calls == {"apply_all": 0, "_orbits": len(batches), "orbit_of": 0,
+                           "stabilizer_order": 0}
 
 
 def test_choice_assignments_builds_two_orbits(monkeypatch):
@@ -431,12 +452,27 @@ def test_choice_assignments_builds_two_orbits(monkeypatch):
         x, y = (sample_nice(bank, np.random.default_rng(k)) for k in (3, 4))
         count = ImageCount(monkeypatch)
         choice_assignments(bank, x, y)
-        assert count.calls == {"apply_all": 2, "orbit_of": 2, "stabilizer_order": 0}
+        assert count.calls == {"apply_all": 0, "_orbits": 2, "orbit_of": 2,
+                               "stabilizer_order": 0}
+        assert count.batches == [1, 1]
         monkeypatch.undo()
-    # the sharp bound, which calls it on every sampled pair, tests no stabilizer
-    count = ImageCount(monkeypatch)
-    lower_bound_sharp(bank, 20, seed=1)
-    assert count.calls["stabilizer_order"] == 0
+        # the sharp bound builds each drawn point's orbit once: its two draws
+        # per pair attempt, one generator each, and no second pass
+        bank.orbits
+        attempts = []
+        real_rng = np.random.default_rng
+
+        def counted_rng(*args):
+            attempts.append(args)
+            return real_rng(*args)
+
+        count = ImageCount(monkeypatch)
+        monkeypatch.setattr(np.random, "default_rng", counted_rng)
+        lower_bound_sharp(bank, 20, seed=1)
+        monkeypatch.undo()
+        assert len(attempts) >= 20
+        assert count.calls["stabilizer_order"] == 0 and count.calls["apply_all"] == 0
+        assert count.batches == [1] * (2 * len(attempts))
 
 
 def test_s_set_generic_and_aligned_sizes(c5, rng):
@@ -624,6 +660,65 @@ def test_chi_stream_matches_one_pair_s_sets(name, param, monkeypatch):
     first = int(np.argmax(est.sizes))
     assert np.array_equal(est.witness_x, pairs[first][0])
     assert np.array_equal(est.witness_y, pairs[first][1])
+
+
+def assert_same_chi(got, want):
+    """Every ChiEstimate field equal, bit for bit, with its type and dtype."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b), f.name
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert a == b, f.name
+
+
+@pytest.mark.parametrize("name,param", CHI_GROUPS, ids=lambda v: str(v))
+def test_chi_equals_the_sequential_draws(name, param):
+    # the batched stream against the pairs drawn one at a time, with the
+    # witness pair drawn again (tests/oracles.py)
+    g = build_family(name, param)
+    for n in (1, 8, 40):
+        assert_same_chi(voronoi_characteristic(g, n, seed=11), oracles.sequential_chi(g, n, 11))
+
+
+@pytest.mark.parametrize("pair,which", [(0, 0), (3, 0), (5, 1), (9, 0), (11, 1)])
+def test_chi_redraws_a_pair_whose_first_draw_is_not_principal(pair, which, monkeypatch):
+    # the batched orbit of one first draw is cut to one point, so the stream
+    # must draw that pair again with _draw; sign_flips(3) batches 8 pairs,
+    # so pairs 9 and 11 sit in the second batch
+    g = build_family("sign_flips", 3)
+    real_orbits, real_draw = groups._orbits, voronoi._draw
+    seen, draws = [], []
+
+    def rejecting(group, X):
+        orbits = real_orbits(group, X)
+        i = 2 * pair + which - sum(seen)
+        if 0 <= i < len(X):
+            orbits[i] = groups.Orbit(points=orbits[i].points[:1],
+                                     rep_elements=orbits[i].rep_elements[:1])
+        seen.append(len(X))
+        return orbits
+
+    def counted(*args):
+        draws.append(args)
+        return real_draw(*args)
+
+    monkeypatch.setattr(voronoi, "_orbits", rejecting)
+    monkeypatch.setattr(voronoi, "_draw", counted)
+    got = voronoi_characteristic(g, 12, seed=5)
+    assert seen == [16, 8] and len(draws) == 2
+    seen.clear()
+    pairs = list(voronoi._chi_pairs(g, 5, 12))
+    monkeypatch.undo()
+    assert_same_chi(got, oracles.sequential_chi(g, 12, 5))
+    # every pair, the redrawn one included, is the two sequential draws, bit for bit
+    for k, drawn in enumerate(pairs):
+        rng = np.random.default_rng((5, STREAMS["chi_sampling"], k))
+        for (x, (orbit, i)), (wx, (want, wi)) in zip(drawn, (real_draw(g, rng), real_draw(g, rng))):
+            assert x.tobytes() == wx.tobytes() and i == wi
+            assert orbit.points.tobytes() == want.points.tobytes()
+            assert np.array_equal(orbit.rep_elements, want.rep_elements)
 
 
 def test_chi_run_is_one_lp_stream(c5, monkeypatch):
