@@ -25,7 +25,7 @@ import numpy as np
 
 from .filtering import _filter_values, max_filter
 from .groups import FiniteGroup
-from .streams import STREAMS
+from .streams import STREAMS, _check_count
 from .tolerances import DEFAULT_TOL
 
 _POINTS_PER_TRIAL = 6   # search_psd_violation: the points, so the Gram size, of one trial
@@ -125,8 +125,7 @@ def search_psd_violation(
     t)), so results are reproducible and prefix-stable in n_trials.
     Stops at the first certificate.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    _check_count("n_trials", n_trials)
     for trial in range(n_trials):
         rng = np.random.default_rng((seed, STREAMS["psd_search"], trial))
         X = rng.standard_normal((_POINTS_PER_TRIAL, group.dim))

@@ -20,7 +20,7 @@ from .errors import BUDGETS, BudgetExceeded, CaseMismatch, DomainError, NotNiceP
 from .filtering import (MaxFilterBank, _pair_distances, apply_bank, apply_bank_batch,
                         quotient_distance)
 from .groups import _BLOCK, _first_seen, is_reflection_group
-from .streams import STREAMS
+from .streams import STREAMS, _check_count
 from .tolerances import DEFAULT_TOL
 from .voronoi import (ChoiceEnumeration, _cell_rows, _choices, _draw, _pinned_leaves,
                       choice_assignments, proven_chi, strictly_inside)
@@ -186,8 +186,7 @@ def lower_bound_sharp(bank: MaxFilterBank, n_pairs: int, seed: int) -> AlphaShar
     groups, which solves no LP, else the margin LP.  A pair with more
     than BUDGETS["choice_cap"] choice assignments raises BudgetExceeded.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
+    _check_count("n_pairs", n_pairs)
     best = math.inf
     wx = wy = None
     for k in range(n_pairs):
@@ -366,8 +365,7 @@ def empirical_lipschitz(
     pairs; pairs closer than _MIN_SEPARATION in the quotient are rejected
     to avoid ratio instability near the diagonal.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
+    _check_count("n_pairs", n_pairs)
     group, d = bank.group, bank.dim
     rng = np.random.default_rng((seed, STREAMS["empirical_pairs"], stream))
     Xs, Ys, dist_all, dphi_all = [], [], [], []

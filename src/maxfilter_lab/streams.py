@@ -6,6 +6,8 @@ for the same run seed.  CLI reports record this map as
 ``seed_provenance.streams``.
 """
 
+import numbers
+
 STREAMS = {
     "chi_sampling": 211,
     "alpha_sharp": 311,
@@ -18,3 +20,9 @@ STREAMS = {
     "maxfilter_pairs": 877,
     "empirical_pairs": 977,
 }
+
+
+def _check_count(name: str, count) -> None:
+    """Raise ValueError unless a stage's count of draws is an integer >= 1."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {count!r}")

@@ -9,27 +9,27 @@ reflection groups and planar rotation groups, read off the elements
 (``_geometric_leaves``), for β and the sharp bound's S-sets; every
 other group, every question that geometry hands back, and ``s_set``
 and χ, which check the rules that geometry rests on, ask a small
-margin LP.  Every margin LP starts here: β's LP route is the level
-search of ``_pinned_leaves``, one batch per level, and the S-set pairs
-of a χ run share one lazy stream (``_s_sets``).  A cell is named by its
-orbit and its centre's index there, and ``cell_of`` alone looks a
-centre up from a point; a margin LP is one block of rows, its cells'
-``_cell_rows`` stacked in turn.  A point is principal when its orbit
-keeps all |G| images (``is_principal``), so the samplers' one draw
-(``_draw``) keeps the cell it tests.  χ's stream draws its pairs in
-batches, one image product per batch (``_chi_pairs``), takes their cells
-and keeps its witness pair as it passes.
+margin LP.  A cell is named by its orbit and its centre's index there,
+and ``cell_of`` alone looks a centre up from a point.  A margin LP is
+one block of rows, its cells' ``_cell_rows`` in turn; ``_pinned_leaves``
+(β's LP route) and ``_meets_x`` (``s_set``, χ, the sharp bound) cut
+(k, m, d) stacks of them from the orbit arrays by index for
+``_margin_lps``, whose verdicts are arrays.  A point is principal when
+its orbit keeps all |G| images (``is_principal``), so the samplers' one
+draw (``_draw``) keeps the cell it tests.  χ draws its pairs in batches,
+one image product per batch (``_chi_pairs``), into one LP stream.
 No LP solver runs: each margin LP's verdict is read off a
 certificate that is checked with a few flops, a witness point in the box
-or Gordan weights on its rows (``ConeFeasibility``).  A chunk holds
-blocks of one shape, and one loop runs the finders of ``_FINDERS`` in
-turn on its blocks still open, all checked at one ``_certify`` call: a
-vectorized screen (a witness and a pair of rows), a vectorized pass
-adding a third row to that pair, which in the plane settles every block
-whose rows surround the origin, and Wolfe's minimum-norm point, one
-block at a time; a block none settles raises LpNumericalFailure.  Each
-verdict reads its block alone, so it is the one the block would have by
-itself; ``strict_cones_feasible`` is the one-block case.
+or Gordan weights on its rows.  A chunk holds blocks of one shape, and
+one loop runs the finders of ``_FINDERS`` in turn on its blocks still
+open, all checked at one ``_certify`` call: a vectorized screen (a
+witness and a pair of rows), a vectorized pass adding a third row to
+that pair, which in the plane settles every block whose rows surround
+the origin, and Wolfe's minimum-norm point, one block at a time; a
+block none settles raises LpNumericalFailure.  Each verdict reads its
+block alone, so it is the one the block would have by itself;
+``strict_cones_feasible``, the one-block case, alone gives a verdict as
+a ``ConeFeasibility``.
 ``proven_chi`` is the one proof of an upper bound on χ, read off the
 group's elements; ``voronoi_characteristic`` only samples a lower bound.
 """
@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -48,7 +47,7 @@ import numpy as np
 from .errors import BUDGETS, BudgetExceeded, LpNumericalFailure, NotNicePoint
 from .filtering import MaxFilterBank
 from .groups import _BLOCK, FiniteGroup, Orbit, _orbits, orbit_of
-from .streams import STREAMS
+from .streams import STREAMS, _check_count
 from .tolerances import DEFAULT_TOL
 
 __all__ = [
@@ -69,11 +68,12 @@ __all__ = [
 ]
 
 
-def _cell_rows(points: np.ndarray, i: int) -> np.ndarray:
-    """Margin-LP rows of the open cell {y : <p_i, y> > <p_j, y> for all
-    j != i} of the orbit ``points``: p_i - p_j for every j != i, in orbit
-    order, shape (|orbit| - 1, d)."""
-    return points[i] - np.concatenate((points[:i], points[i + 1:]))
+def _cell_rows(points: np.ndarray, idx) -> np.ndarray:
+    """Margin-LP rows p_i - p_j, j != i in orbit order, of the open cell
+    {y : <p_i, y> > <p_j, y> for all j != i} of the orbit ``points``, for
+    each index i in ``idx``: shape idx.shape + (|orbit| - 1, d)."""
+    a = np.arange(points.shape[0] - 1)
+    return points[idx][..., None, :] - points[a + (a >= np.expand_dims(idx, -1))]
 
 
 def strictly_inside(scores: np.ndarray, centers: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -145,36 +145,39 @@ def _pinned_leaves(group: FiniteGroup, orbits) -> tuple[list[tuple[int, ...]], i
     ``_geometric_leaves`` answers first and solves no LP.  Otherwise a
     level-synchronous search runs over the orbits in the order given.
     Level k extends every jointly feasible k-tuple by each point of the
-    next orbit, in lexicographic order; the children of a level are
+    next orbit, in lexicographic order; the children of a level, an
+    (n, k + 1) index array whose blocks are cut a chunk at a time, are
     decided together as one stream of margin LPs, and only the feasible
     ones form the next level.  Pruning is safe because adding a cell only
     shrinks the intersection.  Every child's verdict depends on its own
-    tuple alone, so the LPs solved, the feasible tuples and the leaf
-    order are exactly those of a depth-first search with the same child
-    order.  A child's block, its cells' rows in tuple order, is cut from
-    the orbit arrays when the stream reaches it; nothing is cached.
+    tuple alone, so the LPs solved, the feasible tuples and the leaf order
+    are exactly those of a depth-first search with the same child order.
     When a level would pass the budget, exactly that many problems are
-    solved; the leaves returned are then the feasible children decided
-    so far if that level is the last, and none otherwise.
+    solved; the leaves returned are then the feasible children decided so
+    far if that level is the last, and none otherwise.
     """
     leaves = _geometric_leaves(group, orbits, 0)
     if leaves is not None:
         return leaves, 0, True
-    frontier: list[tuple[int, ...]] = [()]
+    frontier = np.zeros((1, 0), dtype=np.intp)
     solves = 0
     for t, orb in enumerate(orbits):
         n_cand = 1 if t == 0 else orb.size
         needed = len(frontier) * n_cand
         take = min(needed, max(BUDGETS["lp_solves"] - solves, 0))
-        kids = [frontier[i // n_cand] + (i % n_cand,) for i in range(take)]
-        verdicts = _margin_lps(
-            np.concatenate([_cell_rows(orb.points, c) for orb, c in zip(orbits, kid)])
-            for kid in kids)
-        frontier = [kid for kid, v in zip(kids, verdicts) if v.feasible]
+        i = np.arange(take)
+        kids = np.column_stack((frontier[i // n_cand], i % n_cand))
+        step = _chunk_blocks(sum(o.size - 1 for o in orbits[:t + 1]), group.dim)
+        stacks = (np.concatenate([_cell_rows(o.points, c)
+                                  for o, c in zip(orbits, kids[lo:lo + step].T)], axis=1)
+                  for lo in range(0, take, step))
+        frontier = kids[np.concatenate([np.zeros(0, dtype=bool)]
+                                       + [flags for flags, *_ in _margin_lps(stacks)])]
         solves += take
         if take < needed:
-            return (frontier if t == len(orbits) - 1 else []), solves, False
-    return frontier, solves, True
+            frontier = frontier if t == len(orbits) - 1 else frontier[:0]
+            break
+    return list(map(tuple, frontier.tolist())), solves, take == needed
 
 
 def cell_of(group: FiniteGroup, x) -> tuple[Orbit, int]:
@@ -182,11 +185,7 @@ def cell_of(group: FiniteGroup, x) -> tuple[Orbit, int]:
     bit for bit, if x is principal (its identity image is exact), else the
     orbit point within eq_tol of x."""
     x = np.asarray(x, dtype=float)
-    return _cell(orbit_of(group, x), x)
-
-
-def _cell(orbit: Orbit, x: np.ndarray) -> tuple[Orbit, int]:
-    """(orbit, index of its point nearest x), the cell ``cell_of`` returns."""
+    orbit = orbit_of(group, x)
     return orbit, int(np.argmin(np.linalg.norm(orbit.points - x, axis=1)))
 
 
@@ -211,9 +210,8 @@ class ConeFeasibility:
     weights: np.ndarray | None = None
 
 
-# Entries of one chunk of margin LPs, m * (m + d) per problem of m rows in
-# R^d: its rows and the pair screen's cosines.  It bounds how many pairs a
-# chi run holds at once: 8 sign_flips(3) pairs, where _BLOCK would hold 550.
+# Entries of one chunk of margin LPs (``_chunk_blocks``).  It bounds how many
+# pairs a chi run holds at once: 8 sign_flips(3) pairs, where _BLOCK would hold 550.
 # On a 2-core host a `chi` benchmark op took 13.8 ms at this value, 15.9 ms
 # at 1 << 13 and 12.5 ms at _BLOCK (op p50 of three 15 s runs at seed 1).
 _LP_CHUNK = 1 << 14
@@ -221,40 +219,47 @@ _SAMPLE_TRIES = 100    # Gaussian draws per call of _draw, which both samplers c
 _WOLFE_STEPS = 1000    # major cycles per block in _wolfe; the test banks need at most 11
 
 
-def _margin_lps(problems: Iterable[np.ndarray]) -> Iterator[ConeFeasibility]:
-    """One ConeFeasibility per (m, d) block of rows, in input order.
-
-    Blocks are read lazily and decided in chunks of one block shape and
-    at most _LP_CHUNK entries, unless one block exceeds it alone, so a
-    long iterable is never held at once.  A new shape closes the chunk.
-    """
-    blocks: list[np.ndarray] = []
-    size = 0
-    for R in problems:
-        entries = R.shape[0] * sum(R.shape)
-        if blocks and (size + entries > _LP_CHUNK or R.shape != blocks[0].shape):
-            yield from _solve_blocks(blocks)
-            blocks, size = [], 0
-        blocks.append(R)
-        size += entries
-    if blocks:
-        yield from _solve_blocks(blocks)
+def _chunk_blocks(m: int, d: int) -> int:
+    """Blocks of m rows in R^d per chunk, m * (m + d) entries each (its rows and
+    the pair screen's cosines): as many as _LP_CHUNK holds, at least one."""
+    return max(1, _LP_CHUNK // max(1, m * (m + d)))
 
 
-def _solve_blocks(blocks: list[np.ndarray]) -> list[ConeFeasibility]:
-    """One verdict per block of rows, all of one shape, each read off a
-    certificate that ``_certify`` checks.
+def _margin_lps(stacks: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray, ...]]:
+    """``_solve_blocks``' verdicts on each chunk of the blocks of the
+    (k, m, d) stacks, in input order.  The stacks are read lazily and cut
+    into chunks of ``_chunk_blocks`` blocks of one shape, which may span
+    stacks; a new shape closes a chunk."""
+    parts: list[np.ndarray] = []
+    n = 0
+    for stack in stacks:
+        while len(stack):
+            size = _chunk_blocks(*stack.shape[1:])
+            if parts and (n == size or stack.shape[1:] != parts[0].shape[1:]):
+                yield _solve_blocks(np.concatenate(parts))
+                parts, n = [], 0
+            parts.append(stack[:size - n])
+            stack = stack[size - n:]
+            n += len(parts[-1])
+    if parts:
+        yield _solve_blocks(np.concatenate(parts))
+
+
+def _solve_blocks(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(flags, margins, witnesses, weights) of a (k, m, d) stack of blocks
+    of rows, each verdict read off a certificate that ``_certify`` checks.
 
     The finders of _FINDERS run in turn, each on the sub-stack of the
     blocks still open, and ``_certify`` checks what each returns.  A block
     is settled by a witness margin > lp_tol or a Gordan gap <= lp_tol; a
     block without rows starts settled, feasible at y = 0 with margin inf.
+    Margins, witness and weight rows are those of ``ConeFeasibility``;
+    only a feasible block's witness and an infeasible one's weights count.
     A block that no finder settles raises LpNumericalFailure, before any
     verdict of its chunk is given.  Every step reads its block alone, so
     a verdict does not depend on the chunk.
     """
     tol = DEFAULT_TOL.lp_tol
-    stack = np.stack(blocks)
     k, m, d = stack.shape
     Y, L = np.zeros((k, d)), np.zeros((k, m))
     # the margin of y = 0, min R y: 0 with rows, inf (an empty min) without
@@ -269,9 +274,8 @@ def _solve_blocks(blocks: list[np.ndarray]) -> list[ConeFeasibility]:
         raise LpNumericalFailure(
             f"margin LP undecided: witness margin {margins[b[0]]:.3g} and Gordan gap "
             f"{gaps[b[0]]:.3g} both miss lp_tol {tol:.3g}")
-    return [ConeFeasibility(feasible=True, witness=y, margin=float(t)) if t > tol else
-            ConeFeasibility(feasible=False, witness=None, margin=-float(g), weights=lam)
-            for y, lam, t, g in zip(Y, L, margins, gaps)]
+    flags = margins > tol
+    return flags, np.where(flags, margins, -gaps), Y, L
 
 
 def _certify(stack: np.ndarray, Y: np.ndarray, L: np.ndarray):
@@ -416,12 +420,14 @@ def strict_cones_feasible(R: np.ndarray) -> ConeFeasibility:
     feasible; the intersection is nonempty iff the optimum exceeds
     lp_tol.  The verdict comes with the certificate that decides it
     (``ConeFeasibility``).  This is the one-block case of the margin
-    LPs that ``s_set`` and the LP route of ``upper_bound_exact`` decide
+    LPs that ``s_set``, χ and the LP route of ``upper_bound_exact`` decide
     in chunks; every path shares one decision.  Nothing in the package
     calls it and it is not exported; it stays because the benchmark
     tracer wraps it by name on install.
     """
-    return next(_margin_lps([R]))
+    (feasible,), (margin,), (witness,), (weights,) = _solve_blocks(np.asarray(R)[None])
+    return (ConeFeasibility(feasible=True, witness=witness, margin=float(margin)) if feasible else
+            ConeFeasibility(feasible=False, witness=None, margin=float(margin), weights=weights))
 
 
 def in_Q(orbit: Orbit, y) -> bool:
@@ -475,41 +481,30 @@ class SSet:
         return self.members.shape[0]
 
 
-def _s_sets(pairs: Iterable) -> Iterator[tuple[Orbit, list]]:
-    """(orbit of y, verdicts "V_q meets V_x" for q in [y]) per pair of cells
-    (x's, y's) in ``pairs``, from one lazy ``_margin_lps`` stream.  A pair's
-    block for q is V_q's rows, then V_x's, cut once per pair; each block is
-    built when the stream reaches it and dropped after its chunk."""
-    started: deque[Orbit] = deque()
-
-    def problems():
-        for (orbit_x, ix), (orbit_y, _) in pairs:
-            rows_x = _cell_rows(orbit_x.points, ix)
-            started.append(orbit_y)
-            yield from (np.concatenate((_cell_rows(orbit_y.points, k), rows_x))
-                        for k in range(orbit_y.size))
-
-    verdicts = _margin_lps(problems())
-    for first in verdicts:
-        orbit_y = started.popleft()
-        yield orbit_y, [first, *itertools.islice(verdicts, orbit_y.size - 1)]
+def _meets_x(orbit_y: Orbit, qs: np.ndarray, cell_x: tuple[Orbit, int]) -> np.ndarray:
+    """The blocks "V_q meets V_x" for the points qs of [y], (len(qs), m, d):
+    V_q's rows, then V_x's rows, the same for every q."""
+    orbit_x, ix = cell_x
+    rows_x = _cell_rows(orbit_x.points, ix)
+    return np.concatenate((_cell_rows(orbit_y.points, qs),
+                           np.broadcast_to(rows_x, (len(qs),) + rows_x.shape)), axis=1)
 
 
 def s_set(group: FiniteGroup, x, y) -> SSet:
     """S(x, y) = {q in [y] : V_q meets V_x}, in canonical orbit order.
 
     V_x is ``cell_of(group, x)``, centred on the orbit point within eq_tol
-    of x if x is not principal.  The one-pair case of ``_s_sets``: the
-    |[y]| questions "does V_q meet V_x" are independent margin LPs, each
-    decided on its own.
+    of x if x is not principal.  The |[y]| questions "does V_q meet V_x"
+    are independent margin LPs (``_meets_x``), each decided on its own.
     """
     cells = cell_of(group, x), cell_of(group, y)
     for name, (orbit, _) in zip("xy", cells):
         if orbit.size != group.order:
             warnings.warn(f"s_set: {name} is not principal; result may be degenerate", stacklevel=2)
-    orbit_y, verdicts = next(_s_sets([cells]))
-    return SSet(members=orbit_y.points[[r.feasible for r in verdicts]],
-                witnesses=np.stack([r.witness for r in verdicts if r.feasible]))
+    orbit_y = cells[1][0]
+    flags, _, witnesses, _ = map(np.concatenate, zip(*_margin_lps(
+        [_meets_x(orbit_y, np.arange(orbit_y.size), cells[0])])))
+    return SSet(members=orbit_y.points[flags], witnesses=witnesses[flags])
 
 
 @dataclass(frozen=True)
@@ -561,10 +556,8 @@ def _choices(bank: MaxFilterBank, x: np.ndarray, cell_x: tuple[Orbit, int],
     picks = np.flatnonzero(near.any(axis=1))
     leaves = _geometric_leaves(group, (orbit_x, orbit_y), ix)
     if leaves is None:
-        rows_x = _cell_rows(orbit_x.points, ix)
-        verdicts = _margin_lps(np.concatenate((_cell_rows(orbit_y.points, k), rows_x))
-                               for k in picks)
-        inside = picks[[r.feasible for r in verdicts]]
+        inside = picks[np.concatenate([flags for flags, *_ in
+                                       _margin_lps([_meets_x(orbit_y, picks, cell_x)])])]
     else:
         inside = picks[np.isin(picks, [k for _, k in leaves])]
     candidates = [np.flatnonzero(col) for col in near[inside].T]
@@ -608,15 +601,15 @@ class ChiEstimate:
 
 def _chi_pairs(group: FiniteGroup, seed: int, n_samples: int) -> Iterator[tuple]:
     """The chi samples: pair k is (``_draw``, ``_draw``) on default_rng((seed,
-    tag, k)), drawn in batches of the pairs whose blocks one _LP_CHUNK
-    holds, at least one, so the stream holds about one chunk of pairs.  A
-    pair's |G| blocks have 2|G| - 2 rows of d entries.  The first x and y
-    draws of a batch share one ``_orbits`` call; a pair with a first draw
-    that is not principal is drawn again by ``_draw`` from a fresh
-    generator on its key, which repeats those draws."""
+    tag, k)), drawn in batches of the pairs whose |G| blocks fill one chunk
+    (``_chunk_blocks``), at least one pair.  A batch's first draws
+    share one ``_orbits`` call; a principal one keeps its |G| images in
+    element order, so its cell is centred on the identity's image, the
+    element nearest I.  A pair with a first draw that is not principal is
+    drawn again by ``_draw`` from a fresh generator on its key."""
     order, d = group.order, group.dim
-    m = 2 * order - 2
-    size = max(1, _LP_CHUNK // max(1, m * (m + d) * order))
+    size = max(1, _chunk_blocks(2 * order - 2, d) // order)
+    e = int(np.argmin(np.abs(group.stack - np.eye(d)).max(axis=(1, 2))))
     for lo in range(0, n_samples, size):
         keys = [(seed, STREAMS["chi_sampling"], k) for k in range(lo, min(lo + size, n_samples))]
         firsts = []
@@ -627,7 +620,7 @@ def _chi_pairs(group: FiniteGroup, seed: int, n_samples: int) -> Iterator[tuple]
         for key, x, y, orbit_x, orbit_y in zip(keys, firsts[::2], firsts[1::2],
                                                 orbits[::2], orbits[1::2]):
             if orbit_x.size == orbit_y.size == order:
-                yield (x, _cell(orbit_x, x)), (y, _cell(orbit_y, y))
+                yield (x, (orbit_x, e)), (y, (orbit_y, e))
             else:
                 rng = np.random.default_rng(key)
                 yield _draw(group, rng), _draw(group, rng)
@@ -636,24 +629,26 @@ def _chi_pairs(group: FiniteGroup, seed: int, n_samples: int) -> Iterator[tuple]
 def voronoi_characteristic(group: FiniteGroup, n_samples: int, seed: int) -> ChiEstimate:
     """Monte Carlo lower bound on chi(G) over seeded Gaussian principal
     pairs.  Sample k is driven by default_rng((seed, tag, k)), so prefixes
-    of the sample stream agree across n_samples.  The pairs are drawn in
-    batches (``_chi_pairs``) and share one LP stream; the witness pair,
-    the first with the largest S-set, is kept as the stream passes it.
+    of the sample stream agree across n_samples.  Each pair's |G| blocks
+    (``_chi_pairs``, ``_meets_x``) go down one LP stream and live until
+    their chunk; the witness pair is the first with the largest S-set.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    drawn: deque[tuple[np.ndarray, np.ndarray]] = deque()
+    _check_count("n_samples", n_samples)
+    order = group.order
+    drawn = np.empty((n_samples, 2, group.dim))
+    flags = np.empty(n_samples * order, dtype=bool)
 
-    def cells():
-        for (x, cell_x), (y, cell_y) in _chi_pairs(group, seed, n_samples):
-            drawn.append((x, y))
-            yield cell_x, cell_y
+    def stacks():
+        for k, ((x, cell_x), (y, (orbit_y, _))) in enumerate(_chi_pairs(group, seed, n_samples)):
+            drawn[k] = x, y
+            yield _meets_x(orbit_y, np.arange(order), cell_x)
 
-    sizes, best = [], -1
-    for _, verdicts in _s_sets(cells()):
-        sizes.append(sum(r.feasible for r in verdicts))
-        pair = drawn.popleft()
-        if sizes[-1] > best:
-            best, (wx, wy) = sizes[-1], pair
-    return ChiEstimate(chi_lower=int(best), saturated=bool(best == group.order),
-                       witness_x=wx, witness_y=wy, sizes=np.array(sizes))
+    done = 0
+    for chunk, *_ in _margin_lps(stacks()):
+        flags[done:done + len(chunk)] = chunk
+        done += len(chunk)
+    sizes = flags.reshape(n_samples, order).sum(axis=1)
+    k = int(np.argmax(sizes))
+    wx, wy = drawn[k].copy()
+    return ChiEstimate(chi_lower=int(sizes[k]), saturated=bool(sizes[k] == order),
+                       witness_x=wx, witness_y=wy, sizes=sizes)

@@ -22,7 +22,7 @@ from maxfilter_lab.groups import FiniteGroup, _first_seen, orbit_of
 from maxfilter_lab.stability import UpperBound, _lam_min_batch
 from maxfilter_lab.streams import STREAMS
 from maxfilter_lab.tolerances import DEFAULT_TOL
-from maxfilter_lab.voronoi import ChiEstimate, ConeFeasibility, strict_cones_feasible
+from maxfilter_lab.voronoi import ChiEstimate, ConeFeasibility, s_set, strict_cones_feasible
 
 
 def brute_max_filter(stack: np.ndarray, x, y) -> float:
@@ -397,17 +397,15 @@ def apply_all_orbit_of(group, x) -> tuple[np.ndarray, np.ndarray]:
 
 def sequential_chi(group, n_samples: int, seed: int) -> ChiEstimate:
     """voronoi_characteristic one pair at a time: pair k is two ``_draw``
-    calls on default_rng((seed, tag, k)), every pair feeds one ``_s_sets``
-    stream, and the witness pair, the first of largest S-set, is drawn again."""
+    calls on default_rng((seed, tag, k)), its size one public ``s_set``
+    call, and the witness pair, the first of largest S-set, is drawn again."""
     def pair(k: int):
         rng = np.random.default_rng((seed, STREAMS["chi_sampling"], k))
-        return voronoi._draw(group, rng), voronoi._draw(group, rng)
+        return voronoi._draw(group, rng)[0], voronoi._draw(group, rng)[0]
 
-    cells = ((cx, cy) for (_, cx), (_, cy) in map(pair, range(n_samples)))
-    sizes = np.array([sum(r.feasible for r in verdicts)
-                      for _, verdicts in voronoi._s_sets(cells)])
+    sizes = np.array([s_set(group, *pair(k)).size for k in range(n_samples)])
     k = int(np.argmax(sizes))
-    (wx, _), (wy, _) = pair(k)
+    wx, wy = pair(k)
     return ChiEstimate(chi_lower=int(sizes[k]), saturated=bool(sizes[k] == group.order),
                        witness_x=wx, witness_y=wy, sizes=sizes)
 

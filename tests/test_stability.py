@@ -224,10 +224,10 @@ def test_lp_budget_edge(spec, monkeypatch):
         solved = []
         real = voronoi._margin_lps
 
-        def counting(problems):
-            for r in real(problems):
-                solved.append(r)
-                yield r
+        def counting(stacks):
+            for chunk in real(stacks):
+                solved.append(len(chunk[0]))
+                yield chunk
 
         monkeypatch.setattr(voronoi, "_margin_lps", counting)
         for budget in (need - 1, need // 2, 1, 0):
@@ -235,7 +235,7 @@ def test_lp_budget_edge(spec, monkeypatch):
             monkeypatch.setitem(BUDGETS, "lp_solves", budget)
             with pytest.raises(BudgetExceeded) as e:
                 upper_bound_exact(bank)
-            assert len(solved) == budget
+            assert sum(solved) == budget
             with pytest.raises(BudgetExceeded) as want:
                 dfs_upper_bound_exact(bank, max_lp_solves=budget)
             if e.value.partial is not None:
@@ -377,10 +377,10 @@ def test_failed_cell_check_sends_the_pair_to_the_lp(name, param, monkeypatch):
     sent = []
     real = voronoi._margin_lps
 
-    def spy(problems):
-        problems = list(problems)
-        sent.append(len(problems))
-        return real(problems)
+    def spy(stacks):
+        stacks = list(stacks)
+        sent.append(sum(map(len, stacks)))
+        return real(stacks)
 
     monkeypatch.setattr(voronoi, "_margin_lps", spy)
     want = pair_lower_value(bank, x, y)

@@ -10,13 +10,13 @@ from hypothesis import given, strategies as st
 import oracles
 from maxfilter_lab import (DEFAULT_TOL, BudgetExceeded, LpNumericalFailure, MaxFilterBank,
                            NotNicePoint, build_family, cell_of,
-                           choice_assignments, generate_group, in_Q,
+                           choice_assignments, empirical_lipschitz, generate_group, in_Q,
                            is_principal, orbit_of, s_set, sample_nice,
-                           sample_principal, upper_bound_exact,
+                           sample_principal, search_psd_violation, upper_bound_exact,
                            voronoi_characteristic)
 from maxfilter_lab import groups, voronoi
 from maxfilter_lab.groups import FAMILIES, FiniteGroup, stabilizer_order
-from maxfilter_lab.voronoi import strict_cones_feasible
+from maxfilter_lab.voronoi import ConeFeasibility, strict_cones_feasible
 from maxfilter_lab.errors import BUDGETS
 from maxfilter_lab.stability import lower_bound_sharp, pair_lower_value
 from maxfilter_lab.streams import STREAMS
@@ -31,9 +31,24 @@ CHI_GROUPS = [("permutations", 3), ("permutations", 4), ("sign_flips", 3),
               ("cyclic_rotation_2d", 7)]
 
 
+def as_verdicts(flags, margins, witnesses, weights):
+    """One chunk's verdict arrays as ConeFeasibility objects, built as
+    strict_cones_feasible builds its one, to compare field by field."""
+    return [ConeFeasibility(feasible=True, witness=y, margin=float(t)) if f else
+            ConeFeasibility(feasible=False, witness=None, margin=float(t), weights=lam)
+            for f, t, y, lam in zip(flags, margins, witnesses, weights)]
+
+
+def decide(problems):
+    """The verdicts of _margin_lps on (m, d) blocks, each handed over as
+    its own one-block stack, so the chunks are the stream's alone."""
+    return [v for chunk in voronoi._margin_lps([R[None] for R in problems])
+            for v in as_verdicts(*chunk)]
+
+
 def assert_batch_matches_single(problems):
     """Margins of one batch of margin LPs against one call per block."""
-    batched = list(voronoi._margin_lps(problems))
+    batched = decide(problems)
     assert len(batched) == len(problems)
     for R, got in zip(problems, batched):
         want = strict_cones_feasible(R)
@@ -178,6 +193,68 @@ def test_cell_rows_equal_the_delete_form_bit_for_bit(trivial2, rng):
             want = delete_rows(orb.points, index)
             assert rows.shape == want.shape == (orb.size - 1, g.dim)
             assert rows.tobytes() == want.tobytes()
+        # every centre at once, and a 2-D index array: each slice is its centre's rows
+        grid = np.array([[orb.size - 1, 0, orb.size // 2], [0, orb.size // 2, orb.size - 1]])
+        for idx in (np.arange(orb.size), grid):
+            rows = voronoi._cell_rows(orb.points, idx)
+            assert rows.shape == idx.shape + (orb.size - 1, g.dim)
+            for pos in np.ndindex(idx.shape):
+                assert rows[pos].tobytes() == delete_rows(orb.points, idx[pos]).tobytes()
+
+
+def test_library_paths_build_no_verdict_objects(monkeypatch, rng):
+    # inside the package a verdict stays a row of arrays; strict_cones_feasible,
+    # the public edge, is the one place a ConeFeasibility is built
+    built, solved = [], []
+
+    class Counted(ConeFeasibility):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    real = voronoi._solve_blocks
+
+    def counting(stack):
+        solved.append(len(stack))
+        return real(stack)
+
+    monkeypatch.setattr(voronoi, "ConeFeasibility", Counted)
+    monkeypatch.setattr(voronoi, "_solve_blocks", counting)
+    for name, param in CHI_GROUPS:
+        voronoi_characteristic(build_family(name, param), 8, seed=1)
+    g = build_family("cyclic_rotation_2d", 5)
+    x, y = sample_principal(g, rng), sample_principal(g, rng)
+    s_set(g, x, y)
+    assert solved
+    bank = MaxFilterBank(build_family("sign_flips", 3), rng.standard_normal((5, 3)))
+    with lp_route():
+        solved.clear()
+        choice_assignments(bank, sample_nice(bank, rng), sample_nice(bank, rng))
+        assert solved
+        assert upper_bound_exact(bank).lp_solves > 0
+    assert built == []
+    res = strict_cones_feasible(block(cell_of(g, x), cell_of(g, y)))
+    assert built == [res]
+
+
+def _inexact_identity(group):
+    """An untagged copy of the group whose identity element is moved by
+    1e-12, within eq_tol, so the identity's image of x is not x bit for bit."""
+    stack = group.stack.copy()
+    stack[np.argmin(np.abs(stack - np.eye(group.dim)).max(axis=(1, 2))), 0, 1] += 1e-12
+    return FiniteGroup(stack)
+
+
+@pytest.mark.parametrize("name,param", [("sign_flips", 3), ("cyclic_rotation_2d", 5)])
+def test_chi_centres_on_the_identity_when_it_is_inexact(name, param):
+    # the batched stream centres a principal draw's cell on the identity's
+    # image; the sequential draws look the centre up by distance
+    g = _inexact_identity(build_family(name, param))
+    x = np.random.default_rng(0).standard_normal(g.dim)
+    orbit, index = cell_of(g, x)
+    assert orbit.size == g.order and orbit.points[index].tobytes() != x.tobytes()
+    for n in (1, 8, 40):
+        assert_same_chi(voronoi_characteristic(g, n, seed=11), oracles.sequential_chi(g, n, 11))
 
 
 def test_golden_instance_has_six_feasible_pairs(c3):
@@ -204,7 +281,7 @@ def test_golden_batch_matches_one_problem_solves(c3):
     cells2 = [(orb2, j) for j in range(orb2.size)]
     problems = [block(a, b) for a in cells1 for b in cells2] + [block(a) for a in cells1]
     assert_batch_matches_single(problems)
-    assert sum(r.feasible for r in voronoi._margin_lps(problems)) == 6 + 3
+    assert sum(r.feasible for r in decide(problems)) == 6 + 3
 
 
 @pytest.mark.parametrize("name,param", CHI_GROUPS)
@@ -225,8 +302,7 @@ def test_batch_matches_one_problem_solves_property(spec, seed, n_cells):
 def test_batch_with_empty_and_rowless_problems(trivial2, c5, rng):
     free = cell_of(trivial2, np.array([1.0, 2.0]))
     cell = cell_of(c5, rng.standard_normal(2))
-    out = list(voronoi._margin_lps([block(free), block(cell), np.zeros((0, 0)),
-                                    block(free, free)]))
+    out = decide([block(free), block(cell), np.zeros((0, 0)), block(free, free)])
     assert [r.margin for r in (out[0], out[2], out[3])] == [np.inf] * 3
     assert out[1].feasible and out[2].witness.shape == (0,)
 
@@ -245,7 +321,7 @@ def test_mixed_shapes_reach_solve_blocks_one_shape_per_call(trivial2, c5, monkey
         return real(blocks)
 
     monkeypatch.setattr(voronoi, "_solve_blocks", recording)
-    got = list(voronoi._margin_lps(problems))
+    got = decide(problems)
     # a new shape closes the chunk; equal shapes in a row share one
     assert shapes == [{(0, 2)}, {(4, 2)}, {(8, 2)}, {(0, 0)}, {(4, 2)}, {(8, 2)}, {(0, 2)},
                       {(8, 2)}]
@@ -263,7 +339,7 @@ def test_chunk_split_keeps_verdicts(bound, monkeypatch, rng):
     bank = MaxFilterBank(build_family("sign_flips", 2), rng.standard_normal((4, 2)))
     whole_s = s_set(g, x, y)
     whole_ub = upper_bound_exact(bank)
-    whole = list(voronoi._margin_lps(s_set_problems(g, np.random.default_rng(1))))
+    whole = decide(s_set_problems(g, np.random.default_rng(1)))
 
     chunks = []
     real = voronoi._solve_blocks
@@ -274,7 +350,7 @@ def test_chunk_split_keeps_verdicts(bound, monkeypatch, rng):
 
     monkeypatch.setattr(voronoi, "_LP_CHUNK", bound)
     monkeypatch.setattr(voronoi, "_solve_blocks", counting)
-    split = list(voronoi._margin_lps(s_set_problems(g, np.random.default_rng(1))))
+    split = decide(s_set_problems(g, np.random.default_rng(1)))
     assert len(chunks) > 1
     # a chunk exceeds the bound only when one problem does alone
     rows = 2 * (g.order - 1)
@@ -305,8 +381,8 @@ def test_undecided_block_raises_and_certifies_nothing(weights, monkeypatch, c5, 
     monkeypatch.setattr(voronoi, "_FINDERS", (voronoi._screen, unsettled, unsettled))
     yielded = []
     with pytest.raises(LpNumericalFailure, match="undecided"):
-        for r in voronoi._margin_lps(problems):
-            yielded.append(r)
+        for chunk in voronoi._margin_lps([R[None] for R in problems]):
+            yielded.append(chunk)
     # both finders were asked, each with the (k, m, d) sub-stack still open
     assert len(called) == 2 and called[0] == called[1] and len(called[0]) == 3
     assert yielded == []
@@ -578,10 +654,10 @@ def test_choice_assignments_decides_only_candidates(monkeypatch, rng):
     sent = []
     real = voronoi._margin_lps
 
-    def spy(problems):
-        problems = list(problems)
-        sent.append(len(problems))
-        return real(problems)
+    def spy(stacks):
+        stacks = list(stacks)
+        sent.append(sum(map(len, stacks)))
+        return real(stacks)
 
     monkeypatch.setattr(voronoi, "_margin_lps", spy)
     with lp_route():
@@ -762,7 +838,7 @@ def decided_chunks(monkeypatch):
 
     def recording(blocks):
         verdicts = real(blocks)
-        chunks.append((blocks, verdicts))
+        chunks.append((blocks, as_verdicts(*verdicts)))
         return verdicts
 
     monkeypatch.setattr(voronoi, "_solve_blocks", recording)
@@ -863,20 +939,6 @@ def test_chi_chunks_are_one_shape_and_finders_see_only_open_blocks(monkeypatch):
     assert asked == {"_screen": 520, "_triples": 72, "_wolfe": 0}
 
 
-def test_s_sets_reads_pairs_lazily(c5):
-    drawn = []
-
-    def pairs():
-        rng = np.random.default_rng(3)
-        for k in range(200):
-            drawn.append(k)
-            yield voronoi._draw(c5, rng)[1], voronoi._draw(c5, rng)[1]
-
-    orbit_y, verdicts = next(voronoi._s_sets(pairs()))
-    assert len(drawn) < 200
-    assert len(verdicts) == orbit_y.size == 5
-
-
 def test_chi_memory_does_not_grow_with_samples():
     # 8 sign_flips(3) pairs fill one LP chunk; holding every pair's
     # blocks at once would raise the traced peak about 17x
@@ -903,3 +965,21 @@ def test_voronoi_characteristic_saturation(pm2):
 def test_voronoi_characteristic_rejects_bad_counts(c5):
     with pytest.raises(ValueError):
         voronoi_characteristic(c5, 0, seed=1)
+
+
+SAMPLERS = {
+    "voronoi_characteristic": lambda bank, n: voronoi_characteristic(bank.group, n, seed=1),
+    "lower_bound_sharp": lambda bank, n: lower_bound_sharp(bank, n, seed=1),
+    "empirical_lipschitz": lambda bank, n: empirical_lipschitz(bank, n, seed=1),
+    "search_psd_violation": lambda bank, n: search_psd_violation(bank.group, n, seed=1),
+}
+
+
+@pytest.mark.parametrize("count", [True, 2.0, 2.5], ids=repr)
+@pytest.mark.parametrize("sample", SAMPLERS.values(), ids=SAMPLERS.keys())
+def test_sample_counts_are_integers(sample, count, c3):
+    # a bool or a float is no count, even 2.0; a numpy integer is one
+    bank = MaxFilterBank(c3, GOLDEN_Z)
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        sample(bank, count)
+    sample(bank, np.int64(2))
